@@ -48,14 +48,12 @@ from .rings import (
     subset_power,
 )
 from .series import (
-    FactorizationSet,
     SkewContext,
     SkewSeries,
     all_series,
     armendariz_search,
     const_embed,
     exp_embed,
-    factorization_set,
     format_series,
     identity_series,
     is_idempotent_series,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import rings as rings_mod
 from .errors import (
     AlgebraError,
     AxiomViolation,
@@ -23,7 +23,7 @@ from .errors import (
     SpecFormatError,
 )
 from .properties import decide_baer, decide_generalized, decide_quasi_baer
-from .rings import PropertyCertificate, idempotents
+from .rings import DEFAULT_CAPS, PropertyCertificate, idempotents
 from .series import (
     ARMENDARIZ_BUDGET,
     SkewContext,
@@ -56,29 +56,7 @@ _CLASS_FLAGS = {
     "all": ("baer", "quasi_baer", "gen_baer", "gen_quasi_baer"),
 }
 
-_CAP_NAMES = {
-    "subset": "SUBSET_ENUM_CAP",
-    "endo": "ENDO_SEARCH_CAP",
-    "ideal": "IDEAL_ENUM_CAP",
-    "order": "CONSTRUCTION_CAP",
-}
-
 STATEMENTS = ("prop34", "thm37-baer", "thm37-quasibaer", "corollaries")
-
-
-def _apply_caps(text):
-    if not text:
-        return
-    for part in text.split(","):
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in _CAP_NAMES:
-            raise SpecFormatError(
-                f"bad cap entry {part!r}; use name=int with names {sorted(_CAP_NAMES)}")
-        try:
-            setattr(rings_mod, _CAP_NAMES[key], int(value))
-        except ValueError:
-            raise SpecFormatError(f"cap {key} needs an integer, got {value!r}")
 
 
 def _box_slots(monoid, count):
@@ -213,14 +191,14 @@ def _verdict_record(name, cli_class, side, cv):
     return rec
 
 
-def cmd_ring(args, records):
+def cmd_ring(args, records, caps):
     if args.subcmd == "list":
         for name in CATALOG_NAMES:
-            ring = builtin_ring(name)
+            ring = builtin_ring(name, caps)
             records.append({"record": "ring", "name": name,
                             "order": ring.order, "label": ring.label})
         return EXIT_OK
-    ring = resolve_ring(args.ring)
+    ring = resolve_ring(args.ring, caps)
     name = args.ring
     records.append({"record": "ring", "name": name,
                     "order": ring.order, "label": ring.label})
@@ -235,14 +213,15 @@ def cmd_ring(args, records):
         return EXIT_OK
     for cls in _CLASS_FLAGS[args.cls]:
         if cls == "baer":
-            records.append(_verdict_record(name, "baer", None, decide_baer(ring)))
+            records.append(_verdict_record(name, "baer", None, decide_baer(ring, caps=caps)))
         elif cls == "quasi_baer":
-            records.append(_verdict_record(name, "quasi-baer", None, decide_quasi_baer(ring)))
+            records.append(_verdict_record(name, "quasi-baer", None,
+                                           decide_quasi_baer(ring, caps)))
         else:
             base = "baer" if cls == "gen_baer" else "quasi_baer"
             sides = ("right", "left") if args.side == "both" else (args.side,)
             for side in sides:
-                cv = decide_generalized(ring, base, side)
+                cv = decide_generalized(ring, base, side, caps)
                 records.append(_verdict_record(
                     name, "gen-" + base.replace("_", "-"), side, cv))
     return EXIT_OK
@@ -266,21 +245,22 @@ def _report_records(records, report):
     return report.outcome == "PASS"
 
 
-def cmd_verify(args, records):
-    ring = resolve_ring(args.ring)
+def cmd_verify(args, records, caps):
+    ring = resolve_ring(args.ring, caps)
     if args.statement == "corollaries":
         if args.monoid != "nat:natural" or args.sigma != "id":
             raise SpecFormatError(
                 "the corollary runs are untwisted over the natural and trivial "
                 "orders; --monoid/--sigma selectors do not apply")
         reports = verify_corollaries(ring, _box_slots(resolve_monoid("nat:natural"), args.box),
-                                     budget=args.budget, seed=args.seed, samples=args.samples)
+                                     budget=args.budget, seed=args.seed, samples=args.samples,
+                                     caps=caps)
         all_pass = True
         for report in reports:
             all_pass &= _report_records(records, report)
         return EXIT_OK if all_pass else EXIT_FAIL
     monoid = resolve_monoid(args.monoid)
-    sigma = resolve_sigma(ring, args.sigma)
+    sigma = resolve_sigma(ring, args.sigma, caps)
     ctx = SkewContext(ring, monoid, sigma)
     slots = _box_slots(monoid, args.box)
     if args.statement == "prop34":
@@ -288,7 +268,7 @@ def cmd_verify(args, records):
     else:
         variant = "baer" if args.statement == "thm37-baer" else "quasi_baer"
         report = verify_thm37(ctx, variant, slots, budget=args.budget,
-                              seed=args.seed, samples=args.samples)
+                              seed=args.seed, samples=args.samples, caps=caps)
     return EXIT_OK if _report_records(records, report) else EXIT_FAIL
 
 
@@ -307,9 +287,9 @@ def _split_catalog(text):
     return names
 
 
-def cmd_search(args, records):
+def cmd_search(args, records, caps):
     names = _split_catalog(args.catalog)
-    catalog = [(n, resolve_ring(n)) for n in names]
+    catalog = [(n, resolve_ring(n, caps)) for n in names]
     if args.properties == "all":
         props = None
     else:
@@ -320,7 +300,7 @@ def cmd_search(args, records):
                     f"unknown search property {p!r}; options: {', '.join(SEARCH_KINDS)}")
     monoid = resolve_monoid("nat:natural")
     out = counterexample_search(catalog, props, budget=args.budget,
-                                box=_box_slots(monoid, args.box))
+                                box=_box_slots(monoid, args.box), caps=caps)
     for f in out.findings:
         records.append({"record": "finding", **f})
     records.append({"record": "search", "findings": len(out.findings),
@@ -328,10 +308,10 @@ def cmd_search(args, records):
     return EXIT_CAP if out.exhausted else EXIT_OK
 
 
-def cmd_series(args, records):
-    ring = resolve_ring(args.ring)
+def cmd_series(args, records, caps):
+    ring = resolve_ring(args.ring, caps)
     monoid = resolve_monoid(args.monoid)
-    ctx = SkewContext(ring, monoid, resolve_sigma(ring, args.sigma))
+    ctx = SkewContext(ring, monoid, resolve_sigma(ring, args.sigma, caps))
     parsed = []
     for text in args.literals:
         f = parse_series_literal(ctx, text)
@@ -431,8 +411,9 @@ def run(argv=None, stream=None):
     args = parser.parse_args(argv)
     records = [_config_record(args)]
     try:
-        _apply_caps(args.caps)
-        code = args.func(args, records)
+        caps = DEFAULT_CAPS.updated(os.environ.get("SKEWSERIES_CAPS", ""), "SKEWSERIES_CAPS")
+        caps = caps.updated(args.caps, "--caps")
+        code = args.func(args, records, caps)
     except HypothesisNotMet as exc:
         rec = {"record": "error", "kind": "hypothesis-not-met",
                "hypothesis": exc.hypothesis, "message": str(exc)}

@@ -59,7 +59,6 @@ class OrderedMonoid:
             self.refined_mode = "lex"
         else:
             self.refined_mode = "natural" if k == 1 else "lex"
-        self.is_total = order_mode in ("natural", "lex")
         # 1_S minimal: holds for the natural order on N and for product/lex
         # on N^k, fails for trivial order and for Z.
         if order_mode == "trivial":
@@ -189,15 +188,3 @@ def check_order_axioms(monoid, bound=AXIOM_BOUND_DEFAULT, lt=None):
     return PropertyCertificate(
         "yes", notes=f"exhaustive on the bound-{bound} box ({len(points)} elements)",
     )
-
-
-def support_admissible(monoid, points):
-    """Whether a support set is legal for series over this monoid.
-
-    Every finite subset of a quasitotally ordered monoid is artinian and
-    narrow, and this package only ever builds finite supports, so after
-    validating membership the answer is always True.
-    """
-    for u in points:
-        monoid.validate(u)
-    return True

@@ -1,22 +1,29 @@
 """Deciders for annihilator-based ring classes, with checkable certificates.
 
-Two routes exist on purpose.  decide_* uses bitmask annihilator tables and
-an early-stopping power chain; oracle_decide_generalized recomputes every
+Two routes exist on purpose.  decide_* share one bitmask routine with an
+early-stopping annihilator chain; oracle_decide_generalized recomputes every
 quantity from the definitions through the public ring operations.  The two
 are cross-checked in the test suite and must never be merged.
+
+The fast route asks every question on the right side.  A left-side question
+is the right-side question about the opposite ring, whose multiplication
+table is the transpose (rings.side_table): its right annihilators, right
+ideals and principal ideals eR are the left annihilators, left ideals and
+Re of the ring itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rings as _caps
 from .errors import SizeCapExceeded
 from .rings import (
+    DEFAULT_CAPS,
     FiniteRing,
     annihilator,
     enumerate_ideals,
     idempotents,
+    side_table,
     subset_power,
 )
 
@@ -28,6 +35,8 @@ CLASS_NAMES = (
     "gen_quasi_baer_right",
     "gen_quasi_baer_left",
 )
+
+SIDES = ("right", "left")
 
 
 @dataclass(frozen=True)
@@ -50,37 +59,7 @@ class ClassVerdict:
 
 
 # ---------------------------------------------------------------------------
-# bitmask machinery (fast route)
-
-
-def _singleton_ann_masks(ring, side):
-    # masks[x] has bit a set iff x*a == 0 (right) or a*x == 0 (left)
-    n = ring.order
-    mul = ring.mul_table
-    zero = ring.zero
-    masks = []
-    for x in range(n):
-        m = 0
-        for a in range(n):
-            p = mul[x][a] if side == "right" else mul[a][x]
-            if p == zero:
-                m |= 1 << a
-        masks.append(m)
-    return masks
-
-
-def _principal_idempotent_masks(ring, side):
-    # mask(eR) -> smallest idempotent e (or Re for the left side)
-    n = ring.order
-    mul = ring.mul_table
-    table = {}
-    for e in idempotents(ring):
-        m = 0
-        for r in range(n):
-            p = mul[e][r] if side == "right" else mul[r][e]
-            m |= 1 << p
-        table.setdefault(m, e)
-    return table
+# fast route: one bitmask decision loop
 
 
 def _mask_members(mask):
@@ -92,44 +71,70 @@ def _mask_members(mask):
     return tuple(members)
 
 
-def _ann_mask(singles, members, full):
-    m = full
-    for x in members:
-        m &= singles[x]
-    return m
+def _decide(ring, cls, side, caps, climb, keep=True):
+    """(verdict, instance_kind, per_instance, failing_instance) for one side.
 
-
-def _instance_chain(ring, members, singles, genmap, full):
-    """Annihilator chain for one instance; ('ok', n, e) or ('stuck', n, ann).
-
-    Ascending chain: the annihilator of the n-fold product set grows with n,
-    asserted along the way.  A plateau is final (the chain is constant from
-    the first repeat), so stopping there is exact, and a plateau without an
-    idempotent generator rejects the instance.
+    Instances are every nonempty subset in ascending bitmask order ('baer')
+    or every side-matching ideal ('quasi_baer').  For each one the
+    annihilator of the n-fold product set is read off bitmask tables of the
+    side table.  The ordinary classes stop at n = 1; with climb the chain
+    goes on until an idempotent-generated annihilator appears or the chain
+    plateaus.  The chain ascends (asserted along the way) and a plateau is
+    final, so stopping there is exact.  keep=False skips collecting the
+    accepted triples.
     """
-    mul = ring.mul_table
-    power = frozenset(members)
-    ann_prev = None
-    depth = 1
-    while True:
-        ann = _ann_mask(singles, power, full)
-        if ann_prev is not None:
-            assert ann | ann_prev == ann, "annihilator chain must ascend"
-        e = genmap.get(ann)
-        if e is not None:
-            return ("ok", depth, e)
-        if ann == ann_prev:
-            return ("stuck", depth, ann)
-        ann_prev = ann
-        power = frozenset(mul[p][x] for p in power for x in members)
-        depth += 1
+    table = side_table(ring, side)
+    n, zero = ring.order, ring.zero
+    if cls == "baer":
+        if n > caps.subset:
+            raise SizeCapExceeded(f"subset enumeration capped at order {caps.subset}, ring has {n}")
+        kind = "subset"
+        instances = (_mask_members(mask) for mask in range(1, 1 << n))
+    else:
+        kind = f"{side}_ideal"
+        instances = (tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps.ideal))
+    # singles[x] has bit a set iff x*a == 0; genmap maps the mask of eR to
+    # the smallest idempotent e generating it.
+    singles = [sum(1 << a for a in range(n) if row[a] == zero) for row in table]
+    genmap = {}
+    for e in range(n):
+        if table[e][e] == e:
+            genmap.setdefault(sum(1 << p for p in set(table[e])), e)
+    full = (1 << n) - 1
+    per_instance = []
+    for members in instances:
+        power, ann_prev, depth = members, None, 1
+        while True:
+            ann = full
+            for x in power:
+                ann &= singles[x]
+            assert ann_prev is None or ann | ann_prev == ann, "annihilator chain must ascend"
+            e = genmap.get(ann)
+            if e is not None:
+                break
+            if not climb or ann == ann_prev:
+                return False, kind, (), (members, depth, _mask_members(ann))
+            ann_prev = ann
+            power = {table[p][x] for p in power for x in members}
+            depth += 1
+        if keep:
+            per_instance.append((members, depth, e))
+    return True, kind, tuple(per_instance), None
+
+
+def _side_symmetric(ring, cls, side, caps):
+    # Both sides run and must agree (the class is left-right symmetric); only
+    # the reported side keeps its accepted triples.
+    runs = {s: _decide(ring, cls, s, caps, climb=False, keep=s == side) for s in SIDES}
+    assert runs["right"][0] == runs["left"][0], f"{cls} verdict must be side-symmetric"
+    return ClassVerdict(ring, cls, *runs[side])
 
 
 # ---------------------------------------------------------------------------
 # deciders
 
 
-def decide_baer(ring, side="right"):
+def decide_baer(ring, side="right", caps=DEFAULT_CAPS):
     """Baer decision: every nonempty subset's annihilator is idempotent-generated.
 
     Both sides are computed and cross-asserted equal (the class is known to
@@ -138,62 +143,19 @@ def decide_baer(ring, side="right"):
     subset is the first one in that order.
     """
     _check_side(side)
-    mine = _baer_side(ring, side, keep=True)
-    other = _baer_side(ring, "left" if side == "right" else "right", keep=False)
-    assert mine[0] == other[0], "Baer verdict must be side-symmetric"
-    verdict, per_instance, failing = mine
-    return ClassVerdict(ring, "baer", verdict, "subset", per_instance, failing)
+    return _side_symmetric(ring, "baer", side, caps)
 
 
-def _baer_side(ring, side, keep):
-    if ring.order > _caps.SUBSET_ENUM_CAP:
-        raise SizeCapExceeded(
-            f"subset enumeration capped at order {_caps.SUBSET_ENUM_CAP}, ring has {ring.order}")
-    singles = _singleton_ann_masks(ring, side)
-    genmap = _principal_idempotent_masks(ring, side)
-    full = (1 << ring.order) - 1
-    per_instance = []
-    for mask in range(1, 1 << ring.order):
-        members = _mask_members(mask)
-        ann = _ann_mask(singles, members, full)
-        e = genmap.get(ann)
-        if e is None:
-            return False, (), (members, 1, _mask_members(ann))
-        if keep:
-            per_instance.append((members, 1, e))
-    return True, tuple(per_instance), None
-
-
-def decide_quasi_baer(ring):
+def decide_quasi_baer(ring, caps=DEFAULT_CAPS):
     """Quasi-Baer decision over one-sided ideals, cross-asserted on both sides.
 
     The certificate reports the right side: right annihilators of right
     ideals, in ascending size-then-lexicographic ideal order.
     """
-    mine = _quasi_baer_side(ring, "right", keep=True)
-    other = _quasi_baer_side(ring, "left", keep=False)
-    assert mine[0] == other[0], "quasi-Baer verdict must be side-symmetric"
-    verdict, per_instance, failing = mine
-    return ClassVerdict(ring, "quasi_baer", verdict, "right_ideal", per_instance, failing)
+    return _side_symmetric(ring, "quasi_baer", "right", caps)
 
 
-def _quasi_baer_side(ring, side, keep):
-    singles = _singleton_ann_masks(ring, side)
-    genmap = _principal_idempotent_masks(ring, side)
-    full = (1 << ring.order) - 1
-    per_instance = []
-    for ideal in enumerate_ideals(ring, side):
-        members = tuple(sorted(ideal))
-        ann = _ann_mask(singles, members, full)
-        e = genmap.get(ann)
-        if e is None:
-            return False, (), (members, 1, _mask_members(ann))
-        if keep:
-            per_instance.append((members, 1, e))
-    return True, tuple(per_instance), None
-
-
-def decide_generalized(ring, cls, side="right"):
+def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
     """Generalized Baer/quasi-Baer decision via the annihilator power chain.
 
     For each instance (every nonempty subset for 'baer', every side-matching
@@ -202,33 +164,11 @@ def decide_generalized(ring, cls, side="right"):
     sides are genuinely independent classes here, so nothing is cross-asserted.
     """
     _check_cls(cls)
-    _check_side(side)
-    singles = _singleton_ann_masks(ring, side)
-    genmap = _principal_idempotent_masks(ring, side)
-    full = (1 << ring.order) - 1
-    class_name = f"gen_{cls}_{side}"
-    per_instance = []
-    if cls == "baer":
-        if ring.order > _caps.SUBSET_ENUM_CAP:
-            raise SizeCapExceeded(
-                f"subset enumeration capped at order {_caps.SUBSET_ENUM_CAP}, ring has {ring.order}")
-        kind = "subset"
-        instances = (_mask_members(mask) for mask in range(1, 1 << ring.order))
-    else:
-        kind = f"{side}_ideal"
-        instances = (tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side))
-    for members in instances:
-        status, depth, payload = _instance_chain(ring, members, singles, genmap, full)
-        if status == "ok":
-            per_instance.append((members, depth, payload))
-        else:
-            failing = (members, depth, _mask_members(payload))
-            return ClassVerdict(ring, class_name, False, kind, (), failing)
-    return ClassVerdict(ring, class_name, True, kind, tuple(per_instance), None)
+    return ClassVerdict(ring, f"gen_{cls}_{side}", *_decide(ring, cls, side, caps, climb=True))
 
 
 def _check_side(side):
-    if side not in ("right", "left"):
+    if side not in SIDES:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 

@@ -6,34 +6,54 @@ ring axiom list exhaustively, so a FiniteRing that exists is a ring.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .errors import (
     AxiomViolation,
     EmptySubset,
     NonpositiveExponent,
     SizeCapExceeded,
+    SpecFormatError,
 )
 
 
-def _cap_from_env(name: str, default: int) -> int:
-    # SKEWSERIES_CAPS="subset=20,endo=12" overrides individual defaults.
-    raw = os.environ.get("SKEWSERIES_CAPS", "")
-    for part in raw.split(","):
-        key, sep, value = part.partition("=")
-        if sep and key.strip() == name:
+@dataclass(frozen=True)
+class Caps:
+    """Size caps of one run, each a bound on ring order.
+
+    subset: subset enumeration in the Baer deciders; endo: endomorphism
+    search; ideal: ideal enumeration; order: ring construction.
+    """
+
+    subset: int = 16
+    endo: int = 16
+    ideal: int = 16
+    order: int = 64
+
+    def updated(self, text, source):
+        """These caps with 'name=int,...' entries from text applied.
+
+        Blank text changes nothing; any other malformed or unknown entry is
+        a SpecFormatError naming its source.
+        """
+        if not text.strip():
+            return self
+        names = sorted(f.name for f in fields(self))
+        values = {}
+        for part in text.split(","):
+            key, sep, value = part.partition("=")
+            key = key.strip()
+            if not sep or key not in names:
+                raise SpecFormatError(
+                    f"bad cap entry {part!r} in {source}; use name=int with names {names}")
             try:
-                return int(value)
+                values[key] = int(value)
             except ValueError:
-                raise ValueError(f"bad cap value for {name!r} in SKEWSERIES_CAPS: {value!r}")
-    return default
+                raise SpecFormatError(f"cap {key} in {source} needs an integer, got {value!r}")
+        return replace(self, **values)
 
 
-SUBSET_ENUM_CAP = _cap_from_env("subset", 16)
-ENDO_SEARCH_CAP = _cap_from_env("endo", 16)
-IDEAL_ENUM_CAP = _cap_from_env("ideal", 16)
-CONSTRUCTION_CAP = _cap_from_env("order", 64)
+DEFAULT_CAPS = Caps()
 
 
 @dataclass(frozen=True)
@@ -254,7 +274,7 @@ def _matrix_like(base, k, positions, label, max_order):
 
 
 def _check_construction(order, max_order):
-    cap = CONSTRUCTION_CAP if max_order is None else max_order
+    cap = DEFAULT_CAPS.order if max_order is None else max_order
     if order > cap:
         raise SizeCapExceeded(f"constructed order {order} exceeds cap {cap}")
 
@@ -271,6 +291,21 @@ def _check_subset(ring, subset):
         if not isinstance(x, int) or not 0 <= x < ring.order:
             raise ValueError(f"element {x!r} not in ring of order {ring.order}")
     return xs
+
+
+def side_table(ring, side):
+    """The multiplication table that turns a side question into a right one.
+
+    'right' gives the ring's own table.  'left' gives its transpose, the table
+    of the opposite ring: there x*a is a*x of the ring, so right annihilators,
+    right ideals and principal ideals eR of the opposite ring are the left
+    annihilators, left ideals and Re of the ring.
+    """
+    if side == "right":
+        return ring.mul_table
+    if side == "left":
+        return tuple(zip(*ring.mul_table))
+    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
 def idempotents(ring):
@@ -333,53 +368,54 @@ def additive_closure(ring, subset):
     return frozenset(cur)
 
 
+def _ideal_sum(add, ideal, other):
+    """{a + b : a in ideal, b in other} for an additive subgroup `ideal`.
+
+    The sum is a union of cosets of `ideal`, so each b not yet covered adds
+    its whole coset at once.
+    """
+    out = set(ideal)
+    for b in other:
+        if b not in out:
+            row = add[b]
+            out.update([row[a] for a in ideal])
+    return frozenset(out)
+
+
 def ideal_generated(ring, subset, side="right"):
-    """Smallest one-sided ideal containing the subset."""
+    """Smallest one-sided ideal containing the subset.
+
+    In a unital ring that is the sum of the members' principal ideals xR
+    (right) or Rx (left), each a row of the side table.
+    """
     xs = _check_subset(ring, subset)
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    cur = set(xs)
-    cur.add(ring.zero)
-    changed = True
-    while changed:
-        changed = False
-        members = list(cur)
-        for a in members:
-            for b in members:
-                s = ring.add(a, b)
-                if s not in cur:
-                    cur.add(s)
-                    changed = True
-        for a in members:
-            for r in range(ring.order):
-                p = ring.mul(a, r) if side == "right" else ring.mul(r, a)
-                if p not in cur:
-                    cur.add(p)
-                    changed = True
-    return frozenset(cur)
+    table = side_table(ring, side)
+    out = frozenset({ring.zero})
+    for x in xs:
+        out = _ideal_sum(ring.add_table, out, table[x])
+    return out
 
 
 def enumerate_ideals(ring, side="right", cap=None):
     """All one-sided ideals, ascending by size then by sorted member tuple.
 
-    Grow-and-close search: start at {0}; repeatedly extend a known ideal by
-    one outside element and close.  Every ideal is reached because a chain
-    from {0} to it can add its members one at a time.
+    In a unital ring every one-sided ideal is the sum of the principal ideals
+    xR (right) or Rx (left) of its members, and the sum of two ideals is
+    {a + b}.  So closing {0} under adding one principal ideal, a row of the
+    side table, reaches every ideal and nothing else.
     """
-    cap = IDEAL_ENUM_CAP if cap is None else cap
+    cap = DEFAULT_CAPS.ideal if cap is None else cap
     if ring.order > cap:
         raise SizeCapExceeded(f"ideal enumeration capped at order {cap}, ring has {ring.order}")
-    start = frozenset({ring.zero})
-    found = {start}
-    queue = [start]
-    while queue:
-        ideal = queue.pop(0)
-        for x in range(ring.order):
-            if x not in ideal:
-                bigger = ideal_generated(ring, ideal | {x}, side)
-                if bigger not in found:
-                    found.add(bigger)
-                    queue.append(bigger)
+    principals = list(dict.fromkeys(frozenset(row) for row in side_table(ring, side)))
+    found = {frozenset({ring.zero})}
+    queue = list(found)
+    for ideal in queue:
+        for p in principals:
+            bigger = _ideal_sum(ring.add_table, ideal, p)
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
@@ -465,7 +501,7 @@ def enumerate_endomorphisms(ring, cap=None):
     are detected long before a full map is built.  The identity is always
     among the results.
     """
-    cap = ENDO_SEARCH_CAP if cap is None else cap
+    cap = DEFAULT_CAPS.endo if cap is None else cap
     if ring.order > cap:
         raise SizeCapExceeded(f"endomorphism search capped at order {cap}, ring has {ring.order}")
     n = ring.order

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 from .errors import (
     AxiomViolation,
@@ -208,14 +207,6 @@ class SkewSeries:
         return f"<series {format_series(self)}>"
 
 
-@dataclass(frozen=True)
-class FactorizationSet:
-    """All support pairs (u, v) with u+v equal to the target exponent."""
-
-    target: tuple
-    pairs: tuple
-
-
 def series_from_pairs(ctx, pairs):
     """Build a series from (coefficient, exponent) pairs; zeros are dropped."""
     terms = {}
@@ -244,20 +235,6 @@ def exp_embed(ctx, s):
 
 def identity_series(ctx):
     return const_embed(ctx, ctx.ring.one)
-
-
-def factorization_set(f, g, s):
-    """Support pairs of (f, g) whose exponents add to s."""
-    f._check_context(g)
-    monoid = f.context.monoid
-    s = normalize_exponent(monoid, s)
-    pairs = tuple(sorted(
-        (u, v)
-        for u in f.support
-        for v in g.support
-        if monoid.op(u, v) == s
-    ))
-    return FactorizationSet(target=s, pairs=pairs)
 
 
 def is_idempotent_series(f):

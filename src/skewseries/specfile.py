@@ -15,6 +15,7 @@ import re
 from .errors import SpecFormatError
 from .monoids import monoid_make
 from .rings import (
+    DEFAULT_CAPS,
     FiniteRing,
     build_ring_from_tables,
     enumerate_endomorphisms,
@@ -44,20 +45,21 @@ _MAT_RE = re.compile(r"^(mat|ut)([23]):z(\d+)$")
 _MONOID_RE = re.compile(r"^(nat|int)(\d*)$")
 
 
-def builtin_ring(name):
+def builtin_ring(name, caps=DEFAULT_CAPS):
     """A catalog ring by name; SpecFormatError names the valid patterns."""
     m = _ZN_RE.match(name)
     if m:
-        return ring_zn(_positive(m.group(1), name, low=2))
+        return ring_zn(_positive(m.group(1), name, low=2), caps.order)
     m = _PROD_RE.match(name)
     if m:
-        return ring_product(builtin_ring(m.group(1)), builtin_ring(m.group(2)))
+        return ring_product(builtin_ring(m.group(1), caps), builtin_ring(m.group(2), caps),
+                            caps.order)
     m = _MAT_RE.match(name)
     if m:
-        base = ring_zn(_positive(m.group(3), name, low=2))
+        base = ring_zn(_positive(m.group(3), name, low=2), caps.order)
         k = int(m.group(2))
         maker = ring_matrix if m.group(1) == "mat" else ring_upper_triangular
-        return maker(base, k)
+        return maker(base, k, caps.order)
     raise SpecFormatError(
         f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B, "
         f"mat2:z2, ut2:z2, and a file path overrides them")
@@ -70,11 +72,11 @@ def _positive(text, context, low=1):
     return n
 
 
-def resolve_ring(spec):
+def resolve_ring(spec, caps=DEFAULT_CAPS):
     """Spec string to ring: an existing file path wins, else the builtins."""
     if os.path.isfile(spec):
-        return parse_ring_file(spec)
-    return builtin_ring(spec)
+        return parse_ring_file(spec, caps)
+    return builtin_ring(spec, caps)
 
 
 def _read_ini(path, section):
@@ -89,7 +91,7 @@ def _read_ini(path, section):
     return dict(parser.items(section))
 
 
-def parse_ring_file(path):
+def parse_ring_file(path, caps=DEFAULT_CAPS):
     """Build a ring from an INI file with a [ring] section.
 
     kind selects the constructor; keys outside the kind's whitelist are
@@ -105,13 +107,14 @@ def parse_ring_file(path):
         raise SpecFormatError(f"{path}: unknown keys for kind {kind}: {sorted(extra)}")
     try:
         if kind == "zn":
-            ring = ring_zn(int(items["n"]))
+            ring = ring_zn(int(items["n"]), caps.order)
         elif kind == "product":
-            ring = ring_product(resolve_ring(items["left"]), resolve_ring(items["right"]))
+            ring = ring_product(resolve_ring(items["left"], caps),
+                                resolve_ring(items["right"], caps), caps.order)
         elif kind in ("matrix", "upper_triangular"):
-            base = resolve_ring(items["base"])
+            base = resolve_ring(items["base"], caps)
             maker = ring_matrix if kind == "matrix" else ring_upper_triangular
-            ring = maker(base, int(items.get("k", "2")))
+            ring = maker(base, int(items.get("k", "2")), caps.order)
         else:
             ring = _ring_from_table_text(path, items)
     except KeyError as exc:
@@ -202,7 +205,7 @@ def resolve_monoid(spec):
     return parse_monoid_spec(spec)
 
 
-def resolve_sigma(ring, selector):
+def resolve_sigma(ring, selector, caps=DEFAULT_CAPS):
     """Twist selector: 'id' or an index into the endomorphism enumeration."""
     text = selector.strip()
     if text in ("", "id"):
@@ -211,7 +214,7 @@ def resolve_sigma(ring, selector):
         index = int(text)
     except ValueError:
         raise SpecFormatError(f"sigma selector {selector!r}: use 'id' or an integer index")
-    endos = enumerate_endomorphisms(ring)
+    endos = enumerate_endomorphisms(ring, caps.endo)
     if not 0 <= index < len(endos):
         raise SpecFormatError(
             f"sigma index {index} out of range; {ring.label} has "

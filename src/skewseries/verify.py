@@ -16,6 +16,7 @@ from .errors import BudgetExceeded, HypothesisNotMet, NonpositiveExponent
 from .monoids import monoid_make
 from .properties import decide_baer, decide_generalized, decide_quasi_baer
 from .rings import (
+    DEFAULT_CAPS,
     PropertyCertificate,
     annihilator,
     enumerate_endomorphisms,
@@ -34,12 +35,6 @@ from .series import (
     is_idempotent_series,
     normalize_box,
     s_compatibility_check,
-)
-
-STATEMENT_IDS = (
-    "prop34", "prop35_1", "prop35_2", "prop36_1", "prop36_2",
-    "thm37_baer", "thm37_quasibaer",
-    "cor38", "cor39", "cor310", "cor311", "cor312",
 )
 
 ANNIHILATOR_BUDGET = 2_000_000
@@ -215,7 +210,7 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
     return TheoremReport("prop34", outcome, hyps, tuple(entries), _scope_note(ctx, slots))
 
 
-def _thm37_hypotheses(ctx, slots, variant, budget):
+def _thm37_hypotheses(ctx, slots, variant, budget, caps):
     monoid = ctx.monoid
     hyps = [(
         "quasitotal_order",
@@ -232,7 +227,7 @@ def _thm37_hypotheses(ctx, slots, variant, budget):
     if arm.verdict == "no":
         raise HypothesisNotMet("armendariz_at_box", arm)
     hyps.append(("armendariz_at_box", arm))
-    rv = decide_generalized(ctx.ring, variant, "right")
+    rv = decide_generalized(ctx.ring, variant, "right", caps)
     if not rv.verdict:
         raise HypothesisNotMet(
             f"ring_gen_right_{variant}",
@@ -246,7 +241,8 @@ def _thm37_hypotheses(ctx, slots, variant, budget):
     return hyps, rv
 
 
-def verify_thm37(ctx, variant, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20):
+def verify_thm37(ctx, variant, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
+                 caps=DEFAULT_CAPS):
     """Transfer of the generalized right Baer / quasi-Baer property at a box.
 
     Forward direction: for each accepted ring instance (X or I, n, e), the
@@ -259,7 +255,7 @@ def verify_thm37(ctx, variant, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20
     if variant not in ("baer", "quasi_baer"):
         raise ValueError(f"variant must be 'baer' or 'quasi_baer', got {variant!r}")
     slots = normalize_box(ctx.monoid, box)
-    hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget)
+    hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps)
     forward_id = "prop36_1" if variant == "baer" else "prop36_2"
     backward_id = "prop35_1" if variant == "baer" else "prop35_2"
     ring = ctx.ring
@@ -348,7 +344,8 @@ def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget):
     return entries
 
 
-def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20):
+def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
+                       caps=DEFAULT_CAPS):
     """Replay the transfer flow in its untwisted special cases over N.
 
     cor38 covers both variants for generalized power series (natural order,
@@ -371,7 +368,7 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20):
         entries = []
         slots = normalize_box(monoid, box)
         for variant in variants:
-            sub = verify_thm37(ctx, variant, slots, budget, seed, samples)
+            sub = verify_thm37(ctx, variant, slots, budget, seed, samples, caps)
             hyps.extend(sub.hypotheses_checked)
             entries.extend(sub.conclusion_checked)
         outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
@@ -394,7 +391,8 @@ SEARCH_KINDS = (
 )
 
 
-def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1)):
+def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1),
+                          caps=DEFAULT_CAPS):
     """Scan rings (and their endomorphisms) for strict gaps and Armendariz
     failures.  Emits finding records; never asserts.  Stops early when the
     Armendariz pair budget runs out, flagging the outcome as exhausted."""
@@ -409,11 +407,11 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
         profile = {}
         need_gaps = any(k in kinds for k in SEARCH_KINDS[:4])
         if need_gaps:
-            profile["baer"] = decide_baer(ring).verdict
-            profile["quasi_baer"] = decide_quasi_baer(ring).verdict
+            profile["baer"] = decide_baer(ring, caps=caps).verdict
+            profile["quasi_baer"] = decide_quasi_baer(ring, caps).verdict
             for cls in ("baer", "quasi_baer"):
                 for side in ("right", "left"):
-                    profile[f"gen_{cls}_{side}"] = decide_generalized(ring, cls, side).verdict
+                    profile[f"gen_{cls}_{side}"] = decide_generalized(ring, cls, side, caps).verdict
         if "quasi_baer_not_baer" in kinds and profile["quasi_baer"] and not profile["baer"]:
             findings.append({
                 "kind": "quasi_baer_not_baer", "ring": name,
@@ -440,7 +438,7 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
             monoid = monoid_make("nat_add", "natural")
             slots = normalize_box(monoid, box)
             cost_each = (ring.order ** len(slots)) ** 2
-            for idx, sigma in enumerate(enumerate_endomorphisms(ring)):
+            for idx, sigma in enumerate(enumerate_endomorphisms(ring, caps.endo)):
                 if work + cost_each > budget:
                     exhausted = True
                     break

@@ -6,6 +6,7 @@ them in an "acceptance gate" section after the run, past pytest's capture.
 
 import functools
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import record_gate_line
 
+import skewseries
 from skewseries.monoids import monoid_make
 from skewseries.properties import (
     decide_baer,
@@ -183,12 +185,17 @@ def test_criterion_09_determinism():
         ["ring", "check", "--ring", "zn:8", "--class", "all", "--side", "both"],
     )
 
+    # the children import the package under test, installed or not
+    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
+
     def one_pass(hash_seed):
         chunks = []
         for cmd in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "skewseries", *cmd, "--output", "jsonl"],
-                capture_output=True, env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                capture_output=True,
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": package_root},
             )
             assert proc.returncode == 0, (cmd, proc.stderr.decode())
             chunks.append(proc.stdout)

@@ -3,7 +3,6 @@ import json
 
 import pytest
 
-from skewseries import rings as rings_mod
 from skewseries.cli import _split_catalog, main, run
 from skewseries.monoids import monoid_make
 from skewseries.series import SkewContext, format_series, parse_series_literal
@@ -170,24 +169,43 @@ def test_unknown_ring_is_a_spec_error():
 
 
 def test_caps_flag_trips_the_subset_cap():
-    before = rings_mod.SUBSET_ENUM_CAP
-    try:
-        code, recs = invoke_jsonl("ring", "check", "--ring", "mat2:z2",
-                                  "--class", "baer", "--caps", "subset=8")
-        assert code == 3
-        err = next(r for r in recs if r["record"] == "error")
-        assert err["kind"] == "cap-exceeded"
-    finally:
-        rings_mod.SUBSET_ENUM_CAP = before
+    code, recs = invoke_jsonl("ring", "check", "--ring", "mat2:z2",
+                              "--class", "baer", "--caps", "subset=8")
+    assert code == 3
+    err = next(r for r in recs if r["record"] == "error")
+    assert err["kind"] == "cap-exceeded"
 
 
 def test_malformed_caps_entry():
-    before = rings_mod.SUBSET_ENUM_CAP
-    try:
-        code, recs = invoke_jsonl("ring", "list", "--caps", "bogus=3")
-        assert code == 2
-    finally:
-        rings_mod.SUBSET_ENUM_CAP = before
+    code, recs = invoke_jsonl("ring", "list", "--caps", "bogus=3")
+    assert code == 2
+
+
+def test_caps_last_for_one_run_only():
+    code, _ = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer",
+                           "--caps", "subset=2")
+    assert code == 3
+    code, recs = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")
+    assert code == 0
+    assert next(r for r in recs if r["record"] == "verdict")["verdict"] is False
+
+
+def test_env_caps_apply_and_the_flag_overrides_them(monkeypatch):
+    monkeypatch.setenv("SKEWSERIES_CAPS", "subset=2")
+    assert invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")[0] == 3
+    code, _ = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer",
+                           "--caps", "subset=4")
+    assert code == 0
+
+
+@pytest.mark.parametrize("entry", ["bogus=3", "subset=x", "subset"])
+def test_bad_env_caps_entry_is_a_spec_error(monkeypatch, entry):
+    monkeypatch.setenv("SKEWSERIES_CAPS", entry)
+    code, recs = invoke_jsonl("ring", "list")
+    assert code == 2
+    err = next(r for r in recs if r["record"] == "error")
+    assert err["kind"] == "spec" and "SKEWSERIES_CAPS" in err["message"]
+    assert summary_of(recs)["exit"] == 2
 
 
 def test_series_subcommand_sum_and_product():

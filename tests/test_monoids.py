@@ -5,7 +5,6 @@ from skewseries.monoids import (
     OrderVerdict,
     check_order_axioms,
     monoid_make,
-    support_admissible,
     trivial_wrap,
 )
 
@@ -87,12 +86,6 @@ def test_order_axiom_checker_catches_a_corrupt_comparator():
     assert cert.witness[2] == "irreflexivity"
     cert = check_order_axioms(NAT, bound=3, lt=lambda u, v: u[0] <= v[0])
     assert cert.verdict == "no"
-
-
-def test_support_admissible_validates_membership():
-    assert support_admissible(NAT, [(0,), (3,)])
-    with pytest.raises(MixedMonoids):
-        support_admissible(NAT, [(0, 0)])
 
 
 def test_monoid_equality_and_hash():

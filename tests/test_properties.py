@@ -9,7 +9,14 @@ from skewseries.properties import (
     oracle_decide_generalized,
     recheck_class_verdict,
 )
-from skewseries.rings import ring_matrix, ring_product, ring_upper_triangular, ring_zn
+from skewseries.rings import (
+    FiniteRing,
+    ring_matrix,
+    ring_product,
+    ring_upper_triangular,
+    ring_zn,
+)
+from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
 Z4 = ring_zn(4)
 Z6 = ring_zn(6)
@@ -112,3 +119,22 @@ def test_left_and_right_generalized_classes_both_run():
     assert decide_generalized(Z6, "baer", "left").instance_kind == "subset"
     assert decide_generalized(Z6, "quasi_baer", "left").instance_kind == "left_ideal"
     assert decide_generalized(Z6, "quasi_baer", "right").instance_kind == "right_ideal"
+
+
+def _opposite(ring):
+    # the opposite ring, built from transposed tables rather than the
+    # fast route's own side switch
+    n = ring.order
+    mul = [[ring.mul(b, a) for b in range(n)] for a in range(n)]
+    return FiniteRing(n, ring.add_table, mul, ring.zero, ring.one, label=f"{ring.label}^op")
+
+
+@pytest.mark.parametrize("cls", ["baer", "quasi_baer"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_left_side_is_the_right_side_of_the_opposite_ring(name, cls):
+    ring = builtin_ring(name)
+    left = decide_generalized(ring, cls, "left")
+    right_op = decide_generalized(_opposite(ring), cls, "right")
+    assert left.verdict == right_op.verdict
+    assert left.per_instance == right_op.per_instance
+    assert left.failing_instance == right_op.failing_instance

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skewseries.errors import (
@@ -25,6 +27,8 @@ from skewseries.rings import (
     ring_zn,
     subset_power,
 )
+from skewseries.properties import _oracle_ideals
+from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
 Z4 = ring_zn(4)
 Z6 = ring_zn(6)
@@ -151,6 +155,23 @@ def test_ideal_generated_closure():
     m2 = ring_matrix(ring_zn(2), 2)
     row = ideal_generated(m2, {1}, "right")  # e11 * M2 is the first row
     assert len(row) == 4
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("prod:zn:3,zn:5",))
+def test_principal_ideal_sums_match_the_brute_filter(name, side):
+    ring = builtin_ring(name)
+    assert enumerate_ideals(ring, side) == _oracle_ideals(ring, side)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_ideal_generated_is_the_smallest_ideal_containing_the_subset(side):
+    ring = ring_upper_triangular(ring_zn(2), 2)
+    ideals = _oracle_ideals(ring, side)
+    for size in (1, 2):
+        for subset in itertools.combinations(range(ring.order), size):
+            smallest = min((i for i in ideals if i >= set(subset)), key=len)
+            assert ideal_generated(ring, subset, side) == smallest
 
 
 def test_idempotent_generator_lookup():

@@ -23,7 +23,6 @@ from skewseries.series import (
     armendariz_search,
     const_embed,
     exp_embed,
-    factorization_set,
     format_series,
     identity_series,
     is_idempotent_series,
@@ -107,12 +106,6 @@ def test_identity_series_is_neutral():
     one = identity_series(CTX6)
     f = series_from_pairs(CTX6, [(5, 0), (3, 2)])
     assert one * f == f and f * one == f
-
-
-def test_factorization_set_of_target_exponent():
-    f = series_from_pairs(CTX4, [(1, 0), (1, 1), (1, 2)])
-    pairs = factorization_set(f, f, 2)
-    assert pairs.pairs == (((0,), (2,)), ((1,), (1,)), ((2,), (0,)))
 
 
 def test_all_series_canonical_order():
