@@ -11,13 +11,20 @@ from .errors import (
     ForeignElement,
     HypothesisNotMet,
     IllegalPairing,
+    InvariantViolation,
     MixedContexts,
     MixedMonoids,
     NonpositiveExponent,
     SizeCapExceeded,
     SpecFormatError,
 )
-from .monoids import OrderedMonoid, check_order_axioms, monoid_make, trivial_wrap
+from .monoids import (
+    OrderedMonoid,
+    check_order_axioms,
+    check_refinement,
+    monoid_make,
+    trivial_wrap,
+)
 from .properties import (
     CLASS_NAMES,
     ClassVerdict,

@@ -4,7 +4,8 @@ Every run produces a list of JSON-safe records ending in a summary whose
 count equals the number of records before it.  jsonl mode prints exactly
 those records; text mode is a rendering of the same list, so the records
 are the single source of truth.  Exit codes: 0 ok/PASS, 2 bad spec,
-3 cap or budget exceeded, 4 hypothesis not met, 5 conclusion FAIL.
+3 cap or budget exceeded, 4 hypothesis not met, 5 conclusion FAIL,
+6 internal invariant broken.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     AxiomViolation,
     BudgetExceeded,
     HypothesisNotMet,
+    InvariantViolation,
     SizeCapExceeded,
     SpecFormatError,
 )
@@ -46,7 +48,7 @@ from .verify import (
     verify_thm37,
 )
 
-EXIT_OK, EXIT_SPEC, EXIT_CAP, EXIT_HYPOTHESIS, EXIT_FAIL = 0, 2, 3, 4, 5
+EXIT_OK, EXIT_SPEC, EXIT_CAP, EXIT_HYPOTHESIS, EXIT_FAIL, EXIT_INTERNAL = 0, 2, 3, 4, 5, 6
 
 _CLASS_FLAGS = {
     "baer": ("baer",),
@@ -424,6 +426,9 @@ def run(argv=None, stream=None):
     except (SizeCapExceeded, BudgetExceeded) as exc:
         records.append({"record": "error", "kind": "cap-exceeded", "message": str(exc)})
         code = EXIT_CAP
+    except InvariantViolation as exc:
+        records.append({"record": "error", "kind": "internal", "message": str(exc)})
+        code = EXIT_INTERNAL
     except (SpecFormatError, AxiomViolation, ValueError) as exc:
         records.append({"record": "error", "kind": "spec", "message": str(exc)})
         code = EXIT_SPEC

@@ -70,3 +70,7 @@ class HypothesisNotMet(AlgebraError):
 
 class SpecFormatError(AlgebraError):
     """A ring/monoid spec file or builtin name could not be parsed."""
+
+
+class InvariantViolation(AlgebraError):
+    """An internal invariant failed: a bug in this package, not bad input."""

@@ -188,3 +188,27 @@ def check_order_axioms(monoid, bound=AXIOM_BOUND_DEFAULT, lt=None):
     return PropertyCertificate(
         "yes", notes=f"exhaustive on the bound-{bound} box ({len(points)} elements)",
     )
+
+
+def check_refinement(monoid, bound):
+    """Certificate that the designated refinement (compare with refined=True)
+    is a strict compatible total order extending the declared order, checked
+    exhaustively on a coordinate box."""
+    def lt(u, v):
+        return monoid.compare(u, v, refined=True) is OrderVerdict.LT
+
+    cert = check_order_axioms(monoid, bound, lt)
+    if cert.verdict != "yes":
+        return cert
+    points = monoid.box(bound)
+    for u in points:
+        for v in points:
+            if u != v and not (lt(u, v) or lt(v, u)):
+                return PropertyCertificate("no", witness=(u, v, "totality"))
+            if monoid.compare(u, v) is OrderVerdict.LT and not lt(u, v):
+                return PropertyCertificate("no", witness=(u, v, "extension"))
+    return PropertyCertificate(
+        "yes",
+        notes=f"order mode {monoid.order_mode!r} refines to {monoid.refined_mode!r}, a strict "
+              f"compatible total order extending it; {cert.notes}",
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SizeCapExceeded
+from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
     DEFAULT_CAPS,
     FiniteRing,
@@ -79,7 +79,7 @@ def _decide(ring, cls, side, caps, climb, keep=True):
     annihilator of the n-fold product set is read off bitmask tables of the
     side table.  The ordinary classes stop at n = 1; with climb the chain
     goes on until an idempotent-generated annihilator appears or the chain
-    plateaus.  The chain ascends (asserted along the way) and a plateau is
+    plateaus.  The chain ascends (checked along the way) and a plateau is
     final, so stopping there is exact.  keep=False skips collecting the
     accepted triples.
     """
@@ -108,7 +108,8 @@ def _decide(ring, cls, side, caps, climb, keep=True):
             ann = full
             for x in power:
                 ann &= singles[x]
-            assert ann_prev is None or ann | ann_prev == ann, "annihilator chain must ascend"
+            if ann_prev is not None and ann | ann_prev != ann:
+                raise InvariantViolation("annihilator chain must ascend")
             e = genmap.get(ann)
             if e is not None:
                 break
@@ -126,7 +127,8 @@ def _side_symmetric(ring, cls, side, caps):
     # Both sides run and must agree (the class is left-right symmetric); only
     # the reported side keeps its accepted triples.
     runs = {s: _decide(ring, cls, s, caps, climb=False, keep=s == side) for s in SIDES}
-    assert runs["right"][0] == runs["left"][0], f"{cls} verdict must be side-symmetric"
+    if runs["right"][0] != runs["left"][0]:
+        raise InvariantViolation(f"{cls} verdict must be side-symmetric")
     return ClassVerdict(ring, cls, *runs[side])
 
 
@@ -137,7 +139,7 @@ def _side_symmetric(ring, cls, side, caps):
 def decide_baer(ring, side="right", caps=DEFAULT_CAPS):
     """Baer decision: every nonempty subset's annihilator is idempotent-generated.
 
-    Both sides are computed and cross-asserted equal (the class is known to
+    Both sides are computed and cross-checked equal (the class is known to
     be left-right symmetric); the returned certificate reports the requested
     side.  Subsets run in ascending bitmask order, so the reported failing
     subset is the first one in that order.
@@ -147,7 +149,7 @@ def decide_baer(ring, side="right", caps=DEFAULT_CAPS):
 
 
 def decide_quasi_baer(ring, caps=DEFAULT_CAPS):
-    """Quasi-Baer decision over one-sided ideals, cross-asserted on both sides.
+    """Quasi-Baer decision over one-sided ideals, cross-checked on both sides.
 
     The certificate reports the right side: right annihilators of right
     ideals, in ascending size-then-lexicographic ideal order.
@@ -161,7 +163,7 @@ def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
     For each instance (every nonempty subset for 'baer', every side-matching
     ideal for 'quasi_baer') the chain over n-fold product sets runs until an
     idempotent-generated annihilator appears or the chain plateaus.  The two
-    sides are genuinely independent classes here, so nothing is cross-asserted.
+    sides are genuinely independent classes here, so nothing is cross-checked.
     """
     _check_cls(cls)
     return ClassVerdict(ring, f"gen_{cls}_{side}", *_decide(ring, cls, side, caps, climb=True))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from .errors import (
     AxiomViolation,
     EmptySubset,
+    InvariantViolation,
     NonpositiveExponent,
     SizeCapExceeded,
     SpecFormatError,
@@ -329,11 +330,13 @@ def annihilator(ring, subset, side="right"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     for a in res:
         for b in res:
-            assert ring.add(a, b) in res, "annihilator not additively closed"
+            if ring.add(a, b) not in res:
+                raise InvariantViolation("annihilator not additively closed")
     for a in res:
         for r in range(ring.order):
             prod = ring.mul(a, r) if side == "right" else ring.mul(r, a)
-            assert prod in res, "annihilator not an ideal on its side"
+            if prod not in res:
+                raise InvariantViolation("annihilator not an ideal on its side")
     return res
 
 

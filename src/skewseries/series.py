@@ -4,12 +4,18 @@ A series is a finitely supported map from exponent monoid elements to
 nonzero ring elements.  Multiplication twists coefficients through the
 endomorphism attached to the left factor's exponent, and all arithmetic
 here is exact: finite supports make every convolution a finite sum.
+
+Exponents and coefficients are validated where they enter: the SkewSeries
+constructor, series_from_pairs, parse_series_literal, normalize_box, coeff
+and exp_embed.  Products, box series and the box kernel build results from
+values already checked, through SkewSeries._trusted.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import add
 
 from .errors import (
     AxiomViolation,
@@ -118,6 +124,12 @@ class SkewContext:
         return f"SkewContext({self.ring.label}, {self.monoid!r})"
 
 
+def _twist(ctx, u):
+    """Image table of the twist at an already validated exponent u."""
+    cached = ctx._omega_cache.get(u)
+    return (cached if cached is not None else ctx.omega(u)).image
+
+
 def normalize_exponent(monoid, e):
     """Accept bare ints for arity-1 monoids; validate and return a tuple."""
     if isinstance(e, int) and not isinstance(e, bool) and monoid.k == 1:
@@ -144,6 +156,16 @@ class SkewSeries:
                 clean[e] = c
         self._terms = clean
         self._key = tuple(sorted(clean.items()))
+
+    @classmethod
+    def _trusted(cls, context, terms):
+        """Wrap terms known to be valid: tuple exponents of the context's
+        monoid mapped to nonzero ring elements.  Nothing is checked."""
+        self = object.__new__(cls)
+        self.context = context
+        self._terms = terms
+        self._key = tuple(sorted(terms.items()))
+        return self
 
     @property
     def support(self):
@@ -174,16 +196,20 @@ class SkewSeries:
         return SkewSeries(self.context, acc)
 
     def __mul__(self, other):
+        # Operands are already validated, so exponents add as plain tuples and
+        # the result skips the constructor's checks.
         self._check_context(other)
         ctx = self.context
-        ring, monoid = ctx.ring, ctx.monoid
+        ring = ctx.ring
+        add_t, mul_t, zero = ring.add_table, ring.mul_table, ring.zero
         acc = {}
         for u, a in self._terms.items():
-            twist = ctx.omega(u).image
+            twist = _twist(ctx, u)
+            row = mul_t[a]
             for v, b in other._terms.items():
-                s = monoid.op(u, v)
-                acc[s] = ring.add(acc.get(s, ring.zero), ring.mul(a, twist[b]))
-        return SkewSeries(ctx, acc)
+                s = tuple(map(add, u, v))
+                acc[s] = add_t[acc.get(s, zero)][row[twist[b]]]
+        return SkewSeries._trusted(ctx, {s: c for s, c in acc.items() if c != zero})
 
     def __neg__(self):
         ring = self.context.ring
@@ -201,7 +227,9 @@ class SkewSeries:
         )
 
     def __hash__(self):
-        return hash((id(self.context), self._key))
+        # Not the context's id: sets of series must iterate in the same order
+        # in every run, since the order decides which twists get cached first.
+        return hash(self._key)
 
     def __repr__(self):
         return f"<series {format_series(self)}>"
@@ -256,9 +284,94 @@ def all_series(ctx, box):
     slots, so the zero series comes first and the order is reproducible.
     """
     slots = normalize_box(ctx.monoid, box)
-    n = ctx.ring.order
-    for vec in itertools.product(range(n), repeat=len(slots)):
-        yield SkewSeries(ctx, dict(zip(slots, vec)))
+    for vec in itertools.product(range(ctx.ring.order), repeat=len(slots)):
+        yield _box_series(ctx, slots, vec)
+
+
+def _box_series(ctx, slots, vec):
+    """The series with coefficient vec[i] at slots[i]; slots come from
+    normalize_box and vec holds ring elements, so nothing is rechecked."""
+    zero = ctx.ring.zero
+    return SkewSeries._trusted(ctx, {e: c for e, c in zip(slots, vec) if c != zero})
+
+
+def _annihilating_vectors(ctx, slots, products):
+    """Every coefficient vector g over the box slots with p*g == 0 for all p.
+
+    `products` are exponent -> coefficient maps with validated exponents.
+    Coefficient s of p*g is the sum over u+v = s of p(u)*omega_u(g(v)), one
+    term per slot since u = s - v.  Each (p, s) is one constraint on g: a
+    composed row b -> p(u)*omega_u(b) per slot, filed under its highest slot.
+    Vectors are built slot by slot in ascending values, so they come out in
+    itertools.product order; at each slot only the values that zero every
+    constraint filed there are tried.
+    """
+    ring = ctx.ring
+    n, zero = ring.order, ring.zero
+    add_t, mul_t, neg = ring.add_table, ring.mul_table, ring.neg_table
+    k = len(slots)
+    rows = []
+    terms_of = {}  # (u, a) -> per slot j: (u + slots[j], (j, id of the row of a*omega_u))
+    # by_last[j][r]: the earlier (slot, row id) terms of each constraint whose
+    # last term is (j, r), deduplicated.
+    by_last = [{} for _ in range(k)]
+    for p in products:
+        terms = []
+        for ua in p.items():
+            term = terms_of.get(ua)
+            if term is None:
+                u, a = ua
+                twist, row_a = _twist(ctx, u), mul_t[a]
+                rows.append(tuple(row_a[twist[b]] for b in range(n)))
+                term = terms_of[ua] = [(tuple(map(add, u, v)), (j, len(rows) - 1))
+                                       for j, v in enumerate(slots)]
+            terms.append(term)
+        groups = {}
+        for j in range(k):
+            for term in terms:
+                s, entry = term[j]
+                groups.setdefault(s, []).append(entry)
+        for group in groups.values():
+            j, r = group.pop()
+            by_last[j].setdefault(r, set()).add(tuple(group))
+    del terms_of
+    # filed[j]: (fits, earlier term tuples) per row r last at slot j, where
+    # fits[t] is the bitmask of values b with rows[r][b] == t.
+    filed = [[] for _ in range(k)]
+    for j, last in enumerate(by_last):
+        for r, earliers in last.items():
+            fits = [0] * n
+            for b, c in enumerate(rows[r]):
+                fits[c] |= 1 << b
+            filed[j].append((fits, earliers))
+    del by_last
+    # Depth-first over the slots; pending[j] holds the values still to try
+    # at slot j, lowest bit first.
+    vec = [zero] * k
+    pending = [0] * k
+    j, entering = 0, True
+    while j >= 0:
+        if entering:
+            allowed = (1 << n) - 1
+            for fits, earliers in filed[j]:
+                for earlier in earliers:
+                    acc = zero
+                    for i, r in earlier:
+                        acc = add_t[acc][rows[r][vec[i]]]
+                    allowed &= fits[neg[acc]]
+            pending[j] = allowed
+        allowed = pending[j]
+        if not allowed:
+            j, entering = j - 1, False
+            continue
+        low = allowed & -allowed
+        pending[j] = allowed ^ low
+        vec[j] = low.bit_length() - 1
+        if j + 1 == k:
+            entering = False
+            yield tuple(vec)
+        else:
+            j, entering = j + 1, True
 
 
 def armendariz_search(ctx, support_box, mode="exhaustive", budget=ARMENDARIZ_BUDGET, seed=0):
@@ -269,69 +382,57 @@ def armendariz_search(ctx, support_box, mode="exhaustive", budget=ARMENDARIZ_BUD
     violation yields verdict 'no' with witness (f, g, s, t).  No search can
     certify the property, so the other verdict is 'unknown-at-bound'.
     """
-    ring, monoid = ctx.ring, ctx.monoid
-    slots = normalize_box(monoid, support_box)
+    ring = ctx.ring
+    slots = normalize_box(ctx.monoid, support_box)
     k = len(slots)
     n = ring.order
     zero = ring.zero
-    twists = [ctx.omega(u).image for u in slots]
-    add_t, mul_t = ring.add_table, ring.mul_table
+    twists = [_twist(ctx, u) for u in slots]
+    mul_t = ring.mul_table
 
-    # Group slot index pairs by their exponent sum, ascending, so products
-    # are checked coefficient by coefficient with early exit.
-    sums = {}
-    for ui in range(k):
-        for vi in range(k):
-            sums.setdefault(monoid.op(slots[ui], slots[vi]), []).append((ui, vi))
-    sum_groups = [sums[s] for s in sorted(sums)]
-
-    if mode == "exhaustive":
-        total = (n ** k) ** 2
-        if total > budget:
-            raise BudgetExceeded(
-                f"exhaustive search needs {total} pairs, budget is {budget}")
-        vectors = list(itertools.product(range(n), repeat=k))
-        pair_iter = ((f, g) for f in vectors for g in vectors)
-        scope = f"exhaustive over all {total} pairs with support in {list(slots)}"
-    elif mode == "sampled":
-        rng = random.Random(seed * 1_000_003 + 17)
-        def sample_pairs():
-            for _ in range(budget):
-                f = tuple(rng.randrange(n) for _ in range(k))
-                g = tuple(rng.randrange(n) for _ in range(k))
-                yield f, g
-        pair_iter = sample_pairs()
-        scope = f"{budget} sampled pairs with support in {list(slots)} (seed {seed})"
-    else:
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
-
-    for fvec, gvec in pair_iter:
-        annihilating = True
-        for group in sum_groups:
-            acc = zero
-            for ui, vi in group:
-                a = fvec[ui]
-                if a == zero:
-                    continue
-                acc = add_t[acc][mul_t[a][twists[ui][gvec[vi]]]]
-            if acc != zero:
-                annihilating = False
-                break
-        if not annihilating:
-            continue
+    def refutation(fvec, gvec):
+        # f*g == 0 is known here; look for a nonzero twisted term.
         for ui in range(k):
             a = fvec[ui]
             if a == zero:
                 continue
             for vi in range(k):
                 if mul_t[a][twists[ui][gvec[vi]]] != zero:
-                    f = SkewSeries(ctx, dict(zip(slots, fvec)))
-                    g = SkewSeries(ctx, dict(zip(slots, gvec)))
                     return PropertyCertificate(
                         "no",
-                        witness=(f, g, slots[ui], slots[vi]),
+                        witness=(_box_series(ctx, slots, fvec), _box_series(ctx, slots, gvec),
+                                 slots[ui], slots[vi]),
                         notes=f"f*g == 0 but f({_fmt_exp(slots[ui])})*omega(g({_fmt_exp(slots[vi])})) != 0; {scope}",
                     )
+        return None
+
+    if mode == "exhaustive":
+        total = (n ** k) ** 2
+        if total > budget:
+            raise BudgetExceeded(
+                f"exhaustive search needs {total} pairs, budget is {budget}")
+        scope = f"exhaustive over all {total} pairs with support in {list(slots)}"
+        # Pairs in (f, g) product order; only the g with f*g == 0 can refute.
+        for fvec in itertools.product(range(n), repeat=k):
+            f = {e: a for e, a in zip(slots, fvec) if a != zero}
+            if not f:
+                continue
+            for gvec in _annihilating_vectors(ctx, slots, [f]):
+                cert = refutation(fvec, gvec)
+                if cert is not None:
+                    return cert
+    elif mode == "sampled":
+        rng = random.Random(seed * 1_000_003 + 17)
+        scope = f"{budget} sampled pairs with support in {list(slots)} (seed {seed})"
+        for _ in range(budget):
+            fvec = tuple(rng.randrange(n) for _ in range(k))
+            gvec = tuple(rng.randrange(n) for _ in range(k))
+            if (_box_series(ctx, slots, fvec) * _box_series(ctx, slots, gvec)).is_zero:
+                cert = refutation(fvec, gvec)
+                if cert is not None:
+                    return cert
+    else:
+        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     return PropertyCertificate("unknown-at-bound", notes=scope)
 
 

@@ -9,11 +9,18 @@ report says so in its scope note.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, HypothesisNotMet, NonpositiveExponent
-from .monoids import monoid_make
+from .errors import (
+    BudgetExceeded,
+    ForeignElement,
+    HypothesisNotMet,
+    MixedContexts,
+    NonpositiveExponent,
+)
+from .monoids import check_refinement, monoid_make
 from .properties import decide_baer, decide_generalized, decide_quasi_baer
 from .rings import (
     DEFAULT_CAPS,
@@ -28,6 +35,8 @@ from .series import (
     ARMENDARIZ_BUDGET,
     SkewContext,
     SkewSeries,
+    _annihilating_vectors,
+    _box_series,
     all_series,
     armendariz_search,
     const_embed,
@@ -113,13 +122,10 @@ def lift_ideal_to_series(ctx, ideal_members, box):
     """Every series with support in the box and all coefficients in the ideal."""
     slots = normalize_box(ctx.monoid, box)
     values = sorted(set(ideal_members))
-    out = []
-    stack = [()]
-    for _ in slots:
-        stack = [pre + (v,) for pre in stack for v in values]
-    for vec in stack:
-        out.append(SkewSeries(ctx, dict(zip(slots, vec))))
-    return out
+    for v in values:
+        if not isinstance(v, int) or not 0 <= v < ctx.ring.order:
+            raise ForeignElement(f"ideal member {v!r} not in ring of order {ctx.ring.order}")
+    return [_box_series(ctx, slots, vec) for vec in itertools.product(values, repeat=len(slots))]
 
 
 def coefficient_ideal_lift(ctx, family):
@@ -134,7 +140,7 @@ def coefficient_ideal_lift(ctx, family):
     per = []
     union = set()
     for e in exps:
-        vals = frozenset(f.coeff(e) for f in family)
+        vals = frozenset(f._terms.get(e, ring.zero) for f in family)
         per.append((e, tuple(sorted(vals))))
         union |= vals
     ideal = ideal_generated(ring, union | {ring.zero}, "right")
@@ -148,14 +154,16 @@ def coefficient_ideal_lift(ctx, family):
 def bounded_annihilator_in_A(ctx, gens, n, box, budget=ANNIHILATOR_BUDGET):
     """Box-supported series killed on the right by every n-fold product of gens.
 
-    Products are deduplicated; the candidate list runs in the canonical
-    series enumeration order, so the result order is reproducible.
+    Products are deduplicated; the result runs in the canonical series
+    enumeration order (see all_series), so it is reproducible.
     """
     if n < 1:
         raise NonpositiveExponent(f"power exponent must be >= 1, got {n}")
     gens = list(gens)
     if not gens:
         raise ValueError("gens must be a nonempty series family")
+    if any(not isinstance(g, SkewSeries) or g.context is not ctx for g in gens):
+        raise MixedContexts("gens must be series of the given skew context")
     slots = normalize_box(ctx.monoid, box)
     prods = set(gens)
     for _ in range(n - 1):
@@ -166,8 +174,8 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ANNIHILATOR_BUDGET):
     if candidates * max(1, len(prods)) > budget:
         raise BudgetExceeded(
             f"{candidates} candidates x {len(prods)} products exceeds budget {budget}")
-    prod_list = sorted(prods, key=lambda p: p.sort_key)
-    return [g for g in all_series(ctx, slots) if all((p * g).is_zero for p in prod_list)]
+    return [_box_series(ctx, slots, vec)
+            for vec in _annihilating_vectors(ctx, slots, [p._terms for p in prods])]
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +219,10 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
 
 
 def _thm37_hypotheses(ctx, slots, variant, budget, caps):
-    monoid = ctx.monoid
-    hyps = [(
-        "quasitotal_order",
-        PropertyCertificate(
-            "yes",
-            notes=f"order mode {monoid.order_mode!r} ships the compatible total refinement {monoid.refined_mode!r}",
-        ),
-    )]
+    order = check_refinement(ctx.monoid, max(abs(c) for e in slots for c in e))
+    if order.verdict != "yes":
+        raise HypothesisNotMet("quasitotal_order", order)
+    hyps = [("quasitotal_order", order)]
     compat = s_compatibility_check(ctx, "compatible")
     if compat.verdict != "yes":
         raise HypothesisNotMet("s_compatible", compat)
@@ -327,8 +331,7 @@ def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget):
         rng = random.Random(seed * 1_000_003 + i)
         gens = []
         for _ in range(2):
-            vec = [rng.randrange(ring.order) for _ in slots]
-            gens.append(SkewSeries(ctx, dict(zip(slots, vec))))
+            gens.append(_box_series(ctx, slots, [rng.randrange(ring.order) for _ in slots]))
         sampled = {g * m for g in gens for m in multipliers}
         lift = coefficient_ideal_lift(ctx, sorted(sampled, key=lambda f: f.sort_key))
         members = lift.generated_ideal
@@ -439,12 +442,13 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
             slots = normalize_box(monoid, box)
             cost_each = (ring.order ** len(slots)) ** 2
             for idx, sigma in enumerate(enumerate_endomorphisms(ring, caps.endo)):
-                if work + cost_each > budget:
+                remaining = budget - work
+                if cost_each > remaining:
                     exhausted = True
                     break
                 work += cost_each
                 ctx = SkewContext(ring, monoid, sigma)
-                cert = armendariz_search(ctx, slots, "exhaustive", budget)
+                cert = armendariz_search(ctx, slots, "exhaustive", remaining)
                 if cert.verdict == "no":
                     f, g, s, t = cert.witness
                     findings.append({

@@ -1,3 +1,12 @@
+import functools
+
+from hypothesis import strategies as st
+
+from skewseries.monoids import monoid_make
+from skewseries.rings import enumerate_endomorphisms
+from skewseries.series import SkewContext, SkewSeries
+from skewseries.specfile import builtin_ring
+
 GATE_LINES = []
 
 
@@ -11,3 +20,61 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance gate")
         for line in GATE_LINES:
             terminalreporter.write_line(line)
+
+
+# ---------------------------------------------------------------------------
+# shared strategies for the series differential tests
+
+# prod:zn:3,zn:3 under the swap is the odd-characteristic ring here where
+# p*g == 0 needs terms that cancel rather than vanish one by one.
+KERNEL_RINGS = tuple(f"zn:{n}" for n in range(2, 9)) + (
+    "prod:zn:2,zn:2", "prod:zn:3,zn:3", "mat2:z2")
+KERNEL_MONOIDS = {
+    "nat": ("nat_add", "natural", 1),
+    "nat2:lex": ("nat_k_add", "lex", 2),
+    "int": ("int_add", "natural", 1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def skew_contexts(ring_name, monoid_name):
+    """One context per endomorphism usable as the twist (automorphisms only
+    over the integers)."""
+    ring = builtin_ring(ring_name)
+    kind, mode, k = KERNEL_MONOIDS[monoid_name]
+    monoid = monoid_make(kind, mode, k=k)
+    return tuple(SkewContext(ring, monoid, sigma) for sigma in enumerate_endomorphisms(ring)
+                 if kind != "int_add" or sigma.is_bijective)
+
+
+@st.composite
+def skew_boxes(draw, max_candidates):
+    """(context, box): a catalog ring, monoid and twist, and a nonempty box
+    inside the bound-2 coordinate box with order**len(box) <= max_candidates."""
+    ring_name = draw(st.sampled_from(KERNEL_RINGS))
+    ctx = draw(st.sampled_from(skew_contexts(ring_name, draw(st.sampled_from(sorted(KERNEL_MONOIDS))))))
+    points = ctx.monoid.box(2)
+    size = 1
+    while size < len(points) and ctx.ring.order ** (size + 1) <= max_candidates:
+        size += 1
+    box = draw(st.lists(st.sampled_from(points), min_size=1, max_size=size, unique=True))
+    return ctx, sorted(box)
+
+
+def series_over(ctx, points, max_terms=3):
+    """Series with up to max_terms terms at the given exponents, built through
+    the public constructor."""
+    return st.dictionaries(st.sampled_from(points), st.integers(0, ctx.ring.order - 1),
+                           max_size=max_terms).map(lambda terms: SkewSeries(ctx, terms))
+
+
+def literal_product(f, g):
+    """f*g as a plain dict: the sum over u+v = s of f(u)*omega_u(g(v))."""
+    ctx = f.context
+    ring = ctx.ring
+    acc = {}
+    for u, a in f.items():
+        for v, b in g.items():
+            s = tuple(x + y for x, y in zip(u, v))
+            acc[s] = ring.add(acc.get(s, ring.zero), ring.mul(a, ctx.omega(u).image[b]))
+    return {s: c for s, c in acc.items() if c != ring.zero}

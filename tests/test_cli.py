@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from skewseries import properties
 from skewseries.cli import _split_catalog, main, run
 from skewseries.monoids import monoid_make
 from skewseries.series import SkewContext, format_series, parse_series_literal
@@ -238,3 +239,18 @@ def test_repeated_runs_are_identical():
 def test_main_is_a_plain_exit_code_wrapper(capsys):
     assert main(["ring", "list"]) == 0
     assert "zn:2" in capsys.readouterr().out
+
+
+def test_broken_invariant_exits_6(monkeypatch):
+    real = properties._decide
+
+    def lopsided(ring, cls, side, *args, **kwargs):
+        verdict, *rest = real(ring, cls, side, *args, **kwargs)
+        return (verdict if side == "right" else not verdict, *rest)
+
+    monkeypatch.setattr(properties, "_decide", lopsided)
+    code, recs = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")
+    assert code == 6
+    assert recs[-2] == {"record": "error", "kind": "internal",
+                        "message": "baer verdict must be side-symmetric"}
+    assert summary_of(recs)["exit"] == 6

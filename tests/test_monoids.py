@@ -4,6 +4,7 @@ from skewseries.errors import IllegalPairing, MixedMonoids
 from skewseries.monoids import (
     OrderVerdict,
     check_order_axioms,
+    check_refinement,
     monoid_make,
     trivial_wrap,
 )
@@ -92,3 +93,14 @@ def test_monoid_equality_and_hash():
     assert monoid_make("nat", "natural") == NAT
     assert hash(monoid_make("nat", "natural")) == hash(NAT)
     assert NAT != trivial_wrap(NAT)
+
+
+def test_refinement_certificates():
+    for monoid in (NAT, NAT2, INT, trivial_wrap(NAT), trivial_wrap(NAT2), trivial_wrap(INT),
+                   monoid_make("nat_k_add", "lex", k=3)):
+        cert = check_refinement(monoid, 2)
+        assert cert.verdict == "yes", monoid
+        assert f"refines to {monoid.refined_mode!r}" in cert.notes
+    broken = monoid_make("nat_k_add", "product", k=2)
+    broken.refined_mode = "trivial"  # vacuously strict and compatible, but not total
+    assert check_refinement(broken, 1).witness == ((0, 0), (0, 1), "totality")

@@ -5,6 +5,7 @@ import pytest
 from skewseries.errors import (
     AxiomViolation,
     EmptySubset,
+    InvariantViolation,
     NonpositiveExponent,
     SizeCapExceeded,
 )
@@ -221,3 +222,18 @@ def test_labels_roundtrip():
     m2 = ring_matrix(ring_zn(2), 2)
     assert m2.element_labels[m2.one] == "[1,0;0,1]"
     assert Z6.label == "Z/6"
+
+
+def test_annihilator_closure_is_checked_without_assert():
+    class Broken:
+        """x*a == 0 exactly for a in {0, 1}, but 1 + 1 == 2 lies outside."""
+        order, zero = 4, 0
+
+        def mul(self, x, a):
+            return 0 if a < 2 else 1
+
+        def add(self, a, b):
+            return (a + b) % 4
+
+    with pytest.raises(InvariantViolation, match="additively closed"):
+        annihilator(Broken(), {1}, "right")

@@ -1,12 +1,16 @@
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import KERNEL_MONOIDS, literal_product, series_over, skew_boxes, skew_contexts
 from skewseries.errors import (
     AxiomViolation,
     BudgetExceeded,
     DuplicateExponent,
     ForeignElement,
     MixedContexts,
+    MixedMonoids,
     SpecFormatError,
 )
 from skewseries.monoids import monoid_make
@@ -204,3 +208,89 @@ def test_compatibility_check_flags_incompatible_twist():
     proj = enumerate_endomorphisms(klein)[0]  # collapses a coordinate
     ctx = SkewContext(klein, NAT, proj)
     assert s_compatibility_check(ctx, "compatible").verdict == "no"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_the_literal_convolution(data):
+    # int boxes reach down to -2, so negative exponents are covered
+    ctx, _ = data.draw(skew_boxes(max_candidates=16))
+    points = ctx.monoid.box(2)
+    f = data.draw(series_over(ctx, points, max_terms=4))
+    g = data.draw(series_over(ctx, points, max_terms=4))
+    assert f * g == SkewSeries(ctx, literal_product(f, g))
+
+
+def test_negative_integer_exponents_multiply_with_the_inverse_twist():
+    klein = ring_product(ring_zn(2), ring_zn(2))
+    swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
+    ctx = SkewContext(klein, monoid_make("int_add", "natural"), swap)
+    f = series_from_pairs(ctx, [(1, -1), (3, 2)])
+    g = series_from_pairs(ctx, [(2, 1), (1, -3)])
+    assert f * g == SkewSeries(ctx, literal_product(f, g))
+    assert (f * g).coeff(0) == klein.mul(1, swap.inverse().image[2])
+
+
+def test_public_construction_still_validates():
+    with pytest.raises(MixedMonoids):
+        SkewSeries(CTX4, {(0, 1): 1})
+    with pytest.raises(MixedMonoids):
+        SkewSeries(CTX4, {(-1,): 1})
+    with pytest.raises(MixedMonoids):
+        exp_embed(CTX4, (1, 0))
+    with pytest.raises(MixedMonoids):
+        parse_series_literal(CTX4, "1@0,1")
+    with pytest.raises(DuplicateExponent):
+        SkewSeries(CTX4, {1: 2, (1,): 3})
+    with pytest.raises(ForeignElement):
+        SkewSeries(CTX4, {0: 4})
+    with pytest.raises(ForeignElement):
+        series_from_pairs(CTX4, [(-1, 0)])
+    square = series_from_pairs(CTX4, [(1, 1)]) * series_from_pairs(CTX4, [(3, 1)])
+    assert square == series_from_pairs(CTX4, [(3, 2)])
+    with pytest.raises(MixedMonoids):
+        square.coeff((2, 0))
+
+
+def literal_armendariz(ctx, box):
+    """Pairs in (f, g) product order: the first f*g == 0 with a nonzero
+    twisted coefficient product f(s)*omega_s(g(t)), as (f, g, s, t)."""
+    ring = ctx.ring
+    slots = sorted(box)
+    vectors = list(itertools.product(range(ring.order), repeat=len(slots)))
+    series = [SkewSeries(ctx, dict(zip(slots, vec))) for vec in vectors]
+    for fvec, f in zip(vectors, series):
+        for gvec, g in zip(vectors, series):
+            if literal_product(f, g):
+                continue
+            for s, a in zip(slots, fvec):
+                for t, b in zip(slots, gvec):
+                    if ring.mul(a, ctx.omega(s).image[b]) != ring.zero:
+                        return f, g, s, t
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(skew_boxes(max_candidates=81))
+def test_exhaustive_armendariz_matches_a_literal_pair_scan(setup):
+    ctx, box = setup
+    cert = armendariz_search(ctx, box)
+    expected = literal_armendariz(ctx, box)
+    if expected is None:
+        assert cert.verdict == "unknown-at-bound" and cert.witness is None
+    else:
+        assert cert.verdict == "no" and cert.witness == expected
+
+
+@pytest.mark.parametrize("ring_name,slots", [("prod:zn:2,zn:2", 3), ("mat2:z2", 2)])
+def test_armendariz_witnesses_match_a_literal_pair_scan(ring_name, slots):
+    # boxes big enough to refute these non-Armendariz rings under most twists
+    refuted = 0
+    for monoid_name in sorted(KERNEL_MONOIDS):
+        for ctx in skew_contexts(ring_name, monoid_name):
+            box = ctx.monoid.box(1)[:slots]
+            cert = armendariz_search(ctx, box)
+            expected = literal_armendariz(ctx, box)
+            assert cert.witness == expected, (monoid_name, ctx.omega_gen)
+            refuted += expected is not None
+    assert refuted >= 7

@@ -1,9 +1,20 @@
-import pytest
+import itertools
 
-from skewseries.errors import BudgetExceeded, HypothesisNotMet
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import literal_product, series_over, skew_boxes, skew_contexts
+from skewseries import verify
+from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from skewseries.monoids import monoid_make
 from skewseries.rings import annihilator, ring_matrix, ring_zn, subset_power
-from skewseries.series import SkewContext, const_embed, series_from_pairs
+from skewseries.series import (
+    SkewContext,
+    SkewSeries,
+    all_series,
+    const_embed,
+    series_from_pairs,
+)
 from skewseries.verify import (
     bounded_annihilator_in_A,
     coefficient_ideal_lift,
@@ -148,3 +159,65 @@ def test_search_armendariz_budget_exhaustion():
 def test_search_rejects_unknown_property():
     with pytest.raises(ValueError):
         counterexample_search([("zn:4", Z4)], properties=("frobenius",))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bounded_annihilator_matches_the_brute_filter(data):
+    ctx, box = data.draw(skew_boxes(max_candidates=256))
+    gens = data.draw(st.lists(series_over(ctx, ctx.monoid.box(2)), min_size=1, max_size=3))
+    n = data.draw(st.integers(1, 2))
+    # the reference multiplies through the literal convolution, not __mul__
+    prods = set(gens)
+    for _ in range(n - 1):
+        prods = {SkewSeries(ctx, literal_product(p, g)) for p in prods for g in gens}
+    brute = [g for g in all_series(ctx, box) if all(not literal_product(p, g) for p in prods)]
+    assert bounded_annihilator_in_A(ctx, gens, n, box) == brute
+
+
+def test_bounded_annihilator_with_cancelling_terms():
+    # Under the swap, p = e + e*x with e = (1,0) kills c + d*x exactly when
+    # c = (0,t) and d = (-t,0): the x coefficient e*d + e*swap(c) cancels.
+    for ctx in skew_contexts("prod:zn:3,zn:3", "nat"):
+        ring = ctx.ring
+        for a, b in itertools.product(range(ring.order), repeat=2):
+            p = SkewSeries(ctx, {0: a, 1: b})
+            brute = [g for g in all_series(ctx, [0, 1]) if not literal_product(p, g)]
+            assert bounded_annihilator_in_A(ctx, [p], 1, [0, 1]) == brute
+    el = ring.element_labels.index
+    swap = next(c for c in skew_contexts("prod:zn:3,zn:3", "nat")
+                if c.omega((1,)).image[el("(0,1)")] == el("(1,0)"))
+    e = el("(1,0)")
+    killed = bounded_annihilator_in_A(swap, [SkewSeries(swap, {0: e, 1: e})], 1, [0, 1])
+    assert killed == [SkewSeries(swap, terms) for terms in (
+        {}, {0: el("(0,1)"), 1: el("(2,0)")}, {0: el("(0,2)"), 1: el("(1,0)")})]
+
+
+def test_bounded_annihilator_rejects_foreign_generators():
+    with pytest.raises(MixedContexts):
+        bounded_annihilator_in_A(CTX4, [const_embed(CTX6, 1)], 1, [0])
+
+
+def test_thm37_refuses_a_refinement_that_is_not_total():
+    monoid = monoid_make("nat_k_add", "product", k=2)
+    monoid.refined_mode = "product"  # a partial order posing as the refinement
+    with pytest.raises(HypothesisNotMet) as exc:
+        verify_thm37(SkewContext(Z4, monoid), "baer", monoid.box(1))
+    assert exc.value.hypothesis == "quasitotal_order"
+    assert exc.value.certificate.witness == ((0, 1), (1, 0), "totality")
+
+
+def test_search_passes_down_the_remaining_budget(monkeypatch):
+    budgets = []
+    real = verify.armendariz_search
+
+    def spy(ctx, slots, mode, budget):
+        budgets.append(budget)
+        return real(ctx, slots, mode, budget)
+
+    monkeypatch.setattr(verify, "armendariz_search", spy)
+    # each Z/4 scan over a two-slot box costs 16 * 16 = 256 pairs
+    out = counterexample_search([("zn:4", Z4)] * 3, properties=("armendariz",), budget=600)
+    assert out.exhausted and out.findings == ()
+    assert out.work == 512 <= 600
+    assert budgets == [600, 344]
