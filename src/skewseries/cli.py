@@ -82,8 +82,6 @@ def _witness_text(w):
 def _cert_fields(cert: PropertyCertificate):
     return {
         "verdict": cert.verdict,
-        "exponent": cert.exponent,
-        "idempotent": cert.idempotent,
         "witness": _witness_text(cert.witness),
         "notes": cert.notes,
     }
@@ -159,7 +157,9 @@ def _text_lines(r):
 def _emit(records, mode, stream):
     if mode == "jsonl":
         for r in records:
-            stream.write(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n")
+            # Records are freshly built trees, so there are no cycles to look for.
+            stream.write(json.dumps(r, sort_keys=True, separators=(",", ":"),
+                                    check_circular=False) + "\n")
     else:
         for r in records:
             for line in _text_lines(r):
@@ -182,7 +182,7 @@ def _verdict_record(name, cli_class, side, cv):
         "failing": None,
     }
     if cv.verdict:
-        rec["instances"] = [[list(m), n, e] for m, n, e in cv.per_instance]
+        rec["instances"] = cv.per_instance
     elif cv.failing_instance is not None:
         members, n_reached, stable = cv.failing_instance
         rec["failing"] = {

@@ -75,24 +75,27 @@ def _decide(ring, cls, side, caps, climb, keep=True):
     """(verdict, instance_kind, per_instance, failing_instance) for one side.
 
     Instances are every nonempty subset in ascending bitmask order ('baer')
-    or every side-matching ideal ('quasi_baer').  For each one the
-    annihilator of the n-fold product set is read off bitmask tables of the
-    side table.  The ordinary classes stop at n = 1; with climb the chain
-    goes on until an idempotent-generated annihilator appears or the chain
-    plateaus.  The chain ascends (checked along the way) and a plateau is
-    final, so stopping there is exact.  keep=False skips collecting the
-    accepted triples.
+    or every side-matching ideal ('quasi_baer').  An instance's annihilator
+    is the AND of its members' bitmask annihilators on the side table.
+
+    The subset walk reuses earlier masks.  A mask is its lowest bit t plus a
+    smaller mask whose lowest bit u lies above t, and that smaller mask is
+    the last one visited with lowest bit u.  So slot k of ann_at and
+    members_at holds the last mask visited with lowest bit k (slot n is the
+    empty set), and each subset costs one AND and, with keep, one tuple.
+    keep=False collects no accepted triples and builds member tuples only
+    for an instance that fails or climbs.
+
+    The ordinary classes stop at n = 1.  With climb, an instance whose
+    annihilator is not idempotent-generated climbs the chain of its n-fold
+    product sets until one is or the chain plateaus.  The chain ascends
+    (checked along the way) and a plateau is final, so stopping there is
+    exact.
     """
     table = side_table(ring, side)
     n, zero = ring.order, ring.zero
-    if cls == "baer":
-        if n > caps.subset:
-            raise SizeCapExceeded(f"subset enumeration capped at order {caps.subset}, ring has {n}")
-        kind = "subset"
-        instances = (_mask_members(mask) for mask in range(1, 1 << n))
-    else:
-        kind = f"{side}_ideal"
-        instances = (tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps.ideal))
+    if cls == "baer" and n > caps.subset:
+        raise SizeCapExceeded(f"subset enumeration capped at order {caps.subset}, ring has {n}")
     # singles[x] has bit a set iff x*a == 0; genmap maps the mask of eR to
     # the smallest idempotent e generating it.
     singles = [sum(1 << a for a in range(n) if row[a] == zero) for row in table]
@@ -101,26 +104,61 @@ def _decide(ring, cls, side, caps, climb, keep=True):
         if table[e][e] == e:
             genmap.setdefault(sum(1 << p for p in set(table[e])), e)
     full = (1 << n) - 1
-    per_instance = []
-    for members in instances:
-        power, ann_prev, depth = members, None, 1
-        while True:
-            ann = full
-            for x in power:
-                ann &= singles[x]
-            if ann_prev is not None and ann | ann_prev != ann:
-                raise InvariantViolation("annihilator chain must ascend")
-            e = genmap.get(ann)
-            if e is not None:
-                break
-            if not climb or ann == ann_prev:
-                return False, kind, (), (members, depth, _mask_members(ann))
-            ann_prev = ann
+
+    def chain_end(members, ann):
+        # (depth, e, ann) where the chain of an instance with depth-1
+        # annihilator ann stops: at its first idempotent-generated
+        # annihilator, or with e None at depth 1 (no climb) or a plateau.
+        power, depth, e = members, 1, genmap.get(ann)
+        while e is None and climb:
             power = {table[p][x] for p in power for x in members}
             depth += 1
+            ann_prev, ann = ann, full
+            for x in power:
+                ann &= singles[x]
+            if ann | ann_prev != ann:
+                raise InvariantViolation("annihilator chain must ascend")
+            if ann == ann_prev:
+                break
+            e = genmap.get(ann)
+        return depth, e, ann
+
+    per_instance = []
+    if cls != "baer":
+        kind = f"{side}_ideal"
+        for ideal in enumerate_ideals(ring, side, caps.ideal):
+            members = tuple(sorted(ideal))
+            ann = full
+            for x in members:
+                ann &= singles[x]
+            depth, e, ann = chain_end(members, ann)
+            if e is None:
+                return False, kind, (), (members, depth, _mask_members(ann))
+            if keep:
+                per_instance.append((members, depth, e))
+        return True, kind, tuple(per_instance), None
+    ann_at = [full] * (n + 1)
+    members_at = [()] * (n + 1)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        t = low.bit_length() - 1
+        rest = mask ^ low
+        u = (rest & -rest).bit_length() - 1  # -1, i.e. slot n, when rest is empty
+        ann = ann_at[t] = ann_at[u] & singles[t]
         if keep:
-            per_instance.append((members, depth, e))
-    return True, kind, tuple(per_instance), None
+            members = members_at[t] = (t,) + members_at[u]
+        e = genmap.get(ann)
+        if e is None:
+            if not keep:
+                members = _mask_members(mask)
+            depth, e, ann = chain_end(members, ann)
+            if e is None:
+                return False, "subset", (), (members, depth, _mask_members(ann))
+            if keep:
+                per_instance.append((members, depth, e))
+        elif keep:
+            per_instance.append((members, 1, e))
+    return True, "subset", tuple(per_instance), None
 
 
 def _side_symmetric(ring, cls, side, caps):

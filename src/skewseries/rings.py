@@ -61,16 +61,12 @@ DEFAULT_CAPS = Caps()
 class PropertyCertificate:
     """Outcome of a decidable or bounded check.
 
-    verdict is 'yes', 'no', or 'unknown-at-bound'.  Annihilator-flavored
-    certificates carry the accepted exponent and generating idempotent;
-    refuting certificates carry a witness.  notes records the scope of
-    the scan that produced the verdict, so every certificate says what
-    was actually checked.
+    verdict is 'yes', 'no', or 'unknown-at-bound'.  Refuting certificates
+    carry a witness.  notes records the scope of the scan that produced the
+    verdict, so every certificate says what was actually checked.
     """
 
     verdict: str
-    exponent: int | None = None
-    idempotent: int | None = None
     witness: tuple | None = None
     notes: str = ""
 

@@ -295,7 +295,7 @@ def _box_series(ctx, slots, vec):
     return SkewSeries._trusted(ctx, {e: c for e, c in zip(slots, vec) if c != zero})
 
 
-def _annihilating_vectors(ctx, slots, products):
+def _annihilating_vectors(ctx, slots, products, budget=None):
     """Every coefficient vector g over the box slots with p*g == 0 for all p.
 
     `products` are exponent -> coefficient maps with validated exponents.
@@ -304,7 +304,8 @@ def _annihilating_vectors(ctx, slots, products):
     composed row b -> p(u)*omega_u(b) per slot, filed under its highest slot.
     Vectors are built slot by slot in ascending values, so they come out in
     itertools.product order; at each slot only the values that zero every
-    constraint filed there are tried.
+    constraint filed there are tried.  With a budget, BudgetExceeded is
+    raised once more than budget values have been tried over all slots.
     """
     ring = ctx.ring
     n, zero = ring.order, ring.zero
@@ -349,6 +350,7 @@ def _annihilating_vectors(ctx, slots, products):
     # at slot j, lowest bit first.
     vec = [zero] * k
     pending = [0] * k
+    tried = 0
     j, entering = 0, True
     while j >= 0:
         if entering:
@@ -367,6 +369,9 @@ def _annihilating_vectors(ctx, slots, products):
         low = allowed & -allowed
         pending[j] = allowed ^ low
         vec[j] = low.bit_length() - 1
+        tried += 1
+        if budget is not None and tried > budget:
+            raise BudgetExceeded(f"annihilator search tried more than {budget} slot values")
         if j + 1 == k:
             entering = False
             yield tuple(vec)

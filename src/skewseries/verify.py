@@ -155,7 +155,8 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ANNIHILATOR_BUDGET):
     """Box-supported series killed on the right by every n-fold product of gens.
 
     Products are deduplicated; the result runs in the canonical series
-    enumeration order (see all_series), so it is reproducible.
+    enumeration order (see all_series), so it is reproducible.  The budget
+    bounds the product set's growth and the slot values the kernel tries.
     """
     if n < 1:
         raise NonpositiveExponent(f"power exponent must be >= 1, got {n}")
@@ -170,12 +171,8 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ANNIHILATOR_BUDGET):
         if len(prods) * len(gens) > budget:
             raise BudgetExceeded("product set growth exceeds budget")
         prods = {p * g for p in prods for g in gens}
-    candidates = ctx.ring.order ** len(slots)
-    if candidates * max(1, len(prods)) > budget:
-        raise BudgetExceeded(
-            f"{candidates} candidates x {len(prods)} products exceeds budget {budget}")
     return [_box_series(ctx, slots, vec)
-            for vec in _annihilating_vectors(ctx, slots, [p._terms for p in prods])]
+            for vec in _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)]
 
 
 # ---------------------------------------------------------------------------

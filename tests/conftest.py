@@ -3,7 +3,7 @@ import functools
 from hypothesis import strategies as st
 
 from skewseries.monoids import monoid_make
-from skewseries.rings import enumerate_endomorphisms
+from skewseries.rings import enumerate_endomorphisms, ring_product
 from skewseries.series import SkewContext, SkewSeries
 from skewseries.specfile import builtin_ring
 
@@ -78,3 +78,28 @@ def literal_product(f, g):
             s = tuple(x + y for x, y in zip(u, v))
             acc[s] = ring.add(acc.get(s, ring.zero), ring.mul(a, ctx.omega(u).image[b]))
     return {s: c for s, c in acc.items() if c != ring.zero}
+
+
+# ---------------------------------------------------------------------------
+# random rings for the decider and ideal differential tests
+
+PRODUCT_FACTORS = tuple(f"zn:{n}" for n in range(2, 9)) + ("ut2:z2",)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_ring(name):
+    return builtin_ring(name)
+
+
+@st.composite
+def product_rings(draw, max_order):
+    """A direct product of two or more rings from PRODUCT_FACTORS (Z/n and
+    the upper triangular 2x2 ring over Z/2), of order at most max_order."""
+    def fits(order):
+        return [f for f in PRODUCT_FACTORS if order * _catalog_ring(f).order <= max_order]
+
+    ring = _catalog_ring(draw(st.sampled_from(fits(2))))
+    while True:
+        ring = ring_product(ring, _catalog_ring(draw(st.sampled_from(fits(ring.order)))))
+        if 2 * ring.order > max_order or draw(st.booleans()):
+            return ring

@@ -156,6 +156,19 @@ def test_search_budget_exhaustion_exits_3():
     assert summary_of(recs)["exit"] == 3
 
 
+def test_annihilator_budget_is_charged_with_the_work_done():
+    # 1296 candidates x 3865 products would pass a budget of 2000000 only if
+    # the kernel tried every candidate against every product; it prunes.
+    argv = ("verify", "thm37-quasibaer", "--ring", "zn:6", "--box", "2",
+            "--monoid", "nat2:product", "--samples", "4")
+    code, recs = invoke_jsonl(*argv)
+    assert code == 0
+    report = next(r for r in recs if r["record"] == "report")
+    assert report["outcome"] == "PASS" and report["entries"] == 20
+    code, recs = invoke_jsonl(*argv, "--budget", "100")
+    assert code == 3 and recs[-2]["kind"] == "cap-exceeded"
+
+
 def test_bad_sigma_index_names_the_valid_range():
     code, recs = invoke_jsonl("verify", "prop34", "--ring", "zn:4", "--sigma", "7")
     assert code == 2

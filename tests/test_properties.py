@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import given, settings
 
+from conftest import product_rings
 from skewseries.errors import SizeCapExceeded
 from skewseries.properties import (
     CLASS_NAMES,
+    SIDES,
+    _decide,
+    _mask_members,
     decide_baer,
     decide_generalized,
     decide_quasi_baer,
@@ -10,11 +15,14 @@ from skewseries.properties import (
     recheck_class_verdict,
 )
 from skewseries.rings import (
+    DEFAULT_CAPS,
     FiniteRing,
+    idempotents,
     ring_matrix,
     ring_product,
     ring_upper_triangular,
     ring_zn,
+    side_table,
 )
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
@@ -83,6 +91,72 @@ def test_generalized_decider_agrees_with_oracle_small_rings():
                 slow = oracle_decide_generalized(ring, cls, side)
                 assert fast.verdict == slow.verdict, (ring.label, cls, side)
                 assert fast.per_instance == slow.per_instance, (ring.label, cls, side)
+
+
+@settings(max_examples=25, deadline=None)
+@given(product_rings(8))
+def test_generalized_decider_agrees_with_oracle_on_random_products(ring):
+    for cls in ("baer", "quasi_baer"):
+        for side in SIDES:
+            fast = decide_generalized(ring, cls, side)
+            slow = oracle_decide_generalized(ring, cls, side)
+            assert fast.verdict == slow.verdict, (ring.label, cls, side)
+            assert fast.per_instance == slow.per_instance, (ring.label, cls, side)
+
+
+def _literal_subset_walk(ring, side, climb):
+    """(verdict, per_instance, failing_instance) of the subset decision,
+    rebuilding each subset by _mask_members and its annihilator by an AND
+    over the bitmask rows of its n-fold product set."""
+    table = side_table(ring, side)
+    n, full = ring.order, (1 << ring.order) - 1
+    singles = [sum(1 << a for a in range(n) if row[a] == ring.zero) for row in table]
+    generators = {}
+    for e in sorted(idempotents(ring)):
+        generators.setdefault(sum(1 << x for x in set(table[e])), e)
+    per_instance = []
+    for mask in range(1, 1 << n):
+        members = _mask_members(mask)
+        power, depth, previous = members, 1, None
+        while True:
+            ann = full
+            for x in power:
+                ann &= singles[x]
+            if ann in generators:
+                break
+            if not climb or ann == previous:
+                return False, (), (members, depth, _mask_members(ann))
+            power = {table[p][x] for p in power for x in members}
+            depth, previous = depth + 1, ann
+        per_instance.append((members, depth, generators[ann]))
+    return True, tuple(per_instance), None
+
+
+# (ring, climb, deepest accepted depth, or None for a rejected ring)
+WALK_CASES = [
+    ("mat2:z2", False, 1),
+    ("mat2:z2", True, 1),
+    ("zn:4", False, None),
+    ("zn:8", False, None),
+    ("zn:4", True, 2),
+    ("zn:8", True, 3),
+    ("prod:zn:4,zn:2", True, 2),
+]
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name,climb,deepest", WALK_CASES)
+def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
+    ring = builtin_ring(name)
+    verdict, per_instance, failing = _literal_subset_walk(ring, side, climb)
+    if deepest is None:
+        assert not verdict
+    else:
+        assert max(depth for _, depth, _ in per_instance) == deepest
+    kept = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=True)
+    assert kept == (verdict, "subset", per_instance, failing)
+    bare = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=False)
+    assert bare == (verdict, "subset", (), failing)
 
 
 def test_oracle_cap_guard():

@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import product_rings
 from skewseries.errors import (
     AxiomViolation,
     EmptySubset,
@@ -163,6 +165,13 @@ def test_ideal_generated_closure():
 def test_principal_ideal_sums_match_the_brute_filter(name, side):
     ring = builtin_ring(name)
     assert enumerate_ideals(ring, side) == _oracle_ideals(ring, side)
+
+
+@settings(max_examples=12, deadline=None)
+@given(product_rings(16))
+def test_principal_ideal_sums_match_the_brute_filter_on_random_products(ring):
+    for side in ("right", "left"):
+        assert enumerate_ideals(ring, side) == _oracle_ideals(ring, side), (ring.label, side)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

@@ -65,6 +65,14 @@ def test_bounded_annihilator_budget():
         bounded_annihilator_in_A(CTX4, gens, 1, [0, 1, 2], budget=10)
 
 
+def test_bounded_annihilator_budget_counts_slot_values_tried():
+    # 2*g == 0 leaves {0, 2} at each of the three slots: 2 + 4 + 8 values tried
+    gens = lift_subset_to_series(CTX4, [2])
+    assert len(bounded_annihilator_in_A(CTX4, gens, 1, [0, 1, 2], budget=14)) == 8
+    with pytest.raises(BudgetExceeded, match="slot values"):
+        bounded_annihilator_in_A(CTX4, gens, 1, [0, 1, 2], budget=13)
+
+
 def test_prop34_counts_idempotent_series():
     rep4 = verify_prop34(CTX4, [0, 1, 2])
     rep6 = verify_prop34(CTX6, [0, 1])
