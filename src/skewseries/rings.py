@@ -381,6 +381,27 @@ def _ideal_sum(add, ideal, other):
     return frozenset(out)
 
 
+def additive_generators(ring, subset):
+    """Members of subset, ascending, each outside the additive span of the
+    ones kept before it; together they span additive_closure(ring, subset).
+
+    Each kept x widens the span by its cyclic group {x, x+x, ...}; {0} gives
+    no generators.
+    """
+    add, zero = ring.add_table, ring.zero
+    span = frozenset({zero})
+    gens = []
+    for x in _check_subset(ring, subset):
+        if x in span:
+            continue
+        gens.append(x)
+        multiples = [x]
+        while multiples[-1] != zero:
+            multiples.append(add[multiples[-1]][x])
+        span = _ideal_sum(add, span, multiples)
+    return tuple(gens)
+
+
 def ideal_generated(ring, subset, side="right"):
     """Smallest one-sided ideal containing the subset.
 

@@ -157,8 +157,11 @@ def test_search_budget_exhaustion_exits_3():
 
 
 def test_annihilator_budget_is_charged_with_the_work_done():
-    # 1296 candidates x 3865 products would pass a budget of 2000000 only if
-    # the kernel tried every candidate against every product; it prunes.
+    # The largest product set here has 12 series, so 1296 candidates x 12
+    # products is under the budget too; with full ideal lifts it had 3871,
+    # and only charging the kernel with the slot values it tries let the run
+    # pass.  test_verify.py::test_bounded_annihilator_budget_counts_slot_values_tried
+    # pins that charging.
     argv = ("verify", "thm37-quasibaer", "--ring", "zn:6", "--box", "2",
             "--monoid", "nat2:product", "--samples", "4")
     code, recs = invoke_jsonl(*argv)

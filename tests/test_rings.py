@@ -14,6 +14,7 @@ from skewseries.errors import (
 from skewseries.rings import (
     FiniteRing,
     additive_closure,
+    additive_generators,
     annihilator,
     build_ring_from_tables,
     endo_property,
@@ -182,6 +183,28 @@ def test_ideal_generated_is_the_smallest_ideal_containing_the_subset(side):
         for subset in itertools.combinations(range(ring.order), size):
             smallest = min((i for i in ideals if i >= set(subset)), key=len)
             assert ideal_generated(ring, subset, side) == smallest
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_additive_generators_span_each_ideal_without_redundancy(name):
+    ring = builtin_ring(name)
+    zero = (ring.zero,)
+    targets = [frozenset(range(ring.order))]
+    targets += enumerate_ideals(ring, "right") + enumerate_ideals(ring, "left")
+    for ideal in targets:
+        gens = additive_generators(ring, ideal)
+        assert list(gens) == sorted(gens)
+        assert additive_closure(ring, zero + gens) == ideal
+        for i, x in enumerate(gens):
+            assert x not in additive_closure(ring, zero + gens[:i])
+    assert additive_generators(ring, zero) == ()
+
+
+def test_additive_generators_hand_values():
+    assert additive_generators(ring_zn(8), range(8)) == (1,)
+    assert additive_generators(ring_zn(8), (0, 2, 4, 6)) == (2,)
+    assert additive_generators(Z6, (0, 2, 3, 4)) == (2, 3)
+    assert additive_generators(ring_product(ring_zn(2), ring_zn(2)), range(4)) == (1, 2)
 
 
 def test_idempotent_generator_lookup():

@@ -221,6 +221,24 @@ def test_product_matches_the_literal_convolution(data):
     assert f * g == SkewSeries(ctx, literal_product(f, g))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_distributes_over_addition(data):
+    # The spanning families of the transfer harnesses rest on this: each
+    # twist is additive, so products split over sums on either side.
+    ctx, _ = data.draw(skew_boxes(max_candidates=16))
+    points = ctx.monoid.box(2)  # int boxes reach down to -2
+    f1, f2, g1, g2 = (data.draw(series_over(ctx, points, max_terms=4)) for _ in range(4))
+
+    def literal(f, g):
+        return SkewSeries(ctx, literal_product(f, g))
+
+    assert (f1 + f2) * g1 == f1 * g1 + f2 * g1 == literal(f1 + f2, g1)
+    assert literal(f1 + f2, g1) == literal(f1, g1) + literal(f2, g1)
+    assert f1 * (g1 + g2) == f1 * g1 + f1 * g2 == literal(f1, g1 + g2)
+    assert literal(f1, g1 + g2) == literal(f1, g1) + literal(f1, g2)
+
+
 def test_negative_integer_exponents_multiply_with_the_inverse_twist():
     klein = ring_product(ring_zn(2), ring_zn(2))
     swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
