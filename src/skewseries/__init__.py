@@ -23,7 +23,6 @@ from .monoids import (
     check_order_axioms,
     check_refinement,
     monoid_make,
-    trivial_wrap,
 )
 from .properties import (
     CLASS_NAMES,
@@ -44,7 +43,6 @@ from .rings import (
     enumerate_endomorphisms,
     enumerate_ideals,
     ideal_generated,
-    idempotent_generator_of,
     idempotents,
     identity_endomorphism,
     is_reduced,
@@ -62,7 +60,6 @@ from .series import (
     const_embed,
     exp_embed,
     format_series,
-    identity_series,
     is_idempotent_series,
     parse_series_literal,
     s_compatibility_check,
@@ -86,7 +83,6 @@ from .verify import (
     bounded_annihilator_in_A,
     coefficient_ideal_lift,
     counterexample_search,
-    lift_ideal_to_series,
     lift_subset_to_series,
     verify_corollaries,
     verify_prop34,

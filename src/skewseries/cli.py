@@ -49,6 +49,7 @@ from .verify import (
 )
 
 EXIT_OK, EXIT_SPEC, EXIT_CAP, EXIT_HYPOTHESIS, EXIT_FAIL, EXIT_INTERNAL = 0, 2, 3, 4, 5, 6
+EXIT_BROKEN_PIPE = 1
 
 _CLASS_FLAGS = {
     "baer": ("baer",),
@@ -441,7 +442,18 @@ def run(argv=None, stream=None):
 
 
 def main(argv=None):
-    return run(argv)
+    try:
+        code = run(argv)
+        # Flush here so a closed pipe raises inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (say `| head`).  As the SIGPIPE note of the
+        # `signal` docs advises, point stdout at devnull so the flush at exit
+        # cannot fail again, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

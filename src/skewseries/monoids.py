@@ -149,11 +149,6 @@ def monoid_make(kind, order_mode, k=1):
     return OrderedMonoid(_KIND_ALIASES.get(kind, kind), order_mode, k=k)
 
 
-def trivial_wrap(base):
-    """The same monoid with its order discarded (trivial order mode)."""
-    return OrderedMonoid(base.kind, "trivial", k=base.k)
-
-
 def check_order_axioms(monoid, bound=AXIOM_BOUND_DEFAULT, lt=None):
     """Exhaustively check the strict order on a coordinate box.
 

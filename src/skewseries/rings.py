@@ -1,7 +1,10 @@
 """Finite associative unital rings presented by Cayley tables.
 
-Elements are the indices 0..order-1.  Construction validates the whole
-ring axiom list exhaustively, so a FiniteRing that exists is a ring.
+Elements are the indices 0..order-1.  Construction proves every ring axiom
+from the tables (FiniteRing._proven_ring, at O(n^2 * g) cost for g additive
+generators), so a FiniteRing that exists is a ring.  Tables it cannot prove
+go through the literal n^3 scan, which names the first failing axiom and its
+witness.
 """
 
 from __future__ import annotations
@@ -96,6 +99,14 @@ class FiniteRing:
         self.neg_table = tuple(self.add_table[a].index(self.zero) for a in range(order))
 
     def _check_axioms(self):
+        """Prove the ring axioms, or raise AxiomViolation with a witness.
+
+        The reduced proof of _proven_ring settles real rings; anything it
+        cannot prove goes through the literal scan below, which raises at the
+        first failing axiom and witness in scan order.
+        """
+        if self._proven_ring():
+            return
         n = self.order
         add, mul = self.add_table, self.mul_table
         zero, one = self.zero, self.one
@@ -122,6 +133,79 @@ class FiniteRing:
                         raise AxiomViolation("left-distributivity", (a, b, c))
                     if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
                         raise AxiomViolation("right-distributivity", (a, b, c))
+
+    def _proven_ring(self):
+        """True only when the tables are proven to satisfy every ring axiom,
+        at O(n^2 * g) cost for g additive generators instead of n^3.
+
+        1. add[a][zero] == a, zero occurs in add[a], and one is a two-sided
+           multiplicative identity, for every a.
+        2. + is commutative on all n^2 pairs.
+        3. Generators G: the elements in ascending order, each kept when it
+           lies outside the closure of {zero} under y -> y + g for the g
+           kept so far.  The closure is a breadth-first walk over the table
+           that assumes no axiom; every element ends up in it.
+        4. Light's test: x + (g + y) == (x + g) + y for all x, y and g in G.
+           The m with x + (m + y) == (x + m) + y for all x, y form a set
+           closed under + that holds zero and G, so it is all of R and + is
+           associative.  With 1 and 2, (R, +) is an abelian group.
+        5. a(b + g) == ab + ag and (b + g)a == ba + ga for all a, b and g in
+           G.  The c that satisfy this for all a, b form a set closed under
+           +; it holds G, and every element is a sum of generators, so both
+           distributive laws hold and multiplication is bi-additive.
+        6. (ab)c == a(bc) on G^3.  The associator is now additive in each
+           argument, so it vanishes on all of R^3.
+
+        A False leaves the tables to the literal scan of _check_axioms.
+        """
+        from operator import itemgetter
+        n = self.order
+        add, mul = self.add_table, self.mul_table
+        zero, one = self.zero, self.one
+        for a in range(n):
+            row = add[a]
+            if row[zero] != a or zero not in row or mul[one][a] != a or mul[a][one] != a:
+                return False
+        if tuple(zip(*add)) != add:
+            return False
+        gens = []
+        span = {zero}
+        for x in range(n):
+            if x in span:
+                continue
+            gens.append(x)
+            queue = list(span)
+            for y in queue:
+                row = add[y]
+                for g in gens:
+                    z = row[g]
+                    if z not in span:
+                        span.add(z)
+                        queue.append(z)
+        for g in gens:
+            # pick(row) lists x + (g + y) over y, for the row of x.
+            pick = itemgetter(*add[g])
+            for row in add:
+                if pick(row) != add[row[g]]:
+                    return False
+        for table in (mul, tuple(zip(*mul))):
+            # Rows of the transposed table turn the right law into the left.
+            times = [itemgetter(*row) for row in table]
+            for g in gens:
+                pick = itemgetter(*add[g])
+                for row, row_times in zip(table, times):
+                    # a(b + g) over b, against ab + ag over b.
+                    if pick(row) != row_times(add[row[g]]):
+                        return False
+        for a in gens:
+            row = mul[a]
+            for b in gens:
+                ab_row = mul[row[b]]
+                b_row = mul[b]
+                for c in gens:
+                    if ab_row[c] != row[b_row[c]]:
+                        return False
+        return True
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -151,7 +235,7 @@ def _normalize_table(table, order, name):
 
 
 def build_ring_from_tables(order, add_table, mul_table, zero, one, label="R", element_labels=None):
-    """Validate tables exhaustively and wrap them as a FiniteRing."""
+    """Prove the tables form a ring and wrap them as a FiniteRing."""
     return FiniteRing(order, add_table, mul_table, zero, one, label, element_labels)
 
 
@@ -243,23 +327,54 @@ def _matrix_like(base, k, positions, label, max_order):
         return x
 
     mats = [decode(x) for x in range(order)]
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    for x in range(order):
-        for y in range(order):
-            a, b = mats[x], mats[y]
-            s = [[base.add(a[i][j], b[i][j]) for j in range(k)] for i in range(k)]
+
+    base_add, base_mul = base.add_table, base.mul_table
+
+    def product_row(a):
+        # a*y for every y, entry by entry with k^3 base operations.
+        row = []
+        for b in mats:
             p = [[base.zero] * k for _ in range(k)]
             for i in range(k):
                 for j in range(k):
                     acc = base.zero
                     for t in range(k):
-                        acc = base.add(acc, base.mul(a[i][t], b[t][j]))
+                        acc = base_add[acc][base_mul[a[i][t]][b[t][j]]]
                     p[i][j] = acc
-            add[x][y] = encode(s)
-            mul[x][y] = encode(p)
+            row.append(encode(p))
+        return row
 
+    # Addition is entrywise: widen the table by one digit position at a time.
+    add = [list(row) for row in base_add]
+    width = m
+    for _ in positions[1:]:
+        add = [[v + width * base_add[i][j] for j in range(m) for v in add[a]]
+               for i in range(m) for a in range(width)]
+        width *= m
+
+    # Multiplication: literal rows for zero and for each generator c at one
+    # position; every other row is x' + g for a row x' already known, and
+    # (x' + g)*y = x'*y + g*y.
     zero = encode([[base.zero] * k for _ in range(k)])
+    mul = [None] * order
+    mul[zero] = product_row(mats[zero])
+    gens = []
+    for (i, j) in positions:
+        for c in additive_generators(base, range(m)):
+            mat = [[base.zero] * k for _ in range(k)]
+            mat[i][j] = c
+            g = encode(mat)
+            gens.append(g)
+            mul[g] = product_row(mat)
+    queue = [zero] + gens
+    for x in queue:
+        x_row, x_sums = mul[x], add[x]
+        for g in gens:
+            y = x_sums[g]
+            if mul[y] is None:
+                mul[y] = [add[a][b] for a, b in zip(x_row, mul[g])]
+                queue.append(y)
+
     ident = [[base.zero] * k for _ in range(k)]
     for i in range(k):
         ident[i][i] = base.one
@@ -350,23 +465,6 @@ def subset_power(ring, subset, n):
     return cur
 
 
-def additive_closure(ring, subset):
-    """Closure of subset plus 0 under addition (a finite additive subgroup)."""
-    xs = _check_subset(ring, subset)
-    cur = set(xs)
-    cur.add(ring.zero)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(cur):
-            for b in list(cur):
-                s = ring.add(a, b)
-                if s not in cur:
-                    cur.add(s)
-                    changed = True
-    return frozenset(cur)
-
-
 def _ideal_sum(add, ideal, other):
     """{a + b : a in ideal, b in other} for an additive subgroup `ideal`.
 
@@ -383,7 +481,8 @@ def _ideal_sum(add, ideal, other):
 
 def additive_generators(ring, subset):
     """Members of subset, ascending, each outside the additive span of the
-    ones kept before it; together they span additive_closure(ring, subset).
+    ones kept before it; together they span the additive subgroup that
+    subset generates.
 
     Each kept x widens the span by its cyclic group {x, x+x, ...}; {0} gives
     no generators.
@@ -439,21 +538,6 @@ def enumerate_ideals(ring, side="right", cap=None):
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def idempotent_generator_of(ring, subset, side="right"):
-    """Smallest idempotent e with eR (right) or Re (left) equal to subset, or None."""
-    target = frozenset(subset)
-    for e in idempotents(ring):
-        if side == "right":
-            gen = frozenset(ring.mul(e, r) for r in range(ring.order))
-        elif side == "left":
-            gen = frozenset(ring.mul(r, e) for r in range(ring.order))
-        else:
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        if gen == target:
-            return e
-    return None
-
-
 # ---------------------------------------------------------------------------
 # endomorphisms
 
@@ -490,10 +574,6 @@ class RingEndomorphism:
         if inner.ring is not self.ring:
             raise ValueError("cannot compose endomorphisms of different rings")
         return RingEndomorphism(self.ring, tuple(self.image[y] for y in inner.image))
-
-    @property
-    def is_identity(self):
-        return all(self.image[x] == x for x in range(self.ring.order))
 
     @property
     def is_bijective(self):

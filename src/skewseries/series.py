@@ -109,17 +109,6 @@ class SkewContext:
         v[i] = 1
         return tuple(v)
 
-    def check_twist_homomorphism(self, bound):
-        """Assert omega(u+v) == omega(u) after omega(v) on a box; certificate."""
-        box = self.monoid.box(bound)
-        for u in box:
-            for v in box:
-                lhs = self.omega(self.monoid.op(u, v))
-                rhs = self.omega(u).compose(self.omega(v))
-                if lhs.image != rhs.image:
-                    return PropertyCertificate("no", witness=(u, v))
-        return PropertyCertificate("yes", notes=f"exhaustive on the bound-{bound} box")
-
     def __repr__(self):
         return f"SkewContext({self.ring.label}, {self.monoid!r})"
 
@@ -211,10 +200,6 @@ class SkewSeries:
                 acc[s] = add_t[acc.get(s, zero)][row[twist[b]]]
         return SkewSeries._trusted(ctx, {s: c for s, c in acc.items() if c != zero})
 
-    def __neg__(self):
-        ring = self.context.ring
-        return SkewSeries(self.context, {e: ring.neg(c) for e, c in self._terms.items()})
-
     def _check_context(self, other):
         if not isinstance(other, SkewSeries) or other.context is not self.context:
             raise MixedContexts("series belong to different skew contexts")
@@ -259,10 +244,6 @@ def const_embed(ctx, r):
 def exp_embed(ctx, s):
     """The series with coefficient 1 at exponent s."""
     return SkewSeries(ctx, {normalize_exponent(ctx.monoid, s): ctx.ring.one})
-
-
-def identity_series(ctx):
-    return const_embed(ctx, ctx.ring.one)
 
 
 def is_idempotent_series(f):

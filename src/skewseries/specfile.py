@@ -16,7 +16,6 @@ from .errors import SpecFormatError
 from .monoids import monoid_make
 from .rings import (
     DEFAULT_CAPS,
-    FiniteRing,
     build_ring_from_tables,
     enumerate_endomorphisms,
     identity_endomorphism,
@@ -123,8 +122,8 @@ def parse_ring_file(path, caps=DEFAULT_CAPS):
         raise SpecFormatError(f"{path}: {exc}")
     label = items.get("label")
     if label:
-        ring = FiniteRing(ring.order, ring.add_table, ring.mul_table,
-                          ring.zero, ring.one, label, ring.element_labels)
+        # The ring was just built here and nothing else holds it yet.
+        ring.label = label
     return ring
 
 

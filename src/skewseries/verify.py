@@ -9,13 +9,11 @@ report says so in its scope note.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
-    ForeignElement,
     HypothesisNotMet,
     MixedContexts,
     NonpositiveExponent,
@@ -120,23 +118,14 @@ def lift_subset_to_series(ctx, subset):
     return [const_embed(ctx, x) for x in sorted(set(subset))]
 
 
-def lift_ideal_to_series(ctx, ideal_members, box):
-    """Every series with support in the box and all coefficients in the ideal."""
-    slots = normalize_box(ctx.monoid, box)
-    values = sorted(set(ideal_members))
-    for v in values:
-        if not isinstance(v, int) or not 0 <= v < ctx.ring.order:
-            raise ForeignElement(f"ideal member {v!r} not in ring of order {ctx.ring.order}")
-    return [_box_series(ctx, slots, vec) for vec in itertools.product(values, repeat=len(slots))]
-
-
 def _spanning_monomials(ctx, members, slots):
     """Monomials c*x^v: c an additive generator of members, v a slot.
 
     For an additive subgroup of R (an ideal, or R itself) their additive span
-    is lift_ideal_to_series(ctx, members, slots): a box series is the sum of
-    its terms, and each term's coefficient a sum of generators.  The zero
-    ideal has no generators, so it gets the zero series, as in that lift.
+    is every series with support in the slots and all coefficients in
+    members: a box series is the sum of its terms, and each term's
+    coefficient a sum of generators.  The zero ideal has no generators, so it
+    gets the zero series, the only series of that span.
     """
     return [SkewSeries._trusted(ctx, {v: c})
             for c in additive_generators(ctx.ring, members) for v in slots] or [zero_series(ctx)]

@@ -1,10 +1,12 @@
 import functools
+import itertools
 
 from hypothesis import strategies as st
 
+from skewseries.errors import AxiomViolation
 from skewseries.monoids import monoid_make
 from skewseries.rings import enumerate_endomorphisms, ring_product
-from skewseries.series import SkewContext, SkewSeries
+from skewseries.series import SkewContext, SkewSeries, _box_series, normalize_box
 from skewseries.specfile import builtin_ring
 
 GATE_LINES = []
@@ -103,3 +105,96 @@ def product_rings(draw, max_order):
         ring = ring_product(ring, _catalog_ring(draw(st.sampled_from(fits(ring.order)))))
         if 2 * ring.order > max_order or draw(st.booleans()):
             return ring
+
+
+# ---------------------------------------------------------------------------
+# literal references for the ring layer
+
+
+def literal_axiom_violation(order, add, mul, zero, one):
+    """(axiom, witness) of the first failing ring axiom in the n^3 scan
+    order of FiniteRing._check_axioms, or None for a ring."""
+    rng = range(order)
+    for a in rng:
+        if add[a][zero] != a:
+            return "additive-identity", (a,)
+        if zero not in add[a]:
+            return "additive-inverse", (a,)
+        if mul[one][a] != a or mul[a][one] != a:
+            return "multiplicative-identity", (a,)
+    for a in rng:
+        for b in rng:
+            if add[a][b] != add[b][a]:
+                return "additive-commutativity", (a, b)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    return "additive-associativity", (a, b, c)
+                if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                    return "multiplicative-associativity", (a, b, c)
+                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+                    return "left-distributivity", (a, b, c)
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+                    return "right-distributivity", (a, b, c)
+    return None
+
+
+def literal_matrix_tables(base, k, positions):
+    """(add, mul) tables of the matrix ring over the free entry positions,
+    every entry computed from the matrices with k^3 base operations, in the
+    digit encoding of rings._matrix_like."""
+    m = base.order
+    order = m ** len(positions)
+
+    def decode(x):
+        mat = [[base.zero] * k for _ in range(k)]
+        for (i, j) in positions:
+            mat[i][j] = x % m
+            x //= m
+        return mat
+
+    def encode(mat):
+        for i in range(k):
+            for j in range(k):
+                if (i, j) not in positions and mat[i][j] != base.zero:
+                    raise AxiomViolation("matrix-shape", (i, j))
+        return sum(mat[i][j] * m ** t for t, (i, j) in enumerate(positions))
+
+    mats = [decode(x) for x in range(order)]
+    add = [[0] * order for _ in range(order)]
+    mul = [[0] * order for _ in range(order)]
+    for x, a in enumerate(mats):
+        for y, b in enumerate(mats):
+            add[x][y] = encode([[base.add(a[i][j], b[i][j]) for j in range(k)] for i in range(k)])
+            p = [[base.zero] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(k):
+                    acc = base.zero
+                    for t in range(k):
+                        acc = base.add(acc, base.mul(a[i][t], b[t][j]))
+                    p[i][j] = acc
+            mul[x][y] = encode(p)
+    return add, mul
+
+
+def additive_closure(ring, subset):
+    """Closure of subset plus 0 under addition (a finite additive subgroup)."""
+    cur = set(subset) | {ring.zero}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(cur):
+            for b in list(cur):
+                s = ring.add(a, b)
+                if s not in cur:
+                    cur.add(s)
+                    changed = True
+    return frozenset(cur)
+
+
+def lift_ideal_to_series(ctx, ideal_members, box):
+    """Every series with support in the box and all coefficients in the ideal."""
+    slots = normalize_box(ctx.monoid, box)
+    values = sorted(set(ideal_members))
+    return [_box_series(ctx, slots, vec) for vec in itertools.product(values, repeat=len(slots))]

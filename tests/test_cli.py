@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import skewseries
 from skewseries import properties
 from skewseries.cli import _split_catalog, main, run
 from skewseries.monoids import monoid_make
@@ -156,12 +160,13 @@ def test_search_budget_exhaustion_exits_3():
     assert summary_of(recs)["exit"] == 3
 
 
-def test_annihilator_budget_is_charged_with_the_work_done():
-    # The largest product set here has 12 series, so 1296 candidates x 12
-    # products is under the budget too; with full ideal lifts it had 3871,
-    # and only charging the kernel with the slot values it tries let the run
-    # pass.  test_verify.py::test_bounded_annihilator_budget_counts_slot_values_tried
-    # pins that charging.
+def test_nat2_product_quasi_baer_run_passes_and_a_small_budget_stops_it():
+    # The run passes under the default budget, and --budget 100 stops it with
+    # exit 3.  On the CLI the exhaustive Armendariz pair check trips a small
+    # budget before any annihilator call, so this does not pin how the
+    # annihilator kernel is charged;
+    # test_verify.py::test_bounded_annihilator_budget_counts_slot_values_tried
+    # does.
     argv = ("verify", "thm37-quasibaer", "--ring", "zn:6", "--box", "2",
             "--monoid", "nat2:product", "--samples", "4")
     code, recs = invoke_jsonl(*argv)
@@ -255,6 +260,25 @@ def test_repeated_runs_are_identical():
 def test_main_is_a_plain_exit_code_wrapper(capsys):
     assert main(["ring", "list"]) == 0
     assert "zn:2" in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The read end is closed before the child starts, so its first flush
+    # meets a pipe with no reader, as under `| head -c 10`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewseries", "ring", "show", "--ring", "ut3:z2",
+             "--output", "jsonl"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_broken_invariant_exits_6(monkeypatch):

@@ -1,9 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import product_rings
+from conftest import (
+    additive_closure,
+    literal_axiom_violation,
+    literal_matrix_tables,
+    product_rings,
+)
 from skewseries.errors import (
     AxiomViolation,
     EmptySubset,
@@ -13,7 +18,6 @@ from skewseries.errors import (
 )
 from skewseries.rings import (
     FiniteRing,
-    additive_closure,
     additive_generators,
     annihilator,
     build_ring_from_tables,
@@ -21,7 +25,6 @@ from skewseries.rings import (
     enumerate_endomorphisms,
     enumerate_ideals,
     ideal_generated,
-    idempotent_generator_of,
     idempotents,
     identity_endomorphism,
     is_reduced,
@@ -63,6 +66,188 @@ def test_nonassociative_mul_rejected():
     mul = [[0, 1], [1, 1]]  # 1*1=1 but 0 is not absorbing: 0*1=1
     with pytest.raises(AxiomViolation):
         build_ring_from_tables(2, add, mul, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the reduced axiom proof against the literal scan
+
+PROOF_RINGS = CATALOG_NAMES + ("ut3:z2", "ut2:z4", "ut2:z3", "prod:zn:3,zn:5")
+
+
+def _axiom_outcome(order, add, mul, zero, one):
+    """What building a FiniteRing from the tables raises: (axiom, witness)."""
+    try:
+        FiniteRing(order, add, mul, zero, one)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+def _corrupted(ring, table, a, b, value, symmetric=False):
+    add = [list(row) for row in ring.add_table]
+    mul = [list(row) for row in ring.mul_table]
+    cells = add if table == "add" else mul
+    cells[a][b] = value
+    if symmetric:
+        cells[b][a] = value
+    return ring.order, add, mul, ring.zero, ring.one
+
+
+@pytest.mark.parametrize("name", PROOF_RINGS)
+def test_proof_accepts_the_builtin_rings(name):
+    ring = builtin_ring(name)
+    assert ring._proven_ring()
+    assert literal_axiom_violation(ring.order, ring.add_table, ring.mul_table,
+                                   ring.zero, ring.one) is None
+
+
+@settings(max_examples=15, deadline=None)
+@given(product_rings(64))
+def test_proof_accepts_random_products(ring):
+    assert ring._proven_ring(), ring.label
+
+
+AXIOMS = {
+    "additive-identity", "additive-inverse", "multiplicative-identity",
+    "additive-commutativity", "additive-associativity", "multiplicative-associativity",
+    "left-distributivity", "right-distributivity",
+}
+
+
+def test_every_one_cell_corruption_gets_the_literal_witness():
+    # Between them these corruptions fail at every axiom; a changed diagonal
+    # cell of + keeps + commutative, so associativity can be what fails.
+    seen = set()
+    for name in ("zn:4", "zn:6", "prod:zn:2,zn:2", "ut2:z2"):
+        ring = builtin_ring(name)
+        n = ring.order
+        for table, a, b, value in itertools.product(("add", "mul"), range(n), range(n), range(n)):
+            if (ring.add_table if table == "add" else ring.mul_table)[a][b] == value:
+                continue
+            tables = _corrupted(ring, table, a, b, value)
+            expected = literal_axiom_violation(*tables)
+            assert _axiom_outcome(*tables) == expected, (name, table, a, b, value)
+            seen.add(expected and expected[0])
+    assert seen == AXIOMS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupted_cells_of_larger_rings_get_the_literal_witness(data):
+    ring = builtin_ring(data.draw(st.sampled_from(["mat2:z2", "prod:zn:3,zn:5", "zn:8"])))
+    n = ring.order
+    table = data.draw(st.sampled_from(["add", "mul"]))
+    a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    value = data.draw(st.integers(0, n - 1))
+    # A symmetric pair of + cells keeps + commutative, so associativity and
+    # distributivity against the changed sums are what fail.
+    symmetric = table == "add" and data.draw(st.booleans())
+    tables = _corrupted(ring, table, a, b, value, symmetric)
+    assert _axiom_outcome(*tables) == literal_axiom_violation(*tables)
+
+
+def _left_near_ring():
+    """Klein group tables (0, e = 1, u = 2, e + u = 3) whose product is
+    that of F2 x F2 with e = (1,1), u = (1,0), except that 0*u = 0*(e+u) = u.
+    Every row is additive, so a(b + c) = ab + ac, but (0 + 0)u != 0u + 0u."""
+    add = [[a ^ b for b in range(4)] for a in range(4)]
+    mul = [[0, 0, 2, 2], [0, 1, 2, 3], [0, 2, 2, 0], [0, 3, 0, 3]]
+    return add, mul
+
+
+def test_one_sided_distributivity_is_not_enough():
+    add, mul = _left_near_ring()
+    expected = literal_axiom_violation(4, add, mul, 0, 1)
+    assert expected[0] == "right-distributivity"
+    assert _axiom_outcome(4, add, mul, 0, 1) == expected
+    opposite = [list(col) for col in zip(*mul)]
+    expected = literal_axiom_violation(4, add, opposite, 0, 1)
+    assert expected[0] == "left-distributivity"
+    assert _axiom_outcome(4, add, opposite, 0, 1) == expected
+
+
+def test_associativity_on_the_generators_is_checked():
+    # F2-span of 1, x, y (index a + 2b + 4c for a + bx + cy) with xy = 1 and
+    # every other product of x, y zero: bilinear and unital, so every other
+    # axiom holds, but (xy)x = x while x(yx) = 0.
+    def coords(u):
+        return u & 1, u >> 1 & 1, u >> 2 & 1
+
+    def times(u, v):
+        a1, b1, c1 = coords(u)
+        a2, b2, c2 = coords(v)
+        return ((a1 * a2 + b1 * c2) % 2 + 2 * ((a1 * b2 + b1 * a2) % 2)
+                + 4 * ((a1 * c2 + c1 * a2) % 2))
+
+    add = [[u ^ v for v in range(8)] for u in range(8)]
+    mul = [[times(u, v) for v in range(8)] for u in range(8)]
+    expected = literal_axiom_violation(8, add, mul, 0, 1)
+    assert expected[0] == "multiplicative-associativity"
+    assert _axiom_outcome(8, add, mul, 0, 1) == expected
+
+
+# A commutative + with identity 0 and 0 in every row that is not
+# associative (1 + 3 = 0 but 1 + (1 + 2) = 1 + 3 = 0 != 2 = (1 + 1) + 2),
+# with a product that is distributive against the generators 1 and 2 and
+# associative on them.  Light's test on 2 alone passes, so it must run on
+# every generator.  The swap of 1 and 2 makes 1 the one that passes.
+NONASSOCIATIVE_ADD = [[0, 1, 2, 3], [1, 0, 3, 0], [2, 3, 0, 1], [3, 0, 1, 0]]
+DISTRIBUTIVE_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 0, 2], [0, 3, 2, 1]]
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (0, 2, 1, 3)])
+def test_light_test_runs_on_every_generator(perm):
+    def renamed(table):
+        out = [[0] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(4):
+                out[perm[a]][perm[b]] = perm[table[a][b]]
+        return out
+
+    tables = 4, renamed(NONASSOCIATIVE_ADD), renamed(DISTRIBUTIVE_MUL), 0, perm[1]
+    expected = literal_axiom_violation(*tables)
+    assert expected[0] == "additive-associativity"
+    assert _axiom_outcome(*tables) == expected
+
+
+def _permuted(ring, perm):
+    """The same ring with element x renamed perm[x], so zero may be nonzero."""
+    inv = [0] * ring.order
+    for x, y in enumerate(perm):
+        inv[y] = x
+    add = [[perm[ring.add(inv[a], inv[b])] for b in range(ring.order)] for a in range(ring.order)]
+    mul = [[perm[ring.mul(inv[a], inv[b])] for b in range(ring.order)] for a in range(ring.order)]
+    labels = [ring.element_labels[inv[y]] for y in range(ring.order)]
+    return FiniteRing(ring.order, add, mul, perm[ring.zero], perm[ring.one],
+                      label=f"perm({ring.label})", element_labels=labels)
+
+
+MATRIX_BASES = {  # name: (order, factory)
+    "zn:2": (2, lambda: ring_zn(2)),
+    "zn:3": (3, lambda: ring_zn(3)),
+    "zn:4": (4, lambda: ring_zn(4)),
+    "prod:zn:2,zn:2": (4, lambda: ring_product(ring_zn(2), ring_zn(2))),
+    "zn:2 renamed": (2, lambda: _permuted(ring_zn(2), (1, 0))),
+    "zn:3 renamed": (3, lambda: _permuted(ring_zn(3), (2, 0, 1))),
+    "zn:4 renamed": (4, lambda: _permuted(ring_zn(4), (3, 1, 0, 2))),
+}
+MATRIX_SHAPES = {  # (maker, k): free positions
+    (ring_matrix, 2): [(i, j) for i in range(2) for j in range(2)],
+    (ring_upper_triangular, 2): [(i, j) for i in range(2) for j in range(i, 2)],
+    (ring_upper_triangular, 3): [(i, j) for i in range(3) for j in range(i, 3)],
+}
+# Every matrix ring over these bases within the default order cap of 64.
+MATRIX_CASES = [(name, maker, k) for name, (m, _) in MATRIX_BASES.items()
+                for (maker, k), pos in MATRIX_SHAPES.items() if m ** len(pos) <= 64]
+
+
+@pytest.mark.parametrize("base_name,maker,k", MATRIX_CASES)
+def test_matrix_tables_match_the_literal_builder(base_name, maker, k):
+    base = MATRIX_BASES[base_name][1]()
+    ring = maker(base, k)
+    add, mul = literal_matrix_tables(base, k, MATRIX_SHAPES[maker, k])
+    assert ring.add_table == tuple(map(tuple, add))
+    assert ring.mul_table == tuple(map(tuple, mul))
 
 
 def test_product_ring_coordinates():
@@ -207,12 +392,6 @@ def test_additive_generators_hand_values():
     assert additive_generators(ring_product(ring_zn(2), ring_zn(2)), range(4)) == (1, 2)
 
 
-def test_idempotent_generator_lookup():
-    assert idempotent_generator_of(Z4, frozenset({0, 2})) is None
-    assert idempotent_generator_of(Z6, frozenset({0, 3})) == 3
-    assert idempotent_generator_of(Z6, frozenset({0, 2, 4})) == 4
-
-
 def test_endomorphism_enumeration():
     assert [e.image for e in enumerate_endomorphisms(Z4)] == [(0, 1, 2, 3)]
     klein = ring_product(ring_zn(2), ring_zn(2))
@@ -227,7 +406,7 @@ def test_endomorphism_validation_and_inverse():
                 if e.image == (0, 2, 1, 3))
     assert swap.is_bijective
     assert swap.inverse().image == (0, 2, 1, 3)
-    assert swap.compose(swap).is_identity
+    assert swap.compose(swap).image == (0, 1, 2, 3)
 
 
 def test_endo_property_certificates():

@@ -28,7 +28,6 @@ from skewseries.series import (
     const_embed,
     exp_embed,
     format_series,
-    identity_series,
     is_idempotent_series,
     parse_series_literal,
     s_compatibility_check,
@@ -87,7 +86,9 @@ def test_twist_is_a_monoid_homomorphism():
     klein = ring_product(ring_zn(2), ring_zn(2))
     swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
     ctx = SkewContext(klein, NAT, swap)
-    assert ctx.check_twist_homomorphism(6).verdict == "yes"
+    for u in NAT.box(6):
+        for v in NAT.box(6):
+            assert ctx.omega(NAT.op(u, v)).image == ctx.omega(u).compose(ctx.omega(v)).image
 
 
 def test_integer_exponents_need_an_automorphism():
@@ -103,11 +104,11 @@ def test_integer_exponent_twist_uses_the_inverse():
     swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
     ctx = SkewContext(klein, monoid_make("int_add", "natural"), swap)
     assert ctx.omega((-1,)).image == swap.inverse().image
-    assert ctx.omega((-2,)).is_identity
+    assert ctx.omega((-2,)).image == (0, 1, 2, 3)
 
 
 def test_identity_series_is_neutral():
-    one = identity_series(CTX6)
+    one = const_embed(CTX6, CTX6.ring.one)
     f = series_from_pairs(CTX6, [(5, 0), (3, 2)])
     assert one * f == f and f * one == f
 

@@ -1,5 +1,6 @@
 import pytest
 
+from skewseries import rings
 from skewseries.errors import SpecFormatError
 from skewseries.specfile import (
     CATALOG_NAMES,
@@ -51,6 +52,26 @@ def test_ring_file_overrides_builtin_namespace(tmp_path):
     p.write_text("[ring]\nkind = zn\nn = 9\nlabel = shadowed\n")
     ring = resolve_ring(str(p))
     assert ring.order == 9 and ring.label == "shadowed"
+
+
+@pytest.mark.parametrize("body", [
+    "kind = zn\nn = 6\n",
+    "kind = tables\norder = 2\nadd = 0 1; 1 0\nmul = 0 0; 0 1\n",
+])
+def test_labeled_ring_file_builds_one_ring(tmp_path, monkeypatch, body):
+    built = []
+    real_init = rings.FiniteRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rings.FiniteRing, "__init__", counting_init)
+    p = tmp_path / "r.ini"
+    p.write_text("[ring]\n" + body + "label = named\n")
+    ring = parse_ring_file(str(p))
+    assert ring.label == "named"
+    assert built == [ring.order]
 
 
 def test_ring_file_product_and_matrix(tmp_path):
@@ -123,7 +144,7 @@ def test_monoid_file(tmp_path):
 
 def test_sigma_selectors():
     ring = builtin_ring("prod:zn:2,zn:2")
-    assert resolve_sigma(ring, "id").is_identity
+    assert resolve_sigma(ring, "id").image == (0, 1, 2, 3)
     assert resolve_sigma(ring, "2").image == (0, 2, 1, 3)
     with pytest.raises(SpecFormatError) as exc:
         resolve_sigma(ring, "9")

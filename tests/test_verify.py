@@ -3,7 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import literal_product, series_over, skew_boxes, skew_contexts
+from conftest import (
+    lift_ideal_to_series,
+    literal_product,
+    series_over,
+    skew_boxes,
+    skew_contexts,
+)
 from skewseries import verify
 from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from skewseries.monoids import monoid_make
@@ -21,7 +27,6 @@ from skewseries.verify import (
     bounded_annihilator_in_A,
     coefficient_ideal_lift,
     counterexample_search,
-    lift_ideal_to_series,
     lift_subset_to_series,
     verify_corollaries,
     verify_prop34,
