@@ -1,0 +1,62 @@
+"""Byte pins on the jsonl of the class deciders, search and corollaries.
+
+Each digest is the sha256 of the jsonl that one in-process run writes.  They
+were recorded before the ordinary and generalized classes came to share one
+annihilator walk per ring side, so a refactor of the deciders that changes a
+verdict, a certificate, the record order or an error path shows up here.
+Criterion 09 already shows the output does not depend on the hash seed.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from skewseries.cli import run
+
+# (argv, exit code, sha256 of the jsonl output)
+GOLDEN = [
+    (('ring', 'check', '--ring', 'zn:2', '--class', 'all', '--side', 'both'),
+     0, "3a6a55af50319164747ed15ad66deeadc93ae1dcae9343d398711982b0ecce6c"),
+    (('ring', 'check', '--ring', 'zn:3', '--class', 'all', '--side', 'both'),
+     0, "852babb7ba2ee6606ff03e924452e5265c96afff8c29e163c7f2189d2f449a8d"),
+    (('ring', 'check', '--ring', 'zn:4', '--class', 'all', '--side', 'both'),
+     0, "0dc4426c072a8c6fb743fcb9811d9a8013243afacd5533f6891f1052b0c674be"),
+    (('ring', 'check', '--ring', 'zn:5', '--class', 'all', '--side', 'both'),
+     0, "cca08c1531ea1476a0fcd2760124f1224b4e553b9a9dc394cd225107788b8c6a"),
+    (('ring', 'check', '--ring', 'zn:6', '--class', 'all', '--side', 'both'),
+     0, "50a1a83c1f0b1b32b04fe8404bfe81f85ca863218ed343cb7fd1c8f9688d1c9f"),
+    (('ring', 'check', '--ring', 'zn:7', '--class', 'all', '--side', 'both'),
+     0, "3252e755e83c30d19b6728983beb0c3486c5a9bac15f0bbe0286da80a4e6fc9b"),
+    (('ring', 'check', '--ring', 'zn:8', '--class', 'all', '--side', 'both'),
+     0, "960a500d0aaefa23750e82861e0ae12dd39aea75d9cfe13c47936e40cb105375"),
+    (('ring', 'check', '--ring', 'prod:zn:2,zn:2', '--class', 'all', '--side', 'both'),
+     0, "e77e2a3a763d8aef3917d86cde0889cfe38ec30520667dc7f6b2722a8f88af2c"),
+    (('ring', 'check', '--ring', 'ut2:z2', '--class', 'all', '--side', 'both'),
+     0, "249d3d7126c34d8b78b0e92359d0293ee823d380e3d5d67736797f4fac965d72"),
+    (('ring', 'check', '--ring', 'mat2:z2', '--class', 'all', '--side', 'both'),
+     0, "ad643757c869d43ad852db022ecbde68a9ec0380110cc3bb04800c879ee2d0cc"),
+    (('ring', 'check', '--ring', 'prod:zn:3,zn:5', '--class', 'all', '--side', 'both'),
+     0, "becaed663049cd16506fcd6354c499ece56024ee3aabcd25ce1bbdc70ff36eee"),
+    (('ring', 'check', '--ring', 'mat2:z2', '--class', 'baer'),
+     0, "612256062b5d6c3318482c47e23d0e3bf318d63d16b6b0fd516d81b1735d7e1d"),
+    (('ring', 'check', '--ring', 'mat2:z2', '--class', 'quasi-baer'),
+     0, "73f72ab0b7e970dcdbe1cbb3a322568647c3f4bc49cc44434c9e38c54b0a5e61"),
+    (('ring', 'check', '--ring', 'mat2:z2', '--class', 'all', '--caps', 'ideal=4'),
+     3, "9173bf4b2cbedefd85cb6912ad0da81181379f5c95653f28e753078488be6755"),
+    (('ring', 'check', '--ring', 'mat2:z2', '--class', 'all', '--caps', 'subset=4'),
+     3, "84e53335dc205b918385c23ec8058426f0043334b4bfeb3ea4485f6adaba0e8c"),
+    (('search',),
+     0, "2aa95c2dd2a0e241a633952fab5ffbcb39e9cea08ff0e9b8b801730da5f5ee9f"),
+    (('verify', 'corollaries', '--ring', 'zn:4', '--box', '2', '--samples', '3', '--seed', '5'),
+     0, "ff2bf83bd49bdbf28819fe67fcd0239fef52581cefed340b7acecb046e3711b1"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN])
+def test_jsonl_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch):
+    monkeypatch.delenv("SKEWSERIES_CAPS", raising=False)
+    buf = io.StringIO()
+    assert run([*argv, "--output", "jsonl"], stream=buf) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
