@@ -24,7 +24,7 @@ from .errors import (
     SizeCapExceeded,
     SpecFormatError,
 )
-from .properties import decide_baer, decide_generalized, decide_quasi_baer
+from .properties import SIDES, class_profile
 from .rings import DEFAULT_CAPS, PropertyCertificate, idempotents
 from .series import (
     ARMENDARIZ_BUDGET,
@@ -51,13 +51,8 @@ from .verify import (
 EXIT_OK, EXIT_SPEC, EXIT_CAP, EXIT_HYPOTHESIS, EXIT_FAIL, EXIT_INTERNAL = 0, 2, 3, 4, 5, 6
 EXIT_BROKEN_PIPE = 1
 
-_CLASS_FLAGS = {
-    "baer": ("baer",),
-    "quasi-baer": ("quasi_baer",),
-    "gen-baer": ("gen_baer",),
-    "gen-quasi-baer": ("gen_quasi_baer",),
-    "all": ("baer", "quasi_baer", "gen_baer", "gen_quasi_baer"),
-}
+# --class values in report order; "all" runs each of them.
+_CLASS_FLAGS = ("baer", "quasi-baer", "gen-baer", "gen-quasi-baer")
 
 STATEMENTS = ("prop34", "thm37-baer", "thm37-quasibaer", "corollaries")
 
@@ -214,19 +209,16 @@ def cmd_ring(args, records, caps):
         })
         records.append({"record": "idempotents", "values": sorted(idempotents(ring))})
         return EXIT_OK
-    for cls in _CLASS_FLAGS[args.cls]:
-        if cls == "baer":
-            records.append(_verdict_record(name, "baer", None, decide_baer(ring, caps=caps)))
-        elif cls == "quasi_baer":
-            records.append(_verdict_record(name, "quasi-baer", None,
-                                           decide_quasi_baer(ring, caps)))
-        else:
-            base = "baer" if cls == "gen_baer" else "quasi_baer"
-            sides = ("right", "left") if args.side == "both" else (args.side,)
-            for side in sides:
-                cv = decide_generalized(ring, base, side, caps)
-                records.append(_verdict_record(
-                    name, "gen-" + base.replace("_", "-"), side, cv))
+    sides = SIDES if args.side == "both" else (args.side,)
+    wanted = [(flag, side, flag.replace("-", "_") + (f"_{side}" if side else ""))
+              for flag in (_CLASS_FLAGS if args.cls == "all" else (args.cls,))
+              for side in (sides if flag.startswith("gen-") else (None,))]
+    profiles = {}
+    for flag, side, cls in wanted:
+        kind = "quasi_baer" if "quasi" in flag else "baer"
+        if kind not in profiles:
+            profiles[kind] = class_profile(ring, kind, [w[2] for w in wanted], caps)
+        records.append(_verdict_record(name, flag, side, profiles[kind][cls]))
     return EXIT_OK
 
 
@@ -293,14 +285,8 @@ def _split_catalog(text):
 def cmd_search(args, records, caps):
     names = _split_catalog(args.catalog)
     catalog = [(n, resolve_ring(n, caps)) for n in names]
-    if args.properties == "all":
-        props = None
-    else:
-        props = tuple(p for p in args.properties.split(",") if p.strip())
-        for p in props:
-            if p not in SEARCH_KINDS:
-                raise SpecFormatError(
-                    f"unknown search property {p!r}; options: {', '.join(SEARCH_KINDS)}")
+    props = None if args.properties == "all" else tuple(
+        p for p in args.properties.split(",") if p.strip())
     monoid = resolve_monoid("nat:natural")
     out = counterexample_search(catalog, props, budget=args.budget,
                                 box=_box_slots(monoid, args.box), caps=caps)
@@ -365,7 +351,7 @@ def build_parser():
     check_p = ring_sub.add_parser("check", parents=[common], help="run class deciders")
     check_p.add_argument("--ring", required=True)
     check_p.add_argument("--class", dest="cls", default="all",
-                         choices=sorted(_CLASS_FLAGS))
+                         choices=sorted(_CLASS_FLAGS + ("all",)))
     check_p.add_argument("--side", default="right", choices=("right", "left", "both"),
                          help="side for the generalized classes")
 

@@ -1,9 +1,11 @@
 """Deciders for annihilator-based ring classes, with checkable certificates.
 
-Two routes exist on purpose.  decide_* share one bitmask routine with an
-early-stopping annihilator chain; oracle_decide_generalized recomputes every
-quantity from the definitions through the public ring operations.  The two
-are cross-checked in the test suite and must never be merged.
+Two routes exist on purpose.  decide_* go through class_profile, which walks
+each side once with one bitmask routine: a walk's depth-1 failures decide the
+ordinary class and its annihilator chain the generalized one on that side.
+oracle_decide_generalized recomputes every quantity from the definitions
+through the public ring operations.  The two are cross-checked in the test
+suite and must never be merged.
 
 The fast route asks every question on the right side.  A left-side question
 is the right-side question about the opposite ring, whose multiplication
@@ -72,7 +74,7 @@ def _mask_members(mask):
 
 
 def _decide(ring, cls, side, caps, climb, keep=True):
-    """(verdict, instance_kind, per_instance, failing_instance) for one side.
+    """(verdict, instance_kind, per_instance, failing, flat_failing) for one side.
 
     Instances are every nonempty subset in ascending bitmask order ('baer')
     or every side-matching ideal ('quasi_baer').  An instance's annihilator
@@ -86,11 +88,11 @@ def _decide(ring, cls, side, caps, climb, keep=True):
     keep=False collects no accepted triples and builds member tuples only
     for an instance that fails or climbs.
 
-    The ordinary classes stop at n = 1.  With climb, an instance whose
-    annihilator is not idempotent-generated climbs the chain of its n-fold
-    product sets until one is or the chain plateaus.  The chain ascends
-    (checked along the way) and a plateau is final, so stopping there is
-    exact.
+    Without climb the walk stops at the first instance whose annihilator is
+    not idempotent-generated; with climb that instance climbs the chain of
+    its n-fold product sets until one is or the chain plateaus.  The chain
+    ascends (checked along the way) and a plateau is final, so stopping
+    there is exact.  flat_failing is the first depth-1 failure, or None.
     """
     table = side_table(ring, side)
     n, zero = ring.order, ring.zero
@@ -109,7 +111,10 @@ def _decide(ring, cls, side, caps, climb, keep=True):
         # (depth, e, ann) where the chain of an instance with depth-1
         # annihilator ann stops: at its first idempotent-generated
         # annihilator, or with e None at depth 1 (no climb) or a plateau.
+        nonlocal flat
         power, depth, e = members, 1, genmap.get(ann)
+        if e is None and flat is None:
+            flat = (members, 1, _mask_members(ann))
         while e is None and climb:
             power = {table[p][x] for p in power for x in members}
             depth += 1
@@ -123,7 +128,7 @@ def _decide(ring, cls, side, caps, climb, keep=True):
             e = genmap.get(ann)
         return depth, e, ann
 
-    per_instance = []
+    per_instance, flat = [], None
     if cls != "baer":
         kind = f"{side}_ideal"
         for ideal in enumerate_ideals(ring, side, caps.ideal):
@@ -133,10 +138,10 @@ def _decide(ring, cls, side, caps, climb, keep=True):
                 ann &= singles[x]
             depth, e, ann = chain_end(members, ann)
             if e is None:
-                return False, kind, (), (members, depth, _mask_members(ann))
+                return False, kind, (), (members, depth, _mask_members(ann)), flat
             if keep:
                 per_instance.append((members, depth, e))
-        return True, kind, tuple(per_instance), None
+        return True, kind, tuple(per_instance), None, flat
     ann_at = [full] * (n + 1)
     members_at = [()] * (n + 1)
     for mask in range(1, 1 << n):
@@ -153,37 +158,54 @@ def _decide(ring, cls, side, caps, climb, keep=True):
                 members = _mask_members(mask)
             depth, e, ann = chain_end(members, ann)
             if e is None:
-                return False, "subset", (), (members, depth, _mask_members(ann))
+                return False, "subset", (), (members, depth, _mask_members(ann)), flat
             if keep:
                 per_instance.append((members, depth, e))
         elif keep:
             per_instance.append((members, 1, e))
-    return True, "subset", tuple(per_instance), None
-
-
-def _side_symmetric(ring, cls, side, caps):
-    # Both sides run and must agree (the class is left-right symmetric); only
-    # the reported side keeps its accepted triples.
-    runs = {s: _decide(ring, cls, s, caps, climb=False, keep=s == side) for s in SIDES}
-    if runs["right"][0] != runs["left"][0]:
-        raise InvariantViolation(f"{cls} verdict must be side-symmetric")
-    return ClassVerdict(ring, cls, *runs[side])
+    return True, "subset", tuple(per_instance), None, flat
 
 
 # ---------------------------------------------------------------------------
 # deciders
 
 
-def decide_baer(ring, side="right", caps=DEFAULT_CAPS):
+def class_profile(ring, cls, names, caps=DEFAULT_CAPS, keep=True):
+    """{class name: ClassVerdict} for the classes in names on cls's instances.
+
+    Each side is walked at most once and climbs only for its generalized
+    class.  A walk's first depth-1 failure decides the ordinary class; with
+    none, the ordinary certificate is the generalized one (all depth 1).
+    The ordinary class reports the right side, cross-checked with the left.
+    keep=False keeps no triples.  Names of the other instance kind are ignored.
+    """
+    _check_cls(cls)
+    ordinary, runs, profile = cls in names, {}, {}
+    for side in SIDES:
+        gen = f"gen_{cls}_{side}"
+        if gen in names or ordinary:
+            runs[side] = _decide(ring, cls, side, caps, climb=gen in names,
+                                 keep=keep and (gen in names or side == "right"))
+            if gen in names:
+                profile[gen] = ClassVerdict(ring, gen, *runs[side][:4])
+    if ordinary:
+        if (runs["right"][4] is None) != (runs["left"][4] is None):
+            raise InvariantViolation(f"{cls} verdict must be side-symmetric")
+        _, kind, per_instance, _, flat = runs["right"]
+        profile[cls] = ClassVerdict(ring, cls, flat is None, kind,
+                                    per_instance if flat is None else (), flat)
+    return profile
+
+
+def decide_baer(ring, caps=DEFAULT_CAPS):
     """Baer decision: every nonempty subset's annihilator is idempotent-generated.
 
     Both sides are computed and cross-checked equal (the class is known to
-    be left-right symmetric); the returned certificate reports the requested
-    side.  Subsets run in ascending bitmask order, so the reported failing
-    subset is the first one in that order.
+    be left-right symmetric); the certificate reports the right side.
+    Subsets run in ascending bitmask order, so the reported failing subset
+    is the first one in that order.
     """
-    _check_side(side)
-    return _side_symmetric(ring, "baer", side, caps)
+    return class_profile(ring, "baer", ("baer",), caps)["baer"]
 
 
 def decide_quasi_baer(ring, caps=DEFAULT_CAPS):
@@ -192,7 +214,7 @@ def decide_quasi_baer(ring, caps=DEFAULT_CAPS):
     The certificate reports the right side: right annihilators of right
     ideals, in ascending size-then-lexicographic ideal order.
     """
-    return _side_symmetric(ring, "quasi_baer", "right", caps)
+    return class_profile(ring, "quasi_baer", ("quasi_baer",), caps)["quasi_baer"]
 
 
 def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
@@ -203,8 +225,9 @@ def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
     idempotent-generated annihilator appears or the chain plateaus.  The two
     sides are genuinely independent classes here, so nothing is cross-checked.
     """
-    _check_cls(cls)
-    return ClassVerdict(ring, f"gen_{cls}_{side}", *_decide(ring, cls, side, caps, climb=True))
+    _check_side(side)
+    name = f"gen_{cls}_{side}"
+    return class_profile(ring, cls, (name,), caps)[name]
 
 
 def _check_side(side):

@@ -19,7 +19,7 @@ from .errors import (
     NonpositiveExponent,
 )
 from .monoids import check_refinement, monoid_make
-from .properties import decide_baer, decide_generalized, decide_quasi_baer
+from .properties import CLASS_NAMES, class_profile, decide_generalized
 from .rings import (
     DEFAULT_CAPS,
     PropertyCertificate,
@@ -372,8 +372,8 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
 
     cor38 covers both variants for generalized power series (natural order,
     identity twist); cor39/cor310 are the power series quasi-Baer and Baer
-    cases; cor311/cor312 are the polynomial cases, which use the trivial
-    order on the same finite supports.
+    cases, cor38's own runs, which run once; cor311/cor312 are the polynomial
+    cases, which use the trivial order on the same finite supports.
     """
     runs = (
         ("cor38", "natural", ("baer", "quasi_baer")),
@@ -383,6 +383,7 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
         ("cor312", "trivial", ("baer",)),
     )
     reports = []
+    subs = {}
     for statement, order_mode, variants in runs:
         monoid = monoid_make("nat_add", order_mode)
         ctx = SkewContext(ring, monoid)
@@ -390,7 +391,10 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
         entries = []
         slots = normalize_box(monoid, box)
         for variant in variants:
-            sub = verify_thm37(ctx, variant, slots, budget, seed, samples, caps)
+            key = order_mode, variant
+            if key not in subs:
+                subs[key] = verify_thm37(ctx, variant, slots, budget, seed, samples, caps)
+            sub = subs[key]
             hyps.extend(sub.hypotheses_checked)
             entries.extend(sub.conclusion_checked)
         outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
@@ -404,13 +408,15 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
 # ---------------------------------------------------------------------------
 # counterexample scan
 
-SEARCH_KINDS = (
-    "quasi_baer_not_baer",
-    "gen_baer_not_baer",
-    "gen_quasi_baer_not_gen_baer",
-    "left_right",
-    "armendariz",
-)
+# The class gaps a search looks for: (class that holds, class that fails, detail).
+_GAPS = {
+    "quasi_baer_not_baer": ("quasi_baer", "baer", "quasi-Baer but not Baer"),
+    "gen_baer_not_baer": ("gen_baer_right", "baer", "generalized right Baer but not Baer"),
+    "gen_quasi_baer_not_gen_baer": (
+        "gen_quasi_baer_right", "gen_baer_right",
+        "generalized right quasi-Baer but not generalized right Baer"),
+}
+SEARCH_KINDS = (*_GAPS, "left_right", "armendariz")
 
 
 def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1),
@@ -427,28 +433,13 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
     work = 0
     for name, ring in catalog:
         profile = {}
-        need_gaps = any(k in kinds for k in SEARCH_KINDS[:4])
-        if need_gaps:
-            profile["baer"] = decide_baer(ring, caps=caps).verdict
-            profile["quasi_baer"] = decide_quasi_baer(ring, caps).verdict
+        if any(k in kinds for k in SEARCH_KINDS[:4]):
             for cls in ("baer", "quasi_baer"):
-                for side in ("right", "left"):
-                    profile[f"gen_{cls}_{side}"] = decide_generalized(ring, cls, side, caps).verdict
-        if "quasi_baer_not_baer" in kinds and profile["quasi_baer"] and not profile["baer"]:
-            findings.append({
-                "kind": "quasi_baer_not_baer", "ring": name,
-                "detail": "quasi-Baer but not Baer",
-            })
-        if "gen_baer_not_baer" in kinds and profile["gen_baer_right"] and not profile["baer"]:
-            findings.append({
-                "kind": "gen_baer_not_baer", "ring": name,
-                "detail": "generalized right Baer but not Baer",
-            })
-        if "gen_quasi_baer_not_gen_baer" in kinds and profile["gen_quasi_baer_right"] and not profile["gen_baer_right"]:
-            findings.append({
-                "kind": "gen_quasi_baer_not_gen_baer", "ring": name,
-                "detail": "generalized right quasi-Baer but not generalized right Baer",
-            })
+                profile.update((cname, cv.verdict) for cname, cv in class_profile(
+                    ring, cls, CLASS_NAMES, caps, keep=False).items())
+        for kind, (holds, fails, detail) in _GAPS.items():
+            if kind in kinds and profile[holds] and not profile[fails]:
+                findings.append({"kind": kind, "ring": name, "detail": detail})
         if "left_right" in kinds:
             for cls in ("baer", "quasi_baer"):
                 if profile[f"gen_{cls}_right"] != profile[f"gen_{cls}_left"]:

@@ -285,8 +285,11 @@ def test_broken_invariant_exits_6(monkeypatch):
     real = properties._decide
 
     def lopsided(ring, cls, side, *args, **kwargs):
-        verdict, *rest = real(ring, cls, side, *args, **kwargs)
-        return (verdict if side == "right" else not verdict, *rest)
+        # Flip the left walk's depth-1 result, which decides the ordinary class.
+        *rest, flat = real(ring, cls, side, *args, **kwargs)
+        if side == "left":
+            flat = ((), 1, ()) if flat is None else None
+        return (*rest, flat)
 
     monkeypatch.setattr(properties, "_decide", lopsided)
     code, recs = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")
@@ -294,3 +297,59 @@ def test_broken_invariant_exits_6(monkeypatch):
     assert recs[-2] == {"record": "error", "kind": "internal",
                         "message": "baer verdict must be side-symmetric"}
     assert summary_of(recs)["exit"] == 6
+
+
+def test_unknown_search_property_is_a_spec_error():
+    code, recs = invoke_jsonl("search", "--catalog", "zn:2", "--properties", "armendariz,bogus")
+    assert code == 2
+    assert recs[-2] == {
+        "record": "error", "kind": "spec",
+        "message": "unknown search property 'bogus'; options: quasi_baer_not_baer, "
+                   "gen_baer_not_baer, gen_quasi_baer_not_gen_baer, left_right, armendariz"}
+    assert summary_of(recs)["exit"] == 2
+
+
+SINGLE_CLASS_RUNS = (
+    ("--class", "baer"),
+    ("--class", "quasi-baer"),
+    ("--class", "gen-baer", "--side", "right"),
+    ("--class", "gen-baer", "--side", "left"),
+    ("--class", "gen-quasi-baer", "--side", "right"),
+    ("--class", "gen-quasi-baer", "--side", "left"),
+)
+
+
+@pytest.mark.parametrize("ring", CATALOG_NAMES + ("prod:zn:3,zn:5", "prod:zn:4,zn:2"))
+def test_all_classes_in_one_run_equal_the_single_class_runs(ring):
+    # One walk per side answers several classes at once; every verdict it
+    # reports must be the one a run asking for that class alone reports.
+    def verdicts(*argv):
+        code, out = invoke("ring", "check", "--ring", ring, *argv, "--output", "jsonl")
+        assert code == 0
+        return [line for line in out.splitlines() if '"record":"verdict"' in line]
+
+    singles = [v for argv in SINGLE_CLASS_RUNS for v in verdicts(*argv)]
+    assert verdicts("--class", "all", "--side", "both") == singles
+
+
+@pytest.mark.parametrize("argv,walks", [
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "all", "--side", "both"), 4,
+                 id="all-both"),
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "all"), 4, id="all-right"),
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "baer"), 2, id="baer"),
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "gen-quasi-baer",
+                  "--side", "left"), 1, id="gen-quasi-baer-left"),
+    pytest.param(("search", "--catalog", "zn:4,zn:6,mat2:z2"), 3 * 4, id="search"),
+])
+def test_each_ring_side_is_walked_once_per_instance_kind(argv, walks, monkeypatch):
+    calls = []
+    real = properties._decide
+
+    def counted(ring, cls, side, *args, **kwargs):
+        calls.append((ring.label, cls, side))
+        return real(ring, cls, side, *args, **kwargs)
+
+    monkeypatch.setattr(properties, "_decide", counted)
+    code, _ = invoke_jsonl(*argv)
+    assert code == 0
+    assert len(set(calls)) == len(calls) == walks

@@ -51,8 +51,9 @@ def test_z6_and_fields_are_baer():
 
 
 def test_baer_is_side_symmetric():
+    # The opposite ring's right side is the ring's left side.
     for ring in (Z4, Z6, M2, ring_upper_triangular(ring_zn(2), 2)):
-        assert decide_baer(ring, "left").verdict == decide_baer(ring, "right").verdict
+        assert decide_baer(_opposite(ring)).verdict == decide_baer(ring).verdict
 
 
 def test_z4_is_generalized_right_baer_at_depth_two():
@@ -153,10 +154,12 @@ def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
         assert not verdict
     else:
         assert max(depth for _, depth, _ in per_instance) == deepest
+    # flat_failing is what the walk without a climb rejects first.
+    flat = _literal_subset_walk(ring, side, False)[2]
     kept = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=True)
-    assert kept == (verdict, "subset", per_instance, failing)
+    assert kept == (verdict, "subset", per_instance, failing, flat)
     bare = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=False)
-    assert bare == (verdict, "subset", (), failing)
+    assert bare == (verdict, "subset", (), failing, flat)
 
 
 def test_oracle_cap_guard():
