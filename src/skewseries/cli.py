@@ -6,6 +6,10 @@ those records; text mode is a rendering of the same list, so the records
 are the single source of truth.  Exit codes: 0 ok/PASS, 2 bad spec,
 3 cap or budget exceeded, 4 hypothesis not met, 5 conclusion FAIL,
 6 internal invariant broken.
+
+The series and verify modules are imported inside the subcommands and
+helpers that use them, so a `ring` command never loads them: each run is a
+fresh process, and start-up is most of a small run's time.
 """
 
 from __future__ import annotations
@@ -24,28 +28,14 @@ from .errors import (
     SizeCapExceeded,
     SpecFormatError,
 )
-from .properties import SIDES, class_profile
-from .rings import DEFAULT_CAPS, PropertyCertificate, idempotents
-from .series import (
-    ARMENDARIZ_BUDGET,
-    SkewContext,
-    SkewSeries,
-    format_series,
-    parse_series_literal,
-)
+from .properties import SEARCH_KINDS, SIDES, class_profile
+from .rings import ARMENDARIZ_BUDGET, DEFAULT_CAPS, PropertyCertificate, idempotents
 from .specfile import (
     CATALOG_NAMES,
     builtin_ring,
     resolve_monoid,
     resolve_ring,
     resolve_sigma,
-)
-from .verify import (
-    SEARCH_KINDS,
-    counterexample_search,
-    verify_corollaries,
-    verify_prop34,
-    verify_thm37,
 )
 
 EXIT_OK, EXIT_SPEC, EXIT_CAP, EXIT_HYPOTHESIS, EXIT_FAIL, EXIT_INTERNAL = 0, 2, 3, 4, 5, 6
@@ -64,7 +54,17 @@ def _box_slots(monoid, count):
     return monoid.box(count - 1)
 
 
+def _check_counts(args, *flags):
+    # Budgets and sample counts may be 0; a negative one is bad input.
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise SpecFormatError(f"--{flag} must be >= 0, got {value}")
+
+
 def _witness_text(w):
+    from .series import SkewSeries, format_series
+
     if w is None:
         return None
     if isinstance(w, SkewSeries):
@@ -241,6 +241,10 @@ def _report_records(records, report):
 
 
 def cmd_verify(args, records, caps):
+    from .series import SkewContext
+    from .verify import verify_corollaries, verify_prop34, verify_thm37
+
+    _check_counts(args, "budget", "samples")
     ring = resolve_ring(args.ring, caps)
     if args.statement == "corollaries":
         if args.monoid != "nat:natural" or args.sigma != "id":
@@ -283,6 +287,9 @@ def _split_catalog(text):
 
 
 def cmd_search(args, records, caps):
+    from .verify import counterexample_search
+
+    _check_counts(args, "budget")
     names = _split_catalog(args.catalog)
     catalog = [(n, resolve_ring(n, caps)) for n in names]
     props = None if args.properties == "all" else tuple(
@@ -298,6 +305,8 @@ def cmd_search(args, records, caps):
 
 
 def cmd_series(args, records, caps):
+    from .series import SkewContext, format_series, parse_series_literal
+
     ring = resolve_ring(args.ring, caps)
     monoid = resolve_monoid(args.monoid)
     ctx = SkewContext(ring, monoid, resolve_sigma(ring, args.sigma, caps))

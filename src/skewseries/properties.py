@@ -16,12 +16,10 @@ Re of the ring itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
     DEFAULT_CAPS,
-    FiniteRing,
+    FrozenRecord,
     annihilator,
     enumerate_ideals,
     idempotents,
@@ -40,24 +38,32 @@ CLASS_NAMES = (
 
 SIDES = ("right", "left")
 
+# The class gaps a counterexample search looks for: (class that holds, class
+# that fails, detail).  The CLI parser lists them, so they live here, beside
+# the class names, rather than in the search code.
+_GAPS = {
+    "quasi_baer_not_baer": ("quasi_baer", "baer", "quasi-Baer but not Baer"),
+    "gen_baer_not_baer": ("gen_baer_right", "baer", "generalized right Baer but not Baer"),
+    "gen_quasi_baer_not_gen_baer": (
+        "gen_quasi_baer_right", "gen_baer_right",
+        "generalized right quasi-Baer but not generalized right Baer"),
+}
+SEARCH_KINDS = (*_GAPS, "left_right", "armendariz")
 
-@dataclass(frozen=True)
-class ClassVerdict:
+
+class ClassVerdict(FrozenRecord):
     """Decision for one ring class.
 
     per_instance holds (members, n, e) triples for accepting runs: the
     instance's sorted element tuple, the accepted annihilator-chain depth,
     and the generating idempotent.  failing_instance is (members, n_reached,
     stable_annihilator) for the first rejected instance, with per_instance
-    left empty.  instance_kind says what the instances were.
+    left empty.  instance_kind says what the instances were.  ring is the
+    FiniteRing decided and class_name one of CLASS_NAMES.
     """
 
-    ring: FiniteRing
-    class_name: str
-    verdict: bool
-    instance_kind: str
-    per_instance: tuple
-    failing_instance: tuple | None
+    __slots__ = ("ring", "class_name", "verdict", "instance_kind", "per_instance",
+                 "failing_instance")
 
 
 # ---------------------------------------------------------------------------

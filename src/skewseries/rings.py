@@ -9,8 +9,6 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-
 from .errors import (
     AxiomViolation,
     EmptySubset,
@@ -20,30 +18,87 @@ from .errors import (
     SpecFormatError,
 )
 
+# Default pair budget of the exhaustive Armendariz search (series.py); it
+# lives here because the CLI parser needs it before any series code loads.
+ARMENDARIZ_BUDGET = 2_000_000
 
-@dataclass(frozen=True)
-class Caps:
+
+class FrozenRecord:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in __slots__ and gives the defaults of
+    trailing fields in _defaults.  Records are built from positional or
+    keyword arguments (a missing or unknown field is a TypeError), refuse
+    assignment, repr as Name(field=value, ...), and compare and hash by
+    their field values, equal only to records of the same class.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)} arguments")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            kwargs[name] = value
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+        for name in names:
+            if name in kwargs:
+                value = kwargs[name]
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Caps(FrozenRecord):
     """Size caps of one run, each a bound on ring order.
 
     subset: subset enumeration in the Baer deciders; endo: endomorphism
     search; ideal: ideal enumeration; order: ring construction.
     """
 
-    subset: int = 16
-    endo: int = 16
-    ideal: int = 16
-    order: int = 64
+    __slots__ = ("subset", "endo", "ideal", "order")
+    _defaults = {"subset": 16, "endo": 16, "ideal": 16, "order": 64}
 
     def updated(self, text, source):
         """These caps with 'name=int,...' entries from text applied.
 
-        Blank text changes nothing; any other malformed or unknown entry is
-        a SpecFormatError naming its source.
+        Blank text changes nothing; any other malformed, unknown or negative
+        entry is a SpecFormatError naming its source.
         """
         if not text.strip():
             return self
-        names = sorted(f.name for f in fields(self))
-        values = {}
+        names = sorted(self.__slots__)
+        values = {name: getattr(self, name) for name in self.__slots__}
         for part in text.split(","):
             key, sep, value = part.partition("=")
             key = key.strip()
@@ -54,24 +109,25 @@ class Caps:
                 values[key] = int(value)
             except ValueError:
                 raise SpecFormatError(f"cap {key} in {source} needs an integer, got {value!r}")
-        return replace(self, **values)
+            if values[key] < 0:
+                raise SpecFormatError(f"cap {key} in {source} must be >= 0, got {values[key]}")
+        return Caps(**values)
 
 
 DEFAULT_CAPS = Caps()
 
 
-@dataclass(frozen=True)
-class PropertyCertificate:
+class PropertyCertificate(FrozenRecord):
     """Outcome of a decidable or bounded check.
 
     verdict is 'yes', 'no', or 'unknown-at-bound'.  Refuting certificates
-    carry a witness.  notes records the scope of the scan that produced the
-    verdict, so every certificate says what was actually checked.
+    carry a witness (a tuple or None).  notes records the scope of the scan
+    that produced the verdict, so every certificate says what was actually
+    checked.
     """
 
-    verdict: str
-    witness: tuple | None = None
-    notes: str = ""
+    __slots__ = ("verdict", "witness", "notes")
+    _defaults = {"witness": None, "notes": ""}
 
 
 class FiniteRing:
@@ -542,16 +598,13 @@ def enumerate_ideals(ring, side="right", cap=None):
 # endomorphisms
 
 
-@dataclass(frozen=True)
-class RingEndomorphism:
+class RingEndomorphism(FrozenRecord):
     """A unital ring endomorphism, stored as the image tuple of 0..order-1."""
 
-    ring: FiniteRing
-    image: tuple
+    __slots__ = ("ring", "image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        ring, image = self.ring, self.image
+    def __init__(self, ring, image):
+        image = tuple(image)
         n = ring.order
         if len(image) != n or any(not 0 <= y < n for y in image):
             raise ValueError("image must list one ring element per element")
@@ -565,6 +618,7 @@ class RingEndomorphism:
                     raise ValueError(f"not additive at ({a},{b})")
                 if image[ring.mul(a, b)] != ring.mul(image[a], image[b]):
                     raise ValueError(f"not multiplicative at ({a},{b})")
+        super().__init__(ring, image)
 
     def __call__(self, x):
         return self.image[x]

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .monoids import OrderedMonoid
 from .rings import (
+    ARMENDARIZ_BUDGET,
     FiniteRing,
     PropertyCertificate,
     RingEndomorphism,
@@ -34,8 +35,6 @@ from .rings import (
     identity_endomorphism,
     is_reduced,
 )
-
-ARMENDARIZ_BUDGET = 2_000_000
 
 
 class SkewContext:

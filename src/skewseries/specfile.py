@@ -1,14 +1,13 @@
 """Resolution of ring, monoid, and twist selectors used by the CLI.
 
-Builtin ring names follow fixed patterns (zn:N, prod:zn:A,zn:B, mat2:z2,
-ut2:z2); a path to an INI spec file overrides the builtin namespace.  All
-format problems raise SpecFormatError so the front end can map them to one
-exit code.
+Builtin ring names follow fixed patterns (zn:N, prod:zn:A,zn:B and
+(mat|ut)(2|3):zN, with N, A, B >= 2); a path to an INI spec file overrides
+the builtin namespace.  All format problems raise SpecFormatError so the
+front end can map them to one exit code.
 """
 
 from __future__ import annotations
 
-import configparser
 import os
 import re
 
@@ -60,8 +59,8 @@ def builtin_ring(name, caps=DEFAULT_CAPS):
         maker = ring_matrix if m.group(1) == "mat" else ring_upper_triangular
         return maker(base, k, caps.order)
     raise SpecFormatError(
-        f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B, "
-        f"mat2:z2, ut2:z2, and a file path overrides them")
+        f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B and "
+        f"(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them")
 
 
 def _positive(text, context, low=1):
@@ -79,6 +78,9 @@ def resolve_ring(spec, caps=DEFAULT_CAPS):
 
 
 def _read_ini(path, section):
+    # Only spec files need configparser, so only they pay for its import.
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:

@@ -10,7 +10,6 @@ report says so in its scope note.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -19,9 +18,11 @@ from .errors import (
     NonpositiveExponent,
 )
 from .monoids import check_refinement, monoid_make
-from .properties import CLASS_NAMES, class_profile, decide_generalized
+from .properties import _GAPS, CLASS_NAMES, SEARCH_KINDS, class_profile, decide_generalized
 from .rings import (
+    ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
+    FrozenRecord,
     PropertyCertificate,
     additive_generators,
     annihilator,
@@ -31,7 +32,6 @@ from .rings import (
     subset_power,
 )
 from .series import (
-    ARMENDARIZ_BUDGET,
     SkewContext,
     SkewSeries,
     _annihilating_vectors,
@@ -49,48 +49,37 @@ from .series import (
 ANNIHILATOR_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class ConclusionEntry:
-    """One checked instance: which statement direction, what, and the verdict."""
+class ConclusionEntry(FrozenRecord):
+    """One checked instance: which statement direction, what, and the verdict
+    (ok), with a witness string when it failed."""
 
-    statement_id: str
-    instance: str
-    ok: bool
-    witness: str | None = None
+    __slots__ = ("statement_id", "instance", "ok", "witness")
+    _defaults = {"witness": None}
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(FrozenRecord):
     """Outcome of one verification run.
 
     outcome is PASS only when every hypothesis certificate is consistent and
     every conclusion entry passed.  scope_note states the finite-support
     restriction under which the quantifiers were evaluated.
+    hypotheses_checked holds (name, PropertyCertificate) pairs.
     """
 
-    statement_id: str
-    outcome: str
-    hypotheses_checked: tuple
-    conclusion_checked: tuple
-    scope_note: str
+    __slots__ = ("statement_id", "outcome", "hypotheses_checked", "conclusion_checked",
+                 "scope_note")
 
 
-@dataclass(frozen=True)
-class CoefficientIdealLift:
+class CoefficientIdealLift(FrozenRecord):
     """Coefficient data of a series family: per-exponent sets, union, ideal."""
 
-    per_exponent: tuple
-    union: tuple
-    generated_ideal: tuple
+    __slots__ = ("per_exponent", "union", "generated_ideal")
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(FrozenRecord):
     """Findings from a counterexample scan; never asserts anything."""
 
-    findings: tuple
-    exhausted: bool
-    work: int
+    __slots__ = ("findings", "exhausted", "work")
 
 
 def _fmt_box(box):
@@ -224,7 +213,17 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
     return TheoremReport("prop34", outcome, hyps, tuple(entries), _scope_note(ctx, slots))
 
 
-def _thm37_hypotheses(ctx, slots, variant, budget, caps):
+def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
+    """Hypothesis certificates of one Thm 3.7 run, in order, and its
+    ring-side run; HypothesisNotMet names the first hypothesis that fails.
+
+    shared keeps the Armendariz certificate (under "armendariz") and each
+    variant's ring-side run (under the variant) for later runs over the same
+    ring, twist and box, which is all they depend on: the Armendariz scan
+    multiplies finite-support series, which never consults the order.  Each
+    is computed when a run first needs it, so the hypothesis that fails
+    first is the one that would fail without sharing.
+    """
     order = check_refinement(ctx.monoid, max(abs(c) for e in slots for c in e))
     if order.verdict != "yes":
         raise HypothesisNotMet("quasitotal_order", order)
@@ -233,11 +232,15 @@ def _thm37_hypotheses(ctx, slots, variant, budget, caps):
     if compat.verdict != "yes":
         raise HypothesisNotMet("s_compatible", compat)
     hyps.append(("s_compatible", compat))
-    arm = armendariz_search(ctx, slots, "exhaustive", budget)
+    arm = shared.get("armendariz")
+    if arm is None:
+        arm = shared["armendariz"] = armendariz_search(ctx, slots, "exhaustive", budget)
     if arm.verdict == "no":
         raise HypothesisNotMet("armendariz_at_box", arm)
     hyps.append(("armendariz_at_box", arm))
-    rv = decide_generalized(ctx.ring, variant, "right", caps)
+    rv = shared.get(variant)
+    if rv is None:
+        rv = shared[variant] = decide_generalized(ctx.ring, variant, "right", caps)
     if not rv.verdict:
         raise HypothesisNotMet(
             f"ring_gen_right_{variant}",
@@ -268,10 +271,15 @@ def verify_thm37(ctx, variant, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20
     gives the same annihilator (see bounded_annihilator_in_A) from
     len(gens) * len(box) series instead of |I|**len(box).
     """
+    return _run_thm37(ctx, variant, box, budget, seed, samples, caps, {})
+
+
+def _run_thm37(ctx, variant, box, budget, seed, samples, caps, shared):
+    """verify_thm37 with hypothesis work shared as _thm37_hypotheses says."""
     if variant not in ("baer", "quasi_baer"):
         raise ValueError(f"variant must be 'baer' or 'quasi_baer', got {variant!r}")
     slots = normalize_box(ctx.monoid, box)
-    hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps)
+    hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps, shared)
     forward_id = "prop36_1" if variant == "baer" else "prop36_2"
     backward_id = "prop35_1" if variant == "baer" else "prop35_2"
     ring = ctx.ring
@@ -373,7 +381,8 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
     cor38 covers both variants for generalized power series (natural order,
     identity twist); cor39/cor310 are the power series quasi-Baer and Baer
     cases, cor38's own runs, which run once; cor311/cor312 are the polynomial
-    cases, which use the trivial order on the same finite supports.
+    cases, which use the trivial order on the same finite supports.  All runs
+    share one Armendariz scan and one ring-side run per variant.
     """
     runs = (
         ("cor38", "natural", ("baer", "quasi_baer")),
@@ -384,6 +393,7 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
     )
     reports = []
     subs = {}
+    shared = {}
     for statement, order_mode, variants in runs:
         monoid = monoid_make("nat_add", order_mode)
         ctx = SkewContext(ring, monoid)
@@ -393,7 +403,7 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
         for variant in variants:
             key = order_mode, variant
             if key not in subs:
-                subs[key] = verify_thm37(ctx, variant, slots, budget, seed, samples, caps)
+                subs[key] = _run_thm37(ctx, variant, slots, budget, seed, samples, caps, shared)
             sub = subs[key]
             hyps.extend(sub.hypotheses_checked)
             entries.extend(sub.conclusion_checked)
@@ -407,16 +417,6 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
 
 # ---------------------------------------------------------------------------
 # counterexample scan
-
-# The class gaps a search looks for: (class that holds, class that fails, detail).
-_GAPS = {
-    "quasi_baer_not_baer": ("quasi_baer", "baer", "quasi-Baer but not Baer"),
-    "gen_baer_not_baer": ("gen_baer_right", "baer", "generalized right Baer but not Baer"),
-    "gen_quasi_baer_not_gen_baer": (
-        "gen_quasi_baer_right", "gen_baer_right",
-        "generalized right quasi-Baer but not generalized right Baer"),
-}
-SEARCH_KINDS = (*_GAPS, "left_right", "armendariz")
 
 
 def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1),

@@ -187,7 +187,10 @@ def test_bad_sigma_index_names_the_valid_range():
 def test_unknown_ring_is_a_spec_error():
     code, recs = invoke_jsonl("ring", "show", "--ring", "zn:banana")
     assert code == 2
-    assert any(r["record"] == "error" and r["kind"] == "spec" for r in recs)
+    assert recs[-2] == {
+        "record": "error", "kind": "spec",
+        "message": "unknown ring 'zn:banana'; builtins match zn:N, prod:zn:A,zn:B and "
+                   "(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them"}
 
 
 def test_caps_flag_trips_the_subset_cap():
@@ -220,7 +223,7 @@ def test_env_caps_apply_and_the_flag_overrides_them(monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("entry", ["bogus=3", "subset=x", "subset"])
+@pytest.mark.parametrize("entry", ["bogus=3", "subset=x", "subset", "subset=-1"])
 def test_bad_env_caps_entry_is_a_spec_error(monkeypatch, entry):
     monkeypatch.setenv("SKEWSERIES_CAPS", entry)
     code, recs = invoke_jsonl("ring", "list")
@@ -228,6 +231,35 @@ def test_bad_env_caps_entry_is_a_spec_error(monkeypatch, entry):
     err = next(r for r in recs if r["record"] == "error")
     assert err["kind"] == "spec" and "SKEWSERIES_CAPS" in err["message"]
     assert summary_of(recs)["exit"] == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("ring", "check", "--ring", "zn:4", "--caps", "subset=-1"),
+     "cap subset in --caps must be >= 0, got -1"),
+    (("verify", "thm37-baer", "--ring", "zn:4", "--budget", "-5"),
+     "--budget must be >= 0, got -5"),
+    (("search", "--catalog", "zn:2", "--budget", "-5"), "--budget must be >= 0, got -5"),
+    (("verify", "thm37-quasibaer", "--ring", "zn:4", "--samples", "-1"),
+     "--samples must be >= 0, got -1"),
+])
+def test_negative_counts_are_spec_errors(argv, message):
+    code, recs = invoke_jsonl(*argv)
+    assert code == 2
+    assert recs[-2] == {"record": "error", "kind": "spec", "message": message}
+    assert summary_of(recs)["exit"] == 2
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    # A zero cap or budget is a valid value that stops the run at once.
+    (("ring", "check", "--ring", "zn:4", "--caps", "subset=0"), 3),
+    (("verify", "thm37-baer", "--ring", "zn:4", "--budget", "0"), 3),
+    (("search", "--catalog", "zn:2", "--budget", "0"), 3),
+    (("verify", "thm37-quasibaer", "--ring", "zn:4", "--samples", "0"), 0),
+])
+def test_zero_counts_stay_valid(argv, exit_code):
+    code, recs = invoke_jsonl(*argv)
+    assert code == exit_code
+    assert all(r.get("kind") != "spec" for r in recs)
 
 
 def test_series_subcommand_sum_and_product():

@@ -1,0 +1,173 @@
+"""Package surface: the immutable records, the lazy exports, and what
+importing the CLI loads."""
+
+import dataclasses
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import skewseries
+from skewseries.properties import ClassVerdict
+from skewseries.rings import Caps, PropertyCertificate, RingEndomorphism, ring_zn
+from skewseries.verify import ConclusionEntry, CoefficientIdealLift, SearchOutcome, TheoremReport
+
+Z2 = ring_zn(2)
+
+# (class, a full set of field values, the defaults of its trailing fields)
+RECORDS = [
+    (Caps, (1, 2, 3, 4), {"subset": 16, "endo": 16, "ideal": 16, "order": 64}),
+    (PropertyCertificate, ("no", (1, 2), "scan"), {"witness": None, "notes": ""}),
+    (RingEndomorphism, (Z2, (0, 1)), {}),
+    (ClassVerdict, (Z2, "baer", True, "subsets", (((0,), 1, 1),), None), {}),
+    (ConclusionEntry, ("prop34", "count", False, "1 != 2"), {"witness": None}),
+    (TheoremReport, ("prop34", "PASS", (), (), "box {0}"), {}),
+    (CoefficientIdealLift, (((0,), (1,)), (1,), (0, 1)), {}),
+    (SearchOutcome, ((), False, 0), {}),
+]
+IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def _reference(cls, defaults):
+    """The frozen dataclass these records replace, with the same fields."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(name, object, dataclasses.field(default=defaults[name])) if name in defaults
+         else (name, object) for name in cls.__slots__],
+        frozen=True)
+
+
+@pytest.mark.parametrize("cls,values,defaults", RECORDS, ids=IDS)
+def test_record_is_frozen(cls, values, defaults):
+    rec = cls(*values)
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert tuple(getattr(rec, name) for name in cls.__slots__) == values
+
+
+@pytest.mark.parametrize("cls,values,defaults", RECORDS, ids=IDS)
+def test_record_equality_and_hash_stay_within_the_class(cls, values, defaults):
+    rec = cls(*values)
+    same = cls(**dict(zip(cls.__slots__, values)))
+    assert rec == same and hash(rec) == hash(same)
+    assert len({rec, same}) == 1
+    # The hash is the one the frozen dataclass gave, so set orders keep.
+    assert hash(rec) == hash(_reference(cls, defaults)(*values))
+    assert rec != values and values != rec
+    assert rec != _reference(cls, defaults)(*values)
+    others = [other(*vals) for other, vals, _ in RECORDS
+              if other is not cls and len(vals) == len(values)]
+    assert all(rec != other for other in others)
+
+
+def test_records_with_different_values_differ():
+    assert PropertyCertificate("no") != PropertyCertificate("yes")
+    assert Caps() != Caps(subset=15)
+    assert RingEndomorphism(Z2, (0, 1)) != RingEndomorphism(ring_zn(2), (0, 1))
+
+
+@pytest.mark.parametrize("cls,values,defaults", RECORDS, ids=IDS)
+def test_record_repr_is_the_dataclass_repr(cls, values, defaults):
+    assert repr(cls(*values)) == repr(_reference(cls, defaults)(*values))
+
+
+@pytest.mark.parametrize("cls,values,defaults", RECORDS, ids=IDS)
+def test_record_defaults_and_bad_fields(cls, values, defaults):
+    required = len(cls.__slots__) - len(defaults)
+    assert cls(*values[:required]) == cls(*values[:required], *defaults.values())
+    if required:
+        with pytest.raises(TypeError):
+            cls(*values[:required - 1])
+    with pytest.raises(TypeError):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, **{cls.__slots__[0]: values[0]})
+
+
+def test_endomorphism_validation_is_unchanged():
+    with pytest.raises(ValueError, match="must fix 1"):
+        RingEndomorphism(Z2, [0, 0])
+    with pytest.raises(ValueError, match="one ring element per element"):
+        RingEndomorphism(Z2, (0, 1, 1))
+    assert RingEndomorphism(Z2, [0, 1]).image == (0, 1)
+
+
+def test_caps_updated_reads_the_slot_names():
+    assert Caps().updated("endo=3, order=9", "test") == Caps(16, 3, 16, 9)
+    assert Caps().updated("subset=0", "test").subset == 0
+    caps = Caps()
+    assert caps.updated("  ", "test") is caps
+
+
+def test_every_export_resolves_to_its_defining_module():
+    assert len(set(skewseries.__all__)) == len(skewseries.__all__)
+    for name in skewseries.__all__:
+        value = getattr(skewseries, name)
+        module = importlib.import_module(f"skewseries.{skewseries._EXPORTS[name]}")
+        assert value is getattr(module, name)
+        if hasattr(value, "__module__"):
+            assert value.__module__ == module.__name__, name
+    assert set(skewseries.__all__) <= set(dir(skewseries))
+
+
+def test_star_import_and_unknown_names():
+    namespace = {}
+    exec("from skewseries import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(skewseries.__all__)
+    with pytest.raises(AttributeError):
+        skewseries.no_such_name
+
+
+def test_submodules_stay_reachable_from_the_package():
+    loaded = _modules_loaded("import skewseries\nassert skewseries.verify.verify_thm37")
+    assert {"skewseries.verify", "skewseries.series"} <= loaded
+
+
+def _modules_loaded(code):
+    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, check=True)
+    return set(proc.stdout.split())
+
+
+# What a ring command needs beyond argparse and json.
+RING_COMMAND_MODULES = {
+    "__future__",
+    "skewseries",
+    "skewseries.cli",
+    "skewseries.errors",
+    "skewseries.monoids",
+    "skewseries.properties",
+    "skewseries.rings",
+    "skewseries.specfile",
+}
+
+
+def test_cli_import_loads_only_what_ring_commands_need():
+    # A fresh process pays for every import, so a module that creeps into
+    # this set slows every run of the CLI.
+    added = _modules_loaded("import skewseries.cli") - _modules_loaded("import argparse, json")
+    assert added == RING_COMMAND_MODULES
+    assert not {"dataclasses", "configparser", "skewseries.series", "skewseries.verify"} & added
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "check", "--ring", "zn:4", "--class", "all", "--side", "both"],
+    ["ring", "show", "--ring", "ut2:z2"],
+    ["ring", "list"],
+], ids=["check", "show", "list"])
+def test_ring_commands_load_no_series_code(argv):
+    loaded = _modules_loaded(
+        f"import io\nfrom skewseries.cli import run\nrun({argv!r}, io.StringIO())")
+    assert {m for m in loaded if m.startswith("skewseries")} == RING_COMMAND_MODULES - {"__future__"}

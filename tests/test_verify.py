@@ -155,6 +155,44 @@ def test_corollaries_all_specialize():
     assert "natural" in reports[1].scope_note
 
 
+COROLLARY_RUNS = (
+    ("natural", ("baer", "quasi_baer")),
+    ("natural", ("quasi_baer",)),
+    ("natural", ("baer",)),
+    ("trivial", ("quasi_baer",)),
+    ("trivial", ("baer",)),
+)
+
+
+def test_corollaries_run_each_distinct_hypothesis_once(monkeypatch):
+    # The Armendariz scan depends on the ring, twist and box only, and the
+    # ring-side run on the variant only, so five corollaries need one scan
+    # and two ring-side runs.
+    arm_calls, ring_runs = [], []
+    real_arm, real_decide = verify.armendariz_search, verify.decide_generalized
+
+    def arm(*args, **kwargs):
+        arm_calls.append(args[1:])
+        return real_arm(*args, **kwargs)
+
+    def decide(ring, cls, *args, **kwargs):
+        ring_runs.append(cls)
+        return real_decide(ring, cls, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "armendariz_search", arm)
+    monkeypatch.setattr(verify, "decide_generalized", decide)
+    reports = verify_corollaries(Z4, [0, 1], samples=2, seed=3)
+    assert len(arm_calls) == 1
+    assert ring_runs == ["baer", "quasi_baer"]
+    # Each corollary still reports what its own Thm 3.7 runs report.
+    monkeypatch.undo()
+    for report, (mode, variants) in zip(reports, COROLLARY_RUNS, strict=True):
+        ctx = SkewContext(Z4, monoid_make("nat_add", mode))
+        alone = [verify_thm37(ctx, v, [0, 1], samples=2, seed=3) for v in variants]
+        assert report.hypotheses_checked == tuple(h for r in alone for h in r.hypotheses_checked)
+        assert report.conclusion_checked == tuple(e for r in alone for e in r.conclusion_checked)
+
+
 def test_search_finds_the_z4_gap():
     out = counterexample_search([("zn:4", Z4)], properties=("gen_baer_not_baer",))
     assert [f["kind"] for f in out.findings] == ["gen_baer_not_baer"]
