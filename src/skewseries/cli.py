@@ -29,7 +29,7 @@ from .errors import (
     SpecFormatError,
 )
 from .properties import SEARCH_KINDS, SIDES, class_profile
-from .rings import ARMENDARIZ_BUDGET, DEFAULT_CAPS, PropertyCertificate, idempotents
+from .rings import ARMENDARIZ_BUDGET, DEFAULT_CAPS, PropertyCertificate, check_counts, idempotents
 from .specfile import (
     CATALOG_NAMES,
     builtin_ring,
@@ -52,14 +52,6 @@ def _box_slots(monoid, count):
     if count < 1:
         raise SpecFormatError(f"--box must be >= 1, got {count}")
     return monoid.box(count - 1)
-
-
-def _check_counts(args, *flags):
-    # Budgets and sample counts may be 0; a negative one is bad input.
-    for flag in flags:
-        value = getattr(args, flag)
-        if value < 0:
-            raise SpecFormatError(f"--{flag} must be >= 0, got {value}")
 
 
 def _witness_text(w):
@@ -151,15 +143,31 @@ def _text_lines(r):
 
 
 def _emit(records, mode, stream):
-    if mode == "jsonl":
-        for r in records:
-            # Records are freshly built trees, so there are no cycles to look for.
-            stream.write(json.dumps(r, sort_keys=True, separators=(",", ":"),
-                                    check_circular=False) + "\n")
-    else:
+    if mode != "jsonl":
         for r in records:
             for line in _text_lines(r):
                 stream.write(line + "\n")
+        return
+    # Records are freshly built trees, so there are no cycles to look for.
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+    # Verdicts may share one certificate tuple (the ordinary class and its
+    # generalized right side, both sides of a commutative ring).  Each is
+    # encoded once, and its text is kept only until the last record using it.
+    last, texts = {id(r.get("instances")): i for i, r in enumerate(records)}, {}
+    for i, r in enumerate(records):
+        if r.get("instances") is None:
+            stream.write(encode(r) + "\n")
+            continue
+        key = id(r["instances"])
+        if key not in texts:
+            texts[key] = encode(r["instances"])
+        # Key by key, in sort_keys order, so the text is never copied.
+        for j, k in enumerate(sorted(r)):
+            stream.write(("," if j else "{") + encode(k) + ":")
+            stream.write(texts[key] if k == "instances" else encode(r[k]))
+        stream.write("}\n")
+        if last[key] == i:
+            del texts[key]
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +182,10 @@ def _verdict_record(name, cli_class, side, cv):
         "side": side,
         "verdict": cv.verdict,
         "instance_kind": cv.instance_kind,
-        "instances": None,
+        "instances": cv.per_instance if cv.verdict else None,
         "failing": None,
     }
-    if cv.verdict:
-        rec["instances"] = cv.per_instance
-    elif cv.failing_instance is not None:
+    if not cv.verdict and cv.failing_instance is not None:
         members, n_reached, stable = cv.failing_instance
         rec["failing"] = {
             "members": list(members),
@@ -244,7 +250,7 @@ def cmd_verify(args, records, caps):
     from .series import SkewContext
     from .verify import verify_corollaries, verify_prop34, verify_thm37
 
-    _check_counts(args, "budget", "samples")
+    check_counts(SpecFormatError, "--", budget=args.budget, samples=args.samples)
     ring = resolve_ring(args.ring, caps)
     if args.statement == "corollaries":
         if args.monoid != "nat:natural" or args.sigma != "id":
@@ -289,7 +295,7 @@ def _split_catalog(text):
 def cmd_search(args, records, caps):
     from .verify import counterexample_search
 
-    _check_counts(args, "budget")
+    check_counts(SpecFormatError, "--", budget=args.budget)
     names = _split_catalog(args.catalog)
     catalog = [(n, resolve_ring(n, caps)) for n in names]
     props = None if args.properties == "all" else tuple(

@@ -16,6 +16,8 @@ Re of the ring itself.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
     DEFAULT_CAPS,
@@ -71,12 +73,16 @@ class ClassVerdict(FrozenRecord):
 
 
 def _mask_members(mask):
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _subset_table(singles, full, first, count):
+    # (annihilators, member tuples) of the subsets of first..first+count-1.
+    anns, members = [full], [()]
+    for x in range(first, first + count):
+        anns += [ann & singles[x] for ann in anns]
+        members += [m + (x,) for m in members]
+    return anns, members
 
 
 def _decide(ring, cls, side, caps, climb, keep=True):
@@ -86,13 +92,12 @@ def _decide(ring, cls, side, caps, climb, keep=True):
     or every side-matching ideal ('quasi_baer').  An instance's annihilator
     is the AND of its members' bitmask annihilators on the side table.
 
-    The subset walk reuses earlier masks.  A mask is its lowest bit t plus a
-    smaller mask whose lowest bit u lies above t, and that smaller mask is
-    the last one visited with lowest bit u.  So slot k of ann_at and
-    members_at holds the last mask visited with lowest bit k (slot n is the
-    empty set), and each subset costs one AND and, with keep, one tuple.
-    keep=False collects no accepted triples and builds member tuples only
-    for an instance that fails or climbs.
+    The subset walk goes by blocks.  A mask is its low c = min(n, 8) bits
+    plus its high bits; the annihilators and member tuples of the 2^c low
+    parts and of the high parts are built once, so a block (the masks with
+    one high part) costs one AND and one generator lookup per mask.  Only
+    the masks whose annihilator is not idempotent-generated go one by one.
+    The ideals form one block.  keep=False collects no accepted triples.
 
     Without climb the walk stops at the first instance whose annihilator is
     not idempotent-generated; with climb that instance climbs the chain of
@@ -113,20 +118,24 @@ def _decide(ring, cls, side, caps, climb, keep=True):
             genmap.setdefault(sum(1 << p for p in set(table[e])), e)
     full = (1 << n) - 1
 
+    def ann_of(elements):
+        ann = full
+        for x in elements:
+            ann &= singles[x]
+        return ann
+
     def chain_end(members, ann):
-        # (depth, e, ann) where the chain of an instance with depth-1
-        # annihilator ann stops: at its first idempotent-generated
-        # annihilator, or with e None at depth 1 (no climb) or a plateau.
+        # (depth, e, ann) where the chain of an instance whose depth-1
+        # annihilator ann is not idempotent-generated stops: at its first
+        # idempotent-generated one, or with e None at depth 1 (no climb) or
+        # a plateau.  The first such instance is the first depth-1 failure.
         nonlocal flat
-        power, depth, e = members, 1, genmap.get(ann)
-        if e is None and flat is None:
-            flat = (members, 1, _mask_members(ann))
+        flat = flat or (members, 1, _mask_members(ann))
+        power, depth, e = members, 1, None
         while e is None and climb:
             power = {table[p][x] for p in power for x in members}
             depth += 1
-            ann_prev, ann = ann, full
-            for x in power:
-                ann &= singles[x]
+            ann_prev, ann = ann, ann_of(power)
             if ann | ann_prev != ann:
                 raise InvariantViolation("annihilator chain must ascend")
             if ann == ann_prev:
@@ -135,41 +144,31 @@ def _decide(ring, cls, side, caps, climb, keep=True):
         return depth, e, ann
 
     per_instance, flat = [], None
-    if cls != "baer":
+    if cls == "baer":
+        kind, c = "subset", min(n, 8)
+        low_anns, low_members = _subset_table(singles, full, 0, c)
+        high_anns, high_members = _subset_table(singles, full, c, n - c)
+        # Blocks are (annihilators, low member tuples, high member tuple).
+        # The first block drops mask 0, the empty set.
+        blocks = chain([(low_anns[1:], low_members[1:], ())],
+                       (([h & a for a in low_anns], low_members, high)
+                        for h, high in zip(high_anns[1:], high_members[1:])))
+    else:
         kind = f"{side}_ideal"
-        for ideal in enumerate_ideals(ring, side, caps.ideal):
-            members = tuple(sorted(ideal))
-            ann = full
-            for x in members:
-                ann &= singles[x]
-            depth, e, ann = chain_end(members, ann)
-            if e is None:
-                return False, kind, (), (members, depth, _mask_members(ann)), flat
-            if keep:
-                per_instance.append((members, depth, e))
-        return True, kind, tuple(per_instance), None, flat
-    ann_at = [full] * (n + 1)
-    members_at = [()] * (n + 1)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        t = low.bit_length() - 1
-        rest = mask ^ low
-        u = (rest & -rest).bit_length() - 1  # -1, i.e. slot n, when rest is empty
-        ann = ann_at[t] = ann_at[u] & singles[t]
+        ideals = [tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps.ideal)]
+        blocks = [([ann_of(m) for m in ideals], ideals, ())]
+    for anns, lows, high in blocks:
+        es, depths = list(map(genmap.get, anns)), repeat(1)
+        if None in es:
+            depths = [1] * len(es)
+            for i in [i for i, e in enumerate(es) if e is None]:
+                members = lows[i] + high
+                depths[i], es[i], ann = chain_end(members, anns[i])
+                if es[i] is None:
+                    return False, kind, (), (members, depths[i], _mask_members(ann)), flat
         if keep:
-            members = members_at[t] = (t,) + members_at[u]
-        e = genmap.get(ann)
-        if e is None:
-            if not keep:
-                members = _mask_members(mask)
-            depth, e, ann = chain_end(members, ann)
-            if e is None:
-                return False, "subset", (), (members, depth, _mask_members(ann)), flat
-            if keep:
-                per_instance.append((members, depth, e))
-        elif keep:
-            per_instance.append((members, 1, e))
-    return True, "subset", tuple(per_instance), None, flat
+            per_instance.extend(zip([low + high for low in lows], depths, es))
+    return True, kind, tuple(per_instance), None, flat
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +182,24 @@ def class_profile(ring, cls, names, caps=DEFAULT_CAPS, keep=True):
     class.  A walk's first depth-1 failure decides the ordinary class; with
     none, the ordinary certificate is the generalized one (all depth 1).
     The ordinary class reports the right side, cross-checked with the left.
-    keep=False keeps no triples.  Names of the other instance kind are ignored.
+    A commutative ring is its own opposite, so there one walk, climbing if
+    either side asks, answers both sides.  keep=False keeps no triples.
+    Names of the other instance kind are ignored.
     """
     _check_cls(cls)
-    ordinary, runs, profile = cls in names, {}, {}
-    for side in SIDES:
-        gen = f"gen_{cls}_{side}"
-        if gen in names or ordinary:
-            runs[side] = _decide(ring, cls, side, caps, climb=gen in names,
-                                 keep=keep and (gen in names or side == "right"))
-            if gen in names:
-                profile[gen] = ClassVerdict(ring, gen, *runs[side][:4])
+    ordinary, profile = cls in names, {}
+    climbs = {side: f"gen_{cls}_{side}" in names for side in SIDES}
+    sides = [side for side in SIDES if climbs[side] or ordinary]
+    if len(sides) == 2 and side_table(ring, "left") == ring.mul_table:
+        runs = dict.fromkeys(SIDES, _decide(ring, cls, "right", caps, any(climbs.values()), keep))
+    else:
+        runs = {side: _decide(ring, cls, side, caps, climbs[side],
+                              keep and (climbs[side] or side == "right")) for side in sides}
+    for side, (verdict, _, per_instance, failing, _) in runs.items():
+        if climbs[side]:
+            kind = "subset" if cls == "baer" else f"{side}_ideal"
+            profile[f"gen_{cls}_{side}"] = ClassVerdict(
+                ring, f"gen_{cls}_{side}", verdict, kind, per_instance, failing)
     if ordinary:
         if (runs["right"][4] is None) != (runs["left"][4] is None):
             raise InvariantViolation(f"{cls} verdict must be side-symmetric")
@@ -207,7 +213,8 @@ def decide_baer(ring, caps=DEFAULT_CAPS):
     """Baer decision: every nonempty subset's annihilator is idempotent-generated.
 
     Both sides are computed and cross-checked equal (the class is known to
-    be left-right symmetric); the certificate reports the right side.
+    be left-right symmetric; a commutative ring has one side to compute);
+    the certificate reports the right side.
     Subsets run in ascending bitmask order, so the reported failing subset
     is the first one in that order.
     """
@@ -272,67 +279,40 @@ def oracle_decide_generalized(ring, cls, side="right", cap=8):
         instances = [tuple(sorted(s)) for s in _oracle_ideals(ring, side)]
     per_instance = []
     for members in instances:
-        accepted = None
-        last_ann = None
         for n in range(1, ring.order + 1):
-            power = subset_power(ring, members, n)
-            ann = annihilator(ring, power, side)
-            last_ann = ann
-            for e in idempotents(ring):
-                if side == "right":
-                    gen = frozenset(ring.mul(e, r) for r in range(ring.order))
-                else:
-                    gen = frozenset(ring.mul(r, e) for r in range(ring.order))
-                if gen == ann:
-                    accepted = (n, e)
-                    break
-            if accepted is not None:
+            ann = annihilator(ring, subset_power(ring, members, n), side)
+            e = next((e for e in idempotents(ring) if _principal(ring, e, side) == ann), None)
+            if e is not None:
+                per_instance.append((members, n, e))
                 break
-        if accepted is None:
-            failing = (members, ring.order, tuple(sorted(last_ann)))
+        else:
+            failing = (members, ring.order, tuple(sorted(ann)))
             return ClassVerdict(ring, class_name, False, kind, (), failing)
-        per_instance.append((members, accepted[0], accepted[1]))
     return ClassVerdict(ring, class_name, True, kind, tuple(per_instance), None)
 
 
 def _oracle_ideals(ring, side):
     # Brute subset filter, independent of the grow-and-close enumeration.
     n = ring.order
-    out = []
-    for mask in range(1, 1 << n):
-        if not (mask >> ring.zero) & 1:
-            continue
-        members = _mask_members(mask)
-        member_set = set(members)
-        ok = True
-        for a in members:
-            for b in members:
-                if ring.add(a, b) not in member_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for r in range(n):
-                p = ring.mul(a, r) if side == "right" else ring.mul(r, a)
-                if p not in member_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(members))
+    mul = ring.mul if side == "right" else (lambda a, r: ring.mul(r, a))
+    subsets = (set(_mask_members(mask)) for mask in range(1, 1 << n) if mask >> ring.zero & 1)
+    out = [frozenset(m) for m in subsets
+           if all(ring.add(a, b) in m for a in m for b in m)
+           and all(mul(a, r) in m for a in m for r in range(n))]
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def _principal(ring, e, side):
+    # eR on the right side, Re on the left, through the public multiplication.
+    if side == "right":
+        return frozenset(ring.mul(e, r) for r in range(ring.order))
+    return frozenset(ring.mul(r, e) for r in range(ring.order))
 
 
 def recheck_class_verdict(ring, cv):
     """Re-derive every accepted triple with the public definitional operations."""
     side = "left" if cv.class_name.endswith("left") else "right"
     for members, n, e in cv.per_instance:
-        ann = annihilator(ring, subset_power(ring, members, n), side)
-        if side == "right":
-            gen = frozenset(ring.mul(e, r) for r in range(ring.order))
-        else:
-            gen = frozenset(ring.mul(r, e) for r in range(ring.order))
-        if ann != gen:
+        if annihilator(ring, subset_power(ring, members, n), side) != _principal(ring, e, side):
             return False
     return True

@@ -79,6 +79,13 @@ class FrozenRecord:
         return f"{type(self).__qualname__}({fields})"
 
 
+def check_counts(error, prefix="", **counts):
+    """Raise error naming the first negative count; a count may be 0."""
+    for name, value in counts.items():
+        if value < 0:
+            raise error(f"{prefix}{name} must be >= 0, got {value}")
+
+
 class Caps(FrozenRecord):
     """Size caps of one run, each a bound on ring order.
 
@@ -88,6 +95,10 @@ class Caps(FrozenRecord):
 
     __slots__ = ("subset", "endo", "ideal", "order")
     _defaults = {"subset": 16, "endo": 16, "ideal": 16, "order": 64}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        check_counts(ValueError, "cap ", **dict(zip(self.__slots__, self._values())))
 
     def updated(self, text, source):
         """These caps with 'name=int,...' entries from text applied.

@@ -26,6 +26,7 @@ from .rings import (
     PropertyCertificate,
     additive_generators,
     annihilator,
+    check_counts,
     enumerate_endomorphisms,
     idempotents,
     ideal_generated,
@@ -181,6 +182,7 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
     """Idempotent series at the box are exactly the constant embeddings of
     ring idempotents: each one has an idempotent constant term, equals that
     constant's embedding, and the counts agree."""
+    check_counts(ValueError, budget=budget)
     slots = normalize_box(ctx.monoid, box)
     arm = armendariz_search(ctx, slots, "exhaustive", budget)
     if arm.verdict == "no":
@@ -278,6 +280,7 @@ def _run_thm37(ctx, variant, box, budget, seed, samples, caps, shared):
     """verify_thm37 with hypothesis work shared as _thm37_hypotheses says."""
     if variant not in ("baer", "quasi_baer"):
         raise ValueError(f"variant must be 'baer' or 'quasi_baer', got {variant!r}")
+    check_counts(ValueError, budget=budget, samples=samples)
     slots = normalize_box(ctx.monoid, box)
     hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps, shared)
     forward_id = "prop36_1" if variant == "baer" else "prop36_2"

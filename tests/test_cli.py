@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import skewseries
-from skewseries import properties
+from skewseries import cli, properties
 from skewseries.cli import _split_catalog, main, run
 from skewseries.monoids import monoid_make
 from skewseries.series import SkewContext, format_series, parse_series_literal
@@ -324,7 +324,8 @@ def test_broken_invariant_exits_6(monkeypatch):
         return (*rest, flat)
 
     monkeypatch.setattr(properties, "_decide", lopsided)
-    code, recs = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")
+    # A non-commutative ring: a commutative one has no separate left walk.
+    code, recs = invoke_jsonl("ring", "check", "--ring", "ut2:z2", "--class", "baer")
     assert code == 6
     assert recs[-2] == {"record": "error", "kind": "internal",
                         "message": "baer verdict must be side-symmetric"}
@@ -364,14 +365,16 @@ def test_all_classes_in_one_run_equal_the_single_class_runs(ring):
     assert verdicts("--class", "all", "--side", "both") == singles
 
 
+# zn:4 and zn:6 are commutative, so one walk per instance kind answers both
+# of their sides; the non-commutative mat2:z2 is walked on each side.
 @pytest.mark.parametrize("argv,walks", [
-    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "all", "--side", "both"), 4,
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "all", "--side", "both"), 2,
                  id="all-both"),
-    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "all"), 4, id="all-right"),
-    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "baer"), 2, id="baer"),
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "all"), 2, id="all-right"),
+    pytest.param(("ring", "check", "--ring", "zn:4", "--class", "baer"), 1, id="baer"),
     pytest.param(("ring", "check", "--ring", "zn:4", "--class", "gen-quasi-baer",
                   "--side", "left"), 1, id="gen-quasi-baer-left"),
-    pytest.param(("search", "--catalog", "zn:4,zn:6,mat2:z2"), 3 * 4, id="search"),
+    pytest.param(("search", "--catalog", "zn:4,zn:6,mat2:z2"), 2 + 2 + 4, id="search"),
 ])
 def test_each_ring_side_is_walked_once_per_instance_kind(argv, walks, monkeypatch):
     calls = []
@@ -385,3 +388,76 @@ def test_each_ring_side_is_walked_once_per_instance_kind(argv, walks, monkeypatc
     code, _ = invoke_jsonl(*argv)
     assert code == 0
     assert len(set(calls)) == len(calls) == walks
+
+
+@pytest.mark.parametrize("ring,cls,subset_walks,ideal_walks", [
+    ("zn:8", "all", 1, 1),
+    ("prod:zn:3,zn:5", "all", 1, 1),
+    ("ut2:z2", "all", 2, 2),
+    ("mat2:z2", "all", 2, 2),
+    ("zn:8", "baer", 1, 0),
+])
+def test_a_commutative_ring_is_walked_once_per_instance_kind(ring, cls, subset_walks,
+                                                             ideal_walks, monkeypatch):
+    calls = []
+    real = properties._decide
+
+    def counted(ring, cls, side, *args, **kwargs):
+        calls.append(cls)
+        return real(ring, cls, side, *args, **kwargs)
+
+    monkeypatch.setattr(properties, "_decide", counted)
+    code, _ = invoke_jsonl("ring", "check", "--ring", ring, "--class", cls, "--side", "both")
+    assert code == 0
+    assert (calls.count("baer"), calls.count("quasi_baer")) == (subset_walks, ideal_walks)
+
+
+def _dumps(r):
+    return json.dumps(r, sort_keys=True, separators=(",", ":"))
+
+
+def _verdict(ring, instances):
+    return {"record": "verdict", "ring": ring, "class": "baer", "side": None,
+            "verdict": instances is not None, "instance_kind": "subset",
+            "instances": instances, "failing": None}
+
+
+def test_emit_writes_each_record_as_its_own_json_dumps(monkeypatch):
+    encoded = []
+
+    class Counting(json.JSONEncoder):
+        def encode(self, o):
+            if isinstance(o, tuple):
+                encoded.append(o)
+            return super().encode(o)
+
+    monkeypatch.setattr(cli.json, "JSONEncoder", Counting)
+    shared = (((0,), 1, 1), ((0, 1), 2, 0))
+    records = [
+        {"record": "config", "command": "ring"},
+        _verdict("zn:4", shared),
+        _verdict("zn:4", (((1,), 1, 0),)),  # unshared, between two uses of shared
+        _verdict("zn:4", shared),
+        _verdict('odd"instances":null.ini', shared),
+        _verdict('odd"instances":null.ini', None),
+        _verdict("zn:4", ()),
+        {"record": "summary", "records": 7, "exit": 0},
+    ]
+    buf = io.StringIO()
+    cli._emit(records, "jsonl", buf)
+    assert buf.getvalue() == "".join(_dumps(r) + "\n" for r in records)
+    # The shared certificate is encoded once, though three records carry it.
+    assert encoded == [shared, (((1,), 1, 0),), ()]
+
+
+def test_jsonl_of_a_ring_file_named_like_a_record_key(tmp_path):
+    path = tmp_path / 'zn6"instances":null.ini'
+    path.write_text("[ring]\nkind = zn\nn = 6\n")
+    code, out = invoke("ring", "check", "--ring", str(path), "--class", "all", "--side", "both",
+                       "--output", "jsonl")
+    assert code == 0
+    lines = out.splitlines()
+    verdicts = [json.loads(line) for line in lines if '"record":"verdict"' in line]
+    assert [v["ring"] for v in verdicts] == [str(path)] * 6
+    assert all(v["instances"] for v in verdicts)
+    assert [_dumps(json.loads(line)) for line in lines] == lines

@@ -4,6 +4,9 @@ Each digest is the sha256 of the jsonl that one in-process run writes.  They
 were recorded before the ordinary and generalized classes came to share one
 annihilator walk per ring side, so a refactor of the deciders that changes a
 verdict, a certificate, the record order or an error path shows up here.
+The ut3:z2, ut2:z4, zn:6 left and prod:zn:3,zn:5 left pins were recorded
+before the blocked subset walk, the single walk of a commutative ring and
+the shared-certificate emitter.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -46,6 +49,14 @@ GOLDEN = [
      3, "9173bf4b2cbedefd85cb6912ad0da81181379f5c95653f28e753078488be6755"),
     (('ring', 'check', '--ring', 'mat2:z2', '--class', 'all', '--caps', 'subset=4'),
      3, "84e53335dc205b918385c23ec8058426f0043334b4bfeb3ea4485f6adaba0e8c"),
+    (('ring', 'check', '--ring', 'ut3:z2', '--class', 'quasi-baer', '--caps', 'ideal=64'),
+     0, "e9b0c6d680e9d3a95cd57956a5722067f9d8389ae2207a4b0469bb4d194efeca"),
+    (('ring', 'check', '--ring', 'ut2:z4', '--class', 'quasi-baer', '--caps', 'ideal=64'),
+     0, "57d5810454f7299af7a17896ce74eda42331221b89215f1645348883d9d2ac2c"),
+    (('ring', 'check', '--ring', 'zn:6', '--class', 'gen-quasi-baer', '--side', 'left'),
+     0, "b24f176a14dda533dfda62313328addae9dee3643396110a3befc259a19fa24b"),
+    (('ring', 'check', '--ring', 'prod:zn:3,zn:5', '--class', 'baer', '--side', 'left'),
+     0, "61446a2147aa2c63ed7061cdf5d2bd65a237980925ee6a86b0503a9168dbe0f1"),
     (('search',),
      0, "2aa95c2dd2a0e241a633952fab5ffbcb39e9cea08ff0e9b8b801730da5f5ee9f"),
     (('verify', 'corollaries', '--ring', 'zn:4', '--box', '2', '--samples', '3', '--seed', '5'),

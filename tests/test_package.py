@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import skewseries
+from skewseries.errors import SpecFormatError
 from skewseries.properties import ClassVerdict
 from skewseries.rings import Caps, PropertyCertificate, RingEndomorphism, ring_zn
 from skewseries.verify import ConclusionEntry, CoefficientIdealLift, SearchOutcome, TheoremReport
@@ -99,6 +100,25 @@ def test_endomorphism_validation_is_unchanged():
     with pytest.raises(ValueError, match="one ring element per element"):
         RingEndomorphism(Z2, (0, 1, 1))
     assert RingEndomorphism(Z2, [0, 1]).image == (0, 1)
+
+
+@pytest.mark.parametrize("kwargs", [{"subset": -1}, {"order": -3}])
+def test_caps_refuses_a_negative_cap(kwargs):
+    name, value = next(iter(kwargs.items()))
+    with pytest.raises(ValueError, match=f"^cap {name} must be >= 0, got {value}$"):
+        Caps(**kwargs)
+    assert getattr(Caps(**{name: 0}), name) == 0
+
+
+def test_caps_refuses_a_negative_positional_cap():
+    with pytest.raises(ValueError, match="^cap order must be >= 0, got -1$"):
+        Caps(16, 16, 16, -1)
+
+
+def test_caps_updated_keeps_its_own_error_for_a_negative_cap():
+    with pytest.raises(SpecFormatError) as info:
+        Caps().updated("endo=2, subset=-1", "--caps")
+    assert str(info.value) == "cap subset in --caps must be >= 0, got -1"
 
 
 def test_caps_updated_reads_the_slot_names():

@@ -8,6 +8,7 @@ from skewseries.properties import (
     SIDES,
     _decide,
     _mask_members,
+    class_profile,
     decide_baer,
     decide_generalized,
     decide_quasi_baer,
@@ -133,6 +134,20 @@ def _literal_subset_walk(ring, side, climb):
     return True, tuple(per_instance), None
 
 
+def _relabelled(ring, perm):
+    # The same ring with element x stored at index perm[x].
+    n, back = ring.order, sorted(range(ring.order), key=perm.__getitem__)
+    add = [[perm[ring.add(back[a], back[b])] for b in range(n)] for a in range(n)]
+    mul = [[perm[ring.mul(back[a], back[b])] for b in range(n)] for a in range(n)]
+    return FiniteRing(n, add, mul, perm[ring.zero], perm[ring.one], label=f"{ring.label}'")
+
+
+# Z/12 is not Baer, and every subset it rejects holds 2, 6 or 10.  Stored at
+# indices 8, 9 and 10, they put the first rejected mask, {2} = 1 << 8, past
+# the walk's first block of 2^8 masks.
+_WALK_RINGS = {"zn:12 with 2,6,10 at 8,9,10": lambda: _relabelled(
+    ring_zn(12), [0, 1, 8, 3, 4, 5, 9, 7, 2, 6, 10, 11])}
+
 # (ring, climb, deepest accepted depth, or None for a rejected ring)
 WALK_CASES = [
     ("mat2:z2", False, 1),
@@ -142,16 +157,21 @@ WALK_CASES = [
     ("zn:4", True, 2),
     ("zn:8", True, 3),
     ("prod:zn:4,zn:2", True, 2),
+    ("zn:12 with 2,6,10 at 8,9,10", False, None),
+    ("zn:12 with 2,6,10 at 8,9,10", True, 2),
+    ("zn:16", True, 4),
 ]
 
 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("name,climb,deepest", WALK_CASES)
 def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
-    ring = builtin_ring(name)
+    ring = _WALK_RINGS[name]() if name in _WALK_RINGS else builtin_ring(name)
     verdict, per_instance, failing = _literal_subset_walk(ring, side, climb)
     if deepest is None:
         assert not verdict
+        if name in _WALK_RINGS:
+            assert failing[0] == (8,)
     else:
         assert max(depth for _, depth, _ in per_instance) == deepest
     # flat_failing is what the walk without a climb rejects first.
@@ -215,3 +235,17 @@ def test_left_side_is_the_right_side_of_the_opposite_ring(name, cls):
     assert left.verdict == right_op.verdict
     assert left.per_instance == right_op.per_instance
     assert left.failing_instance == right_op.failing_instance
+
+
+@pytest.mark.parametrize("name", ["zn:2", "zn:4", "zn:6", "zn:8", "prod:zn:2,zn:2"])
+def test_left_verdicts_from_the_one_walk_of_a_commutative_ring(name):
+    # Both sides come from one walk here; the left answers must still be the
+    # oracle's, replay through the public operations and name left ideals.
+    ring = builtin_ring(name)
+    for cls in ("baer", "quasi_baer"):
+        left = class_profile(ring, cls, CLASS_NAMES)[f"gen_{cls}_left"]
+        slow = oracle_decide_generalized(ring, cls, "left")
+        assert (left.verdict, left.per_instance) == (slow.verdict, slow.per_instance)
+        assert left.instance_kind == slow.instance_kind
+        assert recheck_class_verdict(ring, left)
+        assert left == decide_generalized(ring, cls, "left")

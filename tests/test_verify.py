@@ -320,3 +320,28 @@ def test_zero_ideal_entries_still_pass():
     report = verify_thm37(CTX4, "quasi_baer", [0, 1])
     zero = [e for e in report.conclusion_checked if "I={0} " in e.instance]
     assert len(zero) >= 3 and all(e.ok for e in zero)
+
+
+
+NEGATIVE_COUNTS = [
+    ("prop34", lambda **kw: verify_prop34(CTX4, [0, 1], **kw), "budget"),
+    ("thm37-baer", lambda **kw: verify_thm37(CTX4, "baer", [0, 1], **kw), "budget"),
+    ("thm37-baer", lambda **kw: verify_thm37(CTX4, "baer", [0, 1], **kw), "samples"),
+    ("thm37-quasibaer", lambda **kw: verify_thm37(CTX4, "quasi_baer", [0, 1], **kw), "budget"),
+    ("thm37-quasibaer", lambda **kw: verify_thm37(CTX4, "quasi_baer", [0, 1], **kw), "samples"),
+    ("corollaries", lambda **kw: verify_corollaries(Z4, [0, 1], **kw), "budget"),
+    ("corollaries", lambda **kw: verify_corollaries(Z4, [0, 1], **kw), "samples"),
+]
+
+
+@pytest.mark.parametrize("run,count", [(run, count) for _, run, count in NEGATIVE_COUNTS],
+                         ids=[f"{name}-{count}" for name, _, count in NEGATIVE_COUNTS])
+def test_harnesses_refuse_negative_counts(run, count):
+    with pytest.raises(ValueError, match=f"^{count} must be >= 0, got -1$"):
+        run(**{count: -1})
+
+
+def test_zero_samples_is_a_count_like_any_other():
+    rep = verify_thm37(CTX4, "quasi_baer", [0, 1], samples=0)
+    assert rep.outcome == "PASS"
+    assert len(rep.conclusion_checked) == len(enumerate_ideals(Z4)) * 3
