@@ -6,7 +6,11 @@ annihilator walk per ring side, so a refactor of the deciders that changes a
 verdict, a certificate, the record order or an error path shows up here.
 The ut3:z2, ut2:z4, zn:6 left and prod:zn:3,zn:5 left pins were recorded
 before the blocked subset walk, the single walk of a commutative ring and
-the shared-certificate emitter.
+the shared-certificate emitter.  The verify pins (the five transfer
+benchmark jobs, prop34, a small thm37 run and two refutations whose
+Armendariz witness comes from a unit-rich ring) were recorded before the
+Armendariz scan skipped non-least unit orbits, the box kernel kept one plan
+per context and the bridge check ran once per distinct annihilator.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -61,6 +65,26 @@ GOLDEN = [
      0, "2aa95c2dd2a0e241a633952fab5ffbcb39e9cea08ff0e9b8b801730da5f5ee9f"),
     (('verify', 'corollaries', '--ring', 'zn:4', '--box', '2', '--samples', '3', '--seed', '5'),
      0, "ff2bf83bd49bdbf28819fe67fcd0239fef52581cefed340b7acecb046e3711b1"),
+    (('verify', 'thm37-baer', '--ring', 'zn:8', '--box', '3'),
+     0, "bf6118d72c50f660b89ad95c0625d11ff1915f2c174e789137ab0adcd360e9e7"),
+    (('verify', 'thm37-baer', '--ring', 'zn:6', '--box', '2', '--monoid', 'nat2:lex'),
+     0, "3540737ff9f71443007aaf36df3dc25a3d239e76beac434831a7664e10a6ec5f"),
+    (('verify', 'thm37-quasibaer', '--ring', 'zn:8', '--box', '3', '--seed', '0'),
+     0, "fc2bf145ac703c6c65549260ec3ded39849c79e9f1da20f62b0fce2623957ed5"),
+    (('verify', 'thm37-quasibaer', '--ring', 'zn:8', '--box', '2', '--samples', '40',
+      '--seed', '7'),
+     0, "9848f2b0a11bb4f07ad4e503725ade0e0a6674d83cc188b9ce54be5d727686fd"),
+    (('verify', 'thm37-quasibaer', '--ring', 'prod:zn:2,zn:2', '--sigma', '1', '--box', '4',
+      '--seed', '7'),
+     0, "ef70deaec0214b24d585947d3ac2853b9b482cd6cba7bebe398b726a9ccd138f"),
+    (('verify', 'prop34', '--ring', 'zn:6', '--box', '2'),
+     0, "9befaeeb75408fe2567b5695ad11bc13627858d15e0ac7a95fb1e7c1bc3ba05d"),
+    (('verify', 'thm37-baer', '--ring', 'zn:4', '--box', '3'),
+     0, "4397a098ccc2f9e05c896087fa44b16ab2893dacf2ef302f81322638b285e6bc"),
+    (('verify', 'thm37-baer', '--ring', 'mat2:z2', '--box', '2'),
+     4, "3fe86be9808bc7bc743d7e6347aeac51fdb876738671a3db73e2d508371da0bb"),
+    (('verify', 'thm37-quasibaer', '--ring', 'ut2:z2', '--box', '2'),
+     4, "9234762380d91a56efff0809ee9b2fa2f789598e075ca5137eb9b255719b713d"),
 ]
 
 
