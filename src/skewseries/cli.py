@@ -48,7 +48,8 @@ STATEMENTS = ("prop34", "thm37-baer", "thm37-quasibaer", "corollaries")
 
 
 def _box_slots(monoid, count):
-    # --box N means N exponent values per axis starting at the identity.
+    # --box N means N exponent values per axis starting at the identity over
+    # N and N^k, and the 2N-1 values -(N-1)..N-1 over the integers.
     if count < 1:
         raise SpecFormatError(f"--box must be >= 1, got {count}")
     return monoid.box(count - 1)
@@ -379,7 +380,8 @@ def build_parser():
     verify_p.add_argument("--sigma", default="id",
                           help="'id' or an index into the endomorphism enumeration")
     verify_p.add_argument("--box", type=int, default=2,
-                          help="number of exponent values per axis (default 2)")
+                          help="exponent values per axis from the identity; over int, "
+                               "the 2N-1 values -(N-1)..N-1 (default 2)")
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--samples", type=int, default=20,
                           help="sampled series ideals for the quasi-Baer variant")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import IllegalPairing, MixedMonoids
+from .errors import IllegalPairing, InvariantViolation, MixedMonoids
 from .rings import PropertyCertificate
 
 AXIOM_BOUND_DEFAULT = 10
@@ -117,7 +117,7 @@ class OrderedMonoid:
             if all(a >= b for a, b in zip(u, v)):
                 return OrderVerdict.GT
             return OrderVerdict.INC
-        raise AssertionError(f"unhandled mode {mode}")
+        raise InvariantViolation(f"unhandled mode {mode}")
 
     def box(self, bound):
         """All elements with coordinates of magnitude <= bound, sorted."""

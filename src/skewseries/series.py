@@ -22,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     DuplicateExponent,
     ForeignElement,
+    InvariantViolation,
     MixedContexts,
     SpecFormatError,
 )
@@ -82,6 +83,8 @@ class SkewContext:
                 if si.compose(sj).image != sj.compose(si).image:
                     raise AxiomViolation("twist-commutativity", (gi, gj))
         self._omega_cache = {monoid.identity(): identity_endomorphism(ring)}
+        # Box kernel plans by slots tuple; see _annihilating_vectors.
+        self._kernel_plans = {}
 
     def omega(self, s) -> RingEndomorphism:
         """The twist endomorphism at exponent s (composite of generators)."""
@@ -101,7 +104,7 @@ class SkewContext:
             result = gen_map.compose(self.omega(tuple(rest)))
             self._omega_cache[s] = result
             return result
-        raise AssertionError("unreachable: identity is pre-cached")
+        raise InvariantViolation("unreachable: identity is pre-cached")
 
     def _unit(self, i):
         v = [0] * self.monoid.k
@@ -291,8 +294,15 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
     n, zero = ring.order, ring.zero
     add_t, mul_t, neg = ring.add_table, ring.mul_table, ring.neg_table
     k = len(slots)
-    rows = []
-    terms_of = {}  # (u, a) -> per slot j: (u + slots[j], (j, id of the row of a*omega_u))
+    # The rows, their value masks and the slot terms of each (u, a) depend
+    # only on the context and the slots, so they are built once per (context,
+    # slots) and kept on the context.  fits[r][t] is the bitmask of values b
+    # with rows[r][b] == t; terms_of[(u, a)] lists per slot j the term
+    # (u + slots[j], (j, id of the row of a*omega_u)).
+    plan = ctx._kernel_plans.get(slots)
+    if plan is None:
+        plan = ctx._kernel_plans[slots] = ([], [], {})
+    rows, fits, terms_of = plan
     # by_last[j][r]: the earlier (slot, row id) terms of each constraint whose
     # last term is (j, r), deduplicated.
     by_last = [{} for _ in range(k)]
@@ -303,7 +313,12 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
             if term is None:
                 u, a = ua
                 twist, row_a = _twist(ctx, u), mul_t[a]
-                rows.append(tuple(row_a[twist[b]] for b in range(n)))
+                row = tuple(row_a[twist[b]] for b in range(n))
+                masks = [0] * n
+                for b, c in enumerate(row):
+                    masks[c] |= 1 << b
+                rows.append(row)
+                fits.append(masks)
                 term = terms_of[ua] = [(tuple(map(add, u, v)), (j, len(rows) - 1))
                                        for j, v in enumerate(slots)]
             terms.append(term)
@@ -315,16 +330,8 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
         for group in groups.values():
             j, r = group.pop()
             by_last[j].setdefault(r, set()).add(tuple(group))
-    del terms_of
-    # filed[j]: (fits, earlier term tuples) per row r last at slot j, where
-    # fits[t] is the bitmask of values b with rows[r][b] == t.
-    filed = [[] for _ in range(k)]
-    for j, last in enumerate(by_last):
-        for r, earliers in last.items():
-            fits = [0] * n
-            for b, c in enumerate(rows[r]):
-                fits[c] |= 1 << b
-            filed[j].append((fits, earliers))
+    # filed[j]: (fits, earlier term tuples) per row r last at slot j.
+    filed = [[(fits[r], earliers) for r, earliers in last.items()] for last in by_last]
     del by_last
     # Depth-first over the slots; pending[j] holds the values still to try
     # at slot j, lowest bit first.
@@ -397,8 +404,18 @@ def armendariz_search(ctx, support_box, mode="exhaustive", budget=ARMENDARIZ_BUD
             raise BudgetExceeded(
                 f"exhaustive search needs {total} pairs, budget is {budget}")
         scope = f"exhaustive over all {total} pairs with support in {list(slots)}"
+        # Left multiplication by a unit c keeps f*g == 0 and each twisted
+        # term's vanishing, since (c*f)(u)*omega_u(g(v)) = c*(f(u)*omega_u(g(v))).
+        # So c*f refutes exactly when f does, with the same g, and the first
+        # refuting f in product order is the least of its unit orbit: only
+        # orbit minima are scanned, and they stand for every pair.
+        one = ring.one
+        unit_rows = [mul_t[c] for c in range(n) if c != one and any(
+            mul_t[c][d] == one and mul_t[d][c] == one for d in range(n))]
         # Pairs in (f, g) product order; only the g with f*g == 0 can refute.
         for fvec in itertools.product(range(n), repeat=k):
+            if any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
+                continue
             f = {e: a for e, a in zip(slots, fvec) if a != zero}
             if not f:
                 continue

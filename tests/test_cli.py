@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import skewseries
-from skewseries import cli, properties
+from skewseries import cli, monoids, properties, series
 from skewseries.cli import _split_catalog, main, run
 from skewseries.monoids import monoid_make
 from skewseries.series import SkewContext, format_series, parse_series_literal
@@ -330,6 +330,47 @@ def test_broken_invariant_exits_6(monkeypatch):
     assert recs[-2] == {"record": "error", "kind": "internal",
                         "message": "baer verdict must be side-symmetric"}
     assert summary_of(recs)["exit"] == 6
+
+
+def test_unreachable_twist_branch_exits_6(monkeypatch):
+    real_init = series.SkewContext.__init__
+
+    def without_identity(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self._omega_cache.clear()
+
+    monkeypatch.setattr(series.SkewContext, "__init__", without_identity)
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--box", "2")
+    assert code == 6
+    assert recs[-2] == {"record": "error", "kind": "internal",
+                        "message": "unreachable: identity is pre-cached"}
+    assert summary_of(recs)["exit"] == 6
+
+
+def test_unhandled_order_mode_exits_6(monkeypatch):
+    real_init = monoids.OrderedMonoid.__init__
+
+    def unknown_refinement(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        self.refined_mode = "bogus"
+
+    monkeypatch.setattr(monoids.OrderedMonoid, "__init__", unknown_refinement)
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--box", "2")
+    assert code == 6
+    assert recs[-2] == {"record": "error", "kind": "internal",
+                        "message": "unhandled mode bogus"}
+    assert summary_of(recs)["exit"] == 6
+
+
+def test_integer_box_is_centred_on_the_identity():
+    # --box N over the integers is the 2N-1 points -(N-1)..N-1.
+    assert cli._box_slots(monoid_make("int_add", "natural"), 2) == [(-1,), (0,), (1,)]
+    assert cli._box_slots(monoid_make("nat_add", "natural"), 2) == [(0,), (1,)]
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--box", "2",
+                              "--monoid", "int")
+    assert code == 0
+    report = next(r for r in recs if r["record"] == "report")
+    assert "inside box {-1, 0, 1} of OrderedMonoid(int, natural)" in report["scope"]
 
 
 def test_unknown_search_property_is_a_spec_error():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import KERNEL_MONOIDS, literal_product, series_over, skew_boxes, skew_contexts
+from skewseries import series
 from skewseries.errors import (
     AxiomViolation,
     BudgetExceeded,
@@ -34,6 +35,7 @@ from skewseries.series import (
     series_from_pairs,
     zero_series,
 )
+from skewseries.specfile import builtin_ring
 
 NAT = monoid_make("nat_add", "natural")
 Z4 = ring_zn(4)
@@ -313,3 +315,49 @@ def test_armendariz_witnesses_match_a_literal_pair_scan(ring_name, slots):
             assert cert.witness == expected, (monoid_name, ctx.omega_gen)
             refuted += expected is not None
     assert refuted >= 7
+
+
+def unit_orbit_minima(ring, slots, last=None):
+    """Nonzero coefficient vectors in product order, up to and including
+    last, that are least among their images c*f under the units c of ring."""
+    units = [c for c in range(ring.order)
+             if any(ring.mul(c, d) == ring.one == ring.mul(d, c) for d in range(ring.order))]
+    minima = []
+    for fvec in itertools.product(range(ring.order), repeat=len(slots)):
+        if any(fvec) and fvec == min(tuple(ring.mul(c, x) for x in fvec) for c in units):
+            minima.append(fvec)
+        if fvec == last:
+            break
+    return minima
+
+
+# Without the orbit skip the kernel would see all 511 nonzero f over Z/8,
+# and the 18 nonzero f up to the witness 1@0 + 2@1 over M_2(Z/2).
+@pytest.mark.parametrize("ring_name,size,verdict,scanned_count", [
+    ("zn:8", 3, "unknown-at-bound", 147),
+    ("mat2:z2", 2, "no", 7),
+])
+def test_armendariz_scan_hands_the_kernel_one_f_per_unit_orbit(
+        ring_name, size, verdict, scanned_count, monkeypatch):
+    ring = builtin_ring(ring_name)
+    ctx = SkewContext(ring, NAT)
+    slots = NAT.box(size - 1)
+    real = series._annihilating_vectors
+    scanned = []
+
+    def spy(ctx, slots, products, budget=None):
+        (f,) = products
+        scanned.append(tuple(f.get(e, ring.zero) for e in slots))
+        return real(ctx, slots, products, budget)
+
+    monkeypatch.setattr(series, "_annihilating_vectors", spy)
+    cert = armendariz_search(ctx, slots)
+    assert cert.verdict == verdict
+    last = None
+    if verdict == "no":
+        terms = dict(cert.witness[0].sort_key)
+        last = tuple(terms.get(e, ring.zero) for e in slots)
+    assert scanned == unit_orbit_minima(ring, slots, last)
+    assert len(scanned) == scanned_count
+    # The scope note still states every pair, which the orbits cover.
+    assert f"all {(ring.order ** size) ** 2} pairs" in cert.notes

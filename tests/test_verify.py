@@ -13,12 +13,21 @@ from conftest import (
 from skewseries import verify
 from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from skewseries.monoids import monoid_make
-from skewseries.rings import annihilator, enumerate_ideals, ring_matrix, ring_zn, subset_power
+from skewseries.properties import decide_generalized
+from skewseries.rings import (
+    DEFAULT_CAPS,
+    annihilator,
+    enumerate_ideals,
+    ring_matrix,
+    ring_zn,
+    subset_power,
+)
 from skewseries.series import (
     SkewContext,
     SkewSeries,
     all_series,
     const_embed,
+    format_series,
     normalize_box,
     series_from_pairs,
 )
@@ -345,3 +354,71 @@ def test_zero_samples_is_a_count_like_any_other():
     rep = verify_thm37(CTX4, "quasi_baer", [0, 1], samples=0)
     assert rep.outcome == "PASS"
     assert len(rep.conclusion_checked) == len(enumerate_ideals(Z4)) * 3
+
+
+def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
+    # Over Z/8 at box 3 many Baer instances share one annihilator (15 subsets
+    # have the whole box), so their bridge check is done once.
+    ctx = SkewContext(ring_zn(8), NAT)
+    slots = NAT.box(2)
+    real_ann, real_mul = verify.bounded_annihilator_in_A, SkewSeries.__mul__
+    anns = []
+    inside = [False]
+    bridge_muls = [0]
+
+    def ann_spy(*args, **kwargs):
+        inside[0] = True
+        try:
+            anns.append(real_ann(*args, **kwargs))
+        finally:
+            inside[0] = False
+        return anns[-1]
+
+    def mul_spy(self, other):
+        bridge_muls[0] += not inside[0]
+        return real_mul(self, other)
+
+    monkeypatch.setattr(verify, "bounded_annihilator_in_A", ann_spy)
+    monkeypatch.setattr(SkewSeries, "__mul__", mul_spy)
+    report = verify_thm37(ctx, "baer", slots)
+    monkeypatch.undo()
+    instances = decide_generalized(ctx.ring, "baer", "right", DEFAULT_CAPS).per_instance
+    assert report.outcome == "PASS"
+    assert len(anns) == len(instances) == 255  # one annihilator per instance
+    # The uncached bridge: c_e in ann, and the first g in ann with c_e*g != g.
+    expected = []
+    for (_, _, e), ann in zip(instances, anns):
+        ce = const_embed(ctx, e)
+        bad = next((g for g in ann if ce * g != g), None)
+        expected.append([(ce in ann, None if ce in ann else f"c_{e} missing"),
+                         (bad is None, None if bad is None else f"g = {format_series(bad)}")])
+    entries = report.conclusion_checked
+    got = [[(x.ok, x.witness) for x in entries[i:i + 2]] for i in range(0, len(entries), 3)]
+    assert got == expected
+    assert [x.statement_id for x in entries] == ["prop36_1", "prop36_1", "prop35_1"] * len(anns)
+    # Each passing bridge multiplies c_e into every g of its annihilator once
+    # per distinct (e, annihilator), not once per instance: the 240 instances
+    # with e = 0 share the annihilator {0} and the 15 with e = 1 the box.
+    distinct = {(e, tuple(ann)) for (_, _, e), ann in zip(instances, anns)}
+    assert bridge_muls[0] == sum(len(ann) for _, ann in distinct) == 513
+    assert sum(len(ann) for ann in anns) == 7920
+
+
+def test_bridge_outcomes_are_kept_per_annihilator_contents():
+    box = NAT.box(1)
+    full = list(all_series(CTX4, box))
+    bridges = {}
+
+    def outcome(ann, e):
+        return [(x.ok, x.witness)
+                for x in verify._bridge_entries(CTX4, ann, e, "X={2} n=1 e=0", "prop36_1", bridges)]
+
+    # Same e, different annihilators: each gets its own outcome.
+    assert outcome([full[0]], 0) == [(True, None), (True, None)]
+    assert outcome(full, 0) == [(True, None), (False, "g = 1@1")]
+    assert outcome([g for g in full if g != const_embed(CTX4, 1)], 1) == [
+        (False, "c_1 missing"), (True, None)]
+    assert len(bridges) == 3
+    # An equal annihilator from another list reuses the kept outcome.
+    assert outcome(list(full), 0) == [(True, None), (False, "g = 1@1")]
+    assert len(bridges) == 3
