@@ -16,7 +16,7 @@ _EXPORTS = {
             "InvariantViolation", "MixedContexts", "MixedMonoids", "NonpositiveExponent",
             "SizeCapExceeded", "SpecFormatError",
         )),
-        ("monoids", ("OrderedMonoid", "check_order_axioms", "check_refinement", "monoid_make")),
+        ("monoids", ("OrderedMonoid", "check_order_axioms", "check_refinement")),
         ("properties", (
             "CLASS_NAMES", "ClassVerdict", "decide_baer", "decide_generalized",
             "decide_quasi_baer", "oracle_decide_generalized", "recheck_class_verdict",
@@ -34,8 +34,8 @@ _EXPORTS = {
             "s_compatibility_check", "series_from_pairs", "zero_series",
         )),
         ("specfile", (
-            "CATALOG_NAMES", "builtin_ring", "default_catalog", "parse_monoid_spec",
-            "parse_ring_file", "resolve_monoid", "resolve_ring", "resolve_sigma",
+            "CATALOG_NAMES", "builtin_ring", "parse_monoid_spec", "parse_ring_file",
+            "resolve_monoid", "resolve_ring", "resolve_sigma",
         )),
         ("verify", (
             "ConclusionEntry", "SearchOutcome", "TheoremReport", "bounded_annihilator_in_A",

@@ -12,8 +12,6 @@ from enum import Enum
 from .errors import IllegalPairing, InvariantViolation, MixedMonoids
 from .rings import PropertyCertificate
 
-AXIOM_BOUND_DEFAULT = 10
-
 
 class OrderVerdict(Enum):
     LT = "LT"
@@ -26,12 +24,6 @@ _MODES = {
     "nat": ("natural", "trivial"),
     "int": ("natural", "trivial"),
     "nat_k": ("product", "lex", "trivial"),
-}
-
-_KIND_ALIASES = {
-    "nat": "nat", "nat_add": "nat",
-    "int": "int", "int_add": "int",
-    "nat_k": "nat_k", "nat_k_add": "nat_k",
 }
 
 
@@ -59,14 +51,6 @@ class OrderedMonoid:
             self.refined_mode = "lex"
         else:
             self.refined_mode = "natural" if k == 1 else "lex"
-        # 1_S minimal: holds for the natural order on N and for product/lex
-        # on N^k, fails for trivial order and for Z.
-        if order_mode == "trivial":
-            self.positively_ordered = False
-        elif kind == "int":
-            self.positively_ordered = False
-        else:
-            self.positively_ordered = True
 
     def identity(self):
         return (0,) * self.k
@@ -144,12 +128,7 @@ class OrderedMonoid:
         return f"OrderedMonoid({self.kind}{arity}, {self.order_mode})"
 
 
-def monoid_make(kind, order_mode, k=1):
-    """Build a monoid, rejecting kind/order pairings that make no sense."""
-    return OrderedMonoid(_KIND_ALIASES.get(kind, kind), order_mode, k=k)
-
-
-def check_order_axioms(monoid, bound=AXIOM_BOUND_DEFAULT, lt=None):
+def check_order_axioms(monoid, bound, lt=None):
     """Exhaustively check the strict order on a coordinate box.
 
     Verifies irreflexivity, antisymmetry, transitivity, and strict

@@ -280,12 +280,6 @@ class FiniteRing:
     def mul(self, a, b):
         return self.mul_table[a][b]
 
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def elements(self):
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteRing({self.label}, order={self.order})"
 
@@ -713,31 +707,19 @@ def enumerate_endomorphisms(ring, cap=None):
     return [RingEndomorphism(ring, img) for img in sorted(set(found))]
 
 
-def endo_property(sigma, which):
-    """Certificate for 'compatible' or 'rigid' on one endomorphism.
-
-    compatible: a*b == 0 exactly when a*sigma(b) == 0, for all pairs.
-    rigid: a*sigma(a) == 0 only for a == 0.
-    """
+def endo_property(sigma):
+    """Certificate that one endomorphism is compatible: a*b == 0 exactly
+    when a*sigma(b) == 0, for all pairs."""
     ring = sigma.ring
     zero = ring.zero
-    if which == "compatible":
-        for a in range(ring.order):
-            for b in range(ring.order):
-                if (ring.mul(a, b) == zero) != (ring.mul(a, sigma(b)) == zero):
-                    return PropertyCertificate(
-                        "no", witness=(a, b),
-                        notes=f"a*b and a*sigma(b) disagree on vanishing at a={a}, b={b}",
-                    )
-        return PropertyCertificate("yes", notes=f"exhaustive over all {ring.order}^2 pairs")
-    if which == "rigid":
-        for a in range(ring.order):
-            if a != zero and ring.mul(a, sigma(a)) == zero:
+    for a in range(ring.order):
+        for b in range(ring.order):
+            if (ring.mul(a, b) == zero) != (ring.mul(a, sigma(b)) == zero):
                 return PropertyCertificate(
-                    "no", witness=(a,), notes=f"a*sigma(a) == 0 for nonzero a={a}",
+                    "no", witness=(a, b),
+                    notes=f"a*b and a*sigma(b) disagree on vanishing at a={a}, b={b}",
                 )
-        return PropertyCertificate("yes", notes=f"exhaustive over all {ring.order} elements")
-    raise ValueError(f"which must be 'compatible' or 'rigid', got {which!r}")
+    return PropertyCertificate("yes", notes=f"exhaustive over all {ring.order}^2 pairs")
 
 
 def is_reduced(ring):

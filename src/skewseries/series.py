@@ -14,7 +14,6 @@ values already checked, through SkewSeries._trusted.
 from __future__ import annotations
 
 import itertools
-import random
 from operator import add
 
 from .errors import (
@@ -34,7 +33,6 @@ from .rings import (
     RingEndomorphism,
     endo_property,
     identity_endomorphism,
-    is_reduced,
 )
 
 
@@ -366,130 +364,79 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
             j, entering = j + 1, True
 
 
-def armendariz_search(ctx, support_box, mode="exhaustive", budget=ARMENDARIZ_BUDGET, seed=0):
-    """Bounded refutation search for the annihilator-splitting property.
+def armendariz_pair_count(ring, slots, budget):
+    """Pairs (f, g) an exhaustive Armendariz scan over the slots covers;
+    BudgetExceeded when that is more than budget."""
+    total = (ring.order ** len(slots)) ** 2
+    if total > budget:
+        raise BudgetExceeded(f"exhaustive search needs {total} pairs, budget is {budget}")
+    return total
+
+
+def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
+    """Exhaustive refutation search for the annihilator-splitting property.
 
     Scans pairs (f, g) with supports in the box; whenever f*g == 0 it checks
     that every twisted coefficient product f(s)*omega_s(g(t)) vanishes.  A
-    violation yields verdict 'no' with witness (f, g, s, t).  No search can
-    certify the property, so the other verdict is 'unknown-at-bound'.
+    violation yields verdict 'no' with witness (f, g, s, t).  The scan covers
+    only the box, so the other verdict is 'unknown-at-bound'.
     """
     ring = ctx.ring
     slots = normalize_box(ctx.monoid, support_box)
-    k = len(slots)
+    total = armendariz_pair_count(ring, slots, budget)
     n = ring.order
     zero = ring.zero
-    twists = [_twist(ctx, u) for u in slots]
+    twists = {u: _twist(ctx, u) for u in slots}
     mul_t = ring.mul_table
-
-    def refutation(fvec, gvec):
-        # f*g == 0 is known here; look for a nonzero twisted term.
-        for ui in range(k):
-            a = fvec[ui]
-            if a == zero:
-                continue
-            for vi in range(k):
-                if mul_t[a][twists[ui][gvec[vi]]] != zero:
-                    return PropertyCertificate(
-                        "no",
-                        witness=(_box_series(ctx, slots, fvec), _box_series(ctx, slots, gvec),
-                                 slots[ui], slots[vi]),
-                        notes=f"f*g == 0 but f({_fmt_exp(slots[ui])})*omega(g({_fmt_exp(slots[vi])})) != 0; {scope}",
-                    )
-        return None
-
-    if mode == "exhaustive":
-        total = (n ** k) ** 2
-        if total > budget:
-            raise BudgetExceeded(
-                f"exhaustive search needs {total} pairs, budget is {budget}")
-        scope = f"exhaustive over all {total} pairs with support in {list(slots)}"
-        # Left multiplication by a unit c keeps f*g == 0 and each twisted
-        # term's vanishing, since (c*f)(u)*omega_u(g(v)) = c*(f(u)*omega_u(g(v))).
-        # So c*f refutes exactly when f does, with the same g, and the first
-        # refuting f in product order is the least of its unit orbit: only
-        # orbit minima are scanned, and they stand for every pair.
-        one = ring.one
-        unit_rows = [mul_t[c] for c in range(n) if c != one and any(
-            mul_t[c][d] == one and mul_t[d][c] == one for d in range(n))]
-        # Pairs in (f, g) product order; only the g with f*g == 0 can refute.
-        for fvec in itertools.product(range(n), repeat=k):
-            if any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
-                continue
-            f = {e: a for e, a in zip(slots, fvec) if a != zero}
-            if not f:
-                continue
-            for gvec in _annihilating_vectors(ctx, slots, [f]):
-                cert = refutation(fvec, gvec)
-                if cert is not None:
-                    return cert
-    elif mode == "sampled":
-        rng = random.Random(seed * 1_000_003 + 17)
-        scope = f"{budget} sampled pairs with support in {list(slots)} (seed {seed})"
-        for _ in range(budget):
-            fvec = tuple(rng.randrange(n) for _ in range(k))
-            gvec = tuple(rng.randrange(n) for _ in range(k))
-            if (_box_series(ctx, slots, fvec) * _box_series(ctx, slots, gvec)).is_zero:
-                cert = refutation(fvec, gvec)
-                if cert is not None:
-                    return cert
-    else:
-        raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    scope = f"exhaustive over all {total} pairs with support in {list(slots)}"
+    # Left multiplication by a unit c keeps f*g == 0 and each twisted
+    # term's vanishing, since (c*f)(u)*omega_u(g(v)) = c*(f(u)*omega_u(g(v))).
+    # So c*f refutes exactly when f does, with the same g, and the first
+    # refuting f in product order is the least of its unit orbit: only
+    # orbit minima are scanned, and they stand for every pair.
+    one = ring.one
+    unit_rows = [mul_t[c] for c in range(n) if c != one and any(
+        mul_t[c][d] == one and mul_t[d][c] == one for d in range(n))]
+    # Pairs in (f, g) product order; only the g with f*g == 0 can refute.
+    for fvec in itertools.product(range(n), repeat=len(slots)):
+        if any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
+            continue
+        f = {e: a for e, a in zip(slots, fvec) if a != zero}
+        if not f:
+            continue
+        for gvec in _annihilating_vectors(ctx, slots, [f]):
+            # f*g == 0 here; look for a nonzero twisted term.
+            for u, a in f.items():
+                for v, b in zip(slots, gvec):
+                    if mul_t[a][twists[u][b]] != zero:
+                        return PropertyCertificate(
+                            "no",
+                            witness=(SkewSeries._trusted(ctx, f), _box_series(ctx, slots, gvec),
+                                     u, v),
+                            notes=f"f*g == 0 but f({_fmt_exp(u)})*omega(g({_fmt_exp(v)})) != 0; {scope}",
+                        )
     return PropertyCertificate("unknown-at-bound", notes=scope)
 
 
-def s_compatibility_check(ctx, which="compatible"):
-    """Certificate that every exponent's twist map is compatible (or rigid).
+def s_compatibility_check(ctx):
+    """Certificate that every exponent's twist map is compatible.
 
-    Only generator maps are scanned directly.  For 'compatible' this is
-    enough: compatibility is closed under composition, and every twist is
-    a composite of generator maps.  For 'rigid' the scan adds a reducedness
-    check, since a compatible map on a reduced ring is rigid, and the twist
-    at the identity exponent is the identity map, which is rigid only on
-    reduced rings.
+    Only generator maps are scanned directly.  That is enough: compatibility
+    is closed under composition, and every twist is a composite of
+    generator maps.
     """
-    items = sorted(ctx.omega_gen.items())
-    if which == "compatible":
-        for gen, sigma in items:
-            cert = endo_property(sigma, "compatible")
-            if cert.verdict == "no":
-                return PropertyCertificate(
-                    "no", witness=(gen,) + cert.witness,
-                    notes=f"generator map at {gen} is not compatible",
-                )
-        return PropertyCertificate(
-            "yes",
-            notes="all generator maps compatible; compatibility is closed under "
-                  "composition, so the twist at every exponent is compatible",
-        )
-    if which == "rigid":
-        for gen, sigma in items:
-            cert = endo_property(sigma, "rigid")
-            if cert.verdict == "no":
-                return PropertyCertificate(
-                    "no", witness=(gen,) + cert.witness,
-                    notes=f"generator map at {gen} is not rigid",
-                )
-        reduced = is_reduced(ctx.ring)
-        if reduced.verdict == "no":
+    for gen, sigma in sorted(ctx.omega_gen.items()):
+        cert = endo_property(sigma)
+        if cert.verdict == "no":
             return PropertyCertificate(
-                "no", witness=(ctx.monoid.identity(),) + reduced.witness,
-                notes="ring is not reduced, so the identity twist is not rigid",
+                "no", witness=(gen,) + cert.witness,
+                notes=f"generator map at {gen} is not compatible",
             )
-        for gen, sigma in items:
-            cert = endo_property(sigma, "compatible")
-            if cert.verdict == "no":
-                return PropertyCertificate(
-                    "no", witness=(gen,) + cert.witness,
-                    notes="generator map is not compatible, hence some composite twist is not rigid",
-                )
-        return PropertyCertificate(
-            "yes",
-            notes="ring reduced and all generator maps compatible; a compatible "
-                  "map on a reduced ring is rigid, and compatibility is closed "
-                  "under composition",
-        )
-    raise ValueError(f"which must be 'compatible' or 'rigid', got {which!r}")
+    return PropertyCertificate(
+        "yes",
+        notes="all generator maps compatible; compatibility is closed under "
+              "composition, so the twist at every exponent is compatible",
+    )
 
 
 def _fmt_exp(e):

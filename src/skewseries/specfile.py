@@ -11,8 +11,8 @@ from __future__ import annotations
 import os
 import re
 
-from .errors import SpecFormatError
-from .monoids import monoid_make
+from .errors import IllegalPairing, SpecFormatError
+from .monoids import OrderedMonoid
 from .rings import (
     DEFAULT_CAPS,
     build_ring_from_tables,
@@ -183,8 +183,8 @@ def parse_monoid_spec(text):
         raise SpecFormatError(f"monoid arity must be positive, got {k}")
     kind = base if k == 1 else "nat_k"
     try:
-        return monoid_make(kind, mode.strip(), k=k)
-    except Exception as exc:
+        return OrderedMonoid(kind, mode.strip(), k=k)
+    except (ValueError, IllegalPairing) as exc:
         raise SpecFormatError(f"monoid spec {text!r}: {exc}")
 
 
@@ -222,7 +222,3 @@ def resolve_sigma(ring, selector, caps=DEFAULT_CAPS):
             f"{len(endos)} endomorphisms (valid: 0..{len(endos) - 1})")
     return endos[index]
 
-
-def default_catalog():
-    """The builtin rings in their canonical order, as (name, ring) pairs."""
-    return [(name, builtin_ring(name)) for name in CATALOG_NAMES]

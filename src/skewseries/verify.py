@@ -17,7 +17,7 @@ from .errors import (
     MixedContexts,
     NonpositiveExponent,
 )
-from .monoids import check_refinement, monoid_make
+from .monoids import OrderedMonoid, check_refinement
 from .properties import _GAPS, CLASS_NAMES, SEARCH_KINDS, class_profile, decide_generalized
 from .rings import (
     ARMENDARIZ_BUDGET,
@@ -38,6 +38,7 @@ from .series import (
     _annihilating_vectors,
     _box_series,
     all_series,
+    armendariz_pair_count,
     armendariz_search,
     const_embed,
     format_series,
@@ -69,12 +70,6 @@ class TheoremReport(FrozenRecord):
 
     __slots__ = ("statement_id", "outcome", "hypotheses_checked", "conclusion_checked",
                  "scope_note")
-
-
-class CoefficientIdealLift(FrozenRecord):
-    """Coefficient data of a series family: per-exponent sets, union, ideal."""
-
-    __slots__ = ("per_exponent", "union", "generated_ideal")
 
 
 class SearchOutcome(FrozenRecord):
@@ -122,26 +117,11 @@ def _spanning_monomials(ctx, members, slots):
 
 
 def coefficient_ideal_lift(ctx, family):
-    """Per-exponent coefficient sets of a series family and the right ideal they generate.
-
-    Exponents range over the union of supports; the generated ideal of an
-    all-zero family is {0}.
-    """
-    family = list(family)
+    """The right ideal generated by the coefficients of a series family, as
+    a sorted tuple; {0} for an all-zero family."""
     ring = ctx.ring
-    exps = sorted({e for f in family for e in f.support})
-    per = []
-    union = set()
-    for e in exps:
-        vals = frozenset(f._terms.get(e, ring.zero) for f in family)
-        per.append((e, tuple(sorted(vals))))
-        union |= vals
-    ideal = ideal_generated(ring, union | {ring.zero}, "right")
-    return CoefficientIdealLift(
-        per_exponent=tuple(per),
-        union=tuple(sorted(union)),
-        generated_ideal=tuple(sorted(ideal)),
-    )
+    coeffs = {c for f in family for c in f._terms.values()}
+    return tuple(sorted(ideal_generated(ring, coeffs | {ring.zero}, "right")))
 
 
 def bounded_annihilator_in_A(ctx, gens, n, box, budget=ANNIHILATOR_BUDGET):
@@ -184,7 +164,7 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
     constant's embedding, and the counts agree."""
     check_counts(ValueError, budget=budget)
     slots = normalize_box(ctx.monoid, box)
-    arm = armendariz_search(ctx, slots, "exhaustive", budget)
+    arm = armendariz_search(ctx, slots, budget=budget)
     if arm.verdict == "no":
         raise HypothesisNotMet("armendariz_at_box", arm)
     hyps = (("armendariz_at_box", arm),)
@@ -225,18 +205,23 @@ def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
     multiplies finite-support series, which never consults the order.  Each
     is computed when a run first needs it, so the hypothesis that fails
     first is the one that would fail without sharing.
+
+    The Armendariz pair budget is checked before any hypothesis: the order
+    check costs O(points^3), and a box over budget would only reach it to
+    stop at the scan.
     """
+    armendariz_pair_count(ctx.ring, slots, budget)
     order = check_refinement(ctx.monoid, max(abs(c) for e in slots for c in e))
     if order.verdict != "yes":
         raise HypothesisNotMet("quasitotal_order", order)
     hyps = [("quasitotal_order", order)]
-    compat = s_compatibility_check(ctx, "compatible")
+    compat = s_compatibility_check(ctx)
     if compat.verdict != "yes":
         raise HypothesisNotMet("s_compatible", compat)
     hyps.append(("s_compatible", compat))
     arm = shared.get("armendariz")
     if arm is None:
-        arm = shared["armendariz"] = armendariz_search(ctx, slots, "exhaustive", budget)
+        arm = shared["armendariz"] = armendariz_search(ctx, slots, budget=budget)
     if arm.verdict == "no":
         raise HypothesisNotMet("armendariz_at_box", arm)
     hyps.append(("armendariz_at_box", arm))
@@ -373,8 +358,7 @@ def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges):
         for _ in range(2):
             gens.append(_box_series(ctx, slots, [rng.randrange(ring.order) for _ in slots]))
         sampled = {g * m for g in gens for m in multipliers}
-        lift = coefficient_ideal_lift(ctx, sorted(sampled, key=lambda f: f.sort_key))
-        members = lift.generated_ideal
+        members = coefficient_ideal_lift(ctx, sampled)
         family = sorted(sampled | set(_spanning_monomials(ctx, members, slots)),
                         key=lambda f: f.sort_key)
         depth, b = per_ideal[members]
@@ -408,7 +392,7 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
     subs = {}
     shared = {}
     for statement, order_mode, variants in runs:
-        monoid = monoid_make("nat_add", order_mode)
+        monoid = OrderedMonoid("nat", order_mode)
         ctx = SkewContext(ring, monoid)
         hyps = []
         entries = []
@@ -461,7 +445,7 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
                         "right": profile[f"gen_{cls}_right"], "left": profile[f"gen_{cls}_left"],
                     })
         if "armendariz" in kinds:
-            monoid = monoid_make("nat_add", "natural")
+            monoid = OrderedMonoid("nat", "natural")
             slots = normalize_box(monoid, box)
             cost_each = (ring.order ** len(slots)) ** 2
             for idx, sigma in enumerate(enumerate_endomorphisms(ring, caps.endo)):
@@ -471,7 +455,7 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
                     break
                 work += cost_each
                 ctx = SkewContext(ring, monoid, sigma)
-                cert = armendariz_search(ctx, slots, "exhaustive", remaining)
+                cert = armendariz_search(ctx, slots, budget=remaining)
                 if cert.verdict == "no":
                     f, g, s, t = cert.witness
                     findings.append({

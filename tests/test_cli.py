@@ -7,9 +7,10 @@ import sys
 import pytest
 
 import skewseries
-from skewseries import cli, monoids, properties, series
+from skewseries import cli, monoids, properties, series, verify
 from skewseries.cli import _split_catalog, main, run
-from skewseries.monoids import monoid_make
+from skewseries.errors import InvariantViolation
+from skewseries.monoids import OrderedMonoid
 from skewseries.series import SkewContext, format_series, parse_series_literal
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
@@ -265,7 +266,7 @@ def test_zero_counts_stay_valid(argv, exit_code):
 def test_series_subcommand_sum_and_product():
     code, recs = invoke_jsonl("series", "--ring", "zn:4", "2@0 + 3@1", "2@1")
     assert code == 0
-    ctx = SkewContext(builtin_ring("zn:4"), monoid_make("nat_add", "natural"))
+    ctx = SkewContext(builtin_ring("zn:4"), OrderedMonoid("nat", "natural"))
     f = parse_series_literal(ctx, "2@0 + 3@1")
     g = parse_series_literal(ctx, "2@1")
     by_role = {r["role"]: r["value"] for r in recs if r["record"] == "series"}
@@ -362,10 +363,35 @@ def test_unhandled_order_mode_exits_6(monkeypatch):
     assert summary_of(recs)["exit"] == 6
 
 
+def test_internal_error_in_monoid_construction_exits_6(monkeypatch):
+    # Only bad input (ValueError, IllegalPairing) becomes a spec error.
+    def broken(self, *args, **kwargs):
+        raise InvariantViolation("monoid table lost")
+
+    monkeypatch.setattr(monoids.OrderedMonoid, "__init__", broken)
+    code, recs = invoke_jsonl("verify", "prop34", "--ring", "zn:2", "--monoid", "nat2:lex")
+    assert code == 6
+    assert recs[-2] == {"record": "error", "kind": "internal", "message": "monoid table lost"}
+    assert summary_of(recs)["exit"] == 6
+
+
+def test_pair_budget_is_checked_before_the_order_hypothesis(monkeypatch):
+    # The order check costs O(points^3); a box whose Armendariz scan is over
+    # budget stops before it.
+    calls = []
+    monkeypatch.setattr(verify, "check_refinement", lambda *args: calls.append(args))
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--monoid", "nat3:lex",
+                              "--box", "4", "--budget", "100")
+    assert code == 3
+    assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
+                        "message": f"exhaustive search needs {4 ** 64} pairs, budget is 100"}
+    assert calls == []
+
+
 def test_integer_box_is_centred_on_the_identity():
     # --box N over the integers is the 2N-1 points -(N-1)..N-1.
-    assert cli._box_slots(monoid_make("int_add", "natural"), 2) == [(-1,), (0,), (1,)]
-    assert cli._box_slots(monoid_make("nat_add", "natural"), 2) == [(0,), (1,)]
+    assert cli._box_slots(OrderedMonoid("int", "natural"), 2) == [(-1,), (0,), (1,)]
+    assert cli._box_slots(OrderedMonoid("nat", "natural"), 2) == [(0,), (1,)]
     code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--box", "2",
                               "--monoid", "int")
     assert code == 0

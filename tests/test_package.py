@@ -13,7 +13,7 @@ import skewseries
 from skewseries.errors import SpecFormatError
 from skewseries.properties import ClassVerdict
 from skewseries.rings import Caps, PropertyCertificate, RingEndomorphism, ring_zn
-from skewseries.verify import ConclusionEntry, CoefficientIdealLift, SearchOutcome, TheoremReport
+from skewseries.verify import ConclusionEntry, SearchOutcome, TheoremReport
 
 Z2 = ring_zn(2)
 
@@ -25,7 +25,6 @@ RECORDS = [
     (ClassVerdict, (Z2, "baer", True, "subsets", (((0,), 1, 1),), None), {}),
     (ConclusionEntry, ("prop34", "count", False, "1 != 2"), {"witness": None}),
     (TheoremReport, ("prop34", "PASS", (), (), "box {0}"), {}),
-    (CoefficientIdealLift, (((0,), (1,)), (1,), (0, 1)), {}),
     (SearchOutcome, ((), False, 0), {}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]

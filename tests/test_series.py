@@ -14,7 +14,7 @@ from skewseries.errors import (
     MixedMonoids,
     SpecFormatError,
 )
-from skewseries.monoids import monoid_make
+from skewseries.monoids import OrderedMonoid
 from skewseries.rings import (
     enumerate_endomorphisms,
     ring_matrix,
@@ -37,7 +37,7 @@ from skewseries.series import (
 )
 from skewseries.specfile import builtin_ring
 
-NAT = monoid_make("nat_add", "natural")
+NAT = OrderedMonoid("nat", "natural")
 Z4 = ring_zn(4)
 Z6 = ring_zn(6)
 CTX4 = SkewContext(Z4, NAT)
@@ -97,14 +97,14 @@ def test_integer_exponents_need_an_automorphism():
     proj = enumerate_endomorphisms(ring_product(ring_zn(2), ring_zn(2)))[0]
     assert not proj.is_bijective
     with pytest.raises(AxiomViolation) as exc:
-        SkewContext(proj.ring, monoid_make("int_add", "natural"), proj)
+        SkewContext(proj.ring, OrderedMonoid("int", "natural"), proj)
     assert exc.value.axiom == "twist-automorphism"
 
 
 def test_integer_exponent_twist_uses_the_inverse():
     klein = ring_product(ring_zn(2), ring_zn(2))
     swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
-    ctx = SkewContext(klein, monoid_make("int_add", "natural"), swap)
+    ctx = SkewContext(klein, OrderedMonoid("int", "natural"), swap)
     assert ctx.omega((-1,)).image == swap.inverse().image
     assert ctx.omega((-2,)).image == (0, 1, 2, 3)
 
@@ -153,7 +153,7 @@ def test_multiplication_associates_on_random_triples(i, j, k):
 
 
 def test_distribution_over_tuple_exponents():
-    ctx = SkewContext(Z4, monoid_make("nat_k_add", "product", k=2))
+    ctx = SkewContext(Z4, OrderedMonoid("nat_k", "product", k=2))
     f = series_from_pairs(ctx, [(1, (0, 1)), (2, (1, 0))])
     g = series_from_pairs(ctx, [(3, (0, 0)), (1, (1, 1))])
     assert (f * g).coeff((1, 2)) == 1
@@ -187,30 +187,17 @@ def test_armendariz_budget_guard():
         armendariz_search(CTX6, [0, 1, 2], budget=100)
 
 
-def test_armendariz_sampled_mode_is_seed_stable():
-    m2 = ring_matrix(ring_zn(2), 2)
-    ctx = SkewContext(m2, NAT)
-    a = armendariz_search(ctx, [0, 1], mode="sampled", budget=3000, seed=5)
-    b = armendariz_search(ctx, [0, 1], mode="sampled", budget=3000, seed=5)
-    assert a == b
-
-
 def test_compatibility_check_identity_twists():
-    assert s_compatibility_check(CTX6, "compatible").verdict == "yes"
-    assert s_compatibility_check(CTX6, "rigid").verdict == "yes"
-    cert = s_compatibility_check(CTX4, "rigid")
-    assert cert.verdict == "no"
-    # the generator twist is the identity map, which is not rigid on Z/4
-    assert cert.witness[0] == (1,)
-    assert Z4.mul(cert.witness[1], cert.witness[1]) == 0
-    assert cert.witness[1] != 0
+    # the identity map is compatible on every ring, reduced (Z/6) or not (Z/4)
+    for ctx in (CTX4, CTX6):
+        assert s_compatibility_check(ctx).verdict == "yes"
 
 
 def test_compatibility_check_flags_incompatible_twist():
     klein = ring_product(ring_zn(2), ring_zn(2))
     proj = enumerate_endomorphisms(klein)[0]  # collapses a coordinate
     ctx = SkewContext(klein, NAT, proj)
-    assert s_compatibility_check(ctx, "compatible").verdict == "no"
+    assert s_compatibility_check(ctx).verdict == "no"
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,7 +232,7 @@ def test_product_distributes_over_addition(data):
 def test_negative_integer_exponents_multiply_with_the_inverse_twist():
     klein = ring_product(ring_zn(2), ring_zn(2))
     swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
-    ctx = SkewContext(klein, monoid_make("int_add", "natural"), swap)
+    ctx = SkewContext(klein, OrderedMonoid("int", "natural"), swap)
     f = series_from_pairs(ctx, [(1, -1), (3, 2)])
     g = series_from_pairs(ctx, [(2, 1), (1, -3)])
     assert f * g == SkewSeries(ctx, literal_product(f, g))

@@ -12,11 +12,12 @@ from conftest import (
 )
 from skewseries import verify
 from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
-from skewseries.monoids import monoid_make
+from skewseries.monoids import OrderedMonoid
 from skewseries.properties import decide_generalized
 from skewseries.rings import (
     DEFAULT_CAPS,
     annihilator,
+    enumerate_endomorphisms,
     enumerate_ideals,
     ring_matrix,
     ring_zn,
@@ -27,9 +28,11 @@ from skewseries.series import (
     SkewSeries,
     all_series,
     const_embed,
+    exp_embed,
     format_series,
     normalize_box,
     series_from_pairs,
+    zero_series,
 )
 from skewseries.verify import (
     _spanning_monomials,
@@ -42,7 +45,7 @@ from skewseries.verify import (
     verify_thm37,
 )
 
-NAT = monoid_make("nat_add", "natural")
+NAT = OrderedMonoid("nat", "natural")
 Z4 = ring_zn(4)
 Z6 = ring_zn(6)
 CTX4 = SkewContext(Z4, NAT)
@@ -62,10 +65,9 @@ def test_lift_ideal_enumerates_coefficient_choices():
 
 def test_coefficient_ideal_lift_reads_off_the_right_ideal():
     fam = [series_from_pairs(CTX6, [(2, 0), (3, 1)])]
-    lift = coefficient_ideal_lift(CTX6, fam)
-    assert lift.per_exponent == (((0,), (2,)), ((1,), (3,)))
-    assert lift.union == (2, 3)
-    assert lift.generated_ideal == (0, 1, 2, 3, 4, 5)  # 2+3 = 5 is a unit
+    assert coefficient_ideal_lift(CTX6, fam) == (0, 1, 2, 3, 4, 5)  # 2+3 = 5 is a unit
+    assert coefficient_ideal_lift(CTX6, [const_embed(CTX6, 2)]) == (0, 2, 4)
+    assert coefficient_ideal_lift(CTX6, [zero_series(CTX6)]) == (0,)
 
 
 def test_bounded_annihilator_hand_values():
@@ -196,7 +198,7 @@ def test_corollaries_run_each_distinct_hypothesis_once(monkeypatch):
     # Each corollary still reports what its own Thm 3.7 runs report.
     monkeypatch.undo()
     for report, (mode, variants) in zip(reports, COROLLARY_RUNS, strict=True):
-        ctx = SkewContext(Z4, monoid_make("nat_add", mode))
+        ctx = SkewContext(Z4, OrderedMonoid("nat", mode))
         alone = [verify_thm37(ctx, v, [0, 1], samples=2, seed=3) for v in variants]
         assert report.hypotheses_checked == tuple(h for r in alone for h in r.hypotheses_checked)
         assert report.conclusion_checked == tuple(e for r in alone for e in r.conclusion_checked)
@@ -261,7 +263,7 @@ def test_bounded_annihilator_rejects_foreign_generators():
 
 
 def test_thm37_refuses_a_refinement_that_is_not_total():
-    monoid = monoid_make("nat_k_add", "product", k=2)
+    monoid = OrderedMonoid("nat_k", "product", k=2)
     monoid.refined_mode = "product"  # a partial order posing as the refinement
     with pytest.raises(HypothesisNotMet) as exc:
         verify_thm37(SkewContext(Z4, monoid), "baer", monoid.box(1))
@@ -273,9 +275,9 @@ def test_search_passes_down_the_remaining_budget(monkeypatch):
     budgets = []
     real = verify.armendariz_search
 
-    def spy(ctx, slots, mode, budget):
+    def spy(ctx, slots, budget):
         budgets.append(budget)
-        return real(ctx, slots, mode, budget)
+        return real(ctx, slots, budget=budget)
 
     monkeypatch.setattr(verify, "armendariz_search", spy)
     # each Z/4 scan over a two-slot box costs 16 * 16 = 256 pairs
@@ -299,8 +301,7 @@ def _assert_spanning_families_agree(ctx, box, gens):
     full = {g * m for g in gens for m in all_series(ctx, slots)}
     spanning = {g * m for g in gens
                 for m in _spanning_monomials(ctx, range(ctx.ring.order), slots)}
-    assert (coefficient_ideal_lift(ctx, spanning).generated_ideal
-            == coefficient_ideal_lift(ctx, full).generated_ideal)
+    assert coefficient_ideal_lift(ctx, spanning) == coefficient_ideal_lift(ctx, full)
     for n in (1, 2):
         assert (bounded_annihilator_in_A(ctx, spanning, n, slots)
                 == bounded_annihilator_in_A(ctx, full, n, slots)), (ctx, slots, gens, n)
@@ -422,3 +423,56 @@ def test_bridge_outcomes_are_kept_per_annihilator_contents():
     # An equal annihilator from another list reuses the kept outcome.
     assert outcome(list(full), 0) == [(True, None), (False, "g = 1@1")]
     assert len(bridges) == 3
+
+
+# ---------------------------------------------------------------------------
+# a real twist: the Frobenius map of GF(4)
+
+# (kind, order modes, arity, --box N); the box is monoid.box(N - 1), as in the CLI.
+GF4_MONOIDS = (
+    ("nat", ("natural", "trivial"), 1, 3),
+    ("int", ("natural", "trivial"), 1, 2),
+    ("nat_k", ("lex", "product"), 2, 2),
+)
+
+
+def _frobenius(gf4):
+    identity, frobenius = enumerate_endomorphisms(gf4)
+    assert frobenius.image == (0, 1, 3, 2)
+    return frobenius
+
+
+def test_frobenius_twist_acts_on_gf4(gf4):
+    # x*c_2 == c_{omega_1(2)}*x: 3x under Frobenius, 2x untwisted.
+    for sigma, coeff in ((None, 2), (_frobenius(gf4), 3)):
+        ctx = SkewContext(gf4, NAT, sigma)
+        assert exp_embed(ctx, 1) * const_embed(ctx, 2) == series_from_pairs(ctx, [(coeff, 1)])
+
+
+@pytest.mark.parametrize("kind,mode,k,box", [(kind, modes[0], k, box)
+                                             for kind, modes, k, box in GF4_MONOIDS])
+def test_harnesses_pass_under_the_frobenius_twist(gf4, kind, mode, k, box):
+    monoid = OrderedMonoid(kind, mode, k=k)
+    ctx = SkewContext(gf4, monoid, _frobenius(gf4))
+    slots = monoid.box(box - 1)
+    reports = [verify_prop34(ctx, slots), verify_thm37(ctx, "baer", slots),
+               verify_thm37(ctx, "quasi_baer", slots, samples=4)]
+    assert [r.outcome for r in reports] == ["PASS"] * 3
+    assert [name for name, _ in reports[2].hypotheses_checked] == [
+        "quasitotal_order", "s_compatible", "armendariz_at_box", "ring_gen_right_quasi_baer"]
+
+
+def test_baer_conclusions_see_neither_the_twist_nor_the_order(gf4):
+    # Baer generators are constant series, and the twist at the identity
+    # exponent is the identity map, so no Baer conclusion multiplies through
+    # a twist; the twist and the order reach a Baer run only through its
+    # hypotheses.
+    entries = set()
+    for sigma in enumerate_endomorphisms(gf4):
+        for kind, modes, k, box in GF4_MONOIDS:
+            for mode in modes:
+                monoid = OrderedMonoid(kind, mode, k=k)
+                report = verify_thm37(SkewContext(gf4, monoid, sigma), "baer", monoid.box(box - 1))
+                assert report.outcome == "PASS"
+                entries.add(report.conclusion_checked)
+    assert len(entries) == 1
