@@ -21,7 +21,6 @@ from .errors import (
     BudgetExceeded,
     DuplicateExponent,
     ForeignElement,
-    InvariantViolation,
     MixedContexts,
     SpecFormatError,
 )
@@ -39,84 +38,54 @@ from .rings import (
 class SkewContext:
     """A ring, an exponent monoid, and the twist action of the exponents.
 
-    The twist is given on monoid generators; images of arbitrary exponents
-    are composites, cached per exponent.  Generators must commute as maps
-    (the monoid is commutative), and over the integers the generator at 1
-    must be an automorphism whose inverse is the image at -1.
+    The twist is one endomorphism sigma of the ring: the map at exponent s
+    is sigma^(s_1+...+s_k), so s -> omega(s) is a monoid homomorphism into
+    End(R).  The powers sigma^0, sigma^1, ... are kept up to the first
+    repeated image, with the index where their cycle starts, so every power
+    is one lookup.  Over the integers sigma must be an automorphism; then
+    the cycle starts at 0 and sigma^-d is a positive power.
     """
 
     def __init__(self, ring: FiniteRing, monoid: OrderedMonoid, sigma=None):
-        self.ring = ring
-        self.monoid = monoid
-        gens = monoid.generators()
         if sigma is None:
             sigma = identity_endomorphism(ring)
-        if isinstance(sigma, RingEndomorphism):
-            if monoid.kind == "nat_k":
-                sigmas = (sigma,) * monoid.k
-            else:
-                sigmas = (sigma,)
-        else:
-            sigmas = tuple(sigma)
-        if monoid.kind == "int":
-            if len(sigmas) != 1:
-                raise ValueError("int exponents take a single generator map")
-            base = sigmas[0]
-            if not base.is_bijective:
-                raise AxiomViolation("twist-automorphism", None,
-                                     "twist over the integers must be an automorphism")
-            self.omega_gen = {(1,): base, (-1,): base.inverse()}
-        else:
-            if len(sigmas) != len(gens):
-                raise ValueError(f"expected {len(gens)} generator maps, got {len(sigmas)}")
-            self.omega_gen = dict(zip(gens, sigmas))
-        for g, s in self.omega_gen.items():
-            if s.ring is not ring:
-                raise ValueError("generator map acts on a different ring")
-        maps = list(self.omega_gen.items())
-        for i in range(len(maps)):
-            for j in range(i + 1, len(maps)):
-                gi, si = maps[i]
-                gj, sj = maps[j]
-                if si.compose(sj).image != sj.compose(si).image:
-                    raise AxiomViolation("twist-commutativity", (gi, gj))
-        self._omega_cache = {monoid.identity(): identity_endomorphism(ring)}
+        if not isinstance(sigma, RingEndomorphism) or sigma.ring is not ring:
+            raise ValueError("the twist must be one endomorphism of the context's ring")
+        if monoid.kind == "int" and not sigma.is_bijective:
+            raise AxiomViolation("twist-automorphism", None,
+                                 "twist over the integers must be an automorphism")
+        self.ring = ring
+        self.monoid = monoid
+        self.sigma = sigma
+        # The first repeated power is dropped; its index starts the cycle.
+        powers, index = [identity_endomorphism(ring)], {}
+        while powers[-1].image not in index:
+            index[powers[-1].image] = len(powers) - 1
+            powers.append(sigma.compose(powers[-1]))
+        self._cycle_start = index[powers.pop().image]
+        self._powers = powers
         # Box kernel plans by slots tuple; see _annihilating_vectors.
         self._kernel_plans = {}
 
     def omega(self, s) -> RingEndomorphism:
-        """The twist endomorphism at exponent s (composite of generators)."""
-        s = normalize_exponent(self.monoid, s)
-        cached = self._omega_cache.get(s)
-        if cached is not None:
-            return cached
-        # Peel one generator step off the first nonzero coordinate.
-        for i, c in enumerate(s):
-            if c == 0:
-                continue
-            step = [0] * self.monoid.k
-            step[i] = 1 if c > 0 else -1
-            rest = list(s)
-            rest[i] -= step[i]
-            gen_map = self.omega_gen[tuple(step) if self.monoid.kind == "int" else self._unit(i)]
-            result = gen_map.compose(self.omega(tuple(rest)))
-            self._omega_cache[s] = result
-            return result
-        raise InvariantViolation("unreachable: identity is pre-cached")
-
-    def _unit(self, i):
-        v = [0] * self.monoid.k
-        v[i] = 1
-        return tuple(v)
+        """The twist endomorphism at exponent s: sigma to the coordinate sum."""
+        return _power(self, sum(normalize_exponent(self.monoid, s)))
 
     def __repr__(self):
         return f"SkewContext({self.ring.label}, {self.monoid!r})"
 
 
+def _power(ctx, d):
+    """sigma^d, with d reduced into the cycle of the power list."""
+    start, powers = ctx._cycle_start, ctx._powers
+    if not 0 <= d < start:
+        d = start + (d - start) % (len(powers) - start)
+    return powers[d]
+
+
 def _twist(ctx, u):
     """Image table of the twist at an already validated exponent u."""
-    cached = ctx._omega_cache.get(u)
-    return (cached if cached is not None else ctx.omega(u)).image
+    return _power(ctx, sum(u)).image
 
 
 def normalize_exponent(monoid, e):
@@ -213,7 +182,7 @@ class SkewSeries:
 
     def __hash__(self):
         # Not the context's id: sets of series must iterate in the same order
-        # in every run, since the order decides which twists get cached first.
+        # in every run.
         return hash(self._key)
 
     def __repr__(self):
@@ -369,7 +338,12 @@ def armendariz_pair_count(ring, slots, budget):
     BudgetExceeded when that is more than budget."""
     total = (ring.order ** len(slots)) ** 2
     if total > budget:
-        raise BudgetExceeded(f"exhaustive search needs {total} pairs, budget is {budget}")
+        try:
+            count = str(total)
+        except ValueError:
+            # Too many digits for int-to-str conversion: print the power.
+            count = f"{ring.order}^{2 * len(slots)}"
+        raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {budget}")
     return total
 
 
@@ -425,8 +399,8 @@ def s_compatibility_check(ctx):
     is closed under composition, and every twist is a composite of
     generator maps.
     """
-    for gen, sigma in sorted(ctx.omega_gen.items()):
-        cert = endo_property(sigma)
+    for gen in sorted(ctx.monoid.generators()):
+        cert = endo_property(ctx.omega(gen))
         if cert.verdict == "no":
             return PropertyCertificate(
                 "no", witness=(gen,) + cert.witness,

@@ -18,7 +18,7 @@ from .errors import (
     NonpositiveExponent,
 )
 from .monoids import OrderedMonoid, check_refinement
-from .properties import _GAPS, CLASS_NAMES, SEARCH_KINDS, class_profile, decide_generalized
+from .properties import _GAPS, SEARCH_KINDS, SIDES, class_profile, decide_generalized
 from .rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
@@ -425,15 +425,18 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
     for kind in kinds:
         if kind not in SEARCH_KINDS:
             raise ValueError(f"unknown search property {kind!r}; options: {', '.join(SEARCH_KINDS)}")
+    # Only the classes the requested gaps and the left-right comparison read.
+    names = {cname for kind in kinds if kind in _GAPS for cname in _GAPS[kind][:2]}
+    if "left_right" in kinds:
+        names.update(f"gen_{cls}_{side}" for cls in ("baer", "quasi_baer") for side in SIDES)
     findings = []
     exhausted = False
     work = 0
     for name, ring in catalog:
         profile = {}
-        if any(k in kinds for k in SEARCH_KINDS[:4]):
-            for cls in ("baer", "quasi_baer"):
-                profile.update((cname, cv.verdict) for cname, cv in class_profile(
-                    ring, cls, CLASS_NAMES, caps, keep=False).items())
+        for cls in ("baer", "quasi_baer"):
+            profile.update((cname, cv.verdict) for cname, cv in class_profile(
+                ring, cls, names, caps, keep=False).items())
         for kind, (holds, fails, detail) in _GAPS.items():
             if kind in kinds and profile[holds] and not profile[fails]:
                 findings.append({"kind": kind, "ring": name, "detail": detail})

@@ -333,21 +333,6 @@ def test_broken_invariant_exits_6(monkeypatch):
     assert summary_of(recs)["exit"] == 6
 
 
-def test_unreachable_twist_branch_exits_6(monkeypatch):
-    real_init = series.SkewContext.__init__
-
-    def without_identity(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        self._omega_cache.clear()
-
-    monkeypatch.setattr(series.SkewContext, "__init__", without_identity)
-    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--box", "2")
-    assert code == 6
-    assert recs[-2] == {"record": "error", "kind": "internal",
-                        "message": "unreachable: identity is pre-cached"}
-    assert summary_of(recs)["exit"] == 6
-
-
 def test_unhandled_order_mode_exits_6(monkeypatch):
     real_init = monoids.OrderedMonoid.__init__
 
@@ -386,6 +371,29 @@ def test_pair_budget_is_checked_before_the_order_hypothesis(monkeypatch):
     assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
                         "message": f"exhaustive search needs {4 ** 64} pairs, budget is 100"}
     assert calls == []
+
+
+@pytest.mark.parametrize("statement", ["thm37-baer", "prop34", "corollaries"])
+def test_pair_count_past_the_digit_limit_prints_as_a_power(statement):
+    # 2^16000 has 4817 digits, more than int-to-str conversion allows by
+    # default; the budget error must still be a cap error, not a spec error.
+    code, recs = invoke_jsonl("verify", statement, "--ring", "zn:2", "--box", "8000",
+                              "--budget", "100")
+    assert code == 3
+    assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
+                        "message": "exhaustive search needs 2^16000 pairs, budget is 100"}
+
+
+@pytest.mark.parametrize("argv,product", [
+    (("--ring", "zn:4", "1@2000", "1@3"), "1@2003"),
+    (("--ring", "prod:zn:2,zn:2", "--sigma", "2", "--monoid", "int:natural",
+      "1@-2001 + 2@1", "3@-1 + 1@1000000001"), "1@-2002 + 2@0 + 2@1000000002"),
+], ids=["untwisted", "swap-over-int"])
+def test_deep_exponents_multiply(argv, product):
+    # A twist at any exponent is one lookup in the power cycle of sigma.
+    code, recs = invoke_jsonl("series", *argv)
+    assert code == 0
+    assert recs[-2] == {"record": "series", "role": "product", "value": product}
 
 
 def test_integer_box_is_centred_on_the_identity():

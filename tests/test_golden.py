@@ -11,6 +11,9 @@ benchmark jobs, prop34, a small thm37 run and two refutations whose
 Armendariz witness comes from a unit-rich ring) were recorded before the
 Armendariz scan skipped non-least unit orbits, the box kernel kept one plan
 per context and the bridge check ran once per distinct annihilator.
+The last four pins run the Klein swap (`--sigma 2` on prod:zn:2,zn:2) over
+the integers and over N^2; they were recorded before the twist became one
+endomorphism with a cached power cycle.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -85,6 +88,18 @@ GOLDEN = [
      4, "3fe86be9808bc7bc743d7e6347aeac51fdb876738671a3db73e2d508371da0bb"),
     (('verify', 'thm37-quasibaer', '--ring', 'ut2:z2', '--box', '2'),
      4, "9234762380d91a56efff0809ee9b2fa2f789598e075ca5137eb9b255719b713d"),
+    (('verify', 'thm37-baer', '--ring', 'prod:zn:2,zn:2', '--sigma', '2', '--box', '2',
+      '--monoid', 'int:natural'),
+     4, "c38889793686b8c01736359d4b1676492823769b5c44758ca8fd061b3014ab58"),
+    (('verify', 'thm37-baer', '--ring', 'prod:zn:2,zn:2', '--sigma', '2', '--box', '2',
+      '--monoid', 'nat2:lex'),
+     4, "4a46431dd88157e67701dac979269c804181571f7883e32d4ed8bbe9635e8e1b"),
+    (('series', '--ring', 'prod:zn:2,zn:2', '--sigma', '2', '--monoid', 'int:natural',
+      '1@-2 + 2@1', '3@-1 + 1@2'),
+     0, "f38e52fe31da9707fff566433245b067020d517a68d3c557b742627b5dee3d07"),
+    (('series', '--ring', 'prod:zn:2,zn:2', '--sigma', '2', '--monoid', 'nat2:lex',
+      '1@0,2 + 2@1,1', '3@1,0 + 1@2,0'),
+     0, "8bfae73fccffec460ef9b770e939f0a8cbd000d980ba9229d1eb3f9edf70f141"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Package surface: the immutable records, the lazy exports, and what
 importing the CLI loads."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -16,6 +17,7 @@ from skewseries.rings import Caps, PropertyCertificate, RingEndomorphism, ring_z
 from skewseries.verify import ConclusionEntry, SearchOutcome, TheoremReport
 
 Z2 = ring_zn(2)
+SRC = os.path.dirname(skewseries.__file__)
 
 # (class, a full set of field values, the defaults of its trailing fields)
 RECORDS = [
@@ -190,3 +192,16 @@ def test_ring_commands_load_no_series_code(argv):
     loaded = _modules_loaded(
         f"import io\nfrom skewseries.cli import run\nrun({argv!r}, io.StringIO())")
     assert {m for m in loaded if m.startswith("skewseries")} == RING_COMMAND_MODULES - {"__future__"}
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements, and the invariants must hold there
+    # too: they raise InvariantViolation instead.
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

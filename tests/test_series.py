@@ -16,6 +16,7 @@ from skewseries.errors import (
 )
 from skewseries.monoids import OrderedMonoid
 from skewseries.rings import (
+    RingEndomorphism,
     enumerate_endomorphisms,
     ring_matrix,
     ring_product,
@@ -84,13 +85,45 @@ def test_constant_and_exponent_embeddings_multiply():
             assert lhs == rhs, (r, s)
 
 
-def test_twist_is_a_monoid_homomorphism():
+def _twist_of(name, gf4):
+    if name == "gf4-frobenius":
+        return enumerate_endomorphisms(gf4)[1]
     klein = ring_product(ring_zn(2), ring_zn(2))
-    swap = next(e for e in enumerate_endomorphisms(klein) if e.image == (0, 2, 1, 3))
-    ctx = SkewContext(klein, NAT, swap)
-    for u in NAT.box(6):
-        for v in NAT.box(6):
-            assert ctx.omega(NAT.op(u, v)).image == ctx.omega(u).compose(ctx.omega(v)).image
+    image = {"klein-swap": (0, 2, 1, 3), "klein-projection": (0, 0, 3, 3)}[name]
+    return next(e for e in enumerate_endomorphisms(klein) if e.image == image)
+
+
+def _composed(sigma, d):
+    """Image table of sigma composed with itself d times, one step at a time."""
+    image = tuple(range(sigma.ring.order))
+    for _ in range(d):
+        image = tuple(sigma.image[y] for y in image)
+    return image
+
+
+def test_twist_is_a_monoid_homomorphism(gf4):
+    # The projection is not bijective, so its power cycle starts at 1 and it
+    # has no place over the integers.
+    for twist in ("klein-swap", "klein-projection", "gf4-frobenius"):
+        sigma = _twist_of(twist, gf4)
+        for monoid_name, (kind, mode, k) in sorted(KERNEL_MONOIDS.items()):
+            if kind == "int" and not sigma.is_bijective:
+                continue
+            monoid = OrderedMonoid(kind, mode, k=k)
+            ctx = SkewContext(sigma.ring, monoid, sigma)
+            points = monoid.box(3)
+            for u in points:
+                for v in points:
+                    assert (ctx.omega(monoid.op(u, v)).image
+                            == ctx.omega(u).compose(ctx.omega(v)).image), (twist, u, v)
+            for u in monoid.box(6) + [(1001,) * k]:
+                if sum(u) >= 0:
+                    assert ctx.omega(u).image == _composed(sigma, sum(u)), (twist, u)
+            if kind == "int":
+                for d in range(14):
+                    sigma_d = RingEndomorphism(sigma.ring, _composed(sigma, d))
+                    assert (ctx.omega((-d,)).compose(sigma_d).image
+                            == tuple(range(sigma.ring.order))), (twist, d)
 
 
 def test_integer_exponents_need_an_automorphism():
@@ -299,7 +332,7 @@ def test_armendariz_witnesses_match_a_literal_pair_scan(ring_name, slots):
             box = ctx.monoid.box(1)[:slots]
             cert = armendariz_search(ctx, box)
             expected = literal_armendariz(ctx, box)
-            assert cert.witness == expected, (monoid_name, ctx.omega_gen)
+            assert cert.witness == expected, (monoid_name, ctx.sigma)
             refuted += expected is not None
     assert refuted >= 7
 

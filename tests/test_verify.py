@@ -10,7 +10,7 @@ from conftest import (
     skew_boxes,
     skew_contexts,
 )
-from skewseries import verify
+from skewseries import properties, verify
 from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from skewseries.monoids import OrderedMonoid
 from skewseries.properties import decide_generalized
@@ -218,6 +218,27 @@ def test_search_left_right_scan_is_quiet_on_commutative_rings():
 def test_search_armendariz_budget_exhaustion():
     out = counterexample_search([("zn:4", Z4)], properties=("armendariz",), budget=5)
     assert out.exhausted and out.findings == ()
+
+
+@pytest.mark.parametrize("kinds,walks", [
+    (("gen_baer_not_baer",), [("baer", "right", True), ("baer", "left", False)]),
+    (("quasi_baer_not_baer",), [("baer", "right", False), ("baer", "left", False),
+                                ("quasi_baer", "right", False), ("quasi_baer", "left", False)]),
+    (("armendariz",), []),
+    (None, [(cls, side, True) for cls in ("baer", "quasi_baer") for side in ("right", "left")]),
+], ids=["gen-baer-gap", "quasi-baer-gap", "armendariz", "all"])
+def test_search_walks_only_the_classes_it_reports(kinds, walks, monkeypatch):
+    # mat2:z2 is not commutative, so each side it asks about is its own walk.
+    seen = []
+    real = properties._decide
+
+    def spy(ring, cls, side, caps, climb, keep=True):
+        seen.append((cls, side, climb))
+        return real(ring, cls, side, caps, climb, keep)
+
+    monkeypatch.setattr(properties, "_decide", spy)
+    counterexample_search([("mat2:z2", ring_matrix(ring_zn(2), 2))], properties=kinds)
+    assert seen == walks
 
 
 def test_search_rejects_unknown_property():
