@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import skewseries
-from skewseries import cli, monoids, properties, series, verify
+from skewseries import cli, monoids, properties, verify
 from skewseries.cli import _split_catalog, main, run
 from skewseries.errors import InvariantViolation
 from skewseries.monoids import OrderedMonoid

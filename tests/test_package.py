@@ -17,7 +17,6 @@ from skewseries.rings import Caps, PropertyCertificate, RingEndomorphism, ring_z
 from skewseries.verify import ConclusionEntry, SearchOutcome, TheoremReport
 
 Z2 = ring_zn(2)
-SRC = os.path.dirname(skewseries.__file__)
 
 # (class, a full set of field values, the defaults of its trailing fields)
 RECORDS = [
@@ -197,10 +196,10 @@ def test_ring_commands_load_no_series_code(argv):
 def test_no_bare_assert_in_the_package():
     # python -O strips assert statements, and the invariants must hold there
     # too: they raise InvariantViolation instead.
-    found = []
-    for name in sorted(os.listdir(SRC)):
+    src, found = os.path.dirname(skewseries.__file__), []
+    for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=name)
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
