@@ -29,7 +29,8 @@ from .errors import (
     SpecFormatError,
 )
 from .properties import SEARCH_KINDS, SIDES, class_profile
-from .rings import ARMENDARIZ_BUDGET, DEFAULT_CAPS, PropertyCertificate, check_counts, idempotents
+from .rings import (ARMENDARIZ_BUDGET, DEFAULT_CAPS, SEARCH_BUDGET, PropertyCertificate,
+                    check_counts, idempotents)
 from .specfile import (
     CATALOG_NAMES,
     builtin_ring,
@@ -47,11 +48,16 @@ _CLASS_FLAGS = ("baer", "quasi-baer", "gen-baer", "gen-quasi-baer")
 STATEMENTS = ("prop34", "thm37-baer", "thm37-quasibaer", "corollaries")
 
 
-def _box_slots(monoid, count):
+def _box_size(monoid, count):
     # --box N means N exponent values per axis starting at the identity over
     # N and N^k, and the 2N-1 values -(N-1)..N-1 over the integers.
     if count < 1:
         raise SpecFormatError(f"--box must be >= 1, got {count}")
+    return 2 * count - 1 if monoid.kind == "int" else count ** monoid.k
+
+
+def _box_slots(monoid, count):
+    _box_size(monoid, count)
     return monoid.box(count - 1)
 
 
@@ -248,17 +254,24 @@ def _report_records(records, report):
 
 
 def cmd_verify(args, records, caps):
-    from .series import SkewContext
+    from .series import SkewContext, armendariz_pair_count
     from .verify import verify_corollaries, verify_prop34, verify_thm37
 
     check_counts(SpecFormatError, "--", budget=args.budget, samples=args.samples)
     ring = resolve_ring(args.ring, caps)
+
+    def budgeted_slots(monoid):
+        # Every statement starts with the Armendariz pair budget; checking it
+        # from the point count stops an over-budget box before it is built.
+        armendariz_pair_count(ring, _box_size(monoid, args.box), args.budget)
+        return monoid.box(args.box - 1)
+
     if args.statement == "corollaries":
         if args.monoid != "nat:natural" or args.sigma != "id":
             raise SpecFormatError(
                 "the corollary runs are untwisted over the natural and trivial "
                 "orders; --monoid/--sigma selectors do not apply")
-        reports = verify_corollaries(ring, _box_slots(resolve_monoid("nat:natural"), args.box),
+        reports = verify_corollaries(ring, budgeted_slots(resolve_monoid("nat:natural")),
                                      budget=args.budget, seed=args.seed, samples=args.samples,
                                      caps=caps)
         all_pass = True
@@ -268,7 +281,7 @@ def cmd_verify(args, records, caps):
     monoid = resolve_monoid(args.monoid)
     sigma = resolve_sigma(ring, args.sigma, caps)
     ctx = SkewContext(ring, monoid, sigma)
-    slots = _box_slots(monoid, args.box)
+    slots = budgeted_slots(monoid)
     if args.statement == "prop34":
         report = verify_prop34(ctx, slots, budget=args.budget)
     else:
@@ -393,7 +406,7 @@ def build_parser():
                           help="comma-separated ring names or files; empty scans nothing")
     search_p.add_argument("--properties", default="all",
                           help="comma-separated subset of: " + ", ".join(SEARCH_KINDS))
-    search_p.add_argument("--budget", type=int, default=10_000_000)
+    search_p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
     search_p.add_argument("--box", type=int, default=2)
 
     series_p = sub.add_parser("series", parents=[common],

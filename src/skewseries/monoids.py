@@ -7,17 +7,8 @@ be sharpened to a compatible strict total order when one is needed.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .errors import IllegalPairing, InvariantViolation, MixedMonoids
 from .rings import PropertyCertificate
-
-
-class OrderVerdict(Enum):
-    LT = "LT"
-    GT = "GT"
-    EQ = "EQ"
-    INC = "INC"
 
 
 _MODES = {
@@ -45,12 +36,8 @@ class OrderedMonoid:
         self.k = k
         # Total refinement compatible with the base order; for already total
         # modes it is the mode itself.
-        if order_mode in ("natural", "lex"):
-            self.refined_mode = order_mode
-        elif order_mode == "product":
-            self.refined_mode = "lex"
-        else:
-            self.refined_mode = "natural" if k == 1 else "lex"
+        self.refined_mode = order_mode if order_mode in ("natural", "lex") else (
+            "natural" if k == 1 else "lex")
 
     def identity(self):
         return (0,) * self.k
@@ -82,25 +69,21 @@ class OrderedMonoid:
         self.validate(v)
         return tuple(a + b for a, b in zip(u, v))
 
-    def compare(self, u, v, refined=False):
-        """Strict order verdict LT/GT/EQ/INC; refined=True never returns INC."""
+    def less(self, u, v, refined=False):
+        """u < v in the order mode, or in its total refinement if refined."""
         self.validate(u)
         self.validate(v)
         if u == v:
-            return OrderVerdict.EQ
+            return False
         mode = self.refined_mode if refined else self.order_mode
         if mode == "trivial":
-            return OrderVerdict.INC
+            return False
         if mode == "natural":
-            return OrderVerdict.LT if u[0] < v[0] else OrderVerdict.GT
+            return u[0] < v[0]
         if mode == "lex":
-            return OrderVerdict.LT if u < v else OrderVerdict.GT
+            return u < v
         if mode == "product":
-            if all(a <= b for a, b in zip(u, v)):
-                return OrderVerdict.LT
-            if all(a >= b for a, b in zip(u, v)):
-                return OrderVerdict.GT
-            return OrderVerdict.INC
+            return all(a <= b for a, b in zip(u, v))
         raise InvariantViolation(f"unhandled mode {mode}")
 
     def box(self, bound):
@@ -136,9 +119,7 @@ def check_order_axioms(monoid, bound, lt=None):
     comparator for testing the checker itself.
     """
     if lt is None:
-        def lt(u, v):
-            return monoid.compare(u, v) is OrderVerdict.LT
-
+        lt = monoid.less
     points = monoid.box(bound)
     for u in points:
         if lt(u, u):
@@ -165,11 +146,11 @@ def check_order_axioms(monoid, bound, lt=None):
 
 
 def check_refinement(monoid, bound):
-    """Certificate that the designated refinement (compare with refined=True)
+    """Certificate that the designated refinement (less with refined=True)
     is a strict compatible total order extending the declared order, checked
     exhaustively on a coordinate box."""
     def lt(u, v):
-        return monoid.compare(u, v, refined=True) is OrderVerdict.LT
+        return monoid.less(u, v, refined=True)
 
     cert = check_order_axioms(monoid, bound, lt)
     if cert.verdict != "yes":
@@ -179,7 +160,7 @@ def check_refinement(monoid, bound):
         for v in points:
             if u != v and not (lt(u, v) or lt(v, u)):
                 return PropertyCertificate("no", witness=(u, v, "totality"))
-            if monoid.compare(u, v) is OrderVerdict.LT and not lt(u, v):
+            if monoid.less(u, v) and not lt(u, v):
                 return PropertyCertificate("no", witness=(u, v, "extension"))
     return PropertyCertificate(
         "yes",

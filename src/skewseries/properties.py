@@ -85,8 +85,9 @@ def _subset_table(singles, full, first, count):
     return anns, members
 
 
-def _decide(ring, cls, side, caps, climb, keep=True):
-    """(verdict, instance_kind, per_instance, failing, flat_failing) for one side.
+def _decide(ring, cls, side, caps, climb, keep):
+    """(per_instance, failing, flat_failing) for one side; failing is None
+    exactly when the walk accepts.
 
     Instances are every nonempty subset in ascending bitmask order ('baer')
     or every side-matching ideal ('quasi_baer').  An instance's annihilator
@@ -145,7 +146,7 @@ def _decide(ring, cls, side, caps, climb, keep=True):
 
     per_instance, flat = [], None
     if cls == "baer":
-        kind, c = "subset", min(n, 8)
+        c = min(n, 8)
         low_anns, low_members = _subset_table(singles, full, 0, c)
         high_anns, high_members = _subset_table(singles, full, c, n - c)
         # Blocks are (annihilators, low member tuples, high member tuple).
@@ -154,8 +155,7 @@ def _decide(ring, cls, side, caps, climb, keep=True):
                        (([h & a for a in low_anns], low_members, high)
                         for h, high in zip(high_anns[1:], high_members[1:])))
     else:
-        kind = f"{side}_ideal"
-        ideals = [tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps.ideal)]
+        ideals = [tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps)]
         blocks = [([ann_of(m) for m in ideals], ideals, ())]
     for anns, lows, high in blocks:
         es, depths = list(map(genmap.get, anns)), repeat(1)
@@ -165,10 +165,10 @@ def _decide(ring, cls, side, caps, climb, keep=True):
                 members = lows[i] + high
                 depths[i], es[i], ann = chain_end(members, anns[i])
                 if es[i] is None:
-                    return False, kind, (), (members, depths[i], _mask_members(ann)), flat
+                    return (), (members, depths[i], _mask_members(ann)), flat
         if keep:
             per_instance.extend(zip([low + high for low in lows], depths, es))
-    return True, kind, tuple(per_instance), None, flat
+    return tuple(per_instance), None, flat
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +195,16 @@ def class_profile(ring, cls, names, caps=DEFAULT_CAPS, keep=True):
     else:
         runs = {side: _decide(ring, cls, side, caps, climbs[side],
                               keep and (climbs[side] or side == "right")) for side in sides}
-    for side, (verdict, _, per_instance, failing, _) in runs.items():
+    kinds = {side: "subset" if cls == "baer" else f"{side}_ideal" for side in SIDES}
+    for side, (per_instance, failing, _) in runs.items():
         if climbs[side]:
-            kind = "subset" if cls == "baer" else f"{side}_ideal"
             profile[f"gen_{cls}_{side}"] = ClassVerdict(
-                ring, f"gen_{cls}_{side}", verdict, kind, per_instance, failing)
+                ring, f"gen_{cls}_{side}", failing is None, kinds[side], per_instance, failing)
     if ordinary:
-        if (runs["right"][4] is None) != (runs["left"][4] is None):
+        if (runs["right"][2] is None) != (runs["left"][2] is None):
             raise InvariantViolation(f"{cls} verdict must be side-symmetric")
-        _, kind, per_instance, _, flat = runs["right"]
-        profile[cls] = ClassVerdict(ring, cls, flat is None, kind,
+        per_instance, _, flat = runs["right"]
+        profile[cls] = ClassVerdict(ring, cls, flat is None, kinds["right"],
                                     per_instance if flat is None else (), flat)
     return profile
 

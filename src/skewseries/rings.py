@@ -18,9 +18,11 @@ from .errors import (
     SpecFormatError,
 )
 
-# Default pair budget of the exhaustive Armendariz search (series.py); it
-# lives here because the CLI parser needs it before any series code loads.
+# Default budgets of the exhaustive Armendariz search (series.py) and of the
+# counterexample search (verify.py); they live here because the CLI parser
+# needs them before any series code loads.
 ARMENDARIZ_BUDGET = 2_000_000
+SEARCH_BUDGET = 10_000_000
 
 
 class FrozenRecord:
@@ -304,20 +306,20 @@ def build_ring_from_tables(order, add_table, mul_table, zero, one, label="R", el
 # constructors
 
 
-def ring_zn(n, max_order=None):
+def ring_zn(n, caps=DEFAULT_CAPS):
     """The integers mod n, elements being the residues themselves."""
     if n < 2:
         raise ValueError(f"zn needs n >= 2, got {n}")
-    _check_construction(n, max_order)
+    _check_construction(n, caps)
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     return FiniteRing(n, add, mul, 0, 1, label=f"Z/{n}")
 
 
-def ring_product(left, right, max_order=None):
+def ring_product(left, right, caps=DEFAULT_CAPS):
     """Direct product; index of (a, b) is a*right.order + b."""
     order = left.order * right.order
-    _check_construction(order, max_order)
+    _check_construction(order, caps)
     m = right.order
 
     def enc(a, b):
@@ -342,23 +344,23 @@ def ring_product(left, right, max_order=None):
     )
 
 
-def ring_matrix(base, k, max_order=None):
+def ring_matrix(base, k, caps=DEFAULT_CAPS):
     """Full k x k matrices over base; k limited to 2 or 3."""
     if k not in (2, 3):
         raise ValueError(f"matrix size must be 2 or 3, got {k}")
     positions = [(i, j) for i in range(k) for j in range(k)]
-    return _matrix_like(base, k, positions, f"M{k}({base.label})", max_order)
+    return _matrix_like(base, k, positions, f"M{k}({base.label})", caps)
 
 
-def ring_upper_triangular(base, k, max_order=None):
+def ring_upper_triangular(base, k, caps=DEFAULT_CAPS):
     """Upper triangular k x k matrices over base; k limited to 2 or 3."""
     if k not in (2, 3):
         raise ValueError(f"matrix size must be 2 or 3, got {k}")
     positions = [(i, j) for i in range(k) for j in range(i, k)]
-    return _matrix_like(base, k, positions, f"UT{k}({base.label})", max_order)
+    return _matrix_like(base, k, positions, f"UT{k}({base.label})", caps)
 
 
-def _matrix_like(base, k, positions, label, max_order):
+def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
     """Matrix ring over the free entry positions, row-major digit encoding.
 
     The index of a matrix is sum over positions of entry * base.order**t,
@@ -368,7 +370,7 @@ def _matrix_like(base, k, positions, label, max_order):
     """
     m = base.order
     order = m ** len(positions)
-    _check_construction(order, max_order)
+    _check_construction(order, caps)
 
     def decode(x):
         mat = [[base.zero] * k for _ in range(k)]
@@ -446,10 +448,9 @@ def _matrix_like(base, k, positions, label, max_order):
     return FiniteRing(order, add, mul, zero, encode(ident), label=label, element_labels=labels)
 
 
-def _check_construction(order, max_order):
-    cap = DEFAULT_CAPS.order if max_order is None else max_order
-    if order > cap:
-        raise SizeCapExceeded(f"constructed order {order} exceeds cap {cap}")
+def _check_construction(order, caps):
+    if order > caps.order:
+        raise SizeCapExceeded(f"constructed order {order} exceeds cap {caps.order}")
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +577,7 @@ def ideal_generated(ring, subset, side="right"):
     return out
 
 
-def enumerate_ideals(ring, side="right", cap=None):
+def enumerate_ideals(ring, side="right", caps=DEFAULT_CAPS):
     """All one-sided ideals, ascending by size then by sorted member tuple.
 
     In a unital ring every one-sided ideal is the sum of the principal ideals
@@ -584,9 +585,8 @@ def enumerate_ideals(ring, side="right", cap=None):
     {a + b}.  So closing {0} under adding one principal ideal, a row of the
     side table, reaches every ideal and nothing else.
     """
-    cap = DEFAULT_CAPS.ideal if cap is None else cap
-    if ring.order > cap:
-        raise SizeCapExceeded(f"ideal enumeration capped at order {cap}, ring has {ring.order}")
+    if ring.order > caps.ideal:
+        raise SizeCapExceeded(f"ideal enumeration capped at order {caps.ideal}, ring has {ring.order}")
     principals = list(dict.fromkeys(frozenset(row) for row in side_table(ring, side)))
     found = {frozenset({ring.zero})}
     queue = list(found)
@@ -651,7 +651,7 @@ def identity_endomorphism(ring):
     return RingEndomorphism(ring, tuple(range(ring.order)))
 
 
-def enumerate_endomorphisms(ring, cap=None):
+def enumerate_endomorphisms(ring, caps=DEFAULT_CAPS):
     """All unital ring endomorphisms, sorted by image tuple.
 
     Backtracking on the image of the lowest undetermined element.  Any
@@ -660,9 +660,8 @@ def enumerate_endomorphisms(ring, cap=None):
     are detected long before a full map is built.  The identity is always
     among the results.
     """
-    cap = DEFAULT_CAPS.endo if cap is None else cap
-    if ring.order > cap:
-        raise SizeCapExceeded(f"endomorphism search capped at order {cap}, ring has {ring.order}")
+    if ring.order > caps.endo:
+        raise SizeCapExceeded(f"endomorphism search capped at order {caps.endo}, ring has {ring.order}")
     n = ring.order
     add, mul = ring.add_table, ring.mul_table
 

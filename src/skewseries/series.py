@@ -333,18 +333,31 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
             j, entering = j + 1, True
 
 
-def armendariz_pair_count(ring, slots, budget):
-    """Pairs (f, g) an exhaustive Armendariz scan over the slots covers;
-    BudgetExceeded when that is more than budget."""
-    total = (ring.order ** len(slots)) ** 2
-    if total > budget:
+# 2^14400 has 4335 digits, more than int-to-str conversion allows by default.
+_DECIMAL_POWER_LIMIT = 14_400
+
+
+def armendariz_pair_count(ring, points, budget):
+    """Pairs (f, g) an exhaustive Armendariz scan over a box of that many
+    points covers, n^(2*points); BudgetExceeded when that is more than budget.
+
+    Past the budget's bit length and _DECIMAL_POWER_LIMIT the exponent alone
+    shows the count is over budget and too long to print, so it is named as
+    a power and never built.
+    """
+    n, power = ring.order, 2 * points
+    if n > 1 and power > max(budget.bit_length(), _DECIMAL_POWER_LIMIT):
+        count = f"{n}^{power}"
+    else:
+        total = n ** power
+        if total <= budget:
+            return total
         try:
             count = str(total)
         except ValueError:
             # Too many digits for int-to-str conversion: print the power.
-            count = f"{ring.order}^{2 * len(slots)}"
-        raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {budget}")
-    return total
+            count = f"{n}^{power}"
+    raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {budget}")
 
 
 def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
@@ -357,7 +370,7 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
     """
     ring = ctx.ring
     slots = normalize_box(ctx.monoid, support_box)
-    total = armendariz_pair_count(ring, slots, budget)
+    total = armendariz_pair_count(ring, len(slots), budget)
     n = ring.order
     zero = ring.zero
     twists = {u: _twist(ctx, u) for u in slots}
@@ -413,8 +426,25 @@ def s_compatibility_check(ctx):
     )
 
 
+# 640 digits is the lowest int-to-str limit the interpreter accepts.
+_DECIMAL_CHUNK = 10 ** 640
+
+
+def _decimal(c):
+    """Exact decimal text of an int of any length, converted 640 digits at a
+    time so that no int-to-str digit limit applies."""
+    if -_DECIMAL_CHUNK < c < _DECIMAL_CHUNK:
+        return str(c)
+    digits, rest = [], abs(c)
+    while rest >= _DECIMAL_CHUNK:
+        rest, low = divmod(rest, _DECIMAL_CHUNK)
+        digits.append(f"{low:0640d}")
+    digits.append(str(rest))
+    return ("-" if c < 0 else "") + "".join(reversed(digits))
+
+
 def _fmt_exp(e):
-    return str(e[0]) if len(e) == 1 else ",".join(str(c) for c in e)
+    return ",".join(map(_decimal, e))
 
 
 def format_series(f):

@@ -47,17 +47,16 @@ def builtin_ring(name, caps=DEFAULT_CAPS):
     """A catalog ring by name; SpecFormatError names the valid patterns."""
     m = _ZN_RE.match(name)
     if m:
-        return ring_zn(_positive(m.group(1), name, low=2), caps.order)
+        return ring_zn(_positive(m.group(1), name, low=2), caps)
     m = _PROD_RE.match(name)
     if m:
-        return ring_product(builtin_ring(m.group(1), caps), builtin_ring(m.group(2), caps),
-                            caps.order)
+        return ring_product(builtin_ring(m.group(1), caps), builtin_ring(m.group(2), caps), caps)
     m = _MAT_RE.match(name)
     if m:
-        base = ring_zn(_positive(m.group(3), name, low=2), caps.order)
+        base = ring_zn(_positive(m.group(3), name, low=2), caps)
         k = int(m.group(2))
         maker = ring_matrix if m.group(1) == "mat" else ring_upper_triangular
-        return maker(base, k, caps.order)
+        return maker(base, k, caps)
     raise SpecFormatError(
         f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B and "
         f"(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them")
@@ -108,14 +107,14 @@ def parse_ring_file(path, caps=DEFAULT_CAPS):
         raise SpecFormatError(f"{path}: unknown keys for kind {kind}: {sorted(extra)}")
     try:
         if kind == "zn":
-            ring = ring_zn(int(items["n"]), caps.order)
+            ring = ring_zn(int(items["n"]), caps)
         elif kind == "product":
             ring = ring_product(resolve_ring(items["left"], caps),
-                                resolve_ring(items["right"], caps), caps.order)
+                                resolve_ring(items["right"], caps), caps)
         elif kind in ("matrix", "upper_triangular"):
             base = resolve_ring(items["base"], caps)
             maker = ring_matrix if kind == "matrix" else ring_upper_triangular
-            ring = maker(base, int(items.get("k", "2")), caps.order)
+            ring = maker(base, int(items.get("k", "2")), caps)
         else:
             ring = _ring_from_table_text(path, items)
     except KeyError as exc:
@@ -215,7 +214,7 @@ def resolve_sigma(ring, selector, caps=DEFAULT_CAPS):
         index = int(text)
     except ValueError:
         raise SpecFormatError(f"sigma selector {selector!r}: use 'id' or an integer index")
-    endos = enumerate_endomorphisms(ring, caps.endo)
+    endos = enumerate_endomorphisms(ring, caps)
     if not 0 <= index < len(endos):
         raise SpecFormatError(
             f"sigma index {index} out of range; {ring.label} has "

@@ -22,6 +22,7 @@ from .properties import _GAPS, SEARCH_KINDS, SIDES, class_profile, decide_genera
 from .rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
+    SEARCH_BUDGET,
     FrozenRecord,
     PropertyCertificate,
     additive_generators,
@@ -47,8 +48,6 @@ from .series import (
     s_compatibility_check,
     zero_series,
 )
-
-ANNIHILATOR_BUDGET = 2_000_000
 
 
 class ConclusionEntry(FrozenRecord):
@@ -124,7 +123,7 @@ def coefficient_ideal_lift(ctx, family):
     return tuple(sorted(ideal_generated(ring, coeffs | {ring.zero}, "right")))
 
 
-def bounded_annihilator_in_A(ctx, gens, n, box, budget=ANNIHILATOR_BUDGET):
+def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
     """Box-supported series killed on the right by every n-fold product of gens.
 
     Products are deduplicated; the result runs in the canonical series
@@ -210,7 +209,7 @@ def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
     check costs O(points^3), and a box over budget would only reach it to
     stop at the scan.
     """
-    armendariz_pair_count(ctx.ring, slots, budget)
+    armendariz_pair_count(ctx.ring, len(slots), budget)
     order = check_refinement(ctx.monoid, max(abs(c) for e in slots for c in e))
     if order.verdict != "yes":
         raise HypothesisNotMet("quasitotal_order", order)
@@ -416,7 +415,7 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
 # counterexample scan
 
 
-def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1),
+def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=(0, 1),
                           caps=DEFAULT_CAPS):
     """Scan rings (and their endomorphisms) for strict gaps and Armendariz
     failures.  Emits finding records; never asserts.  Stops early when the
@@ -451,7 +450,7 @@ def counterexample_search(catalog, properties=None, budget=10_000_000, box=(0, 1
             monoid = OrderedMonoid("nat", "natural")
             slots = normalize_box(monoid, box)
             cost_each = (ring.order ** len(slots)) ** 2
-            for idx, sigma in enumerate(enumerate_endomorphisms(ring, caps.endo)):
+            for idx, sigma in enumerate(enumerate_endomorphisms(ring, caps)):
                 remaining = budget - work
                 if cost_each > remaining:
                     exhausted = True

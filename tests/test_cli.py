@@ -384,6 +384,34 @@ def test_pair_count_past_the_digit_limit_prints_as_a_power(statement):
                         "message": "exhaustive search needs 2^16000 pairs, budget is 100"}
 
 
+@pytest.mark.parametrize("statement,argv,count", [
+    ("thm37-baer", ("--monoid", "nat3:lex", "--box", "2000"), "2^16000000000"),
+    ("prop34", ("--monoid", "nat3:lex", "--box", "2000"), "2^16000000000"),
+    ("corollaries", ("--box", "8000"), "2^16000"),
+])
+def test_over_budget_box_stops_before_its_points_are_built(monkeypatch, statement, argv, count):
+    # The pair count comes from the number of box points alone: 2000 values
+    # per axis of nat3 are 8*10^9 points, which must never be built.
+    def refuse(self, bound):
+        pytest.fail(f"built the bound-{bound} box of an over-budget run")
+
+    monkeypatch.setattr(OrderedMonoid, "box", refuse)
+    code, recs = invoke_jsonl("verify", statement, "--ring", "zn:2", *argv, "--budget", "100")
+    assert code == 3
+    assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
+                        "message": f"exhaustive search needs {count} pairs, budget is 100"}
+
+
+def test_series_exponents_print_past_the_int_to_str_digit_limit():
+    # The product's exponent has 4301 digits, one more than str() converts
+    # by default; it still prints in exact decimal.
+    nines = "9" * 4300
+    code, recs = invoke_jsonl("series", "--ring", "zn:4", f"1@{nines}", f"1@{nines}")
+    assert code == 0
+    assert recs[-3] == {"record": "series", "role": "sum", "value": f"2@{nines}"}
+    assert recs[-2] == {"record": "series", "role": "product", "value": "1@1" + "9" * 4299 + "8"}
+
+
 @pytest.mark.parametrize("argv,product", [
     (("--ring", "zn:4", "1@2000", "1@3"), "1@2003"),
     (("--ring", "prod:zn:2,zn:2", "--sigma", "2", "--monoid", "int:natural",

@@ -3,7 +3,6 @@ import pytest
 from skewseries.errors import IllegalPairing, MixedMonoids
 from skewseries.monoids import (
     OrderedMonoid,
-    OrderVerdict,
     check_order_axioms,
     check_refinement,
 )
@@ -45,29 +44,34 @@ def test_validate_rejects_foreign_exponents():
     assert INT.validate((-3,)) == (-3,)
 
 
-def test_compare_verdicts():
-    assert NAT.compare((0,), (2,)) is OrderVerdict.LT
-    assert NAT.compare((2,), (2,)) is OrderVerdict.EQ
-    assert NAT2.compare((0, 1), (1, 0)) is OrderVerdict.INC
-    assert NAT2.compare((0, 1), (1, 1)) is OrderVerdict.LT
+def test_less_is_the_strict_order():
+    assert NAT.less((0,), (2,))
+    assert not NAT.less((2,), (0,))
+    assert not NAT.less((2,), (2,))
+    # an incomparable product pair is less in neither direction
+    assert not NAT2.less((0, 1), (1, 0))
+    assert not NAT2.less((1, 0), (0, 1))
+    assert NAT2.less((0, 1), (1, 1))
     # lex refinement decides the incomparable product pair
-    assert NAT2.compare((0, 1), (1, 0), refined=True) is OrderVerdict.LT
+    assert NAT2.less((0, 1), (1, 0), refined=True)
+    assert not NAT2.less((1, 0), (0, 1), refined=True)
 
 
 def test_trivial_order_is_incomparable_everywhere():
     triv = trivial_wrap(NAT)
     assert triv.order_mode == "trivial"
-    assert triv.compare((0,), (5,)) is OrderVerdict.INC
+    assert not triv.less((0,), (5,))
+    assert not triv.less((5,), (0,))
     # but its shipped refinement is total
-    assert triv.compare((0,), (5,), refined=True) is OrderVerdict.LT
+    assert triv.less((0,), (5,), refined=True)
 
 
 def test_refinement_extends_the_base_order():
     pts = NAT2.box(3)
     for u in pts:
         for v in pts:
-            if NAT2.compare(u, v) is OrderVerdict.LT:
-                assert NAT2.compare(u, v, refined=True) is OrderVerdict.LT
+            if NAT2.less(u, v):
+                assert NAT2.less(u, v, refined=True)
 
 
 def test_box_contents():

@@ -193,14 +193,29 @@ def test_ring_commands_load_no_series_code(argv):
     assert {m for m in loaded if m.startswith("skewseries")} == RING_COMMAND_MODULES - {"__future__"}
 
 
-def test_no_bare_assert_in_the_package():
-    # python -O strips assert statements, and the invariants must hold there
-    # too: they raise InvariantViolation instead.
-    src, found = os.path.dirname(skewseries.__file__), []
+def _package_nodes():
+    # (file name, node) for every syntax node of the package's modules.
+    src = os.path.dirname(skewseries.__file__)
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), filename=name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+            yield from ((name, node) for node in ast.walk(tree))
+
+
+def test_no_bare_assert_in_the_package():
+    # python -O strips assert statements, and the invariants must hold there
+    # too: they raise InvariantViolation instead.
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_caps_are_read_from_the_caps_argument():
+    # A function reads its cap from the Caps it was given; a read of a
+    # DEFAULT_CAPS field would ignore the run's --caps.
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if isinstance(node, ast.Attribute) and node.attr in Caps.__slots__
+             and "DEFAULT_CAPS" in (getattr(node.value, "id", None),
+                                    getattr(node.value, "attr", None))]
     assert found == []

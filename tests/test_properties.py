@@ -6,6 +6,7 @@ from skewseries.errors import SizeCapExceeded
 from skewseries.properties import (
     CLASS_NAMES,
     SIDES,
+    ClassVerdict,
     _decide,
     _mask_members,
     class_profile,
@@ -177,9 +178,9 @@ def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
     # flat_failing is what the walk without a climb rejects first.
     flat = _literal_subset_walk(ring, side, False)[2]
     kept = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=True)
-    assert kept == (verdict, "subset", per_instance, failing, flat)
+    assert kept == (per_instance, failing, flat)
     bare = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=False)
-    assert bare == (verdict, "subset", (), failing, flat)
+    assert bare == ((), failing, flat)
 
 
 def test_oracle_cap_guard():
@@ -192,9 +193,15 @@ def test_oracle_cap_guard():
 def test_recheck_replays_certificates_through_public_ops():
     for ring in (Z4, Z6):
         cv = decide_generalized(ring, "baer", "right")
-        recheck_class_verdict(ring, cv)
+        assert cv.per_instance and recheck_class_verdict(ring, cv)
     cv = decide_generalized(Z6, "quasi_baer", "left")
-    recheck_class_verdict(Z6, cv)
+    assert cv.per_instance and recheck_class_verdict(Z6, cv)
+    # The same certificate with one triple's idempotent swapped for another.
+    (members, n, e), *rest = cv.per_instance
+    other = next(x for x in sorted(idempotents(Z6)) if x != e)
+    tampered = ClassVerdict(Z6, cv.class_name, cv.verdict, cv.instance_kind,
+                            ((members, n, other), *rest), None)
+    assert not recheck_class_verdict(Z6, tampered)
 
 
 def test_failing_instance_chain_really_stabilizes():

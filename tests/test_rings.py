@@ -17,6 +17,7 @@ from skewseries.errors import (
     SizeCapExceeded,
 )
 from skewseries.rings import (
+    Caps,
     FiniteRing,
     additive_generators,
     annihilator,
@@ -279,7 +280,7 @@ def test_construction_cap():
     with pytest.raises(SizeCapExceeded):
         ring_zn(100)
     # explicit override allows it
-    r = ring_zn(100, max_order=128)
+    r = ring_zn(100, Caps(order=128))
     assert r.order == 100
 
 
