@@ -57,7 +57,6 @@ def _box_size(monoid, count):
 
 
 def _box_slots(monoid, count):
-    _box_size(monoid, count)
     return monoid.box(count - 1)
 
 
@@ -157,7 +156,7 @@ def _emit(records, mode, stream):
         return
     # Records are freshly built trees, so there are no cycles to look for.
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
-    # Verdicts may share one certificate tuple (the ordinary class and its
+    # Verdicts may share one certificate (the ordinary class and its
     # generalized right side, both sides of a commutative ring).  Each is
     # encoded once, and its text is kept only until the last record using it.
     last, texts = {id(r.get("instances")): i for i, r in enumerate(records)}, {}
@@ -167,7 +166,7 @@ def _emit(records, mode, stream):
             continue
         key = id(r["instances"])
         if key not in texts:
-            texts[key] = encode(r["instances"])
+            texts[key] = r["instances"].json_text()
         # Key by key, in sort_keys order, so the text is never copied.
         for j, k in enumerate(sorted(r)):
             stream.write(("," if j else "{") + encode(k) + ":")
@@ -264,7 +263,7 @@ def cmd_verify(args, records, caps):
         # Every statement starts with the Armendariz pair budget; checking it
         # from the point count stops an over-budget box before it is built.
         armendariz_pair_count(ring, _box_size(monoid, args.box), args.budget)
-        return monoid.box(args.box - 1)
+        return _box_slots(monoid, args.box)
 
     if args.statement == "corollaries":
         if args.monoid != "nat:natural" or args.sigma != "id":
@@ -314,9 +313,9 @@ def cmd_search(args, records, caps):
     catalog = [(n, resolve_ring(n, caps)) for n in names]
     props = None if args.properties == "all" else tuple(
         p for p in args.properties.split(",") if p.strip())
-    monoid = resolve_monoid("nat:natural")
+    # The search scans over N; its box is built only once a scan fits the budget.
     out = counterexample_search(catalog, props, budget=args.budget,
-                                box=_box_slots(monoid, args.box), caps=caps)
+                                box=_box_size(resolve_monoid("nat:natural"), args.box), caps=caps)
     for f in out.findings:
         records.append({"record": "finding", **f})
     records.append({"record": "search", "findings": len(out.findings),

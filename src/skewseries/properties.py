@@ -16,7 +16,8 @@ Re of the ring itself.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from collections.abc import Sequence
+from itertools import chain, islice, repeat
 
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
@@ -56,9 +57,11 @@ SEARCH_KINDS = (*_GAPS, "left_right", "armendariz")
 class ClassVerdict(FrozenRecord):
     """Decision for one ring class.
 
-    per_instance holds (members, n, e) triples for accepting runs: the
-    instance's sorted element tuple, the accepted annihilator-chain depth,
-    and the generating idempotent.  failing_instance is (members, n_reached,
+    per_instance is a sequence of (members, n, e) triples for accepting
+    runs: the instance's sorted element tuple, the accepted annihilator-chain
+    depth, and the generating idempotent.  The fast route keeps it as an
+    InstanceBlocks, the oracle as a tuple; the two compare equal when their
+    triples do.  failing_instance is (members, n_reached,
     stable_annihilator) for the first rejected instance, with per_instance
     left empty.  instance_kind says what the instances were.  ring is the
     FiniteRing decided and class_name one of CLASS_NAMES.
@@ -66,6 +69,75 @@ class ClassVerdict(FrozenRecord):
 
     __slots__ = ("ring", "class_name", "verdict", "instance_kind", "per_instance",
                  "failing_instance")
+
+
+class InstanceBlocks(Sequence):
+    """The (members, n, e) triples of an accepting walk, kept by block.
+
+    blocks holds (lows, high, es, depths) entries: a block's i-th instance
+    has members lows[i] + high, depth depths[i] (1 throughout when depths is
+    None) and generator es[i].  The blocks of one walk share one lows list,
+    so a triple is built only when it is read.  The sequence equals, and
+    hashes like, the tuple of its triples.
+    """
+
+    __slots__ = ("blocks", "_count")
+
+    def __init__(self, blocks=()):
+        self.blocks = tuple(blocks)
+        self._count = sum(len(es) for _, _, es, _ in self.blocks)
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        for lows, high, es, depths in self.blocks:
+            yield from zip([low + high for low in lows], depths or repeat(1), es)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(self._count)
+            if step < 0:
+                return tuple(self)[index]
+            return tuple(islice(self, start, stop, step))
+        i = range(self._count)[index]
+        for lows, high, es, depths in self.blocks:
+            if i < len(es):
+                return lows[i] + high, depths[i] if depths else 1, es[i]
+            i -= len(es)
+
+    def __eq__(self, other):
+        if isinstance(other, InstanceBlocks):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+    def json_text(self):
+        """The triples as one JSON array with separators (",", ":").
+
+        Every entry is a non-negative int, whose decimal text is its JSON
+        text (RFC 8259 section 6).  The head "[[low," of each low part is
+        made once per lows list, and the tail "high],n,e]" once per distinct
+        generator of a block at depth 1, so a triple is one join of the two.
+        """
+        heads, parts = {}, []
+        for lows, high, es, depths in self.blocks:
+            key = id(lows), bool(high)
+            if key not in heads:
+                sep = "," if high else ""
+                heads[key] = [f"[[{','.join(map(str, low))}{sep if low else ''}" for low in lows]
+            close = ",".join(map(str, high)) + "],"
+            if depths is None:
+                tails = map({e: f"{close}1,{e}]" for e in set(es)}.__getitem__, es)
+            else:
+                tails = [f"{close}{d},{e}]" for d, e in zip(depths, es)]
+            parts.append(",".join(map(str.__add__, heads[key], tails)))
+        return f"[{','.join(parts)}]"
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +170,8 @@ def _decide(ring, cls, side, caps, climb, keep):
     parts and of the high parts are built once, so a block (the masks with
     one high part) costs one AND and one generator lookup per mask.  Only
     the masks whose annihilator is not idempotent-generated go one by one.
-    The ideals form one block.  keep=False collects no accepted triples.
+    The ideals form one block.  per_instance is an InstanceBlocks holding
+    each block as it was walked; keep=False keeps no blocks.
 
     Without climb the walk stops at the first instance whose annihilator is
     not idempotent-generated; with climb that instance climbs the chain of
@@ -158,17 +231,17 @@ def _decide(ring, cls, side, caps, climb, keep):
         ideals = [tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps)]
         blocks = [([ann_of(m) for m in ideals], ideals, ())]
     for anns, lows, high in blocks:
-        es, depths = list(map(genmap.get, anns)), repeat(1)
+        es, depths = list(map(genmap.get, anns)), None
         if None in es:
             depths = [1] * len(es)
             for i in [i for i, e in enumerate(es) if e is None]:
                 members = lows[i] + high
                 depths[i], es[i], ann = chain_end(members, anns[i])
                 if es[i] is None:
-                    return (), (members, depths[i], _mask_members(ann)), flat
+                    return InstanceBlocks(), (members, depths[i], _mask_members(ann)), flat
         if keep:
-            per_instance.extend(zip([low + high for low in lows], depths, es))
-    return tuple(per_instance), None, flat
+            per_instance.append((lows, high, es, depths))
+    return InstanceBlocks(per_instance), None, flat
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +278,7 @@ def class_profile(ring, cls, names, caps=DEFAULT_CAPS, keep=True):
             raise InvariantViolation(f"{cls} verdict must be side-symmetric")
         per_instance, _, flat = runs["right"]
         profile[cls] = ClassVerdict(ring, cls, flat is None, kinds["right"],
-                                    per_instance if flat is None else (), flat)
+                                    per_instance if flat is None else InstanceBlocks(), flat)
     return profile
 
 

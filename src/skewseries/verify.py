@@ -415,15 +415,22 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
 # counterexample scan
 
 
-def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=(0, 1),
+def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=2,
                           caps=DEFAULT_CAPS):
     """Scan rings (and their endomorphisms) for strict gaps and Armendariz
     failures.  Emits finding records; never asserts.  Stops early when the
-    Armendariz pair budget runs out, flagging the outcome as exhausted."""
+    Armendariz pair budget runs out, flagging the outcome as exhausted.
+
+    The Armendariz scans run over the box of exponents 0..box-1 of N.  Each
+    scan's pair count comes from box alone, so the box is built only once
+    some scan fits the budget.
+    """
     kinds = SEARCH_KINDS if properties is None else tuple(properties)
     for kind in kinds:
         if kind not in SEARCH_KINDS:
             raise ValueError(f"unknown search property {kind!r}; options: {', '.join(SEARCH_KINDS)}")
+    if box < 1:
+        raise ValueError(f"box must be >= 1, got {box}")
     # Only the classes the requested gaps and the left-right comparison read.
     names = {cname for kind in kinds if kind in _GAPS for cname in _GAPS[kind][:2]}
     if "left_right" in kinds:
@@ -431,6 +438,7 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=(0
     findings = []
     exhausted = False
     work = 0
+    monoid, slots = OrderedMonoid("nat", "natural"), None
     for name, ring in catalog:
         profile = {}
         for cls in ("baer", "quasi_baer"):
@@ -447,15 +455,15 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=(0
                         "right": profile[f"gen_{cls}_right"], "left": profile[f"gen_{cls}_left"],
                     })
         if "armendariz" in kinds:
-            monoid = OrderedMonoid("nat", "natural")
-            slots = normalize_box(monoid, box)
-            cost_each = (ring.order ** len(slots)) ** 2
             for idx, sigma in enumerate(enumerate_endomorphisms(ring, caps)):
                 remaining = budget - work
-                if cost_each > remaining:
+                try:
+                    work += armendariz_pair_count(ring, box, remaining)
+                except BudgetExceeded:
                     exhausted = True
                     break
-                work += cost_each
+                if slots is None:
+                    slots = normalize_box(monoid, monoid.box(box - 1))
                 ctx = SkewContext(ring, monoid, sigma)
                 cert = armendariz_search(ctx, slots, budget=remaining)
                 if cert.verdict == "no":

@@ -11,6 +11,7 @@ from skewseries import cli, monoids, properties, verify
 from skewseries.cli import _split_catalog, main, run
 from skewseries.errors import InvariantViolation
 from skewseries.monoids import OrderedMonoid
+from skewseries.properties import InstanceBlocks
 from skewseries.series import SkewContext, format_series, parse_series_literal
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
@@ -402,6 +403,19 @@ def test_over_budget_box_stops_before_its_points_are_built(monkeypatch, statemen
                         "message": f"exhaustive search needs {count} pairs, budget is 100"}
 
 
+def test_over_budget_search_stops_before_its_box_is_built(monkeypatch):
+    # Each twist's pair count, 2^600000, comes from the point count alone;
+    # the 300000-point box must never be built.
+    def refuse(self, bound):
+        pytest.fail(f"built the bound-{bound} box of an over-budget search")
+
+    monkeypatch.setattr(OrderedMonoid, "box", refuse)
+    code, recs = invoke_jsonl("search", "--catalog", "zn:2", "--properties", "armendariz",
+                              "--box", "300000", "--budget", "100")
+    assert code == 3
+    assert recs[-2] == {"record": "search", "findings": 0, "exhausted": True, "work": 0}
+
+
 def test_series_exponents_print_past_the_int_to_str_digit_limit():
     # The product's exponent has 4301 digits, one more than str() converts
     # by default; it still prints in exact decimal.
@@ -516,7 +530,8 @@ def test_a_commutative_ring_is_walked_once_per_instance_kind(ring, cls, subset_w
 
 
 def _dumps(r):
-    return json.dumps(r, sort_keys=True, separators=(",", ":"))
+    # A certificate is dumped as the tuple of its triples.
+    return json.dumps(r, sort_keys=True, separators=(",", ":"), default=tuple)
 
 
 def _verdict(ring, instances):
@@ -527,30 +542,31 @@ def _verdict(ring, instances):
 
 def test_emit_writes_each_record_as_its_own_json_dumps(monkeypatch):
     encoded = []
+    json_text = InstanceBlocks.json_text
 
-    class Counting(json.JSONEncoder):
-        def encode(self, o):
-            if isinstance(o, tuple):
-                encoded.append(o)
-            return super().encode(o)
+    def counting(self):
+        encoded.append(tuple(self))
+        return json_text(self)
 
-    monkeypatch.setattr(cli.json, "JSONEncoder", Counting)
-    shared = (((0,), 1, 1), ((0, 1), 2, 0))
+    monkeypatch.setattr(InstanceBlocks, "json_text", counting)
+    # The triples ((0,), 1, 1), ((0, 1), 2, 0) as one block with depths.
+    shared = InstanceBlocks([([(0,), (0, 1)], (), [1, 0], [1, 2])])
+    alone = InstanceBlocks([([(1,)], (), [0], None)])
     records = [
         {"record": "config", "command": "ring"},
         _verdict("zn:4", shared),
-        _verdict("zn:4", (((1,), 1, 0),)),  # unshared, between two uses of shared
+        _verdict("zn:4", alone),  # unshared, between two uses of shared
         _verdict("zn:4", shared),
         _verdict('odd"instances":null.ini', shared),
         _verdict('odd"instances":null.ini', None),
-        _verdict("zn:4", ()),
+        _verdict("zn:4", InstanceBlocks()),
         {"record": "summary", "records": 7, "exit": 0},
     ]
     buf = io.StringIO()
     cli._emit(records, "jsonl", buf)
     assert buf.getvalue() == "".join(_dumps(r) + "\n" for r in records)
     # The shared certificate is encoded once, though three records carry it.
-    assert encoded == [shared, (((1,), 1, 0),), ()]
+    assert encoded == [(((0,), 1, 1), ((0, 1), 2, 0)), (((1,), 1, 0),), ()]
 
 
 def test_jsonl_of_a_ring_file_named_like_a_record_key(tmp_path):

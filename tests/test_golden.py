@@ -14,6 +14,9 @@ per context and the bridge check ran once per distinct annihilator.
 The last four pins run the Klein swap (`--sigma 2` on prod:zn:2,zn:2) over
 the integers and over N^2; they were recorded before the twist became one
 endomorphism with a cached power cycle.
+The zn:16 generalized Baer pin (a certificate that climbs to depth 4 across
+two-level subset blocks) and the text pin of mat2:z2 were recorded before
+certificates were kept and encoded by block.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -64,6 +67,8 @@ GOLDEN = [
      0, "b24f176a14dda533dfda62313328addae9dee3643396110a3befc259a19fa24b"),
     (('ring', 'check', '--ring', 'prod:zn:3,zn:5', '--class', 'baer', '--side', 'left'),
      0, "61446a2147aa2c63ed7061cdf5d2bd65a237980925ee6a86b0503a9168dbe0f1"),
+    (('ring', 'check', '--ring', 'zn:16', '--class', 'gen-baer', '--side', 'both'),
+     0, "c88d4edeaa538f5481cf964102b5c500619067626916f3e1006be2c517e96aa1"),
     (('search',),
      0, "2aa95c2dd2a0e241a633952fab5ffbcb39e9cea08ff0e9b8b801730da5f5ee9f"),
     (('verify', 'corollaries', '--ring', 'zn:4', '--box', '2', '--samples', '3', '--seed', '5'),
@@ -109,4 +114,21 @@ def test_jsonl_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch):
     monkeypatch.delenv("SKEWSERIES_CAPS", raising=False)
     buf = io.StringIO()
     assert run([*argv, "--output", "jsonl"], stream=buf) == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# (argv, exit code, sha256 of the text output); text reads each certificate's
+# length and its first 20 triples.
+TEXT_GOLDEN = [
+    (('ring', 'check', '--ring', 'mat2:z2', '--class', 'all', '--side', 'both'),
+     0, "92e166bc605b83fd7197392cdccd1ca04d44912c5dd4c5499e64a6387f5b60bf"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", TEXT_GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in TEXT_GOLDEN])
+def test_text_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch):
+    monkeypatch.delenv("SKEWSERIES_CAPS", raising=False)
+    buf = io.StringIO()
+    assert run([*argv, "--output", "text"], stream=buf) == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

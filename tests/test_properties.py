@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import product_rings
 from skewseries.errors import SizeCapExceeded
@@ -7,6 +9,7 @@ from skewseries.properties import (
     CLASS_NAMES,
     SIDES,
     ClassVerdict,
+    InstanceBlocks,
     _decide,
     _mask_members,
     class_profile,
@@ -181,6 +184,56 @@ def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
     assert kept == (per_instance, failing, flat)
     bare = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=False)
     assert bare == ((), failing, flat)
+
+
+# Rings whose generalized classes accept some instance only at depth > 1.
+_CLIMBING = ("zn:4", "zn:8", "zn:9", "zn:16", "prod:zn:4,zn:2", "prod:zn:4,zn:3")
+
+
+@st.composite
+def _relabelled_rings(draw):
+    # A product or climbing ring with its zero moved off index 0.
+    ring = draw(st.one_of(product_rings(12), st.sampled_from(_CLIMBING).map(builtin_ring)))
+    perm = draw(st.permutations(range(ring.order)).filter(lambda p: p[ring.zero] != 0))
+    return _relabelled(ring, perm)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.one_of(product_rings(12), _relabelled_rings(),
+                 st.sampled_from(_CLIMBING).map(builtin_ring)))
+@example(builtin_ring("zn:16"))
+@example(_WALK_RINGS["zn:12 with 2,6,10 at 8,9,10"]())
+def test_certificate_json_text_is_the_encoders_text(ring):
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    for cls in ("baer", "quasi_baer"):
+        for cv in class_profile(ring, cls, CLASS_NAMES).values():
+            cert = cv.per_instance
+            assert isinstance(cert, InstanceBlocks)
+            assert cert.json_text() == encode(tuple(cert)), (ring.label, cv.class_name)
+
+
+def test_block_certificate_is_the_sequence_of_its_triples():
+    cv = decide_generalized(M2, "baer", "right")
+    cert, triples = cv.per_instance, tuple(cv.per_instance)
+    assert cert == triples and triples == cert and hash(cert) == hash(triples)
+    assert cv == ClassVerdict(M2, cv.class_name, True, "subset", triples, None)
+    assert len(cert) == len(triples) == 65535
+    assert cert[:20] == triples[:20] and cert[-3:] == triples[-3:]
+    assert (cert[300], cert[-1]) == (triples[300], triples[-1])
+    # One idempotent swapped for one generating another ideal, in the block
+    # of masks 5*2^8 to 6*2^8 - 1, whose high part is {8, 10}.
+    lows, high, es, depths = cert.blocks[5]
+    assert high == (8, 10) and depths is None
+
+    def principal(e):
+        return frozenset(M2.mul(e, r) for r in range(M2.order))
+
+    other = next(x for x in sorted(idempotents(M2)) if principal(x) != principal(es[3]))
+    blocks = list(cert.blocks)
+    blocks[5] = (lows, high, [*es[:3], other, *es[4:]], depths)
+    tampered = ClassVerdict(M2, cv.class_name, True, "subset", InstanceBlocks(blocks), None)
+    assert tampered.per_instance != cert
+    assert not recheck_class_verdict(M2, tampered)
 
 
 def test_oracle_cap_guard():
