@@ -53,11 +53,7 @@ def _box_size(monoid, count):
     # N and N^k, and the 2N-1 values -(N-1)..N-1 over the integers.
     if count < 1:
         raise SpecFormatError(f"--box must be >= 1, got {count}")
-    return 2 * count - 1 if monoid.kind == "int" else count ** monoid.k
-
-
-def _box_slots(monoid, count):
-    return monoid.box(count - 1)
+    return monoid.box_size(count - 1)
 
 
 def _witness_text(w):
@@ -263,7 +259,7 @@ def cmd_verify(args, records, caps):
         # Every statement starts with the Armendariz pair budget; checking it
         # from the point count stops an over-budget box before it is built.
         armendariz_pair_count(ring, _box_size(monoid, args.box), args.budget)
-        return _box_slots(monoid, args.box)
+        return monoid.box(args.box - 1)
 
     if args.statement == "corollaries":
         if args.monoid != "nat:natural" or args.sigma != "id":

@@ -97,6 +97,13 @@ class OrderedMonoid:
             out = [pre + (c,) for pre in out for c in coords]
         return sorted(out)
 
+    def box_size(self, bound):
+        """len(self.box(bound)), without building the box."""
+        if bound < 0:
+            raise ValueError("bound must be >= 0")
+        side = 2 * bound + 1 if self.kind == "int" else bound + 1
+        return side ** self.k
+
     def __eq__(self, other):
         return (
             isinstance(other, OrderedMonoid)

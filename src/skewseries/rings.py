@@ -170,12 +170,10 @@ class FiniteRing:
     def _check_axioms(self):
         """Prove the ring axioms, or raise AxiomViolation with a witness.
 
-        The reduced proof of _proven_ring settles real rings; anything it
-        cannot prove goes through the literal scan below, which raises at the
-        first failing axiom and witness in scan order.
+        The first four axioms are scanned literally; _proven_ring then settles
+        real rings, and anything it cannot prove goes through the literal n^3
+        scan below.  Each scan raises at the first failing axiom and witness.
         """
-        if self._proven_ring():
-            return
         n = self.order
         add, mul = self.add_table, self.mul_table
         zero, one = self.zero, self.one
@@ -187,10 +185,11 @@ class FiniteRing:
                 raise AxiomViolation("additive-inverse", (a,))
             if mul[one][a] != a or mul[a][one] != a:
                 raise AxiomViolation("multiplicative-identity", (a,))
-        for a in rng:
-            for b in rng:
-                if add[a][b] != add[b][a]:
-                    raise AxiomViolation("additive-commutativity", (a, b))
+        if tuple(zip(*add)) != add:
+            raise AxiomViolation("additive-commutativity", next(
+                (a, b) for a in rng for b in rng if add[a][b] != add[b][a]))
+        if self._proven_ring():
+            return
         for a in rng:
             for b in rng:
                 for c in rng:
@@ -204,53 +203,29 @@ class FiniteRing:
                         raise AxiomViolation("right-distributivity", (a, b, c))
 
     def _proven_ring(self):
-        """True only when the tables are proven to satisfy every ring axiom,
-        at O(n^2 * g) cost for g additive generators instead of n^3.
+        """True only when the tables are proven to satisfy the four n^3
+        axioms, at O(n^2 * g) cost for g additive generators.  It assumes the
+        checks _check_axioms makes first: zero is an additive identity found
+        in every row of +, + is commutative, and one is a two-sided identity.
 
-        1. add[a][zero] == a, zero occurs in add[a], and one is a two-sided
-           multiplicative identity, for every a.
-        2. + is commutative on all n^2 pairs.
-        3. Generators G: the elements in ascending order, each kept when it
-           lies outside the closure of {zero} under y -> y + g for the g
-           kept so far.  The closure is a breadth-first walk over the table
-           that assumes no axiom; every element ends up in it.
-        4. Light's test: x + (g + y) == (x + g) + y for all x, y and g in G.
+        1. Generators G: additive_generators of all elements, whose span
+           walk assumes no axiom and reaches each element as a sum of them.
+        2. Light's test: x + (g + y) == (x + g) + y for all x, y and g in G.
            The m with x + (m + y) == (x + m) + y for all x, y form a set
            closed under + that holds zero and G, so it is all of R and + is
-           associative.  With 1 and 2, (R, +) is an abelian group.
-        5. a(b + g) == ab + ag and (b + g)a == ba + ga for all a, b and g in
+           associative.  So (R, +) is an abelian group.
+        3. a(b + g) == ab + ag and (b + g)a == ba + ga for all a, b and g in
            G.  The c that satisfy this for all a, b form a set closed under
            +; it holds G, and every element is a sum of generators, so both
            distributive laws hold and multiplication is bi-additive.
-        6. (ab)c == a(bc) on G^3.  The associator is now additive in each
+        4. (ab)c == a(bc) on G^3.  The associator is now additive in each
            argument, so it vanishes on all of R^3.
 
         A False leaves the tables to the literal scan of _check_axioms.
         """
         from operator import itemgetter
-        n = self.order
         add, mul = self.add_table, self.mul_table
-        zero, one = self.zero, self.one
-        for a in range(n):
-            row = add[a]
-            if row[zero] != a or zero not in row or mul[one][a] != a or mul[a][one] != a:
-                return False
-        if tuple(zip(*add)) != add:
-            return False
-        gens = []
-        span = {zero}
-        for x in range(n):
-            if x in span:
-                continue
-            gens.append(x)
-            queue = list(span)
-            for y in queue:
-                row = add[y]
-                for g in gens:
-                    z = row[g]
-                    if z not in span:
-                        span.add(z)
-                        queue.append(z)
+        gens = additive_generators(self, range(self.order))
         for g in gens:
             # pick(row) lists x + (g + y) over y, for the row of x.
             pick = itemgetter(*add[g])
@@ -386,7 +361,7 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
         for i in range(k):
             for j in range(k):
                 if (i, j) not in positions and mat[i][j] != base.zero:
-                    raise AxiomViolation("matrix-shape", (i, j))
+                    raise InvariantViolation(f"matrix-shape: nonzero product entry at {(i, j)}")
         return x
 
     mats = [decode(x) for x in range(order)]
@@ -546,20 +521,25 @@ def additive_generators(ring, subset):
     ones kept before it; together they span the additive subgroup that
     subset generates.
 
-    Each kept x widens the span by its cyclic group {x, x+x, ...}; {0} gives
-    no generators.
+    The span is the closure of {zero} under y -> y + g for the kept g, a
+    breadth-first walk that assumes no ring axiom, so _proven_ring can use
+    it on unproven tables.  {0} gives no generators.
     """
-    add, zero = ring.add_table, ring.zero
-    span = frozenset({zero})
+    add = ring.add_table
+    span = {ring.zero}
     gens = []
     for x in _check_subset(ring, subset):
         if x in span:
             continue
         gens.append(x)
-        multiples = [x]
-        while multiples[-1] != zero:
-            multiples.append(add[multiples[-1]][x])
-        span = _ideal_sum(add, span, multiples)
+        queue = list(span)
+        for y in queue:
+            row = add[y]
+            for g in gens:
+                z = row[g]
+                if z not in span:
+                    span.add(z)
+                    queue.append(z)
     return tuple(gens)
 
 

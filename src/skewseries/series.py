@@ -96,9 +96,10 @@ def normalize_exponent(monoid, e):
 
 
 class SkewSeries:
-    """An immutable finite-support series tied to one SkewContext."""
+    """An immutable finite-support series tied to one SkewContext, stored as
+    _terms, the ascending tuple of its (exponent, nonzero coefficient) pairs."""
 
-    __slots__ = ("context", "_terms", "_key")
+    __slots__ = ("context", "_terms")
 
     def __init__(self, context, terms):
         self.context = context
@@ -112,22 +113,20 @@ class SkewSeries:
                 raise DuplicateExponent(f"exponent {e} given twice")
             if c != ring.zero:
                 clean[e] = c
-        self._terms = clean
-        self._key = tuple(sorted(clean.items()))
+        self._terms = tuple(sorted(clean.items()))
 
     @classmethod
     def _trusted(cls, context, terms):
-        """Wrap terms known to be valid: tuple exponents of the context's
-        monoid mapped to nonzero ring elements.  Nothing is checked."""
+        """Wrap terms known to be valid: ascending (exponent, nonzero
+        coefficient) pairs of the context's monoid and ring.  Nothing is checked."""
         self = object.__new__(cls)
         self.context = context
         self._terms = terms
-        self._key = tuple(sorted(terms.items()))
         return self
 
     @property
     def support(self):
-        return frozenset(self._terms)
+        return frozenset(e for e, _ in self._terms)
 
     @property
     def is_zero(self):
@@ -135,21 +134,21 @@ class SkewSeries:
 
     def coeff(self, e):
         e = normalize_exponent(self.context.monoid, e)
-        return self._terms.get(e, self.context.ring.zero)
+        return next((c for s, c in self._terms if s == e), self.context.ring.zero)
 
     def items(self):
-        """Terms in ascending refined order (exponent, coefficient)."""
-        return list(self._key)
+        """Terms in ascending exponent order, as (exponent, coefficient)."""
+        return list(self._terms)
 
     @property
     def sort_key(self):
-        return self._key
+        return self._terms
 
     def __add__(self, other):
         self._check_context(other)
         ring = self.context.ring
         acc = dict(self._terms)
-        for e, c in other._terms.items():
+        for e, c in other._terms:
             acc[e] = ring.add(acc.get(e, ring.zero), c)
         return SkewSeries(self.context, acc)
 
@@ -161,13 +160,13 @@ class SkewSeries:
         ring = ctx.ring
         add_t, mul_t, zero = ring.add_table, ring.mul_table, ring.zero
         acc = {}
-        for u, a in self._terms.items():
+        for u, a in self._terms:
             twist = _twist(ctx, u)
             row = mul_t[a]
-            for v, b in other._terms.items():
+            for v, b in other._terms:
                 s = tuple(map(add, u, v))
                 acc[s] = add_t[acc.get(s, zero)][row[twist[b]]]
-        return SkewSeries._trusted(ctx, {s: c for s, c in acc.items() if c != zero})
+        return SkewSeries._trusted(ctx, tuple(sorted((s, c) for s, c in acc.items() if c != zero)))
 
     def _check_context(self, other):
         if not isinstance(other, SkewSeries) or other.context is not self.context:
@@ -177,13 +176,13 @@ class SkewSeries:
         return (
             isinstance(other, SkewSeries)
             and other.context is self.context
-            and other._key == self._key
+            and other._terms == self._terms
         )
 
     def __hash__(self):
         # Not the context's id: sets of series must iterate in the same order
         # in every run.
-        return hash(self._key)
+        return hash(self._terms)
 
     def __repr__(self):
         return f"<series {format_series(self)}>"
@@ -242,13 +241,13 @@ def _box_series(ctx, slots, vec):
     """The series with coefficient vec[i] at slots[i]; slots come from
     normalize_box and vec holds ring elements, so nothing is rechecked."""
     zero = ctx.ring.zero
-    return SkewSeries._trusted(ctx, {e: c for e, c in zip(slots, vec) if c != zero})
+    return SkewSeries._trusted(ctx, tuple((e, c) for e, c in zip(slots, vec) if c != zero))
 
 
 def _annihilating_vectors(ctx, slots, products, budget=None):
     """Every coefficient vector g over the box slots with p*g == 0 for all p.
 
-    `products` are exponent -> coefficient maps with validated exponents.
+    `products` are sequences of (exponent, coefficient) pairs, exponents validated.
     Coefficient s of p*g is the sum over u+v = s of p(u)*omega_u(g(v)), one
     term per slot since u = s - v.  Each (p, s) is one constraint on g: a
     composed row b -> p(u)*omega_u(b) per slot, filed under its highest slot.
@@ -275,7 +274,7 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
     by_last = [{} for _ in range(k)]
     for p in products:
         terms = []
-        for ua in p.items():
+        for ua in p:
             term = terms_of.get(ua)
             if term is None:
                 u, a = ua
@@ -388,12 +387,12 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
     for fvec in itertools.product(range(n), repeat=len(slots)):
         if any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
             continue
-        f = {e: a for e, a in zip(slots, fvec) if a != zero}
+        f = tuple((e, a) for e, a in zip(slots, fvec) if a != zero)
         if not f:
             continue
         for gvec in _annihilating_vectors(ctx, slots, [f]):
             # f*g == 0 here; look for a nonzero twisted term.
-            for u, a in f.items():
+            for u, a in f:
                 for v, b in zip(slots, gvec):
                     if mul_t[a][twists[u][b]] != zero:
                         return PropertyCertificate(

@@ -38,6 +38,7 @@ from .series import (
     SkewSeries,
     _annihilating_vectors,
     _box_series,
+    _decimal,
     all_series,
     armendariz_pair_count,
     armendariz_search,
@@ -111,7 +112,7 @@ def _spanning_monomials(ctx, members, slots):
     coefficient a sum of generators.  The zero ideal has no generators, so it
     gets the zero series, the only series of that span.
     """
-    return [SkewSeries._trusted(ctx, {v: c})
+    return [SkewSeries._trusted(ctx, ((v, c),))
             for c in additive_generators(ctx.ring, members) for v in slots] or [zero_series(ctx)]
 
 
@@ -119,7 +120,7 @@ def coefficient_ideal_lift(ctx, family):
     """The right ideal generated by the coefficients of a series family, as
     a sorted tuple; {0} for an all-zero family."""
     ring = ctx.ring
-    coeffs = {c for f in family for c in f._terms.values()}
+    coeffs = {c for f in family for _, c in f._terms}
     return tuple(sorted(ideal_generated(ring, coeffs | {ring.zero}, "right")))
 
 
@@ -207,10 +208,17 @@ def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
 
     The Armendariz pair budget is checked before any hypothesis: the order
     check costs O(points^3), and a box over budget would only reach it to
-    stop at the scan.
+    stop at the scan.  The order check runs on the coordinate box around the
+    slots, which can hold far more points than the slots, so its points^3
+    is held to the budget too.
     """
     armendariz_pair_count(ctx.ring, len(slots), budget)
-    order = check_refinement(ctx.monoid, max(abs(c) for e in slots for c in e))
+    bound = max(abs(c) for e in slots for c in e)
+    points = ctx.monoid.box_size(bound)
+    if points ** 3 > budget:
+        raise BudgetExceeded(
+            f"order check needs {_decimal(points)}^3 point triples, budget is {budget}")
+    order = check_refinement(ctx.monoid, bound)
     if order.verdict != "yes":
         raise HypothesisNotMet("quasitotal_order", order)
     hyps = [("quasitotal_order", order)]
@@ -317,8 +325,14 @@ def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id):
     """Constants of the series-level annihilator rebuild the ring-level one."""
     ring = ctx.ring
     one_s = ctx.monoid.identity()
-    consts = {g.coeff(one_s) for g in ann if g.support <= {one_s}}
-    e_right = frozenset(ring.mul(e, r) for r in range(ring.order))
+    # The constant slice: the zero series and each series c at the identity.
+    consts = set()
+    for g in ann:
+        if not g._terms:
+            consts.add(ring.zero)
+        elif len(g._terms) == 1 and g._terms[0][0] == one_s:
+            consts.add(g._terms[0][1])
+    e_right = frozenset(ring.mul_table[e])
     ring_ann = annihilator(ring, subset_power(ring, members, depth), "right")
     ok = consts == e_right and consts == ring_ann
     return ConclusionEntry(

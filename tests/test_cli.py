@@ -440,8 +440,8 @@ def test_deep_exponents_multiply(argv, product):
 
 def test_integer_box_is_centred_on_the_identity():
     # --box N over the integers is the 2N-1 points -(N-1)..N-1.
-    assert cli._box_slots(OrderedMonoid("int", "natural"), 2) == [(-1,), (0,), (1,)]
-    assert cli._box_slots(OrderedMonoid("nat", "natural"), 2) == [(0,), (1,)]
+    assert OrderedMonoid("int", "natural").box(1) == [(-1,), (0,), (1,)]
+    assert OrderedMonoid("nat", "natural").box(1) == [(0,), (1,)]
     code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--box", "2",
                               "--monoid", "int")
     assert code == 0
@@ -580,3 +580,21 @@ def test_jsonl_of_a_ring_file_named_like_a_record_key(tmp_path):
     assert [v["ring"] for v in verdicts] == [str(path)] * 6
     assert all(v["instances"] for v in verdicts)
     assert [_dumps(json.loads(line)) for line in lines] == lines
+
+
+def test_zero_ring_box_over_the_order_check_budget_exits_3(tmp_path, monkeypatch):
+    # A one-element ring has one Armendariz pair at any box, so only the
+    # order check's bound stops --box 6 over N^3: 216 points, 216^3 triples.
+    (tmp_path / "zero.ini").write_text("[ring]\nkind = tables\norder = 1\nadd = 0\nmul = 0\n")
+    monkeypatch.chdir(tmp_path)
+
+    def spy(monoid, bound):
+        raise InvariantViolation("the order check ran")
+
+    monkeypatch.setattr(verify, "check_refinement", spy)
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zero.ini",
+                              "--monoid", "nat3:lex", "--box", "6")
+    assert code == 3
+    err = next(r for r in recs if r["record"] == "error")
+    assert err["kind"] == "cap-exceeded"
+    assert err["message"] == "order check needs 216^3 point triples, budget is 2000000"

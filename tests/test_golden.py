@@ -17,6 +17,11 @@ endomorphism with a cached power cycle.
 The zn:16 generalized Baer pin (a certificate that climbs to depth 4 across
 two-level subset blocks) and the text pin of mat2:z2 were recorded before
 certificates were kept and encoded by block.
+The four GF(4) pins run the Frobenius twist (`--sigma 1` on a `kind = tables`
+ring file), so the box kernel and the bridge products multiply through a
+non-identity twist; they were recorded before a series came to be stored
+once, as its sorted terms, and before the ring axioms were checked in one
+pass.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -132,3 +137,40 @@ def test_text_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch):
     buf = io.StringIO()
     assert run([*argv, "--output", "text"], stream=buf) == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+GF4_INI = """\
+[ring]
+kind = tables
+order = 4
+add = 0 1 2 3; 1 0 3 2; 2 3 0 1; 3 2 1 0
+mul = 0 0 0 0; 0 1 2 3; 0 2 3 1; 0 3 1 2
+label = GF(4)
+"""
+
+# (argv, exit code, sha256 of the jsonl output), run beside gf4.ini
+GF4_GOLDEN = [
+    (('verify', 'thm37-quasibaer', '--ring', 'gf4.ini', '--sigma', '1', '--box', '3',
+      '--seed', '7'),
+     0, "fb6f7b5cec7a3f28e68cf4b7d67827cfd2e27b6290119398e09766af27399cee"),
+    (('verify', 'thm37-quasibaer', '--ring', 'gf4.ini', '--sigma', '1', '--monoid',
+      'int:natural', '--box', '2', '--seed', '7'),
+     0, "65de707766ef47f7eb27458cfedd0b4470de05b0d4e90172bf7bde9410c2d58a"),
+    (('verify', 'thm37-quasibaer', '--ring', 'gf4.ini', '--sigma', '1', '--monoid',
+      'nat2:lex', '--box', '2', '--seed', '7'),
+     0, "09a49588950e1d334d5ce27512af6ebc826278b7aa1e81d6b48d1e5b542533fe"),
+    (('verify', 'prop34', '--ring', 'gf4.ini', '--sigma', '1', '--monoid', 'nat2:lex',
+      '--box', '2'),
+     0, "2b32c08f6b4b3a41119befbd453cd93df3eaa7b0aef17431df8cecf048de29d7"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GF4_GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in GF4_GOLDEN])
+def test_frobenius_twist_jsonl_matches_the_recorded_digest(argv, code, digest, tmp_path,
+                                                           monkeypatch):
+    # The config record names the ring file, so it is written under one fixed
+    # name and read from the working directory.
+    (tmp_path / "gf4.ini").write_text(GF4_INI)
+    monkeypatch.chdir(tmp_path)
+    test_jsonl_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch)

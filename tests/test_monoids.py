@@ -80,6 +80,15 @@ def test_box_contents():
     assert len(NAT2.box(2)) == 9
 
 
+@pytest.mark.parametrize("monoid", [NAT, NAT2, INT, OrderedMonoid("nat_k", "lex", k=3)],
+                         ids=repr)
+def test_box_size_counts_the_box_without_building_it(monoid):
+    for bound in range(5):
+        assert monoid.box_size(bound) == len(monoid.box(bound))
+    with pytest.raises(ValueError):
+        monoid.box_size(-1)
+
+
 def test_order_axioms_pass_on_all_kinds():
     for m in (NAT, NAT2, INT, trivial_wrap(NAT), OrderedMonoid("nat_k", "lex", k=2)):
         cert = check_order_axioms(m, bound=4)

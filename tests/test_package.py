@@ -193,14 +193,18 @@ def test_ring_commands_load_no_series_code(argv):
     assert {m for m in loaded if m.startswith("skewseries")} == RING_COMMAND_MODULES - {"__future__"}
 
 
+def _modules(directory):
+    # (file name, syntax tree) for every module in a directory.
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), filename=name)
+
+
 def _package_nodes():
     # (file name, node) for every syntax node of the package's modules.
-    src = os.path.dirname(skewseries.__file__)
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py"):
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            yield from ((name, node) for node in ast.walk(tree))
+    for name, tree in _modules(os.path.dirname(skewseries.__file__)):
+        yield from ((name, node) for node in ast.walk(tree))
 
 
 def test_no_bare_assert_in_the_package():
@@ -218,4 +222,24 @@ def test_caps_are_read_from_the_caps_argument():
              if isinstance(node, ast.Attribute) and node.attr in Caps.__slots__
              and "DEFAULT_CAPS" in (getattr(node.value, "id", None),
                                     getattr(node.value, "attr", None))]
+    assert found == []
+
+
+def test_every_import_is_read():
+    # A name imported and never read is left over from deleted code.  The
+    # scan is per file, not per scope; `from __future__` imports are exempt.
+    found = []
+    for directory in (os.path.dirname(skewseries.__file__), os.path.dirname(__file__)):
+        for name, tree in _modules(directory):
+            imported, read = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                        isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        imported.setdefault(bound, node.lineno)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+            found += [f"{name}:{line} {bound}" for bound, line in imported.items()
+                      if bound not in read]
     assert found == []

@@ -18,6 +18,7 @@ from skewseries.errors import (
 )
 from skewseries.rings import (
     Caps,
+    _matrix_like,
     FiniteRing,
     additive_generators,
     annihilator,
@@ -268,6 +269,14 @@ def test_matrix_ring_m2_z2_basics():
     assert m2.mul(e12, e21) == e11
     assert m2.mul(e12, e12) == 0
     assert m2.add(e11, e22) == m2.one
+
+
+def test_a_product_off_the_matrix_shape_is_an_internal_fault():
+    # The full and upper triangular position sets are closed under products,
+    # so a product off its positions is a bug inside the program (exit 6),
+    # not bad input (exit 2).
+    with pytest.raises(InvariantViolation, match="matrix-shape"):
+        _matrix_like(ring_zn(2), 2, [(0, 1), (1, 0)], "bad")
 
 
 def test_upper_triangular_order():

@@ -367,7 +367,7 @@ def test_armendariz_scan_hands_the_kernel_one_f_per_unit_orbit(
 
     def spy(ctx, slots, products, budget=None):
         (f,) = products
-        scanned.append(tuple(f.get(e, ring.zero) for e in slots))
+        scanned.append(tuple(dict(f).get(e, ring.zero) for e in slots))
         return real(ctx, slots, products, budget)
 
     monkeypatch.setattr(series, "_annihilating_vectors", spy)

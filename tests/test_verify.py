@@ -497,3 +497,26 @@ def test_baer_conclusions_see_neither_the_twist_nor_the_order(gf4):
                 assert report.outcome == "PASS"
                 entries.add(report.conclusion_checked)
     assert len(entries) == 1
+
+
+class OrderCheckReached(Exception):
+    pass
+
+
+def test_order_check_is_held_to_the_budget_before_it_runs(monkeypatch):
+    # Two slots have 2^4 Armendariz pairs, but the order check runs on the
+    # whole coordinate box around them: 13^2 points for (12, 12), whose
+    # 169^3 point triples are over the default budget.
+    def spy(monoid, bound):
+        raise OrderCheckReached(bound)
+
+    monkeypatch.setattr(verify, "check_refinement", spy)
+    ctx = SkewContext(ring_zn(2), OrderedMonoid("nat_k", "lex", k=2))
+    with pytest.raises(BudgetExceeded,
+                       match=r"^order check needs 169\^3 point triples, budget is 2000000$"):
+        verify.verify_thm37(ctx, "baer", [(0, 0), (12, 12)])
+    # At bound 1 the box has 4 points: 64 triples fit a budget of 64, not 63.
+    with pytest.raises(BudgetExceeded, match=r"needs 4\^3 point triples, budget is 63"):
+        verify.verify_thm37(ctx, "baer", [(0, 0), (1, 1)], budget=63)
+    with pytest.raises(OrderCheckReached):
+        verify.verify_thm37(ctx, "baer", [(0, 0), (1, 1)], budget=64)
