@@ -39,8 +39,8 @@ _EXPORTS = {
         )),
         ("verify", (
             "ConclusionEntry", "SearchOutcome", "TheoremReport", "bounded_annihilator_in_A",
-            "coefficient_ideal_lift", "counterexample_search", "lift_subset_to_series",
-            "verify_corollaries", "verify_prop34", "verify_thm37",
+            "coefficient_ideal_lift", "counterexample_search", "verify_corollaries",
+            "verify_prop34", "verify_thm37",
         )),
     )
     for name in names

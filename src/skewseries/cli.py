@@ -363,8 +363,7 @@ def build_parser():
     common.add_argument("--output", choices=("text", "jsonl"), default="text",
                         help="report format; text is derived from the jsonl records")
     common.add_argument("--caps", default="",
-                        help="override size caps, e.g. subset=20,endo=12 "
-                             "(same format as SKEWSERIES_CAPS)")
+                        help="override size caps, e.g. subset=20,endo=12")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ring_p = sub.add_parser("ring", help="catalog, tables, and class deciders")
@@ -425,9 +424,7 @@ def run(argv=None, stream=None):
     args = parser.parse_args(argv)
     records = [_config_record(args)]
     try:
-        caps = DEFAULT_CAPS.updated(os.environ.get("SKEWSERIES_CAPS", ""), "SKEWSERIES_CAPS")
-        caps = caps.updated(args.caps, "--caps")
-        code = args.func(args, records, caps)
+        code = args.func(args, records, DEFAULT_CAPS.updated(args.caps))
     except HypothesisNotMet as exc:
         rec = {"record": "error", "kind": "hypothesis-not-met",
                "hypothesis": exc.hypothesis, "message": str(exc)}

@@ -102,11 +102,11 @@ class Caps(FrozenRecord):
         super().__init__(*args, **kwargs)
         check_counts(ValueError, "cap ", **dict(zip(self.__slots__, self._values())))
 
-    def updated(self, text, source):
-        """These caps with 'name=int,...' entries from text applied.
+    def updated(self, text):
+        """These caps with '--caps' entries 'name=int,...' from text applied.
 
         Blank text changes nothing; any other malformed, unknown or negative
-        entry is a SpecFormatError naming its source.
+        entry is a SpecFormatError.
         """
         if not text.strip():
             return self
@@ -117,13 +117,13 @@ class Caps(FrozenRecord):
             key = key.strip()
             if not sep or key not in names:
                 raise SpecFormatError(
-                    f"bad cap entry {part!r} in {source}; use name=int with names {names}")
+                    f"bad cap entry {part!r} in --caps; use name=int with names {names}")
             try:
                 values[key] = int(value)
             except ValueError:
-                raise SpecFormatError(f"cap {key} in {source} needs an integer, got {value!r}")
+                raise SpecFormatError(f"cap {key} in --caps needs an integer, got {value!r}")
             if values[key] < 0:
-                raise SpecFormatError(f"cap {key} in {source} must be >= 0, got {values[key]}")
+                raise SpecFormatError(f"cap {key} in --caps must be >= 0, got {values[key]}")
         return Caps(**values)
 
 

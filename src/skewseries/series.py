@@ -374,7 +374,8 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
     zero = ring.zero
     twists = {u: _twist(ctx, u) for u in slots}
     mul_t = ring.mul_table
-    scope = f"exhaustive over all {total} pairs with support in {list(slots)}"
+    scope = (f"exhaustive over all {total} pairs with support in "
+             f"[{', '.join(map(_repr_exp, slots))}]")
     # Left multiplication by a unit c keeps f*g == 0 and each twisted
     # term's vanishing, since (c*f)(u)*omega_u(g(v)) = c*(f(u)*omega_u(g(v))).
     # So c*f refutes exactly when f does, with the same g, and the first
@@ -444,6 +445,11 @@ def _decimal(c):
 
 def _fmt_exp(e):
     return ",".join(map(_decimal, e))
+
+
+def _repr_exp(e):
+    """repr(e) of an exponent tuple, in exact decimal at any length."""
+    return "(" + ", ".join(map(_decimal, e)) + ("," if len(e) == 1 else "") + ")"
 
 
 def format_series(f):

@@ -39,6 +39,7 @@ from .series import (
     _annihilating_vectors,
     _box_series,
     _decimal,
+    _repr_exp,
     all_series,
     armendariz_pair_count,
     armendariz_search,
@@ -79,7 +80,7 @@ class SearchOutcome(FrozenRecord):
 
 
 def _fmt_box(box):
-    return "{" + ", ".join(str(e[0]) if len(e) == 1 else str(e) for e in box) + "}"
+    return "{" + ", ".join(_decimal(e[0]) if len(e) == 1 else _repr_exp(e) for e in box) + "}"
 
 
 def _fmt_members(members):
@@ -98,19 +99,14 @@ def _scope_note(ctx, box):
 # lifts
 
 
-def lift_subset_to_series(ctx, subset):
-    """Constant series for each member of a ring subset, ascending."""
-    return [const_embed(ctx, x) for x in sorted(set(subset))]
-
-
 def _spanning_monomials(ctx, members, slots):
     """Monomials c*x^v: c an additive generator of members, v a slot.
 
-    For an additive subgroup of R (an ideal, or R itself) their additive span
-    is every series with support in the slots and all coefficients in
-    members: a box series is the sum of its terms, and each term's
-    coefficient a sum of generators.  The zero ideal has no generators, so it
-    gets the zero series, the only series of that span.
+    Their additive span is every series with support in the slots and all
+    coefficients in the additive subgroup that members generate (at the
+    identity slot alone, the span of members' constant series): a box series
+    is the sum of its terms, and each term's coefficient a sum of generators.
+    {0} has no generators, so it gets the zero series, that span's one series.
     """
     return [SkewSeries._trusted(ctx, ((v, c),))
             for c in additive_generators(ctx.ring, members) for v in slots] or [zero_series(ctx)]
@@ -195,33 +191,40 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
     return TheoremReport("prop34", outcome, hyps, tuple(entries), _scope_note(ctx, slots))
 
 
+def _order_hypothesis(monoid, slots, budget):
+    """The quasitotal_order hypothesis pair of a run at slots.
+
+    The order check runs on the coordinate box around the slots, which can
+    hold far more points than the slots, so its points^3 is held to the
+    budget before it runs.
+    """
+    bound = max(abs(c) for e in slots for c in e)
+    points = monoid.box_size(bound)
+    if points ** 3 > budget:
+        raise BudgetExceeded(
+            f"order check needs {_decimal(points)}^3 point triples, budget is {budget}")
+    order = check_refinement(monoid, bound)
+    if order.verdict != "yes":
+        raise HypothesisNotMet("quasitotal_order", order)
+    return "quasitotal_order", order
+
+
 def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
     """Hypothesis certificates of one Thm 3.7 run, in order, and its
     ring-side run; HypothesisNotMet names the first hypothesis that fails.
 
-    shared keeps the Armendariz certificate (under "armendariz") and each
-    variant's ring-side run (under the variant) for later runs over the same
-    ring, twist and box, which is all they depend on: the Armendariz scan
-    multiplies finite-support series, which never consults the order.  Each
-    is computed when a run first needs it, so the hypothesis that fails
+    shared keeps the Armendariz certificate (under "armendariz") for later
+    runs over the same ring, twist and box, which is all it depends on: the
+    scan multiplies finite-support series, which never consults the order.
+    It is computed when a run first needs it, so the hypothesis that fails
     first is the one that would fail without sharing.
 
     The Armendariz pair budget is checked before any hypothesis: the order
     check costs O(points^3), and a box over budget would only reach it to
-    stop at the scan.  The order check runs on the coordinate box around the
-    slots, which can hold far more points than the slots, so its points^3
-    is held to the budget too.
+    stop at the scan.
     """
     armendariz_pair_count(ctx.ring, len(slots), budget)
-    bound = max(abs(c) for e in slots for c in e)
-    points = ctx.monoid.box_size(bound)
-    if points ** 3 > budget:
-        raise BudgetExceeded(
-            f"order check needs {_decimal(points)}^3 point triples, budget is {budget}")
-    order = check_refinement(ctx.monoid, bound)
-    if order.verdict != "yes":
-        raise HypothesisNotMet("quasitotal_order", order)
-    hyps = [("quasitotal_order", order)]
+    hyps = [_order_hypothesis(ctx.monoid, slots, budget)]
     compat = s_compatibility_check(ctx)
     if compat.verdict != "yes":
         raise HypothesisNotMet("s_compatible", compat)
@@ -232,9 +235,7 @@ def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
     if arm.verdict == "no":
         raise HypothesisNotMet("armendariz_at_box", arm)
     hyps.append(("armendariz_at_box", arm))
-    rv = shared.get(variant)
-    if rv is None:
-        rv = shared[variant] = decide_generalized(ctx.ring, variant, "right", caps)
+    rv = decide_generalized(ctx.ring, variant, "right", caps)
     if not rv.verdict:
         raise HypothesisNotMet(
             f"ring_gen_right_{variant}",
@@ -259,11 +260,12 @@ def verify_thm37(ctx, variant, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20
     The quasi-Baer variant adds seeded round-trips through finitely
     generated series families and their coefficient ideals.
 
-    An ideal I is lifted to the series with support in the box and all
-    coefficients in I.  The annihilator is computed from the monomials c*x^v
-    that span that family additively (c an additive generator of I), which
-    gives the same annihilator (see bounded_annihilator_in_A) from
-    len(gens) * len(box) series instead of |I|**len(box).
+    A subset X is lifted to its constant series, an ideal I to the series
+    with support in the box and all coefficients in I.  The annihilator is
+    computed from the monomials c*x^v that span the lift additively (c an
+    additive generator of X or I, v the identity or a box slot), which gives
+    the same annihilator (see bounded_annihilator_in_A) from len(gens) *
+    len(box) series instead of |I|**len(box).
     """
     return _run_thm37(ctx, variant, box, budget, seed, samples, caps, {})
 
@@ -277,15 +279,12 @@ def _run_thm37(ctx, variant, box, budget, seed, samples, caps, shared):
     hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps, shared)
     forward_id = "prop36_1" if variant == "baer" else "prop36_2"
     backward_id = "prop35_1" if variant == "baer" else "prop35_2"
+    lift, prefix = ((ctx.monoid.identity(),), "X") if variant == "baer" else (slots, "I")
     entries = []
     bridges = {}
     for members, depth, e in rv.per_instance:
-        if variant == "baer":
-            gens = lift_subset_to_series(ctx, members)
-            label = f"X={_fmt_members(members)} n={depth} e={e}"
-        else:
-            gens = _spanning_monomials(ctx, members, slots)
-            label = f"I={_fmt_members(members)} n={depth} e={e}"
+        gens = _spanning_monomials(ctx, members, lift)
+        label = f"{prefix}={_fmt_members(members)} n={depth} e={e}"
         ann = bounded_annihilator_in_A(ctx, gens, depth, slots, budget)
         entries.extend(_bridge_entries(ctx, ann, e, label, forward_id, bridges))
         entries.append(_reconstruction_entry(ctx, members, depth, e, ann, label, backward_id))
@@ -390,37 +389,36 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
 
     cor38 covers both variants for generalized power series (natural order,
     identity twist); cor39/cor310 are the power series quasi-Baer and Baer
-    cases, cor38's own runs, which run once; cor311/cor312 are the polynomial
-    cases, which use the trivial order on the same finite supports.  All runs
-    share one Armendariz scan and one ring-side run per variant.
+    cases; cor311/cor312 are the polynomial cases, which use the trivial
+    order on the same finite supports.  Past its order check a run only
+    multiplies series, so the two natural runs, Baer first, serve all five
+    reports, each with its own order's certificate (listed first).
     """
+    natural = SkewContext(ring, OrderedMonoid("nat", "natural"))
+    trivial = SkewContext(ring, OrderedMonoid("nat", "trivial"))
+    slots = normalize_box(natural.monoid, box)
+    shared = {}
+    subs = {variant: _run_thm37(natural, variant, slots, budget, seed, samples, caps, shared)
+            for variant in ("baer", "quasi_baer")}
+    orders = {natural: subs["baer"].hypotheses_checked[0],
+              trivial: _order_hypothesis(trivial.monoid, slots, budget)}
     runs = (
-        ("cor38", "natural", ("baer", "quasi_baer")),
-        ("cor39", "natural", ("quasi_baer",)),
-        ("cor310", "natural", ("baer",)),
-        ("cor311", "trivial", ("quasi_baer",)),
-        ("cor312", "trivial", ("baer",)),
+        ("cor38", natural, ("baer", "quasi_baer")),
+        ("cor39", natural, ("quasi_baer",)),
+        ("cor310", natural, ("baer",)),
+        ("cor311", trivial, ("quasi_baer",)),
+        ("cor312", trivial, ("baer",)),
     )
     reports = []
-    subs = {}
-    shared = {}
-    for statement, order_mode, variants in runs:
-        monoid = OrderedMonoid("nat", order_mode)
-        ctx = SkewContext(ring, monoid)
-        hyps = []
-        entries = []
-        slots = normalize_box(monoid, box)
-        for variant in variants:
-            key = order_mode, variant
-            if key not in subs:
-                subs[key] = _run_thm37(ctx, variant, slots, budget, seed, samples, caps, shared)
-            sub = subs[key]
-            hyps.extend(sub.hypotheses_checked)
-            entries.extend(sub.conclusion_checked)
+    for statement, ctx, variants in runs:
+        hyps = tuple(orders[ctx] if h[0] == "quasitotal_order" else h
+                     for variant in variants for h in subs[variant].hypotheses_checked)
+        entries = tuple(e for variant in variants for e in subs[variant].conclusion_checked)
         outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
         reports.append(TheoremReport(
-            statement, outcome, tuple(hyps), tuple(entries),
-            _scope_note(ctx, slots) + f"; untwisted specialization with order mode {order_mode!r}",
+            statement, outcome, hyps, entries,
+            _scope_note(ctx, slots)
+            + f"; untwisted specialization with order mode {ctx.monoid.order_mode!r}",
         ))
     return reports
 

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from skewseries.errors import AxiomViolation
 from skewseries.monoids import OrderedMonoid
-from skewseries.rings import FiniteRing, enumerate_endomorphisms, ring_product
+from skewseries.rings import (
+    FiniteRing,
+    PropertyCertificate,
+    enumerate_endomorphisms,
+    ring_product,
+)
 from skewseries.series import SkewContext, SkewSeries, _box_series, normalize_box
 from skewseries.specfile import builtin_ring
 
@@ -212,3 +217,35 @@ def lift_ideal_to_series(ctx, ideal_members, box):
     slots = normalize_box(ctx.monoid, box)
     values = sorted(set(ideal_members))
     return [_box_series(ctx, slots, vec) for vec in itertools.product(values, repeat=len(slots))]
+
+
+# ---------------------------------------------------------------------------
+# literal reference for the order check
+
+
+def literal_order_check(monoid, bound, lt):
+    """check_order_axioms as a literal scan: every axiom asks lt afresh for
+    each pair or triple of box points, translation on both sides."""
+    points = monoid.box(bound)
+    for u in points:
+        if lt(u, u):
+            return PropertyCertificate("no", witness=(u, u, "irreflexivity"))
+    for u in points:
+        for v in points:
+            if lt(u, v) and lt(v, u):
+                return PropertyCertificate("no", witness=(u, v, "antisymmetry"))
+    for u in points:
+        for v in points:
+            if not lt(u, v):
+                continue
+            for w in points:
+                if lt(v, w) and not lt(u, w):
+                    return PropertyCertificate("no", witness=(u, v, w))
+            for t in points:
+                if not lt(monoid.op(u, t), monoid.op(v, t)):
+                    return PropertyCertificate("no", witness=(u, v, t))
+                if not lt(monoid.op(t, u), monoid.op(t, v)):
+                    return PropertyCertificate("no", witness=(t, u, v))
+    return PropertyCertificate(
+        "yes", notes=f"exhaustive on the bound-{bound} box ({len(points)} elements)",
+    )

@@ -203,9 +203,13 @@ def test_caps_flag_trips_the_subset_cap():
     assert err["kind"] == "cap-exceeded"
 
 
-def test_malformed_caps_entry():
-    code, recs = invoke_jsonl("ring", "list", "--caps", "bogus=3")
+@pytest.mark.parametrize("entry", ["bogus=3", "subset=x", "subset", "subset=-1"])
+def test_malformed_caps_entry(entry):
+    code, recs = invoke_jsonl("ring", "list", "--caps", entry)
     assert code == 2
+    err = next(r for r in recs if r["record"] == "error")
+    assert err["kind"] == "spec" and "--caps" in err["message"]
+    assert summary_of(recs)["exit"] == 2
 
 
 def test_caps_last_for_one_run_only():
@@ -217,22 +221,13 @@ def test_caps_last_for_one_run_only():
     assert next(r for r in recs if r["record"] == "verdict")["verdict"] is False
 
 
-def test_env_caps_apply_and_the_flag_overrides_them(monkeypatch):
+def test_caps_come_only_from_the_flag(monkeypatch):
+    # The environment is not a source of caps; only --caps stops this run.
     monkeypatch.setenv("SKEWSERIES_CAPS", "subset=2")
-    assert invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")[0] == 3
+    assert invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer")[0] == 0
     code, _ = invoke_jsonl("ring", "check", "--ring", "zn:4", "--class", "baer",
-                           "--caps", "subset=4")
-    assert code == 0
-
-
-@pytest.mark.parametrize("entry", ["bogus=3", "subset=x", "subset", "subset=-1"])
-def test_bad_env_caps_entry_is_a_spec_error(monkeypatch, entry):
-    monkeypatch.setenv("SKEWSERIES_CAPS", entry)
-    code, recs = invoke_jsonl("ring", "list")
-    assert code == 2
-    err = next(r for r in recs if r["record"] == "error")
-    assert err["kind"] == "spec" and "SKEWSERIES_CAPS" in err["message"]
-    assert summary_of(recs)["exit"] == 2
+                           "--caps", "subset=2")
+    assert code == 3
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -115,8 +115,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN,
                          ids=[" ".join(argv) for argv, _, _ in GOLDEN])
-def test_jsonl_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch):
-    monkeypatch.delenv("SKEWSERIES_CAPS", raising=False)
+def test_jsonl_bytes_match_the_recorded_digest(argv, code, digest):
     buf = io.StringIO()
     assert run([*argv, "--output", "jsonl"], stream=buf) == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
@@ -132,8 +131,7 @@ TEXT_GOLDEN = [
 
 @pytest.mark.parametrize("argv,code,digest", TEXT_GOLDEN,
                          ids=[" ".join(argv) for argv, _, _ in TEXT_GOLDEN])
-def test_text_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch):
-    monkeypatch.delenv("SKEWSERIES_CAPS", raising=False)
+def test_text_bytes_match_the_recorded_digest(argv, code, digest):
     buf = io.StringIO()
     assert run([*argv, "--output", "text"], stream=buf) == code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
@@ -173,4 +171,4 @@ def test_frobenius_twist_jsonl_matches_the_recorded_digest(argv, code, digest, t
     # name and read from the working directory.
     (tmp_path / "gf4.ini").write_text(GF4_INI)
     monkeypatch.chdir(tmp_path)
-    test_jsonl_bytes_match_the_recorded_digest(argv, code, digest, monkeypatch)
+    test_jsonl_bytes_match_the_recorded_digest(argv, code, digest)

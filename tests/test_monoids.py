@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import literal_order_check
 from skewseries.errors import IllegalPairing, MixedMonoids
 from skewseries.monoids import (
     OrderedMonoid,
@@ -120,3 +122,29 @@ def test_refinement_certificates():
     broken = OrderedMonoid("nat_k", "product", k=2)
     broken.refined_mode = "trivial"  # vacuously strict and compatible, but not total
     assert check_refinement(broken, 1).witness == ((0, 0), (0, 1), "totality")
+
+
+ORDER_MONOIDS = (NAT, INT, OrderedMonoid("nat_k", "lex", k=2), NAT2)
+
+
+@st.composite
+def comparators(draw):
+    """(monoid, bound, lt): lt a random relation, or a refined or declared
+    order with a few pairs flipped, on the points that translates reach."""
+    monoid = draw(st.sampled_from(ORDER_MONOIDS))
+    bound = draw(st.integers(0, 2))
+    reach = monoid.box(2 * bound)
+    pairs = st.tuples(st.sampled_from(reach), st.sampled_from(reach))
+    if draw(st.booleans()):
+        related = draw(st.frozensets(pairs, max_size=3 * len(reach)))
+        return monoid, bound, lambda u, v: (u, v) in related
+    refined = draw(st.booleans())
+    flips = draw(st.frozensets(pairs, max_size=3))
+    return monoid, bound, lambda u, v: monoid.less(u, v, refined) != ((u, v) in flips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparators())
+def test_order_check_matches_the_literal_scan(case):
+    monoid, bound, lt = case
+    assert check_order_axioms(monoid, bound, lt) == literal_order_check(monoid, bound, lt)

@@ -5,6 +5,8 @@ import ast
 import dataclasses
 import importlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -117,15 +119,15 @@ def test_caps_refuses_a_negative_positional_cap():
 
 def test_caps_updated_keeps_its_own_error_for_a_negative_cap():
     with pytest.raises(SpecFormatError) as info:
-        Caps().updated("endo=2, subset=-1", "--caps")
+        Caps().updated("endo=2, subset=-1")
     assert str(info.value) == "cap subset in --caps must be >= 0, got -1"
 
 
 def test_caps_updated_reads_the_slot_names():
-    assert Caps().updated("endo=3, order=9", "test") == Caps(16, 3, 16, 9)
-    assert Caps().updated("subset=0", "test").subset == 0
+    assert Caps().updated("endo=3, order=9") == Caps(16, 3, 16, 9)
+    assert Caps().updated("subset=0").subset == 0
     caps = Caps()
-    assert caps.updated("  ", "test") is caps
+    assert caps.updated("  ") is caps
 
 
 def test_every_export_resolves_to_its_defining_module():
@@ -243,3 +245,73 @@ def test_every_import_is_read():
             found += [f"{name}:{line} {bound}" for bound, line in imported.items()
                       if bound not in read]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(skewseries.__file__))
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_examples():
+    """The README's `skewseries` command lines, as (environment, argv, exit
+    code), and its python blocks.
+
+    Inside a fence a command line may start with `$ ` and with NAME=value
+    words.  Its exit code is the N of a trailing `# exits N`, or the line
+    after a `$ echo $?` that follows it, or else 0.
+    """
+    commands, blocks = [], []
+    block = lang = None
+    echo = False
+    with open(README, encoding="utf-8") as fh:
+        for line in fh.read().splitlines():
+            if line.startswith("```"):
+                if block is None:
+                    block, lang = [], line[3:].strip()
+                else:
+                    if lang == "python":
+                        blocks.append("\n".join(block))
+                    block = None
+                continue
+            if block is None:
+                continue
+            block.append(line)
+            text = line.removeprefix("$ ").strip()
+            if echo:
+                commands[-1][2], echo = int(text), False
+            elif text == "echo $?":
+                echo = True
+            elif re.match(r"(\w+=\S*\s+)*skewseries\s", text):
+                words = shlex.split(text, comments=True)
+                env = dict(w.split("=", 1) for w in words[:words.index("skewseries")])
+                stated = re.search(r"#\s*exits (\d+)", text)
+                commands.append([env, words[len(env) + 1:], int(stated[1]) if stated else 0])
+    return commands, blocks
+
+
+README_COMMANDS, README_BLOCKS = _readme_examples()
+
+
+def _run_example(argv, env=None):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT, **(env or {})))
+
+
+def test_the_readme_shows_every_subcommand_and_a_python_block():
+    assert {argv[0] for _, argv, _ in README_COMMANDS} == {"ring", "verify", "search", "series"}
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("env,argv,code", README_COMMANDS,
+                         ids=[" ".join(argv) for _, argv, _ in README_COMMANDS])
+def test_readme_command_exits_as_stated(env, argv, code):
+    proc = _run_example(["-m", "skewseries", *argv], env)
+    assert proc.returncode == code, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("block", README_BLOCKS)
+def test_readme_python_block_runs(block):
+    proc = _run_example(["-c", block])
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from skewseries.monoids import OrderedMonoid
 from skewseries.properties import decide_generalized
 from skewseries.rings import (
+    ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
     annihilator,
     enumerate_endomorphisms,
@@ -27,6 +28,7 @@ from skewseries.series import (
     SkewContext,
     SkewSeries,
     all_series,
+    armendariz_search,
     const_embed,
     exp_embed,
     format_series,
@@ -34,12 +36,12 @@ from skewseries.series import (
     series_from_pairs,
     zero_series,
 )
+from skewseries.specfile import CATALOG_NAMES, builtin_ring
 from skewseries.verify import (
     _spanning_monomials,
     bounded_annihilator_in_A,
     coefficient_ideal_lift,
     counterexample_search,
-    lift_subset_to_series,
     verify_corollaries,
     verify_prop34,
     verify_thm37,
@@ -50,11 +52,6 @@ Z4 = ring_zn(4)
 Z6 = ring_zn(6)
 CTX4 = SkewContext(Z4, NAT)
 CTX6 = SkewContext(Z6, NAT)
-
-
-def test_lift_subset_constant_series():
-    gens = lift_subset_to_series(CTX4, {2, 1})
-    assert [g.items() for g in gens] == [[((0,), 1)], [((0,), 2)]]
 
 
 def test_lift_ideal_enumerates_coefficient_choices():
@@ -71,21 +68,21 @@ def test_coefficient_ideal_lift_reads_off_the_right_ideal():
 
 
 def test_bounded_annihilator_hand_values():
-    gens = lift_subset_to_series(CTX4, [2])
+    gens = [const_embed(CTX4, 2)]
     assert len(bounded_annihilator_in_A(CTX4, gens, 2, [0, 1])) == 16
     small = bounded_annihilator_in_A(CTX4, gens, 1, [0])
     assert [g.items() for g in small] == [[], [((0,), 2)]]
 
 
 def test_bounded_annihilator_budget():
-    gens = lift_subset_to_series(CTX4, [2])
+    gens = [const_embed(CTX4, 2)]
     with pytest.raises(BudgetExceeded):
         bounded_annihilator_in_A(CTX4, gens, 1, [0, 1, 2], budget=10)
 
 
 def test_bounded_annihilator_budget_counts_slot_values_tried():
     # 2*g == 0 leaves {0, 2} at each of the three slots: 2 + 4 + 8 values tried
-    gens = lift_subset_to_series(CTX4, [2])
+    gens = [const_embed(CTX4, 2)]
     assert len(bounded_annihilator_in_A(CTX4, gens, 1, [0, 1, 2], budget=14)) == 8
     with pytest.raises(BudgetExceeded, match="slot values"):
         bounded_annihilator_in_A(CTX4, gens, 1, [0, 1, 2], budget=13)
@@ -97,6 +94,17 @@ def test_prop34_counts_idempotent_series():
     assert rep4.outcome == "PASS" and rep6.outcome == "PASS"
     assert len(rep4.conclusion_checked) - 1 == 2
     assert len(rep6.conclusion_checked) - 1 == 4
+
+
+def test_scope_notes_print_deep_exponents_exactly():
+    # 10**5000 is past the int-to-str digit limit, yet a valid exponent of N.
+    ctx = SkewContext(ring_zn(2), NAT)
+    deep = "1" + "0" * 5000
+    cert = armendariz_search(ctx, [10 ** 5000])
+    assert cert.notes == f"exhaustive over all 4 pairs with support in [({deep},)]"
+    report = verify_prop34(ctx, [0, 10 ** 5000])
+    assert report.outcome == "PASS"
+    assert f"inside box {{0, {deep}}} of" in report.scope_note
 
 
 def test_prop34_refuses_non_armendariz_ring():
@@ -202,6 +210,25 @@ def test_corollaries_run_each_distinct_hypothesis_once(monkeypatch):
         alone = [verify_thm37(ctx, v, [0, 1], samples=2, seed=3) for v in variants]
         assert report.hypotheses_checked == tuple(h for r in alone for h in r.hypotheses_checked)
         assert report.conclusion_checked == tuple(e for r in alone for e in r.conclusion_checked)
+
+
+def test_corollaries_run_the_harness_once_per_variant(monkeypatch):
+    # The order enters only as a hypothesis, so the five corollaries reuse
+    # the two natural runs: as many series annihilators as those two runs.
+    calls = []
+    real = verify.bounded_annihilator_in_A
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+    verify_corollaries(Z4, [0, 1], samples=2, seed=3)
+    corollaries = len(calls)
+    calls.clear()
+    for variant in ("baer", "quasi_baer"):
+        verify_thm37(CTX4, variant, [0, 1], samples=2, seed=3)
+    assert corollaries == len(calls) == 20
 
 
 def test_search_finds_the_z4_gap():
@@ -520,3 +547,49 @@ def test_order_check_is_held_to_the_budget_before_it_runs(monkeypatch):
         verify.verify_thm37(ctx, "baer", [(0, 0), (1, 1)], budget=63)
     with pytest.raises(OrderCheckReached):
         verify.verify_thm37(ctx, "baer", [(0, 0), (1, 1)], budget=64)
+
+
+class _Meter:
+    """A budget that never trips; it keeps the largest count checked against
+    it, which is the least budget under which the same call passes."""
+
+    most = 0
+
+    def __lt__(self, count):
+        self.most = max(self.most, count)
+        return False
+
+
+def test_baer_subsets_lift_through_their_additive_generators(gf4):
+    # The constant series of X and the constants at X's additive generators
+    # span the same series, so they have the same annihilator, and the
+    # kernel tries the same values for both: the budget trips at one count.
+    rings = [builtin_ring(name) for name in CATALOG_NAMES]
+    monoids = [OrderedMonoid("nat", "natural"), OrderedMonoid("nat_k", "lex", k=2),
+               OrderedMonoid("int", "natural")]
+    cases = 0
+    for ring in [r for r in rings if r.order <= 8] + [gf4]:
+        for sigma in enumerate_endomorphisms(ring):
+            for monoid in monoids:
+                if monoid.kind == "int" and not sigma.is_bijective:
+                    continue
+                ctx = SkewContext(ring, monoid, sigma)
+                points = monoid.box(1)
+                for slots in {tuple(points[:2]), tuple(points[:3])}:
+                    try:
+                        _, rv = verify._thm37_hypotheses(ctx, slots, "baer", ARMENDARIZ_BUDGET,
+                                                         DEFAULT_CAPS, {})
+                    except HypothesisNotMet:
+                        continue
+                    for members, depth, _ in rv.per_instance:
+                        consts = [const_embed(ctx, x) for x in sorted(set(members))]
+                        spanning = _spanning_monomials(ctx, members, (monoid.identity(),))
+                        meter = _Meter()
+                        ann = bounded_annihilator_in_A(ctx, consts, depth, slots, meter)
+                        assert bounded_annihilator_in_A(
+                            ctx, spanning, depth, slots, meter.most) == ann, (ctx, members)
+                        for gens in (consts, spanning):
+                            with pytest.raises(BudgetExceeded, match="slot values"):
+                                bounded_annihilator_in_A(ctx, gens, depth, slots, meter.most - 1)
+                        cases += 1
+    assert cases > 2000
