@@ -152,10 +152,10 @@ class FiniteRing:
         self.order = order
         self.add_table = _normalize_table(add_table, order, "add")
         self.mul_table = _normalize_table(mul_table, order, "mul")
-        if not 0 <= zero < order:
-            raise ValueError(f"zero index {zero} out of range")
-        if not 0 <= one < order:
-            raise ValueError(f"one index {one} out of range")
+        if isinstance(zero, bool) or not 0 <= zero < order:
+            raise ValueError(f"zero index {zero!r} out of range")
+        if isinstance(one, bool) or not 0 <= one < order:
+            raise ValueError(f"one index {one!r} out of range")
         self.zero = zero
         self.one = one
         self.label = label
@@ -267,7 +267,7 @@ def _normalize_table(table, order, name):
         raise ValueError(f"{name} table must be {order}x{order}")
     for row in rows:
         for entry in row:
-            if not isinstance(entry, int) or not 0 <= entry < order:
+            if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < order:
                 raise ValueError(f"{name} table entry {entry!r} out of range")
     return rows
 
@@ -437,7 +437,7 @@ def _check_subset(ring, subset):
     if not xs:
         raise EmptySubset("operation needs a nonempty subset")
     for x in xs:
-        if not isinstance(x, int) or not 0 <= x < ring.order:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < ring.order:
             raise ValueError(f"element {x!r} not in ring of order {ring.order}")
     return xs
 
@@ -591,7 +591,7 @@ class RingEndomorphism(FrozenRecord):
     def __init__(self, ring, image):
         image = tuple(image)
         n = ring.order
-        if len(image) != n or any(not 0 <= y < n for y in image):
+        if len(image) != n or any(isinstance(y, bool) or not 0 <= y < n for y in image):
             raise ValueError("image must list one ring element per element")
         if image[ring.zero] != ring.zero:
             raise ValueError("endomorphism must fix 0")

@@ -7,8 +7,8 @@ here is exact: finite supports make every convolution a finite sum.
 
 Exponents and coefficients are validated where they enter: the SkewSeries
 constructor, series_from_pairs, parse_series_literal, normalize_box, coeff
-and exp_embed.  Products, box series and the box kernel build results from
-values already checked, through SkewSeries._trusted.
+and exp_embed.  Sums, products, box series and the box kernel build results
+from values already checked, through SkewSeries._trusted.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class SkewSeries:
         clean = {}
         for e, c in terms.items():
             e = normalize_exponent(monoid, e)
-            if not isinstance(c, int) or not 0 <= c < ring.order:
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < ring.order:
                 raise ForeignElement(f"coefficient {c!r} not in ring of order {ring.order}")
             if e in clean:
                 raise DuplicateExponent(f"exponent {e} given twice")
@@ -150,7 +150,8 @@ class SkewSeries:
         acc = dict(self._terms)
         for e, c in other._terms:
             acc[e] = ring.add(acc.get(e, ring.zero), c)
-        return SkewSeries(self.context, acc)
+        return SkewSeries._trusted(
+            self.context, tuple(sorted((e, c) for e, c in acc.items() if c != ring.zero)))
 
     def __mul__(self, other):
         # Operands are already validated, so exponents add as plain tuples and

@@ -209,15 +209,14 @@ def _order_hypothesis(monoid, slots, budget):
     return "quasitotal_order", order
 
 
-def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
+def _thm37_hypotheses(ctx, slots, variant, budget, caps, arm):
     """Hypothesis certificates of one Thm 3.7 run, in order, and its
     ring-side run; HypothesisNotMet names the first hypothesis that fails.
 
-    shared keeps the Armendariz certificate (under "armendariz") for later
-    runs over the same ring, twist and box, which is all it depends on: the
-    scan multiplies finite-support series, which never consults the order.
-    It is computed when a run first needs it, so the hypothesis that fails
-    first is the one that would fail without sharing.
+    arm is the Armendariz certificate of an earlier run over the same ring,
+    twist and box, which is all it depends on (the scan multiplies
+    finite-support series, which never consults the order), or None to run
+    the scan here, in its place among the hypotheses.
 
     The Armendariz pair budget is checked before any hypothesis: the order
     check costs O(points^3), and a box over budget would only reach it to
@@ -229,9 +228,8 @@ def _thm37_hypotheses(ctx, slots, variant, budget, caps, shared):
     if compat.verdict != "yes":
         raise HypothesisNotMet("s_compatible", compat)
     hyps.append(("s_compatible", compat))
-    arm = shared.get("armendariz")
     if arm is None:
-        arm = shared["armendariz"] = armendariz_search(ctx, slots, budget=budget)
+        arm = armendariz_search(ctx, slots, budget=budget)
     if arm.verdict == "no":
         raise HypothesisNotMet("armendariz_at_box", arm)
     hyps.append(("armendariz_at_box", arm))
@@ -267,16 +265,16 @@ def verify_thm37(ctx, variant, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20
     the same annihilator (see bounded_annihilator_in_A) from len(gens) *
     len(box) series instead of |I|**len(box).
     """
-    return _run_thm37(ctx, variant, box, budget, seed, samples, caps, {})
+    return _run_thm37(ctx, variant, box, budget, seed, samples, caps, None)
 
 
-def _run_thm37(ctx, variant, box, budget, seed, samples, caps, shared):
-    """verify_thm37 with hypothesis work shared as _thm37_hypotheses says."""
+def _run_thm37(ctx, variant, box, budget, seed, samples, caps, arm):
+    """verify_thm37, given the Armendariz certificate as _thm37_hypotheses says."""
     if variant not in ("baer", "quasi_baer"):
         raise ValueError(f"variant must be 'baer' or 'quasi_baer', got {variant!r}")
     check_counts(ValueError, budget=budget, samples=samples)
     slots = normalize_box(ctx.monoid, box)
-    hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps, shared)
+    hyps, rv = _thm37_hypotheses(ctx, slots, variant, budget, caps, arm)
     forward_id = "prop36_1" if variant == "baer" else "prop36_2"
     backward_id = "prop35_1" if variant == "baer" else "prop35_2"
     lift, prefix = ((ctx.monoid.identity(),), "X") if variant == "baer" else (slots, "I")
@@ -371,8 +369,7 @@ def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges):
             gens.append(_box_series(ctx, slots, [rng.randrange(ring.order) for _ in slots]))
         sampled = {g * m for g in gens for m in multipliers}
         members = coefficient_ideal_lift(ctx, sampled)
-        family = sorted(sampled | set(_spanning_monomials(ctx, members, slots)),
-                        key=lambda f: f.sort_key)
+        family = sampled | set(_spanning_monomials(ctx, members, slots))
         depth, b = per_ideal[members]
         label = (
             f"sample {i}: gens [{format_series(gens[0])}] [{format_series(gens[1])}] "
@@ -397,10 +394,11 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
     natural = SkewContext(ring, OrderedMonoid("nat", "natural"))
     trivial = SkewContext(ring, OrderedMonoid("nat", "trivial"))
     slots = normalize_box(natural.monoid, box)
-    shared = {}
-    subs = {variant: _run_thm37(natural, variant, slots, budget, seed, samples, caps, shared)
-            for variant in ("baer", "quasi_baer")}
-    orders = {natural: subs["baer"].hypotheses_checked[0],
+    baer = _run_thm37(natural, "baer", slots, budget, seed, samples, caps, None)
+    quasi_baer = _run_thm37(natural, "quasi_baer", slots, budget, seed, samples, caps,
+                            dict(baer.hypotheses_checked)["armendariz_at_box"])
+    subs = {"baer": baer, "quasi_baer": quasi_baer}
+    orders = {natural: baer.hypotheses_checked[0],
               trivial: _order_hypothesis(trivial.monoid, slots, budget)}
     runs = (
         ("cor38", natural, ("baer", "quasi_baer")),

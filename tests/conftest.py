@@ -1,18 +1,28 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import strategies as st
 
 from skewseries.errors import AxiomViolation
 from skewseries.monoids import OrderedMonoid
+from skewseries.properties import oracle_decide_generalized
 from skewseries.rings import (
     FiniteRing,
     PropertyCertificate,
     enumerate_endomorphisms,
     ring_product,
 )
-from skewseries.series import SkewContext, SkewSeries, _box_series, normalize_box
+from skewseries.series import (
+    SkewContext,
+    SkewSeries,
+    _box_series,
+    all_series,
+    const_embed,
+    format_series,
+    normalize_box,
+)
 from skewseries.specfile import builtin_ring
 
 GATE_LINES = []
@@ -86,6 +96,90 @@ def literal_product(f, g):
             s = tuple(x + y for x, y in zip(u, v))
             acc[s] = ring.add(acc.get(s, ring.zero), ring.mul(a, ctx.omega(u).image[b]))
     return {s: c for s, c in acc.items() if c != ring.zero}
+
+
+def oracle_verify_thm37(ctx, variant, box, seed, samples):
+    """(instance, ok) of every conclusion entry of verify_thm37, rebuilt from
+    the definitions, or None when the ring-side class does not hold.
+
+    The instances come from oracle_decide_generalized.  X lifts to the
+    constant series of its members and I to every box series with
+    coefficients in I; n-fold products come from literal_product, and the
+    annihilator is the box series that every product kills.  The seeded
+    samples follow the harness's RNG formula, each sample multiplied by every
+    box series.  Nothing here runs the fast route: no series product, no box
+    kernel and no verify helper.
+    """
+    ring = ctx.ring
+    slots = normalize_box(ctx.monoid, box)
+    rv = oracle_decide_generalized(ring, variant, "right")
+    if not rv.verdict:
+        return None
+    everything = list(all_series(ctx, slots))
+    one_s = ctx.monoid.identity()
+
+    def times(f, g):
+        return SkewSeries(ctx, literal_product(f, g))
+
+    def annihilator_of(family, n):
+        prods = set(family)
+        for _ in range(n - 1):
+            prods = {times(p, g) for p in prods for g in family}
+        return [g for g in everything if not any(literal_product(p, g) for p in prods)]
+
+    def bridge(ann, e, label):
+        ce = const_embed(ctx, e)
+        return [
+            (f"{label}: c_e lies in the bounded series annihilator", ce in ann),
+            (f"{label}: every bounded annihilating series g equals c_e*g",
+             all(times(ce, g) == g for g in ann)),
+        ]
+
+    def fmt(members):
+        return "{" + ",".join(map(str, members)) + "}"
+
+    entries = []
+    for members, n, e in rv.per_instance:
+        if variant == "baer":
+            family, prefix = [const_embed(ctx, x) for x in members], "X"
+        else:
+            family, prefix = lift_ideal_to_series(ctx, members, slots), "I"
+        label = f"{prefix}={fmt(members)} n={n} e={e}"
+        ann = annihilator_of(family, n)
+        entries += bridge(ann, e, label)
+        consts = {g.coeff(one_s) for g in ann if g.support <= {one_s}}
+        power = set(members)
+        for _ in range(n - 1):
+            power = {ring.mul(p, x) for p in power for x in members}
+        ring_ann = {r for r in range(ring.order)
+                    if all(ring.mul(p, r) == ring.zero for p in power)}
+        e_right = {ring.mul(e, r) for r in range(ring.order)}
+        entries.append((
+            f"{label}: constant slice of the series annihilator equals e*R equals "
+            "the ring annihilator",
+            consts == e_right == ring_ann,
+        ))
+    if variant == "quasi_baer":
+        per_ideal = {members: (n, e) for members, n, e in rv.per_instance}
+        for i in range(samples):
+            rng = random.Random(seed * 1_000_003 + i)
+            gens = [SkewSeries(ctx, dict(zip(slots, [rng.randrange(ring.order) for _ in slots])))
+                    for _ in range(2)]
+            sampled = {times(g, m) for g in gens for m in everything}
+            ideal = {c for f in sampled for _, c in f.items()} | {ring.zero}
+            while True:
+                grown = ({ring.add(a, b) for a in ideal for b in ideal}
+                         | {ring.mul(a, r) for a in ideal for r in range(ring.order)})
+                if grown <= ideal:
+                    break
+                ideal |= grown
+            members = tuple(sorted(ideal))
+            n, b = per_ideal[members]
+            label = (f"sample {i}: gens [{format_series(gens[0])}] [{format_series(gens[1])}] "
+                     f"-> I={fmt(members)} n={n} b={b}")
+            family = sampled | set(lift_ideal_to_series(ctx, members, slots))
+            entries += bridge(annihilator_of(family, n), b, label)
+    return entries
 
 
 @pytest.fixture(scope="session")
@@ -248,4 +342,28 @@ def literal_order_check(monoid, bound, lt):
                     return PropertyCertificate("no", witness=(t, u, v))
     return PropertyCertificate(
         "yes", notes=f"exhaustive on the bound-{bound} box ({len(points)} elements)",
+    )
+
+
+def literal_refinement_check(monoid, bound):
+    """check_refinement as a literal scan: the order axioms through
+    literal_order_check on less(..., refined=True), then totality and
+    extension asked of less for every pair of box points."""
+    def lt(u, v):
+        return monoid.less(u, v, refined=True)
+
+    cert = literal_order_check(monoid, bound, lt)
+    if cert.verdict != "yes":
+        return cert
+    points = monoid.box(bound)
+    for u in points:
+        for v in points:
+            if u != v and not (lt(u, v) or lt(v, u)):
+                return PropertyCertificate("no", witness=(u, v, "totality"))
+            if monoid.less(u, v) and not lt(u, v):
+                return PropertyCertificate("no", witness=(u, v, "extension"))
+    return PropertyCertificate(
+        "yes",
+        notes=f"order mode {monoid.order_mode!r} refines to {monoid.refined_mode!r}, a strict "
+              f"compatible total order extending it; {cert.notes}",
     )

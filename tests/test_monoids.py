@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import literal_order_check
+from conftest import literal_order_check, literal_refinement_check
 from skewseries.errors import IllegalPairing, MixedMonoids
 from skewseries.monoids import (
+    _MODES,
     OrderedMonoid,
     check_order_axioms,
     check_refinement,
@@ -148,3 +149,39 @@ def comparators(draw):
 def test_order_check_matches_the_literal_scan(case):
     monoid, bound, lt = case
     assert check_order_axioms(monoid, bound, lt) == literal_order_check(monoid, bound, lt)
+
+
+def _every_mode():
+    """(monoid, largest bound): nat, int, nat2 and nat3 in each of their
+    modes, and nat2:product posing the trivial order as its refinement."""
+    cases = [(OrderedMonoid(kind, mode, k=k), top)
+             for kind, k, top in (("nat", 1, 3), ("int", 1, 3), ("nat_k", 2, 3), ("nat_k", 3, 2))
+             for mode in _MODES[kind]]
+    broken = OrderedMonoid("nat_k", "product", k=2)
+    broken.refined_mode = "trivial"
+    return cases + [(broken, 3)]
+
+
+@pytest.mark.parametrize("monoid,top", _every_mode(), ids=repr)
+def test_order_checks_match_the_literal_scans(monoid, top):
+    for bound in range(top + 1):
+        assert check_order_axioms(monoid, bound) == literal_order_check(monoid, bound, monoid.less)
+        assert check_refinement(monoid, bound) == literal_refinement_check(monoid, bound)
+
+
+def test_default_order_checks_do_not_validate_box_points(monkeypatch):
+    # Box points and their sums are valid exponents by construction.
+    calls = []
+    real = OrderedMonoid.validate
+
+    def spy(self, u):
+        calls.append(u)
+        return real(self, u)
+
+    monkeypatch.setattr(OrderedMonoid, "validate", spy)
+    assert check_refinement(NAT2, 2).verdict == "yes"
+    assert check_order_axioms(NAT2, 2).verdict == "yes"
+    assert calls == []
+    # less still validates what it is given.
+    assert NAT2.less((0, 1), (1, 1))
+    assert calls == [(0, 1), (1, 1)]

@@ -101,6 +101,8 @@ def test_endomorphism_validation_is_unchanged():
         RingEndomorphism(Z2, [0, 0])
     with pytest.raises(ValueError, match="one ring element per element"):
         RingEndomorphism(Z2, (0, 1, 1))
+    with pytest.raises(ValueError, match="one ring element per element"):
+        RingEndomorphism(Z2, (False, True))
     assert RingEndomorphism(Z2, [0, 1]).image == (0, 1)
 
 
@@ -315,3 +317,26 @@ def test_readme_command_exits_as_stated(env, argv, code):
 def test_readme_python_block_runs(block):
     proc = _run_example(["-c", block])
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the installed console script
+
+PYPROJECT = os.path.join(os.path.dirname(README), "pyproject.toml")
+
+
+def test_console_script_runs_the_cli(capsys):
+    with open(PYPROJECT, encoding="utf-8") as fh:
+        text = fh.read()
+    # Python 3.10 has no tomllib, so the table is read line by line; where
+    # tomllib exists, it must read the same.
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^([\w-]+)\s*=\s*"([^"]+)"$', table, re.M))
+    if sys.version_info >= (3, 11):
+        import tomllib
+        assert tomllib.loads(text)["project"]["scripts"] == scripts
+    assert list(scripts) == ["skewseries"]
+    module, _, name = scripts["skewseries"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["ring", "list"]) == 0
+    assert "zn:2" in capsys.readouterr().out

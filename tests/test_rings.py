@@ -70,6 +70,23 @@ def test_nonassociative_mul_rejected():
         build_ring_from_tables(2, add, mul, 0, 1)
 
 
+XOR = [[0, 1], [1, 0]]
+AND = [[0, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("mul,zero,one", [
+    ([[0, 0], [0, True]], 0, 1),
+    (AND, False, 1),
+    (AND, 0, True),
+])
+def test_bool_ring_elements_rejected(mul, zero, one):
+    # True == 1 and hashes like it, but it is no element index.
+    with pytest.raises(ValueError, match="True|False"):
+        FiniteRing(2, XOR, mul, zero, one)
+    with pytest.raises(ValueError, match="True"):
+        annihilator(FiniteRing(2, XOR, AND, 0, 1), {True}, "right")
+
+
 # ---------------------------------------------------------------------------
 # the reduced axiom proof against the literal scan
 

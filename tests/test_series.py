@@ -59,6 +59,9 @@ def test_duplicate_exponent_rejected():
 def test_foreign_coefficient_rejected():
     with pytest.raises(ForeignElement):
         series_from_pairs(CTX4, [(7, 0)])
+    # True == 1 and hashes like it, but it is no ring element.
+    with pytest.raises(ForeignElement):
+        series_from_pairs(CTX4, [(True, 0)])
 
 
 def test_mixed_contexts_rejected():

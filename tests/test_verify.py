@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     lift_ideal_to_series,
     literal_product,
+    oracle_verify_thm37,
     series_over,
     skew_boxes,
     skew_contexts,
@@ -17,10 +18,12 @@ from skewseries.properties import decide_generalized
 from skewseries.rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
+    RingEndomorphism,
     annihilator,
     enumerate_endomorphisms,
     enumerate_ideals,
     ring_matrix,
+    ring_product,
     ring_zn,
     subset_power,
 )
@@ -229,6 +232,28 @@ def test_corollaries_run_the_harness_once_per_variant(monkeypatch):
     for variant in ("baer", "quasi_baer"):
         verify_thm37(CTX4, variant, [0, 1], samples=2, seed=3)
     assert corollaries == len(calls) == 20
+
+
+def test_thm37_hypotheses_report_a_given_armendariz_certificate(monkeypatch):
+    slots = normalize_box(NAT, [0, 1])
+    arm = armendariz_search(CTX4, slots)
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the Armendariz scan ran though a certificate was given")
+
+    monkeypatch.setattr(verify, "armendariz_search", scan)
+    hyps, _ = verify._thm37_hypotheses(CTX4, slots, "quasi_baer", ARMENDARIZ_BUDGET,
+                                       DEFAULT_CAPS, arm)
+    assert dict(hyps)["armendariz_at_box"] is arm
+
+
+def test_corollaries_hand_the_baer_certificate_to_the_quasi_baer_run():
+    reports = verify_corollaries(Z4, [0, 1], samples=2, seed=3)
+    arms = [cert for report in reports for name, cert in report.hypotheses_checked
+            if name == "armendariz_at_box"]
+    # cor38 carries both variants' certificates, the other four one each.
+    assert len(arms) == 6
+    assert all(cert is arms[0] for cert in arms)
 
 
 def test_search_finds_the_z4_gap():
@@ -526,6 +551,48 @@ def test_baer_conclusions_see_neither_the_twist_nor_the_order(gf4):
     assert len(entries) == 1
 
 
+ORACLE_MONOIDS = (("nat", "natural", 1), ("nat_k", "lex", 2), ("int", "natural", 1))
+
+
+def _oracle_rings(gf4):
+    """(ring, twists): each catalog ring of order <= 8 with all its
+    endomorphisms, GF(4) with both of its own, and GF(4)xZ/2 under
+    (Frobenius, identity)."""
+    rings = [builtin_ring(name) for name in CATALOG_NAMES]
+    gf4_z2 = ring_product(gf4, ring_zn(2))
+    frobenius = _frobenius(gf4).image
+    # (a, b) has index 2a + b in the product.
+    sigma = RingEndomorphism(gf4_z2, [2 * frobenius[x // 2] + x % 2 for x in range(8)])
+    return ([(ring, enumerate_endomorphisms(ring)) for ring in rings if ring.order <= 8]
+            + [(gf4, enumerate_endomorphisms(gf4)), (gf4_z2, [sigma])])
+
+
+def test_thm37_reports_match_the_oracle(gf4):
+    # Every entry of the fast report, in order, against the one the oracle
+    # rebuilds from the definitions: Baer on every twist that meets the
+    # hypotheses, quasi-Baer with seeded samples on rings of order <= 4.
+    compared = {"baer": 0, "quasi_baer": 0}
+    for ring, twists in _oracle_rings(gf4):
+        variants = ("baer", "quasi_baer") if ring.order <= 4 else ("baer",)
+        for sigma, (kind, mode, k) in itertools.product(twists, ORACLE_MONOIDS):
+            if kind == "int" and not sigma.is_bijective:
+                continue
+            monoid = OrderedMonoid(kind, mode, k=k)
+            ctx = SkewContext(ring, monoid, sigma)
+            for variant in variants:
+                box = monoid.box(2)[:2 if ring.order == 8 or variant == "quasi_baer" else 3]
+                try:
+                    report = verify_thm37(ctx, variant, box, seed=5, samples=3)
+                except HypothesisNotMet as exc:
+                    if exc.hypothesis.startswith("ring_gen_right"):
+                        assert oracle_verify_thm37(ctx, variant, box, 5, 3) is None
+                    continue
+                oracle = oracle_verify_thm37(ctx, variant, box, 5, 3)
+                assert [(e.instance, e.ok) for e in report.conclusion_checked] == oracle, ctx
+                compared[variant] += 1
+    assert compared == {"baer": 33, "quasi_baer": 18}
+
+
 class OrderCheckReached(Exception):
     pass
 
@@ -578,7 +645,7 @@ def test_baer_subsets_lift_through_their_additive_generators(gf4):
                 for slots in {tuple(points[:2]), tuple(points[:3])}:
                     try:
                         _, rv = verify._thm37_hypotheses(ctx, slots, "baer", ARMENDARIZ_BUDGET,
-                                                         DEFAULT_CAPS, {})
+                                                         DEFAULT_CAPS, None)
                     except HypothesisNotMet:
                         continue
                     for members, depth, _ in rv.per_instance:
