@@ -154,7 +154,8 @@ def _emit(records, mode, stream):
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
     # Verdicts may share one certificate (the ordinary class and its
     # generalized right side, both sides of a commutative ring).  Each is
-    # encoded once, and its text is kept only until the last record using it.
+    # encoded once, and its block texts are kept only until the last record
+    # using it.
     last, texts = {id(r.get("instances")): i for i, r in enumerate(records)}, {}
     for i, r in enumerate(records):
         if r.get("instances") is None:
@@ -162,11 +163,20 @@ def _emit(records, mode, stream):
             continue
         key = id(r["instances"])
         if key not in texts:
-            texts[key] = r["instances"].json_text()
-        # Key by key, in sort_keys order, so the text is never copied.
+            texts[key] = r["instances"].json_parts()
+        # Key by key, in sort_keys order, and the certificate block by block,
+        # so no text longer than one block is built.
         for j, k in enumerate(sorted(r)):
             stream.write(("," if j else "{") + encode(k) + ":")
-            stream.write(texts[key] if k == "instances" else encode(r[k]))
+            if k != "instances":
+                stream.write(encode(r[k]))
+                continue
+            stream.write("[")
+            for b, part in enumerate(texts[key]):
+                if b:
+                    stream.write(",")
+                stream.write(part)
+            stream.write("]")
         stream.write("}\n")
         if last[key] == i:
             del texts[key]

@@ -117,13 +117,15 @@ class InstanceBlocks(Sequence):
     def __repr__(self):
         return f"{type(self).__name__}({tuple(self)!r})"
 
-    def json_text(self):
-        """The triples as one JSON array with separators (",", ":").
+    def json_parts(self):
+        """The JSON text of each block's triples, separators (",", ":").
 
-        Every entry is a non-negative int, whose decimal text is its JSON
-        text (RFC 8259 section 6).  The head "[[low," of each low part is
-        made once per lows list, and the tail "high],n,e]" once per distinct
-        generator of a block at depth 1, so a triple is one join of the two.
+        "[" + ",".join(parts) + "]" is the JSON array of all the triples, so
+        a writer can emit it one block at a time.  Every entry is a
+        non-negative int, whose decimal text is its JSON text (RFC 8259
+        section 6).  The head "[[low," of each low part is made once per lows
+        list, and the tail "high],n,e]" once per distinct generator of a
+        block at depth 1, so a triple is one join of the two.
         """
         heads, parts = {}, []
         for lows, high, es, depths in self.blocks:
@@ -137,7 +139,7 @@ class InstanceBlocks(Sequence):
             else:
                 tails = [f"{close}{d},{e}]" for d, e in zip(depths, es)]
             parts.append(",".join(map(str.__add__, heads[key], tails)))
-        return f"[{','.join(parts)}]"
+        return parts
 
 
 # ---------------------------------------------------------------------------

@@ -147,15 +147,14 @@ class FiniteRing:
     """A finite unital ring on indices 0..order-1 with explicit tables."""
 
     def __init__(self, order, add_table, mul_table, zero, one, label="R", element_labels=None):
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+            raise ValueError(f"order must be a positive int, got {order!r}")
         self.order = order
         self.add_table = _normalize_table(add_table, order, "add")
         self.mul_table = _normalize_table(mul_table, order, "mul")
-        if isinstance(zero, bool) or not 0 <= zero < order:
-            raise ValueError(f"zero index {zero!r} out of range")
-        if isinstance(one, bool) or not 0 <= one < order:
-            raise ValueError(f"one index {one!r} out of range")
+        for name, index in (("zero", zero), ("one", one)):
+            if not _is_index(index, order):
+                raise ValueError(f"{name} index {index!r} is not an int in range({order})")
         self.zero = zero
         self.one = one
         self.label = label
@@ -261,13 +260,19 @@ class FiniteRing:
         return f"FiniteRing({self.label}, order={self.order})"
 
 
+def _is_index(value, order):
+    """Whether value indexes an element of a ring of that order: an int, not
+    a bool (which equals 0 or 1 but prints as False or True), in range."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < order
+
+
 def _normalize_table(table, order, name):
     rows = tuple(tuple(row) for row in table)
     if len(rows) != order or any(len(row) != order for row in rows):
         raise ValueError(f"{name} table must be {order}x{order}")
     for row in rows:
         for entry in row:
-            if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < order:
+            if not _is_index(entry, order):
                 raise ValueError(f"{name} table entry {entry!r} out of range")
     return rows
 
@@ -437,7 +442,7 @@ def _check_subset(ring, subset):
     if not xs:
         raise EmptySubset("operation needs a nonempty subset")
     for x in xs:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < ring.order:
+        if not _is_index(x, ring.order):
             raise ValueError(f"element {x!r} not in ring of order {ring.order}")
     return xs
 
@@ -591,7 +596,7 @@ class RingEndomorphism(FrozenRecord):
     def __init__(self, ring, image):
         image = tuple(image)
         n = ring.order
-        if len(image) != n or any(isinstance(y, bool) or not 0 <= y < n for y in image):
+        if len(image) != n or any(not _is_index(y, n) for y in image):
             raise ValueError("image must list one ring element per element")
         if image[ring.zero] != ring.zero:
             raise ValueError("endomorphism must fix 0")

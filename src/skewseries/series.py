@@ -30,6 +30,7 @@ from .rings import (
     FiniteRing,
     PropertyCertificate,
     RingEndomorphism,
+    _is_index,
     endo_property,
     identity_endomorphism,
 )
@@ -66,6 +67,9 @@ class SkewContext:
         self._powers = powers
         # Box kernel plans by slots tuple; see _annihilating_vectors.
         self._kernel_plans = {}
+        # Bounded annihilators by (slots, product set): the box series and
+        # the slot values their kernel run tried; see bounded_annihilator_in_A.
+        self._annihilators = {}
 
     def omega(self, s) -> RingEndomorphism:
         """The twist endomorphism at exponent s: sigma to the coordinate sum."""
@@ -107,7 +111,7 @@ class SkewSeries:
         clean = {}
         for e, c in terms.items():
             e = normalize_exponent(monoid, e)
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < ring.order:
+            if not _is_index(c, ring.order):
                 raise ForeignElement(f"coefficient {c!r} not in ring of order {ring.order}")
             if e in clean:
                 raise DuplicateExponent(f"exponent {e} given twice")
@@ -256,6 +260,7 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
     itertools.product order; at each slot only the values that zero every
     constraint filed there are tried.  With a budget, BudgetExceeded is
     raised once more than budget values have been tried over all slots.
+    The generator returns the number of values tried over the whole run.
     """
     ring = ctx.ring
     n, zero = ring.order, ring.zero
@@ -331,6 +336,7 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
             yield tuple(vec)
         else:
             j, entering = j + 1, True
+    return tried
 
 
 # 2^14400 has 4335 digits, more than int-to-str conversion allows by default.

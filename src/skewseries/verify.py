@@ -123,9 +123,15 @@ def coefficient_ideal_lift(ctx, family):
 def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
     """Box-supported series killed on the right by every n-fold product of gens.
 
-    Products are deduplicated; the result runs in the canonical series
+    Products are deduplicated; the result is a tuple in the canonical series
     enumeration order (see all_series), so it is reproducible.  The budget
     bounds the product set's growth and the slot values the kernel tries.
+
+    The result depends only on the slots and the product set, so the context
+    keeps one tuple per distinct pair and later calls share it; treat it as
+    read-only.  A kept result still honours each call's budget: when its
+    kernel run tried more slot values than the budget allows, the call
+    raises as that run would have.  A run that raises keeps nothing.
 
     Any family whose additive span equals that of gens gives the same result:
     multiplication distributes over addition (each twist is additive), so the
@@ -146,8 +152,20 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
         if len(prods) * len(gens) > budget:
             raise BudgetExceeded("product set growth exceeds budget")
         prods = {p * g for p in prods for g in gens}
-    return [_box_series(ctx, slots, vec)
-            for vec in _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)]
+    key = slots, frozenset(prods)
+    kept = ctx._annihilators.get(key)
+    if kept is None:
+        found, kernel = [], _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)
+        try:
+            while True:
+                found.append(_box_series(ctx, slots, next(kernel)))
+        except StopIteration as stop:
+            # The kernel returns the number of slot values it tried.
+            kept = ctx._annihilators[key] = tuple(found), stop.value
+    ann, tried = kept
+    if tried > budget:
+        raise BudgetExceeded(f"annihilator search tried more than {budget} slot values")
+    return ann
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +297,14 @@ def _run_thm37(ctx, variant, box, budget, seed, samples, caps, arm):
     backward_id = "prop35_1" if variant == "baer" else "prop35_2"
     lift, prefix = ((ctx.monoid.identity(),), "X") if variant == "baer" else (slots, "I")
     entries = []
-    bridges = {}
+    bridges, slices = {}, {}
     for members, depth, e in rv.per_instance:
         gens = _spanning_monomials(ctx, members, lift)
         label = f"{prefix}={_fmt_members(members)} n={depth} e={e}"
         ann = bounded_annihilator_in_A(ctx, gens, depth, slots, budget)
         entries.extend(_bridge_entries(ctx, ann, e, label, forward_id, bridges))
-        entries.append(_reconstruction_entry(ctx, members, depth, e, ann, label, backward_id))
+        entries.append(_reconstruction_entry(ctx, members, depth, e, ann, label, backward_id,
+                                             slices))
     if variant == "quasi_baer":
         entries.extend(_sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges))
     outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
@@ -297,12 +316,13 @@ def _bridge_entries(ctx, ann, e, label, statement_id, bridges):
     """The two halves of 'annihilator slice == c_e * slice'.
 
     Their outcome, whether c_e lies in ann and the first g in ann with
-    c_e*g != g, depends only on e and the contents of ann.  bridges keeps it
-    per e and ann's sort keys for the rest of the run, since many instances
-    share one annihilator (over Z/8 at box 3, 15 subsets all have the whole
-    box).
+    c_e*g != g, depends only on e and ann.  bridges keeps it per e and ann's
+    id for the rest of the run, since many instances share one annihilator
+    tuple (over Z/8 at box 3, 255 subsets have 12 product sets).  The
+    context keeps every tuple that bounded_annihilator_in_A returns, so no
+    id is reused while the run lasts.
     """
-    key = e, tuple(g.sort_key for g in ann)
+    key = e, id(ann)
     outcome = bridges.get(key)
     if outcome is None:
         ce = const_embed(ctx, e)
@@ -318,17 +338,23 @@ def _bridge_entries(ctx, ann, e, label, statement_id, bridges):
     )
 
 
-def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id):
-    """Constants of the series-level annihilator rebuild the ring-level one."""
+def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id, slices):
+    """Constants of the series-level annihilator rebuild the ring-level one.
+
+    The constant slice of ann is read once per ann, and slices keeps it by
+    ann's id for the rest of the run (see _bridge_entries).
+    """
     ring = ctx.ring
-    one_s = ctx.monoid.identity()
-    # The constant slice: the zero series and each series c at the identity.
-    consts = set()
-    for g in ann:
-        if not g._terms:
-            consts.add(ring.zero)
-        elif len(g._terms) == 1 and g._terms[0][0] == one_s:
-            consts.add(g._terms[0][1])
+    consts = slices.get(id(ann))
+    if consts is None:
+        # The zero series and each series c at the identity.
+        one_s = ctx.monoid.identity()
+        consts = slices[id(ann)] = set()
+        for g in ann:
+            if not g._terms:
+                consts.add(ring.zero)
+            elif len(g._terms) == 1 and g._terms[0][0] == one_s:
+                consts.add(g._terms[0][1])
     e_right = frozenset(ring.mul_table[e])
     ring_ann = annihilator(ring, subset_power(ring, members, depth), "right")
     ok = consts == e_right and consts == ring_ann

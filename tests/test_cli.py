@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -537,13 +539,13 @@ def _verdict(ring, instances):
 
 def test_emit_writes_each_record_as_its_own_json_dumps(monkeypatch):
     encoded = []
-    json_text = InstanceBlocks.json_text
+    json_parts = InstanceBlocks.json_parts
 
     def counting(self):
         encoded.append(tuple(self))
-        return json_text(self)
+        return json_parts(self)
 
-    monkeypatch.setattr(InstanceBlocks, "json_text", counting)
+    monkeypatch.setattr(InstanceBlocks, "json_parts", counting)
     # The triples ((0,), 1, 1), ((0, 1), 2, 0) as one block with depths.
     shared = InstanceBlocks([([(0,), (0, 1)], (), [1, 0], [1, 2])])
     alone = InstanceBlocks([([(1,)], (), [0], None)])
@@ -562,6 +564,54 @@ def test_emit_writes_each_record_as_its_own_json_dumps(monkeypatch):
     assert buf.getvalue() == "".join(_dumps(r) + "\n" for r in records)
     # The shared certificate is encoded once, though three records carry it.
     assert encoded == [(((0,), 1, 1), ((0, 1), 2, 0)), (((1,), 1, 0),), ()]
+
+
+_MAT2_ALL = ("ring", "check", "--ring", "mat2:z2", "--class", "all", "--side", "both",
+             "--output", "jsonl")
+
+
+def _mat2_certificate_parts():
+    # The block texts of each accepted mat2:z2 certificate.
+    return [cv.per_instance.json_parts()
+            for cls in ("baer", "quasi_baer")
+            for cv in properties.class_profile(builtin_ring("mat2:z2"), cls,
+                                               properties.CLASS_NAMES).values() if cv.verdict]
+
+
+class _DigestWriter:
+    """A text stream that keeps only the sha256 of what it was given and the
+    length of its longest write."""
+
+    def __init__(self):
+        self.sha256, self.longest = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+        self.longest = max(self.longest, len(text))
+
+
+def test_jsonl_certificates_are_written_block_by_block():
+    out = _DigestWriter()
+    assert run(list(_MAT2_ALL), stream=out) == 0
+    # The mat2:z2 all-classes pin of tests/test_golden.py.
+    assert out.sha256.hexdigest() == (
+        "ad643757c869d43ad852db022ecbde68a9ec0380110cc3bb04800c879ee2d0cc")
+    longest_part = max(len(part) for parts in _mat2_certificate_parts() for part in parts)
+    assert longest_part == 9727
+    assert out.longest <= longest_part
+
+
+def test_jsonl_holds_one_copy_of_a_certificate():
+    # The run keeps each certificate's blocks and their texts until its last
+    # record, and nothing as long as the whole certificate text besides.
+    longest = max(len("[" + ",".join(parts) + "]") for parts in _mat2_certificate_parts())
+    tracemalloc.start()
+    try:
+        assert run(list(_MAT2_ALL), stream=_DigestWriter()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * longest, (peak, longest)
 
 
 def test_jsonl_of_a_ring_file_named_like_a_record_key(tmp_path):

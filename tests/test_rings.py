@@ -20,6 +20,7 @@ from skewseries.rings import (
     Caps,
     _matrix_like,
     FiniteRing,
+    RingEndomorphism,
     additive_generators,
     annihilator,
     build_ring_from_tables,
@@ -85,6 +86,26 @@ def test_bool_ring_elements_rejected(mul, zero, one):
         FiniteRing(2, XOR, mul, zero, one)
     with pytest.raises(ValueError, match="True"):
         annihilator(FiniteRing(2, XOR, AND, 0, 1), {True}, "right")
+
+
+@pytest.mark.parametrize("order,zero,one,field", [
+    (2, 0.0, 1, "zero"),
+    (2, 0, 1.0, "one"),
+    (2, "0", 1, "zero"),
+    (2.0, 0, 1, "order"),
+    (True, 0, 0, "order"),
+])
+def test_non_int_order_and_indices_rejected(order, zero, one, field):
+    # A float index used to reach the axiom scan and fail there with a
+    # TypeError; True used to pass as the order 1.
+    add, mul = (XOR, AND) if order == 2 else ([[0]], [[0]])
+    with pytest.raises(ValueError, match=f"^{field} "):
+        FiniteRing(order, add, mul, zero, one)
+
+
+def test_non_int_endomorphism_image_rejected():
+    with pytest.raises(ValueError, match="one ring element per element"):
+        RingEndomorphism(ring_zn(2), (0, 1.0))
 
 
 # ---------------------------------------------------------------------------

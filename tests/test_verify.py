@@ -309,7 +309,7 @@ def test_bounded_annihilator_matches_the_brute_filter(data):
     for _ in range(n - 1):
         prods = {SkewSeries(ctx, literal_product(p, g)) for p in prods for g in gens}
     brute = [g for g in all_series(ctx, box) if all(not literal_product(p, g) for p in prods)]
-    assert bounded_annihilator_in_A(ctx, gens, n, box) == brute
+    assert bounded_annihilator_in_A(ctx, gens, n, box) == tuple(brute)
 
 
 def test_bounded_annihilator_with_cancelling_terms():
@@ -320,14 +320,14 @@ def test_bounded_annihilator_with_cancelling_terms():
         for a, b in itertools.product(range(ring.order), repeat=2):
             p = SkewSeries(ctx, {0: a, 1: b})
             brute = [g for g in all_series(ctx, [0, 1]) if not literal_product(p, g)]
-            assert bounded_annihilator_in_A(ctx, [p], 1, [0, 1]) == brute
+            assert bounded_annihilator_in_A(ctx, [p], 1, [0, 1]) == tuple(brute)
     el = ring.element_labels.index
     swap = next(c for c in skew_contexts("prod:zn:3,zn:3", "nat")
                 if c.omega((1,)).image[el("(0,1)")] == el("(1,0)"))
     e = el("(1,0)")
     killed = bounded_annihilator_in_A(swap, [SkewSeries(swap, {0: e, 1: e})], 1, [0, 1])
-    assert killed == [SkewSeries(swap, terms) for terms in (
-        {}, {0: el("(0,1)"), 1: el("(2,0)")}, {0: el("(0,2)"), 1: el("(1,0)")})]
+    assert killed == tuple(SkewSeries(swap, terms) for terms in (
+        {}, {0: el("(0,1)"), 1: el("(2,0)")}, {0: el("(0,2)"), 1: el("(1,0)")}))
 
 
 def test_bounded_annihilator_rejects_foreign_generators():
@@ -471,30 +471,113 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
     assert got == expected
     assert [x.statement_id for x in entries] == ["prop36_1", "prop36_1", "prop35_1"] * len(anns)
     # Each passing bridge multiplies c_e into every g of its annihilator once
-    # per distinct (e, annihilator), not once per instance: the 240 instances
-    # with e = 0 share the annihilator {0} and the 15 with e = 1 the box.
-    distinct = {(e, tuple(ann)) for (_, _, e), ann in zip(instances, anns)}
-    assert bridge_muls[0] == sum(len(ann) for _, ann in distinct) == 513
+    # per distinct (e, annihilator tuple), not once per instance: instances
+    # with one product set share one tuple, 12 tuples for 255 instances.
+    distinct = {(e, id(ann)): ann for (_, _, e), ann in zip(instances, anns)}
+    assert len(distinct) == 12
+    assert bridge_muls[0] == sum(len(ann) for ann in distinct.values()) == 523
     assert sum(len(ann) for ann in anns) == 7920
 
 
+def _kernel_work(monkeypatch):
+    """Spy on the box kernel and the box series of bounded_annihilator_in_A:
+    returns [kernel runs, box series built]."""
+    work = [0, 0]
+    real_kernel, real_box = verify._annihilating_vectors, verify._box_series
+
+    def kernel(*args, **kwargs):
+        work[0] += 1
+        return real_kernel(*args, **kwargs)
+
+    def box_series(*args, **kwargs):
+        work[1] += 1
+        return real_box(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_annihilating_vectors", kernel)
+    monkeypatch.setattr(verify, "_box_series", box_series)
+    return work
+
+
+@pytest.mark.parametrize("ring,monoid,box,instances,runs,series", [
+    # 255 subsets of Z/8 at box 3 have 12 distinct product sets.
+    ("zn:8", OrderedMonoid("nat", "natural"), 3, 255, 12, 523),
+    ("zn:6", OrderedMonoid("nat_k", "lex", k=2), 2, 63, 11, 1416),
+])
+def test_thm37_runs_the_kernel_once_per_product_set(monkeypatch, ring, monoid, box,
+                                                    instances, runs, series):
+    calls = []
+    real = verify.bounded_annihilator_in_A
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+    work = _kernel_work(monkeypatch)
+    report = verify_thm37(SkewContext(builtin_ring(ring), monoid), "baer", monoid.box(box - 1))
+    assert report.outcome == "PASS"
+    # Still one call per instance; the context answers the repeats.
+    assert len(calls) == instances
+    assert work == [runs, series]
+
+
+def test_kept_annihilators_still_honour_the_budget():
+    # 2*g == 0 leaves {0, 2} at each of the three slots: 2 + 4 + 8 values tried.
+    ctx = SkewContext(Z4, NAT)
+    gens = [const_embed(ctx, 2)]
+    ann = bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=14)
+    assert len(ann) == 8
+    with pytest.raises(BudgetExceeded, match="^annihilator search tried more than 13 slot values$"):
+        bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=13)
+    assert bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=14) is ann
+
+
+def test_an_annihilator_over_budget_is_not_kept(monkeypatch):
+    ctx = SkewContext(Z4, NAT)
+    gens = [const_embed(ctx, 2)]
+    work = _kernel_work(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="slot values"):
+            bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=13)
+    assert ctx._annihilators == {}
+    assert len(bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2])) == 8
+    # Each tripped call ran the kernel; the full run is the third.
+    assert work[0] == 3
+
+
+def test_a_second_run_on_one_context_reuses_its_annihilators(monkeypatch):
+    ctx = SkewContext(ring_zn(8), NAT)
+    first = verify_thm37(ctx, "baer", NAT.box(2))
+    work = _kernel_work(monkeypatch)
+    assert verify_thm37(ctx, "baer", NAT.box(2)) == first
+    assert work == [0, 0]
+
+
 def test_bridge_outcomes_are_kept_per_annihilator_contents():
+    ctx = SkewContext(Z4, NAT)
     box = NAT.box(1)
-    full = list(all_series(CTX4, box))
     bridges = {}
+
+    def ann(gens, n=1):
+        return bounded_annihilator_in_A(ctx, gens, n, box)
 
     def outcome(ann, e):
         return [(x.ok, x.witness)
-                for x in verify._bridge_entries(CTX4, ann, e, "X={2} n=1 e=0", "prop36_1", bridges)]
+                for x in verify._bridge_entries(ctx, ann, e, "X={2} n=1 e=0", "prop36_1", bridges)]
 
     # Same e, different annihilators: each gets its own outcome.
-    assert outcome([full[0]], 0) == [(True, None), (True, None)]
-    assert outcome(full, 0) == [(True, None), (False, "g = 1@1")]
-    assert outcome([g for g in full if g != const_embed(CTX4, 1)], 1) == [
-        (False, "c_1 missing"), (True, None)]
+    one, two, zero = const_embed(ctx, 1), const_embed(ctx, 2), zero_series(ctx)
+    assert ann([one]) == (zero,)
+    assert outcome(ann([one]), 0) == [(True, None), (True, None)]
+    assert ann([zero]) == tuple(all_series(ctx, box))
+    assert outcome(ann([zero]), 0) == [(True, None), (False, "g = 1@1")]
+    assert one not in ann([two])
+    assert outcome(ann([two]), 1) == [(False, "c_1 missing"), (True, None)]
     assert len(bridges) == 3
-    # An equal annihilator from another list reuses the kept outcome.
-    assert outcome(list(full), 0) == [(True, None), (False, "g = 1@1")]
+    # The square of zero is zero, so this product set equals that of [zero]:
+    # the call returns the same tuple, and the kept outcome is reused.
+    assert ann([zero, zero], 2) is ann([zero])
+    assert outcome(ann([zero, zero], 2), 0) == [(True, None), (False, "g = 1@1")]
     assert len(bridges) == 3
 
 
