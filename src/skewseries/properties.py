@@ -22,8 +22,10 @@ from itertools import chain, islice, repeat
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
     DEFAULT_CAPS,
+    SIDES,
     FrozenRecord,
     annihilator,
+    check_side,
     enumerate_ideals,
     idempotents,
     side_table,
@@ -38,8 +40,6 @@ CLASS_NAMES = (
     "gen_quasi_baer_right",
     "gen_quasi_baer_left",
 )
-
-SIDES = ("right", "left")
 
 # The class gaps a counterexample search looks for: (class that holds, class
 # that fails, detail).  The CLI parser lists them, so they live here, beside
@@ -313,14 +313,9 @@ def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
     idempotent-generated annihilator appears or the chain plateaus.  The two
     sides are genuinely independent classes here, so nothing is cross-checked.
     """
-    _check_side(side)
+    check_side(side)
     name = f"gen_{cls}_{side}"
     return class_profile(ring, cls, (name,), caps)[name]
-
-
-def _check_side(side):
-    if side not in SIDES:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
 def _check_cls(cls):
@@ -342,7 +337,7 @@ def oracle_decide_generalized(ring, cls, side="right", cap=8):
     independent route the fast decider is checked against.
     """
     _check_cls(cls)
-    _check_side(side)
+    check_side(side)
     if ring.order > cap:
         raise SizeCapExceeded(f"oracle capped at order {cap}, ring has {ring.order}")
     class_name = f"gen_{cls}_{side}"

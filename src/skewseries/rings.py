@@ -301,26 +301,15 @@ def ring_product(left, right, caps=DEFAULT_CAPS):
     order = left.order * right.order
     _check_construction(order, caps)
     m = right.order
+    pairs = [(a, b) for a in range(left.order) for b in range(m)]
 
-    def enc(a, b):
-        return a * m + b
+    def table(lt, rt):
+        return [[lt[a1][a2] * m + rt[b1][b2] for a2, b2 in pairs] for a1, b1 in pairs]
 
-    add = [[0] * order for _ in range(order)]
-    mul = [[0] * order for _ in range(order)]
-    labels = [""] * order
-    for a1 in range(left.order):
-        for b1 in range(m):
-            i = enc(a1, b1)
-            labels[i] = f"({left.element_labels[a1]},{right.element_labels[b1]})"
-            for a2 in range(left.order):
-                for b2 in range(m):
-                    j = enc(a2, b2)
-                    add[i][j] = enc(left.add(a1, a2), right.add(b1, b2))
-                    mul[i][j] = enc(left.mul(a1, a2), right.mul(b1, b2))
     return FiniteRing(
-        order, add, mul,
-        enc(left.zero, right.zero), enc(left.one, right.one),
-        label=f"{left.label}x{right.label}", element_labels=labels,
+        order, table(left.add_table, right.add_table), table(left.mul_table, right.mul_table),
+        left.zero * m + right.zero, left.one * m + right.one, label=f"{left.label}x{right.label}",
+        element_labels=[f"({left.element_labels[a]},{right.element_labels[b]})" for a, b in pairs],
     )
 
 
@@ -447,6 +436,15 @@ def _check_subset(ring, subset):
     return xs
 
 
+SIDES = ("right", "left")
+
+
+def check_side(side):
+    """Refuse, with a ValueError, any side but 'right' and 'left'."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+
+
 def side_table(ring, side):
     """The multiplication table that turns a side question into a right one.
 
@@ -455,11 +453,8 @@ def side_table(ring, side):
     right ideals and principal ideals eR of the opposite ring are the left
     annihilators, left ideals and Re of the ring.
     """
-    if side == "right":
-        return ring.mul_table
-    if side == "left":
-        return tuple(zip(*ring.mul_table))
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    check_side(side)
+    return ring.mul_table if side == "right" else tuple(zip(*ring.mul_table))
 
 
 def idempotents(ring):
@@ -474,21 +469,18 @@ def annihilator(ring, subset, side="right"):
     ring multiplication on the matching side, i.e. to be a one-sided ideal.
     """
     xs = _check_subset(ring, subset)
+    check_side(side)
     zero = ring.zero
-    if side == "right":
-        res = frozenset(a for a in range(ring.order) if all(ring.mul(x, a) == zero for x in xs))
-    elif side == "left":
-        res = frozenset(a for a in range(ring.order) if all(ring.mul(a, x) == zero for x in xs))
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    # On the left, the product of the opposite ring (see side_table).
+    mul = ring.mul if side == "right" else (lambda x, a: ring.mul(a, x))
+    res = frozenset(a for a in range(ring.order) if all(mul(x, a) == zero for x in xs))
     for a in res:
         for b in res:
             if ring.add(a, b) not in res:
                 raise InvariantViolation("annihilator not additively closed")
     for a in res:
         for r in range(ring.order):
-            prod = ring.mul(a, r) if side == "right" else ring.mul(r, a)
-            if prod not in res:
+            if mul(a, r) not in res:
                 raise InvariantViolation("annihilator not an ideal on its side")
     return res
 

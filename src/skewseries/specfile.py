@@ -15,6 +15,7 @@ from .errors import IllegalPairing, SpecFormatError
 from .monoids import OrderedMonoid
 from .rings import (
     DEFAULT_CAPS,
+    _check_construction,
     build_ring_from_tables,
     enumerate_endomorphisms,
     identity_endomorphism,
@@ -69,10 +70,13 @@ def _positive(text, context, low=1):
     return n
 
 
-def resolve_ring(spec, caps=DEFAULT_CAPS):
-    """Spec string to ring: an existing file path wins, else the builtins."""
+def resolve_ring(spec, caps=DEFAULT_CAPS, *, _chain=()):
+    """Spec string to ring: an existing file path wins, else the builtins.
+
+    _chain holds the real paths of the ring files that led here.
+    """
     if os.path.isfile(spec):
-        return parse_ring_file(spec, caps)
+        return parse_ring_file(spec, caps, _chain=_chain)
     return builtin_ring(spec, caps)
 
 
@@ -91,12 +95,16 @@ def _read_ini(path, section):
     return dict(parser.items(section))
 
 
-def parse_ring_file(path, caps=DEFAULT_CAPS):
+def parse_ring_file(path, caps=DEFAULT_CAPS, *, _chain=()):
     """Build a ring from an INI file with a [ring] section.
 
     kind selects the constructor; keys outside the kind's whitelist are
-    rejected so a typoed parameter cannot be silently ignored.
+    rejected so a typoed parameter cannot be silently ignored.  A file that
+    leads back to itself through the files it names is refused.
     """
+    _chain += (os.path.realpath(path),)
+    if _chain[-1] in _chain[:-1]:
+        raise SpecFormatError(f"ring files refer to themselves: {' -> '.join(_chain)}")
     items = _read_ini(path, "ring")
     kind = items.get("kind")
     if kind not in _RING_KEYS:
@@ -109,14 +117,14 @@ def parse_ring_file(path, caps=DEFAULT_CAPS):
         if kind == "zn":
             ring = ring_zn(int(items["n"]), caps)
         elif kind == "product":
-            ring = ring_product(resolve_ring(items["left"], caps),
-                                resolve_ring(items["right"], caps), caps)
+            ring = ring_product(resolve_ring(items["left"], caps, _chain=_chain),
+                                resolve_ring(items["right"], caps, _chain=_chain), caps)
         elif kind in ("matrix", "upper_triangular"):
-            base = resolve_ring(items["base"], caps)
+            base = resolve_ring(items["base"], caps, _chain=_chain)
             maker = ring_matrix if kind == "matrix" else ring_upper_triangular
             ring = maker(base, int(items.get("k", "2")), caps)
         else:
-            ring = _ring_from_table_text(path, items)
+            ring = _ring_from_table_text(path, items, caps)
     except KeyError as exc:
         raise SpecFormatError(f"{path}: missing key {exc.args[0]!r} for kind {kind}")
     except ValueError as exc:
@@ -128,8 +136,9 @@ def parse_ring_file(path, caps=DEFAULT_CAPS):
     return ring
 
 
-def _ring_from_table_text(path, items):
+def _ring_from_table_text(path, items, caps):
     order = int(items["order"])
+    _check_construction(order, caps)
     add = _parse_table(items["add"], order, f"{path}: add")
     mul = _parse_table(items["mul"], order, f"{path}: mul")
     zero = _neutral(add, order, f"{path}: additive identity")

@@ -99,8 +99,10 @@ def literal_product(f, g):
 
 
 def oracle_verify_thm37(ctx, variant, box, seed, samples):
-    """(instance, ok) of every conclusion entry of verify_thm37, rebuilt from
-    the definitions, or None when the ring-side class does not hold.
+    """(entries, annihilators) of verify_thm37 rebuilt from the definitions,
+    or None when the ring-side class does not hold: entries holds the
+    (instance, ok) of every conclusion entry, and annihilators the bounded
+    series annihilator of each instance and then each sample, as a tuple.
 
     The instances come from oracle_decide_generalized.  X lifts to the
     constant series of its members and I to every box series with
@@ -125,7 +127,8 @@ def oracle_verify_thm37(ctx, variant, box, seed, samples):
         prods = set(family)
         for _ in range(n - 1):
             prods = {times(p, g) for p in prods for g in family}
-        return [g for g in everything if not any(literal_product(p, g) for p in prods)]
+        anns.append(tuple(g for g in everything if not any(literal_product(p, g) for p in prods)))
+        return anns[-1]
 
     def bridge(ann, e, label):
         ce = const_embed(ctx, e)
@@ -138,7 +141,7 @@ def oracle_verify_thm37(ctx, variant, box, seed, samples):
     def fmt(members):
         return "{" + ",".join(map(str, members)) + "}"
 
-    entries = []
+    entries, anns = [], []
     for members, n, e in rv.per_instance:
         if variant == "baer":
             family, prefix = [const_embed(ctx, x) for x in members], "X"
@@ -179,7 +182,7 @@ def oracle_verify_thm37(ctx, variant, box, seed, samples):
                      f"-> I={fmt(members)} n={n} b={b}")
             family = sampled | set(lift_ideal_to_series(ctx, members, slots))
             entries += bridge(annihilator_of(family, n), b, label)
-    return entries
+    return entries, anns
 
 
 @pytest.fixture(scope="session")

@@ -117,10 +117,12 @@ def test_verify_corollaries_runs_all_five():
 
 
 def test_verify_corollaries_rejects_twist_selectors():
-    code, recs = invoke_jsonl("verify", "corollaries", "--ring", "zn:4",
-                              "--monoid", "int:trivial")
-    assert code == 2
-    assert any(r["record"] == "error" and r["kind"] == "spec" for r in recs)
+    for selector in (("--monoid", "int:trivial"), ("--monoid", "nat:trivial"),
+                     ("--monoid", "int"), ("--sigma", "0")):
+        code, recs = invoke_jsonl("verify", "corollaries", "--ring", "zn:4", *selector)
+        assert code == 2
+        assert any(r["record"] == "error" and r["kind"] == "spec" for r in recs)
+        assert "do not apply" in recs[-2]["message"]
 
 
 def test_search_empty_catalog_finds_nothing():
@@ -615,16 +617,19 @@ def test_jsonl_holds_one_copy_of_a_certificate():
 
 
 def test_jsonl_of_a_ring_file_named_like_a_record_key(tmp_path):
-    path = tmp_path / 'zn6"instances":null.ini'
-    path.write_text("[ring]\nkind = zn\nn = 6\n")
-    code, out = invoke("ring", "check", "--ring", str(path), "--class", "all", "--side", "both",
-                       "--output", "jsonl")
-    assert code == 0
-    lines = out.splitlines()
-    verdicts = [json.loads(line) for line in lines if '"record":"verdict"' in line]
-    assert [v["ring"] for v in verdicts] == [str(path)] * 6
-    assert all(v["instances"] for v in verdicts)
-    assert [_dumps(json.loads(line)) for line in lines] == lines
+    # The second name holds the text that stands in for the certificate
+    # while a verdict record is encoded.
+    for name in ('zn6"instances":null.ini', 'zn6"instances":0.ini'):
+        path = tmp_path / name
+        path.write_text("[ring]\nkind = zn\nn = 6\n")
+        code, out = invoke("ring", "check", "--ring", str(path), "--class", "all",
+                           "--side", "both", "--output", "jsonl")
+        assert code == 0
+        lines = out.splitlines()
+        verdicts = [json.loads(line) for line in lines if '"record":"verdict"' in line]
+        assert [v["ring"] for v in verdicts] == [str(path)] * 6
+        assert all(v["instances"] for v in verdicts)
+        assert [_dumps(json.loads(line)) for line in lines] == lines
 
 
 def test_zero_ring_box_over_the_order_check_budget_exits_3(tmp_path, monkeypatch):
@@ -643,3 +648,111 @@ def test_zero_ring_box_over_the_order_check_budget_exits_3(tmp_path, monkeypatch
     err = next(r for r in recs if r["record"] == "error")
     assert err["kind"] == "cap-exceeded"
     assert err["message"] == "order check needs 216^3 point triples, budget is 2000000"
+
+
+def _table_ring_file(path, n, add="", mul=""):
+    # Z/n as a kind = tables file, unless add and mul text is given.
+    def rows(op):
+        return "; ".join(" ".join(str(op(a, b) % n) for b in range(n)) for a in range(n))
+
+    path.write_text(f"[ring]\nkind = tables\norder = {n}\n"
+                    f"add = {add or rows(int.__add__)}\nmul = {mul or rows(int.__mul__)}\n")
+    return str(path)
+
+
+def test_table_ring_files_obey_the_order_cap(tmp_path):
+    path = _table_ring_file(tmp_path / "z65.ini", 65)
+    code, recs = invoke_jsonl("ring", "show", "--ring", path)
+    assert code == 3
+    assert recs[1:] == [
+        {"record": "error", "kind": "cap-exceeded",
+         "message": "constructed order 65 exceeds cap 64"},
+        {"record": "summary", "records": 2, "exit": 3}]
+    # The declared order is checked before the table text is read.
+    junk = _table_ring_file(tmp_path / "junk.ini", 1000, add="x", mul="x")
+    assert invoke_jsonl("ring", "show", "--ring", junk)[0] == 3
+    code, recs = invoke_jsonl("ring", "show", "--ring", path, "--caps", "order=65")
+    assert code == 0
+    tables = next(r for r in recs if r["record"] == "tables")
+    assert tables["add"][64][1] == 0 and tables["mul"][64][64] == 1
+
+
+@pytest.mark.parametrize("files", [
+    {"self.ini": "kind = product\nleft = self.ini\nright = zn:2\n"},
+    {"a.ini": "kind = matrix\nbase = b.ini\n",
+     "b.ini": "kind = product\nleft = zn:2\nright = a.ini\n"},
+], ids=["self", "mutual"])
+def test_ring_files_that_name_themselves_exit_2(tmp_path, files):
+    for name, body in files.items():
+        (tmp_path / name).write_text("[ring]\n" + body)
+    first = next(iter(files))
+    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewseries", "ring", "show", "--ring", first, "--output", "jsonl"],
+        capture_output=True, cwd=tmp_path, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == b""
+    recs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["record"] for r in recs] == ["config", "error", "summary"]
+    chain = [os.path.realpath(tmp_path / name) for name in (*files, first)]
+    assert recs[1] == {"record": "error", "kind": "spec",
+                       "message": "ring files refer to themselves: " + " -> ".join(chain)}
+
+
+@pytest.mark.parametrize("plain,spaced", [
+    (("search", "--catalog", "zn:2,zn:4", "--properties", "armendariz,left_right"),
+     ("search", "--catalog", "zn:2, zn:4", "--properties", " armendariz, left_right ")),
+    (("verify", "corollaries", "--ring", "zn:4", "--samples", "2"),
+     ("verify", "corollaries", "--ring", "zn:4", "--samples", "2", "--monoid", "nat",
+      "--sigma", " id")),
+    (("verify", "corollaries", "--ring", "zn:2"),
+     ("verify", "corollaries", "--ring", "zn:2", "--monoid", "nat: natural", "--sigma", "")),
+], ids=["search", "corollaries-nat", "corollaries-nat-natural"])
+def test_spellings_the_resolvers_accept_give_the_same_records(plain, spaced):
+    code, recs = invoke_jsonl(*plain)
+    assert code == 0
+    spaced_code, spaced_recs = invoke_jsonl(*spaced)
+    assert spaced_code == 0 and spaced_recs[1:] == recs[1:]
+
+
+def _one_wrong_ring_annihilator(monkeypatch):
+    # Over Z/4 only the Baer instance X={1} (n=1, e=0) has the product set
+    # {1}; give it the annihilator {0,2} instead of {0}.
+    real = verify.annihilator
+
+    def wrong(ring, subset, side="right"):
+        return frozenset({0, 2}) if set(subset) == {1} else real(ring, subset, side)
+
+    monkeypatch.setattr(verify, "annihilator", wrong)
+
+
+_FAILED_INSTANCE = ("X={1} n=1 e=0: constant slice of the series annihilator equals e*R "
+                    "equals the ring annihilator")
+_FAILED_WITNESS = "constants [0] vs e*R [0] vs ring [0, 2]"
+
+
+def test_a_failed_conclusion_exits_5_with_its_witness(monkeypatch):
+    _one_wrong_ring_annihilator(monkeypatch)
+    argv = ("verify", "thm37-baer", "--ring", "zn:4", "--box", "2")
+    code, recs = invoke_jsonl(*argv)
+    assert code == 5
+    failed = [r for r in recs if r["record"] == "conclusion" and not r["ok"]]
+    assert failed == [{"record": "conclusion", "statement": "prop35_1", "ok": False,
+                       "instance": _FAILED_INSTANCE, "witness": _FAILED_WITNESS}]
+    assert next(r for r in recs if r["record"] == "report")["outcome"] == "FAIL"
+    code, out = invoke(*argv)
+    assert code == 5
+    assert f"  FAIL prop35_1: {_FAILED_INSTANCE} [{_FAILED_WITNESS}]" in out.splitlines()
+    assert out.splitlines()[-2].startswith("thm37_baer: FAIL (")
+
+
+def test_corollaries_exit_5_when_one_sub_run_fails(monkeypatch):
+    _one_wrong_ring_annihilator(monkeypatch)
+    code, recs = invoke_jsonl("verify", "corollaries", "--ring", "zn:4", "--box", "2",
+                              "--samples", "2")
+    assert code == 5
+    outcomes = {r["statement"]: r["outcome"] for r in recs if r["record"] == "report"}
+    # The Baer run fails and the quasi-Baer run passes.
+    assert outcomes == {"cor38": "FAIL", "cor39": "PASS", "cor310": "FAIL",
+                        "cor311": "PASS", "cor312": "FAIL"}

@@ -35,9 +35,10 @@ from skewseries.rings import (
     ring_product,
     ring_upper_triangular,
     ring_zn,
+    side_table,
     subset_power,
 )
-from skewseries.properties import _oracle_ideals
+from skewseries.properties import _oracle_ideals, decide_generalized, oracle_decide_generalized
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
 Z4 = ring_zn(4)
@@ -296,6 +297,55 @@ def test_product_ring_coordinates():
     # index of (a, b) is a*3 + b
     assert r.add(1, 3) == r.add(3, 1) == 4
     assert r.one == 1 * 3 + 1
+
+
+def _shifted_z3():
+    # Z/3 with index i standing for the residue (i + 1) % 3: zero is index 2
+    # and one is index 0.
+    return FiniteRing(3, [[(a + b + 1) % 3 for b in range(3)] for a in range(3)],
+                      [[((a + 1) * (b + 1) + 2) % 3 for b in range(3)] for a in range(3)],
+                      2, 0, label="Z/3'", element_labels=["1", "2", "0"])
+
+
+PRODUCT_CASES = {
+    "shifted x zn:2": lambda: (_shifted_z3(), ring_zn(2)),
+    "zn:2 x shifted": lambda: (ring_zn(2), _shifted_z3()),
+    "shifted x shifted": lambda: (_shifted_z3(), _shifted_z3()),
+    "ut2:z2 x shifted": lambda: (builtin_ring("ut2:z2"), _shifted_z3()),
+    "zn:4 x ut2:z2": lambda: (ring_zn(4), builtin_ring("ut2:z2")),
+    "(shifted x zn:2) x zn:3": lambda: (ring_product(_shifted_z3(), ring_zn(2)), ring_zn(3)),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_CASES)
+def test_product_tables_match_the_nested_loop_reference(case):
+    left, right = PRODUCT_CASES[case]()
+    m, n = right.order, left.order * right.order
+    add, mul, labels = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)], [None] * n
+    for a1 in range(left.order):
+        for b1 in range(m):
+            labels[a1 * m + b1] = f"({left.element_labels[a1]},{right.element_labels[b1]})"
+            for a2 in range(left.order):
+                for b2 in range(m):
+                    add[a1 * m + b1][a2 * m + b2] = left.add(a1, a2) * m + right.add(b1, b2)
+                    mul[a1 * m + b1][a2 * m + b2] = left.mul(a1, a2) * m + right.mul(b1, b2)
+    ring = ring_product(left, right)
+    assert ring.add_table == tuple(map(tuple, add))
+    assert ring.mul_table == tuple(map(tuple, mul))
+    assert ring.element_labels == tuple(labels)
+    assert (ring.zero, ring.one) == (left.zero * m + right.zero, left.one * m + right.one)
+    assert ring.label == f"{left.label}x{right.label}"
+
+
+def test_every_side_argument_is_checked_by_one_rule():
+    ut2 = builtin_ring("ut2:z2")
+    calls = (lambda: side_table(ut2, "up"), lambda: annihilator(ut2, {1}, "up"),
+             lambda: ideal_generated(ut2, {1}, "up"), lambda: enumerate_ideals(ut2, "up"),
+             lambda: decide_generalized(ut2, "baer", "up"),
+             lambda: oracle_decide_generalized(ut2, "quasi_baer", "up"))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^side must be 'right' or 'left', got 'up'$"):
+            call()
 
 
 def test_matrix_ring_m2_z2_basics():

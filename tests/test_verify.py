@@ -650,10 +650,19 @@ def _oracle_rings(gf4):
             + [(gf4, enumerate_endomorphisms(gf4)), (gf4_z2, [sigma])])
 
 
-def test_thm37_reports_match_the_oracle(gf4):
+def test_thm37_reports_match_the_oracle(gf4, monkeypatch):
     # Every entry of the fast report, in order, against the one the oracle
     # rebuilds from the definitions: Baer on every twist that meets the
     # hypotheses, quasi-Baer with seeded samples on rings of order <= 4.
+    # Each bounded annihilator the fast run computes, call by call, is the
+    # oracle's too.
+    anns = []
+
+    def spy(*args, **kwargs):
+        anns.append(bounded_annihilator_in_A(*args, **kwargs))
+        return anns[-1]
+
+    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
     compared = {"baer": 0, "quasi_baer": 0}
     for ring, twists in _oracle_rings(gf4):
         variants = ("baer", "quasi_baer") if ring.order <= 4 else ("baer",)
@@ -664,14 +673,18 @@ def test_thm37_reports_match_the_oracle(gf4):
             ctx = SkewContext(ring, monoid, sigma)
             for variant in variants:
                 box = monoid.box(2)[:2 if ring.order == 8 or variant == "quasi_baer" else 3]
+                anns.clear()
                 try:
                     report = verify_thm37(ctx, variant, box, seed=5, samples=3)
                 except HypothesisNotMet as exc:
                     if exc.hypothesis.startswith("ring_gen_right"):
                         assert oracle_verify_thm37(ctx, variant, box, 5, 3) is None
                     continue
-                oracle = oracle_verify_thm37(ctx, variant, box, 5, 3)
-                assert [(e.instance, e.ok) for e in report.conclusion_checked] == oracle, ctx
+                entries, oracle_anns = oracle_verify_thm37(ctx, variant, box, 5, 3)
+                assert [(e.instance, e.ok) for e in report.conclusion_checked] == entries, ctx
+                assert len(anns) == len(oracle_anns), ctx
+                for call, (ann, oracle_ann) in enumerate(zip(anns, oracle_anns)):
+                    assert ann == oracle_ann, (ctx, variant, call)
                 compared[variant] += 1
     assert compared == {"baer": 33, "quasi_baer": 18}
 
