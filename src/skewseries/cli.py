@@ -316,7 +316,7 @@ def cmd_search(args, records, caps):
         p.strip() for p in args.properties.split(",") if p.strip())
     # The search scans over N; its box is built only once a scan fits the budget.
     out = counterexample_search(catalog, props, budget=args.budget,
-                                box=_box_size(resolve_monoid("nat:natural"), args.box), caps=caps)
+                                box=_box_size(OrderedMonoid("nat", "natural"), args.box), caps=caps)
     for f in out.findings:
         records.append({"record": "finding", **f})
     records.append({"record": "search", "findings": len(out.findings),

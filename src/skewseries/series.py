@@ -67,8 +67,7 @@ class SkewContext:
         self._powers = powers
         # Box kernel plans by slots tuple; see _annihilating_vectors.
         self._kernel_plans = {}
-        # Bounded annihilators by (slots, product set): the box series and
-        # the slot values their kernel run tried; see bounded_annihilator_in_A.
+        # Bounded annihilators by (slots, product set, budget); see bounded_annihilator_in_A.
         self._annihilators = {}
 
     def omega(self, s) -> RingEndomorphism:
@@ -260,7 +259,6 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
     itertools.product order; at each slot only the values that zero every
     constraint filed there are tried.  With a budget, BudgetExceeded is
     raised once more than budget values have been tried over all slots.
-    The generator returns the number of values tried over the whole run.
     """
     ring = ctx.ring
     n, zero = ring.order, ring.zero
@@ -336,7 +334,6 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
             yield tuple(vec)
         else:
             j, entering = j + 1, True
-    return tried
 
 
 # 2^14400 has 4335 digits, more than int-to-str conversion allows by default.

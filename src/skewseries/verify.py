@@ -127,11 +127,10 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
     enumeration order (see all_series), so it is reproducible.  The budget
     bounds the product set's growth and the slot values the kernel tries.
 
-    The result depends only on the slots and the product set, so the context
-    keeps one tuple per distinct pair and later calls share it; treat it as
-    read-only.  A kept result still honours each call's budget: when its
-    kernel run tried more slot values than the budget allows, the call
-    raises as that run would have.  A run that raises keeps nothing.
+    The result depends only on the slots, the product set and the budget,
+    so the context keeps one tuple per distinct triple and later calls share
+    it; treat it as read-only.  A call returns or raises exactly as on a
+    fresh context.  A run that raises keeps nothing.
 
     Any family whose additive span equals that of gens gives the same result:
     multiplication distributes over addition (each twist is additive), so the
@@ -152,19 +151,11 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
         if len(prods) * len(gens) > budget:
             raise BudgetExceeded("product set growth exceeds budget")
         prods = {p * g for p in prods for g in gens}
-    key = slots, frozenset(prods)
-    kept = ctx._annihilators.get(key)
-    if kept is None:
-        found, kernel = [], _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)
-        try:
-            while True:
-                found.append(_box_series(ctx, slots, next(kernel)))
-        except StopIteration as stop:
-            # The kernel returns the number of slot values it tried.
-            kept = ctx._annihilators[key] = tuple(found), stop.value
-    ann, tried = kept
-    if tried > budget:
-        raise BudgetExceeded(f"annihilator search tried more than {budget} slot values")
+    key = slots, frozenset(prods), budget
+    ann = ctx._annihilators.get(key)
+    if ann is None:
+        kernel = _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)
+        ann = ctx._annihilators[key] = tuple(_box_series(ctx, slots, v) for v in kernel)
     return ann
 
 

@@ -166,6 +166,18 @@ def test_search_budget_exhaustion_exits_3():
     assert summary_of(recs)["exit"] == 3
 
 
+@pytest.mark.parametrize("body", ["kind = nat\nk = 2\norder = lex\n", "kind = int\n"])
+def test_search_box_ignores_a_monoid_file_named_nat_natural(tmp_path, monkeypatch, body):
+    # The search scans over N whatever files the working directory holds.
+    argv = ("search", "--catalog", "zn:2", "--properties", "armendariz")
+    code, clean = invoke_jsonl(*argv)
+    assert code == 0 and clean[-2]["work"] == 16
+    (tmp_path / "nat:natural").write_text("[monoid]\n" + body)
+    monkeypatch.chdir(tmp_path)
+    code, recs = invoke_jsonl(*argv)
+    assert code == 0 and recs[1:] == clean[1:]
+
+
 def test_nat2_product_quasi_baer_run_passes_and_a_small_budget_stops_it():
     # The run passes under the default budget, and --budget 100 stops it with
     # exit 3.  On the CLI the exhaustive Armendariz pair check trips a small

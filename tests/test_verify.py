@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    KERNEL_MONOIDS,
     lift_ideal_to_series,
     literal_product,
     oracle_verify_thm37,
@@ -405,6 +407,22 @@ def test_zero_ideal_entries_still_pass():
     assert len(zero) >= 3 and all(e.ok for e in zero)
 
 
+def test_quasi_baer_samples_keep_products_past_the_box(monkeypatch):
+    # A sampled family holds its generators' products with the box series,
+    # which reach past the box; the ideal's spanning monomials alone would
+    # stay inside it, and under the hypotheses give the same annihilator.
+    families = []
+
+    def spy(ctx, gens, *args, **kwargs):
+        families.append(list(gens))
+        return bounded_annihilator_in_A(ctx, families[-1], *args, **kwargs)
+
+    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+    box = NAT.box(1)
+    assert verify_thm37(CTX4, "quasi_baer", box, samples=3).outcome == "PASS"
+    assert any(e not in box for family in families for f in family for e, _ in f._terms)
+
+
 
 NEGATIVE_COUNTS = [
     ("prop34", lambda **kw: verify_prop34(CTX4, [0, 1], **kw), "budget"),
@@ -581,6 +599,34 @@ def test_bridge_outcomes_are_kept_per_annihilator_contents():
     assert len(bridges) == 3
 
 
+def _answer(ctx, terms, n, box, budget):
+    """bounded_annihilator_in_A's box series terms, or its BudgetExceeded message."""
+    try:
+        ann = bounded_annihilator_in_A(ctx, [SkewSeries(ctx, t) for t in terms], n, box, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return [g._terms for g in ann]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kept_annihilators_answer_as_a_fresh_context_would(data):
+    ring_name = data.draw(st.sampled_from(("zn:4", "zn:6", "zn:8", "prod:zn:2,zn:2")))
+    drawn = data.draw(st.sampled_from(skew_contexts(
+        ring_name, data.draw(st.sampled_from(sorted(KERNEL_MONOIDS))))))
+    ring, box = drawn.ring, drawn.monoid.box(1)
+    terms = st.dictionaries(st.sampled_from(box), st.integers(0, ring.order - 1), max_size=2)
+    families = data.draw(st.lists(st.lists(terms, min_size=1, max_size=2), min_size=1, max_size=3))
+    calls = data.draw(st.lists(st.tuples(
+        st.sampled_from(families), st.integers(1, 2),
+        st.integers(2, 64) | st.just(ARMENDARIZ_BUDGET)), min_size=2, max_size=10))
+    ctx = SkewContext(ring, drawn.monoid, drawn.sigma)
+    for family, n, budget in calls:
+        fresh = SkewContext(ring, drawn.monoid, drawn.sigma)
+        assert (_answer(ctx, family, n, box, budget)
+                == _answer(fresh, family, n, box, budget)), (family, n, budget)
+
+
 # ---------------------------------------------------------------------------
 # a real twist: the Frobenius map of GF(4)
 
@@ -637,17 +683,50 @@ def test_baer_conclusions_see_neither_the_twist_nor_the_order(gf4):
 ORACLE_MONOIDS = (("nat", "natural", 1), ("nat_k", "lex", 2), ("int", "natural", 1))
 
 
+def _gf4_z2(gf4):
+    """GF(4)xZ/2 and its twist (Frobenius, identity)."""
+    ring = ring_product(gf4, ring_zn(2))
+    frobenius = _frobenius(gf4).image
+    # (a, b) has index 2a + b in the product.
+    return ring, RingEndomorphism(ring, [2 * frobenius[x // 2] + x % 2 for x in range(8)])
+
+
 def _oracle_rings(gf4):
     """(ring, twists): each catalog ring of order <= 8 with all its
     endomorphisms, GF(4) with both of its own, and GF(4)xZ/2 under
     (Frobenius, identity)."""
     rings = [builtin_ring(name) for name in CATALOG_NAMES]
-    gf4_z2 = ring_product(gf4, ring_zn(2))
-    frobenius = _frobenius(gf4).image
-    # (a, b) has index 2a + b in the product.
-    sigma = RingEndomorphism(gf4_z2, [2 * frobenius[x // 2] + x % 2 for x in range(8)])
+    gf4_z2, sigma = _gf4_z2(gf4)
     return ([(ring, enumerate_endomorphisms(ring)) for ring in rings if ring.order <= 8]
             + [(gf4, enumerate_endomorphisms(gf4)), (gf4_z2, [sigma])])
+
+
+@pytest.mark.parametrize("kind", ["nat", "int"])
+def test_bounded_annihilators_do_not_see_the_twist(gf4, kind):
+    # Under S-compatibility and the Armendariz condition f*g == 0 exactly
+    # when every coefficient product is 0, so a bounded annihilator is the
+    # same under both twists, though the products themselves differ.  No
+    # transfer verdict can catch a twisted product that keeps annihilation.
+    ring, frobenius = _gf4_z2(gf4)
+    monoid = OrderedMonoid(kind, "natural")
+    box = monoid.box(1)
+    contexts = [SkewContext(ring, monoid, sigma) for sigma in (None, frobenius)]
+    # Coefficients from the zero divisors, so most annihilators are neither
+    # zero nor the whole box.
+    divisors = [x for x in range(ring.order) if 0 in ring.mul_table[x][1:]]
+    proper = products_differ = 0
+    for i in range(200):
+        rng = random.Random(i)
+        vecs = [[rng.choice(divisors) for _ in box] for _ in range(rng.randint(1, 3))]
+        anns, products = [], []
+        for ctx in contexts:
+            family = [verify._box_series(ctx, box, vec) for vec in vecs]
+            anns.append([g._terms for g in bounded_annihilator_in_A(ctx, family, 1, box)])
+            products.append({(f * g)._terms for f in family for g in family})
+        assert anns[0] == anns[1], vecs
+        proper += 1 < len(anns[0]) < ring.order ** len(box)
+        products_differ += products[0] != products[1]
+    assert proper > 50 and products_differ > 100
 
 
 def test_thm37_reports_match_the_oracle(gf4, monkeypatch):
