@@ -17,7 +17,7 @@ Re of the ring itself.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
@@ -124,8 +124,8 @@ class InstanceBlocks(Sequence):
         a writer can emit it one block at a time.  Every entry is a
         non-negative int, whose decimal text is its JSON text (RFC 8259
         section 6).  The head "[[low," of each low part is made once per lows
-        list, and the tail "high],n,e]" once per distinct generator of a
-        block at depth 1, so a triple is one join of the two.
+        list.  A run of triples with equal depth and generator shares its
+        tail "high],n,e]", so the run is one join of its heads.
         """
         heads, parts = {}, []
         for lows, high, es, depths in self.blocks:
@@ -133,12 +133,15 @@ class InstanceBlocks(Sequence):
             if key not in heads:
                 sep = "," if high else ""
                 heads[key] = [f"[[{','.join(map(str, low))}{sep if low else ''}" for low in lows]
-            close = ",".join(map(str, high)) + "],"
-            if depths is None:
-                tails = map({e: f"{close}1,{e}]" for e in set(es)}.__getitem__, es)
-            else:
-                tails = [f"{close}{d},{e}]" for d, e in zip(depths, es)]
-            parts.append(",".join(map(str.__add__, heads[key], tails)))
+            close, block_heads = ",".join(map(str, high)) + "],", heads[key]
+            runs = groupby(zip(depths, es)) if depths else (((1, e), run) for e, run in groupby(es))
+            i, texts = 0, []
+            for (d, e), run in runs:
+                j = i + len(list(run))
+                tail = f"{close}{d},{e}]"
+                texts.append((tail + ",").join(block_heads[i:j]) + tail)
+                i = j
+            parts.append(",".join(texts))
         return parts
 
 
@@ -170,8 +173,10 @@ def _decide(ring, cls, side, caps, climb, keep):
     The subset walk goes by blocks.  A mask is its low c = min(n, 8) bits
     plus its high bits; the annihilators and member tuples of the 2^c low
     parts and of the high parts are built once, so a block (the masks with
-    one high part) costs one AND and one generator lookup per mask.  Only
-    the masks whose annihilator is not idempotent-generated go one by one.
+    one high part) costs one AND and one generator lookup per mask.  A block
+    whose high part has annihilator {0} costs neither: every mask in it has
+    annihilator {0} = 0R, generated by 0.  Only the masks whose annihilator
+    is not idempotent-generated go one by one.
     The ideals form one block.  per_instance is an InstanceBlocks holding
     each block as it was walked; keep=False keeps no blocks.
 
@@ -219,20 +224,25 @@ def _decide(ring, cls, side, caps, climb, keep):
             e = genmap.get(ann)
         return depth, e, ann
 
-    per_instance, flat = [], None
+    per_instance, flat, trivial = [], None, 1 << zero
     if cls == "baer":
         c = min(n, 8)
         low_anns, low_members = _subset_table(singles, full, 0, c)
         high_anns, high_members = _subset_table(singles, full, c, n - c)
-        # Blocks are (annihilators, low member tuples, high member tuple).
-        # The first block drops mask 0, the empty set.
-        blocks = chain([(low_anns[1:], low_members[1:], ())],
-                       (([h & a for a in low_anns], low_members, high)
-                        for h, high in zip(high_anns[1:], high_members[1:])))
+        # Blocks are (high annihilator, low annihilators, low member tuples,
+        # high member tuple).  The first block drops mask 0, the empty set.
+        blocks = chain([(full, low_anns[1:], low_members[1:], ())],
+                       zip(high_anns[1:], repeat(low_anns), repeat(low_members), high_members[1:]))
     else:
         ideals = [tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps)]
-        blocks = [([ann_of(m) for m in ideals], ideals, ())]
-    for anns, lows, high in blocks:
+        blocks = [(full, [ann_of(m) for m in ideals], ideals, ())]
+    for h, anns, lows, high in blocks:
+        if h == trivial:
+            # Every mask of the block has annihilator {0} = 0R.
+            if keep:
+                per_instance.append((lows, high, [genmap[trivial]] * len(lows), None))
+            continue
+        anns = [h & a for a in anns]
         es, depths = list(map(genmap.get, anns)), None
         if None in es:
             depths = [1] * len(es)

@@ -13,6 +13,7 @@ from skewseries.rings import (
     PropertyCertificate,
     enumerate_endomorphisms,
     ring_product,
+    ring_zn,
 )
 from skewseries.series import (
     SkewContext,
@@ -193,9 +194,64 @@ def gf4():
     hypotheses; here the Frobenius map x -> x^2, which swaps 2 and 3, does.
     It is endomorphism index 1, after the identity.
     """
+    return gf4_ring()
+
+
+@functools.lru_cache(maxsize=None)
+def gf4_ring():
     add = [[a ^ b for b in range(4)] for a in range(4)]
     mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
     return FiniteRing(4, add, mul, 0, 1, label="GF(4)")
+
+
+def quadratic_ring(base, c, d, label):
+    """base[y]/(y^2 + c*y + d) for a commutative base ring, a + b*y stored
+    at index a + base.order*b: y^2 = -c*y - d, every product worked out
+    through the base ring's own operations."""
+    m = base.order
+    neg = [base.add_table[a].index(base.zero) for a in range(m)]
+    add, mul = base.add, base.mul
+
+    def times(x, y):
+        a, b, p, q = x % m, x // m, y % m, y // m
+        bq = mul(b, q)
+        const = add(mul(a, p), neg[mul(d, bq)])
+        linear = add(add(mul(a, q), mul(b, p)), neg[mul(c, bq)])
+        return const + m * linear
+
+    order = m * m
+    add_table = [[add(x % m, y % m) + m * add(x // m, y // m) for y in range(order)]
+                 for x in range(order)]
+    mul_table = [[times(x, y) for y in range(order)] for x in range(order)]
+    return FiniteRing(order, add_table, mul_table, base.zero, base.one, label=label)
+
+
+@functools.lru_cache(maxsize=None)
+def gf4_dual_numbers():
+    # GF(4)[e] = GF(4)[y]/(y^2): epsilon is index 4, its multiples 8 and 12.
+    return quadratic_ring(gf4_ring(), 0, 0, "GF(4)[e]")
+
+
+@functools.lru_cache(maxsize=None)
+def galois_ring_4_2():
+    # GR(4,2) = Z/4[x]/(x^2 + x + 1): its maximal ideal 2R is {0, 2, 8, 10}.
+    return quadratic_ring(ring_zn(4), 1, 1, "GR(4,2)")
+
+
+@pytest.fixture(scope="session")
+def gf4_eps():
+    """GF(4)[e] = GF(4)[y]/(y^2), of order 16: local, commutative, with
+    maximal ideal e*R = {0, 4, 8, 12}.  It is not Baer, since r(e) = eR,
+    but generalized Baer at depth 2, since e^2 = 0."""
+    return gf4_dual_numbers()
+
+
+@pytest.fixture(scope="session")
+def gr42():
+    """The Galois ring GR(4,2) = Z/4[x]/(x^2 + x + 1), of order 16: local,
+    commutative, with maximal ideal 2R = {0, 2, 8, 10}.  Like GF(4)[e] it is
+    generalized Baer at depth 2 but not Baer, and it has characteristic 4."""
+    return galois_ring_4_2()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import product_rings
+from conftest import galois_ring_4_2, gf4_dual_numbers, product_rings
 from skewseries.errors import SizeCapExceeded
 from skewseries.properties import (
     CLASS_NAMES,
@@ -149,8 +149,23 @@ def _relabelled(ring, perm):
 # Z/12 is not Baer, and every subset it rejects holds 2, 6 or 10.  Stored at
 # indices 8, 9 and 10, they put the first rejected mask, {2} = 1 << 8, past
 # the walk's first block of 2^8 masks.
-_WALK_RINGS = {"zn:12 with 2,6,10 at 8,9,10": lambda: _relabelled(
-    ring_zn(12), [0, 1, 8, 3, 4, 5, 9, 7, 2, 6, 10, 11])}
+#
+# The rings below store their zero at index 8 or above, where a high part
+# holding only the zero has the whole ring as annihilator, and every high
+# part holding a unit has annihilator {0}.  Z/3 x Z/5 is Baer, its zero at
+# index 10.  GF(4)[e] has its units at indices 0 to 7, e at 8 and its zero
+# at 9, so {e} = 1 << 8 is rejected first again.
+_WALK_RINGS = {
+    "zn:12 with 2,6,10 at 8,9,10": lambda: _relabelled(
+        ring_zn(12), [0, 1, 8, 3, 4, 5, 9, 7, 2, 6, 10, 11]),
+    "prod:zn:3,zn:5 with 0 at 10": lambda: _relabelled(
+        builtin_ring("prod:zn:3,zn:5"), [(x + 10) % 15 for x in range(15)]),
+    "GF(4)[e] with e,0 at 8,9": lambda: _relabelled(
+        gf4_dual_numbers(), [9, 0, 1, 2, 8, 3, 4, 5, 14, 6, 7, 10, 15, 11, 12, 13]),
+}
+
+# The order-16 tables rings as built, their zero at index 0.
+_TABLE_RINGS = {"GF(4)[e]": gf4_dual_numbers, "GR(4,2)": galois_ring_4_2}
 
 # (ring, climb, deepest accepted depth, or None for a rejected ring)
 WALK_CASES = [
@@ -164,13 +179,21 @@ WALK_CASES = [
     ("zn:12 with 2,6,10 at 8,9,10", False, None),
     ("zn:12 with 2,6,10 at 8,9,10", True, 2),
     ("zn:16", True, 4),
+    ("GF(4)[e]", False, None),
+    ("GF(4)[e]", True, 2),
+    ("GR(4,2)", False, None),
+    ("GR(4,2)", True, 2),
+    ("prod:zn:3,zn:5 with 0 at 10", False, 1),
+    ("prod:zn:3,zn:5 with 0 at 10", True, 1),
+    ("GF(4)[e] with e,0 at 8,9", False, None),
+    ("GF(4)[e] with e,0 at 8,9", True, 2),
 ]
 
 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("name,climb,deepest", WALK_CASES)
 def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
-    ring = _WALK_RINGS[name]() if name in _WALK_RINGS else builtin_ring(name)
+    ring = (_WALK_RINGS | _TABLE_RINGS).get(name, lambda: builtin_ring(name))()
     verdict, per_instance, failing = _literal_subset_walk(ring, side, climb)
     if deepest is None:
         assert not verdict
@@ -203,6 +226,8 @@ def _relabelled_rings(draw):
                  st.sampled_from(_CLIMBING).map(builtin_ring)))
 @example(builtin_ring("zn:16"))
 @example(_WALK_RINGS["zn:12 with 2,6,10 at 8,9,10"]())
+@example(builtin_ring("mat2:z2"))
+@example(builtin_ring("prod:zn:3,zn:5"))
 def test_certificate_json_text_is_the_encoders_text(ring):
     encode = json.JSONEncoder(separators=(",", ":")).encode
     for cls in ("baer", "quasi_baer"):
@@ -235,6 +260,21 @@ def test_block_certificate_is_the_sequence_of_its_triples():
     tampered = ClassVerdict(M2, cv.class_name, True, "subset", InstanceBlocks(blocks), None)
     assert tampered.per_instance != cert
     assert not recheck_class_verdict(M2, tampered)
+
+
+def test_order_16_tables_rings_are_generalized_baer_at_depth_two(gf4_eps, gr42):
+    # Each is local with a square-zero maximal ideal m: r(m) = m is no eR,
+    # but m^2 = {0}.  Every instance outside m holds a unit.
+    for ring, m, first in ((gf4_eps, (0, 4, 8, 12), (4,)), (gr42, (0, 2, 8, 10), (2,))):
+        for cls in ("baer", "quasi_baer"):
+            profile = class_profile(ring, cls, (cls, f"gen_{cls}_right"))
+            assert not profile[cls].verdict
+            assert profile[cls].failing_instance[2] == m
+            generalized = profile[f"gen_{cls}_right"]
+            assert generalized.verdict
+            assert {n for _, n, _ in generalized.per_instance} == {1, 2}
+        assert profile["quasi_baer"].failing_instance[0] == m
+        assert decide_baer(ring).failing_instance[0] == first
 
 
 def test_oracle_cap_guard():

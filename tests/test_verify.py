@@ -20,6 +20,7 @@ from skewseries.properties import decide_generalized
 from skewseries.rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
+    PropertyCertificate,
     RingEndomorphism,
     annihilator,
     enumerate_endomorphisms,
@@ -678,6 +679,75 @@ def test_baer_conclusions_see_neither_the_twist_nor_the_order(gf4):
                 assert report.outcome == "PASS"
                 entries.add(report.conclusion_checked)
     assert len(entries) == 1
+
+
+@pytest.mark.parametrize("name", ["zn:4", "zn:8", "prod:zn:2,zn:2"])
+def test_quasi_baer_conclusions_do_not_see_the_order(name):
+    # Past the order check a run only multiplies finite-support series, so
+    # no entry can fail through the order: a run under the trivial order
+    # checks what the natural run checks.
+    ring = builtin_ring(name)
+    reports = []
+    for mode in ("trivial", "natural"):
+        monoid = OrderedMonoid("nat", mode)
+        reports.append(verify_thm37(SkewContext(ring, monoid), "quasi_baer", monoid.box(1),
+                                    samples=10, seed=3))
+    assert reports[0].conclusion_checked == reports[1].conclusion_checked
+    assert [r.outcome for r in reports] == ["PASS", "PASS"]
+
+
+# ---------------------------------------------------------------------------
+# each hypothesis, bypassed on a ring where it fails, fails some entry
+
+
+def _unknown(*args, **kwargs):
+    return PropertyCertificate("unknown-at-bound")
+
+
+def test_prop34_fails_without_the_armendariz_scan(monkeypatch):
+    # The scan refutes mat2:z2 and ut2:z2.  Skipped, their non-constant
+    # idempotent series fail prop34; Z/4 is Armendariz and still passes.
+    monkeypatch.setattr(verify, "armendariz_search", _unknown)
+    counts = {}
+    for name in ("mat2:z2", "ut2:z2", "zn:4"):
+        report = verify_prop34(SkewContext(builtin_ring(name), NAT), NAT.box(1))
+        entries = report.conclusion_checked
+        counts[name] = report.outcome, sum(not e.ok for e in entries), len(entries)
+    assert counts == {"mat2:z2": ("FAIL", 13, 21), "ut2:z2": ("FAIL", 5, 11),
+                      "zn:4": ("PASS", 0, 3)}
+
+
+# (entries per run, {twist index: failing entries}) with the check bypassed
+_COMPATIBILITY_BYPASSED = {
+    "prod:zn:2,zn:2": (52, {0: 3, 2: 6, 3: 3}),
+    "ut2:z2": (61, {5: 9, 6: 9, 7: 9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPATIBILITY_BYPASSED))
+def test_quasi_baer_entries_fail_without_s_compatibility(monkeypatch, name):
+    # With the compatibility check saying yes (and the Armendariz scan,
+    # which these twists fail too, skipped), some non-compatible twists fail
+    # sampled quasi-Baer entries.  The one compatible twist passes.  Baer
+    # entries never fail this way: constant series never twist.
+    compatible = verify.s_compatibility_check
+    monkeypatch.setattr(verify, "armendariz_search", _unknown)
+    monkeypatch.setattr(verify, "s_compatibility_check", lambda ctx: PropertyCertificate("yes"))
+    entries, failures = _COMPATIBILITY_BYPASSED[name]
+    ring = builtin_ring(name)
+    found, passing = {}, []
+    for i, sigma in enumerate(enumerate_endomorphisms(ring)):
+        ctx = SkewContext(ring, NAT, sigma)
+        report = verify_thm37(ctx, "quasi_baer", NAT.box(1), samples=20)
+        assert len(report.conclusion_checked) == entries
+        bad = sum(not e.ok for e in report.conclusion_checked)
+        if bad:
+            found[i] = bad
+            assert report.outcome == "FAIL"
+        if compatible(ctx).verdict == "yes":
+            passing.append((i, report.outcome))
+    assert found == failures
+    assert len(passing) == 1 and passing[0][1] == "PASS"
 
 
 ORACLE_MONOIDS = (("nat", "natural", 1), ("nat_k", "lex", 2), ("int", "natural", 1))
