@@ -17,7 +17,7 @@ Re of the ring itself.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice, pairwise, repeat
 
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
@@ -27,6 +27,7 @@ from .rings import (
     annihilator,
     check_side,
     enumerate_ideals,
+    ideal_generated,
     idempotents,
     side_table,
     subset_power,
@@ -162,7 +163,7 @@ def _subset_table(singles, full, first, count):
     return anns, members
 
 
-def _decide(ring, cls, side, caps, climb, keep):
+def _decide(ring, cls, side, caps, climb):
     """(per_instance, failing, flat_failing) for one side; failing is None
     exactly when the walk accepts.
 
@@ -178,7 +179,7 @@ def _decide(ring, cls, side, caps, climb, keep):
     annihilator {0} = 0R, generated by 0.  Only the masks whose annihilator
     is not idempotent-generated go one by one.
     The ideals form one block.  per_instance is an InstanceBlocks holding
-    each block as it was walked; keep=False keeps no blocks.
+    each block as it was walked.
 
     Without climb the walk stops at the first instance whose annihilator is
     not idempotent-generated; with climb that instance climbs the chain of
@@ -239,8 +240,7 @@ def _decide(ring, cls, side, caps, climb, keep):
     for h, anns, lows, high in blocks:
         if h == trivial:
             # Every mask of the block has annihilator {0} = 0R.
-            if keep:
-                per_instance.append((lows, high, [genmap[trivial]] * len(lows), None))
+            per_instance.append((lows, high, [genmap[trivial]] * len(lows), None))
             continue
         anns = [h & a for a in anns]
         es, depths = list(map(genmap.get, anns)), None
@@ -251,8 +251,7 @@ def _decide(ring, cls, side, caps, climb, keep):
                 depths[i], es[i], ann = chain_end(members, anns[i])
                 if es[i] is None:
                     return InstanceBlocks(), (members, depths[i], _mask_members(ann)), flat
-        if keep:
-            per_instance.append((lows, high, es, depths))
+        per_instance.append((lows, high, es, depths))
     return InstanceBlocks(per_instance), None, flat
 
 
@@ -260,7 +259,7 @@ def _decide(ring, cls, side, caps, climb, keep):
 # deciders
 
 
-def class_profile(ring, cls, names, caps=DEFAULT_CAPS, keep=True):
+def class_profile(ring, cls, names, caps=DEFAULT_CAPS):
     """{class name: ClassVerdict} for the classes in names on cls's instances.
 
     Each side is walked at most once and climbs only for its generalized
@@ -268,18 +267,17 @@ def class_profile(ring, cls, names, caps=DEFAULT_CAPS, keep=True):
     none, the ordinary certificate is the generalized one (all depth 1).
     The ordinary class reports the right side, cross-checked with the left.
     A commutative ring is its own opposite, so there one walk, climbing if
-    either side asks, answers both sides.  keep=False keeps no triples.
-    Names of the other instance kind are ignored.
+    either side asks, answers both sides.  Every accepting verdict lists all
+    its instances.  Names of the other instance kind are ignored.
     """
     _check_cls(cls)
     ordinary, profile = cls in names, {}
     climbs = {side: f"gen_{cls}_{side}" in names for side in SIDES}
     sides = [side for side in SIDES if climbs[side] or ordinary]
     if len(sides) == 2 and side_table(ring, "left") == ring.mul_table:
-        runs = dict.fromkeys(SIDES, _decide(ring, cls, "right", caps, any(climbs.values()), keep))
+        runs = dict.fromkeys(SIDES, _decide(ring, cls, "right", caps, any(climbs.values())))
     else:
-        runs = {side: _decide(ring, cls, side, caps, climbs[side],
-                              keep and (climbs[side] or side == "right")) for side in sides}
+        runs = {side: _decide(ring, cls, side, caps, climbs[side]) for side in sides}
     kinds = {side: "subset" if cls == "baer" else f"{side}_ideal" for side in SIDES}
     for side, (per_instance, failing, _) in runs.items():
         if climbs[side]:
@@ -390,9 +388,32 @@ def _principal(ring, e, side):
 
 
 def recheck_class_verdict(ring, cv):
-    """Re-derive every accepted triple with the public definitional operations."""
+    """True when cv accepts and its certificate lists every instance in walk
+    order, each triple replaying through the public definitional operations.
+
+    Subsets must be every nonempty subset in ascending bitmask order.  Ideals
+    must ascend strictly by size then members, hold {0}, each be its own
+    ideal_generated, and list ideal_generated(I | {x}) for every listed I
+    and element x: every ideal is reached from {0} that way, so none is
+    missing.
+    """
     side = "left" if cv.class_name.endswith("left") else "right"
-    for members, n, e in cv.per_instance:
-        if annihilator(ring, subset_power(ring, members, n), side) != _principal(ring, e, side):
-            return False
-    return True
+    kind = f"{side}_ideal" if "quasi" in cv.class_name else "subset"
+    if not cv.verdict or cv.instance_kind != kind:
+        return False
+    listed = [members for members, _, _ in cv.per_instance]
+    if kind == "subset":
+        complete = listed == [_mask_members(mask) for mask in range(1, 1 << ring.order)]
+    else:
+        found = set(listed)
+
+        def ideal(subset):
+            return tuple(sorted(ideal_generated(ring, subset, side)))
+
+        complete = ((ring.zero,) in found
+                    and all((len(a), a) < (len(b), b) for a, b in pairwise(listed))
+                    and all(ideal(m) == m for m in listed)
+                    and all(ideal({*m, x}) in found for m in listed for x in range(ring.order)))
+    return complete and all(
+        annihilator(ring, subset_power(ring, members, n), side) == _principal(ring, e, side)
+        for members, n, e in cv.per_instance)

@@ -15,8 +15,8 @@ from .errors import IllegalPairing, SpecFormatError
 from .monoids import OrderedMonoid
 from .rings import (
     DEFAULT_CAPS,
+    FiniteRing,
     _check_construction,
-    build_ring_from_tables,
     enumerate_endomorphisms,
     identity_endomorphism,
     ring_matrix,
@@ -143,8 +143,7 @@ def _ring_from_table_text(path, items, caps):
     mul = _parse_table(items["mul"], order, f"{path}: mul")
     zero = _neutral(add, order, f"{path}: additive identity")
     one = _neutral(mul, order, f"{path}: multiplicative identity", two_sided=True)
-    return build_ring_from_tables(order, add, mul, zero, one,
-                                  items.get("label", "tables"))
+    return FiniteRing(order, add, mul, zero, one, items.get("label", "tables"))
 
 
 def _parse_table(text, order, what):

@@ -470,7 +470,7 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=2,
         profile = {}
         for cls in ("baer", "quasi_baer"):
             profile.update((cname, cv.verdict) for cname, cv in class_profile(
-                ring, cls, names, caps, keep=False).items())
+                ring, cls, names, caps).items())
         for kind, (holds, fails, detail) in _GAPS.items():
             if kind in kinds and profile[holds] and not profile[fails]:
                 findings.append({"kind": kind, "ring": name, "detail": detail})

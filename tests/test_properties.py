@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import galois_ring_4_2, gf4_dual_numbers, product_rings
+from conftest import galois_ring_4_2, gf4_dual_numbers, gf4_ring, product_rings
 from skewseries.errors import SizeCapExceeded
 from skewseries.properties import (
     CLASS_NAMES,
@@ -12,6 +12,7 @@ from skewseries.properties import (
     InstanceBlocks,
     _decide,
     _mask_members,
+    _principal,
     class_profile,
     decide_baer,
     decide_generalized,
@@ -22,12 +23,14 @@ from skewseries.properties import (
 from skewseries.rings import (
     DEFAULT_CAPS,
     FiniteRing,
+    annihilator,
     idempotents,
     ring_matrix,
     ring_product,
     ring_upper_triangular,
     ring_zn,
     side_table,
+    subset_power,
 )
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
@@ -203,10 +206,7 @@ def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
         assert max(depth for _, depth, _ in per_instance) == deepest
     # flat_failing is what the walk without a climb rejects first.
     flat = _literal_subset_walk(ring, side, False)[2]
-    kept = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=True)
-    assert kept == (per_instance, failing, flat)
-    bare = _decide(ring, "baer", side, DEFAULT_CAPS, climb, keep=False)
-    assert bare == ((), failing, flat)
+    assert _decide(ring, "baer", side, DEFAULT_CAPS, climb) == (per_instance, failing, flat)
 
 
 # Rings whose generalized classes accept some instance only at depth > 1.
@@ -296,6 +296,77 @@ def test_recheck_replays_certificates_through_public_ops():
     tampered = ClassVerdict(Z6, cv.class_name, cv.verdict, cv.instance_kind,
                             ((members, n, other), *rest), None)
     assert not recheck_class_verdict(Z6, tampered)
+
+
+def _with_triples(cv, triples):
+    return ClassVerdict(cv.ring, cv.class_name, cv.verdict, cv.instance_kind, tuple(triples), None)
+
+
+def test_recheck_rejects_a_certificate_that_skips_an_instance():
+    # Z/4 is not Baer, so an accepting verdict with no instances claims too much.
+    assert not recheck_class_verdict(Z4, ClassVerdict(Z4, "baer", True, "subset", (), None))
+    subsets = decide_generalized(Z4, "baer", "right")
+    ideals = decide_generalized(Z4, "quasi_baer", "right")
+    assert [m for m, _, _ in ideals.per_instance] == [(0,), (0, 2), (0, 1, 2, 3)]
+    for cv in (subsets, ideals):
+        triples = list(cv.per_instance)
+        assert recheck_class_verdict(Z4, cv)
+        assert not recheck_class_verdict(Z4, _with_triples(cv, triples[:-1]))
+        assert not recheck_class_verdict(Z4, _with_triples(cv, triples[:1] + triples))
+        assert not recheck_class_verdict(Z4, _with_triples(cv, triples[:1] + triples[2:]))
+    # r({0, 1}) = {0} = 0R replays, but {0, 1} is no ideal.
+    first, *rest = ideals.per_instance
+    assert not recheck_class_verdict(Z4, _with_triples(ideals, [first, ((0, 1), 1, 0), *rest]))
+
+
+def _additive_spans(ring):
+    # span[mask] is the bitmask of the additive subgroup the subset generates,
+    # built by adding the cyclic subgroup of each mask's highest element.
+    multiples = []
+    for x in range(ring.order):
+        cyclic, y = {ring.zero}, x
+        while y not in cyclic:
+            cyclic.add(y)
+            y = ring.add(y, x)
+        multiples.append(cyclic)
+    span, joins = [1 << ring.zero], {}
+    for mask in range(1, 1 << ring.order):
+        x = mask.bit_length() - 1
+        key = span[mask ^ (1 << x)], x
+        if key not in joins:
+            joins[key] = sum({1 << ring.add(a, b) for a in _mask_members(key[0])
+                              for b in multiples[x]})
+        span.append(joins[key])
+    return span
+
+
+_SPAN_TABLE_RINGS = {**_TABLE_RINGS, "Z/4xGF(4)": lambda: ring_product(ring_zn(4), gf4_ring())}
+
+
+@pytest.mark.parametrize("name", [
+    "zn:4", "zn:6", "zn:8", "zn:9", "zn:12", "zn:16", "prod:zn:2,zn:2", "prod:zn:2,zn:4",
+    "prod:zn:4,zn:4", "prod:zn:3,zn:5", "ut2:z2", "mat2:z2", *_SPAN_TABLE_RINGS])
+def test_subset_chains_are_the_chains_of_their_additive_spans(name):
+    # r(X^n) = r(span(X)^n): annihilators are additive and products
+    # distribute over sums.  So a subset's (n, e) is its span's, and the
+    # span's (n, e) replays through the public operations.
+    ring = _SPAN_TABLE_RINGS.get(name, lambda: builtin_ring(name))()
+    span = _additive_spans(ring)
+    profile = class_profile(ring, "baer", ("gen_baer_right", "gen_baer_left"))
+    for side in SIDES:
+        cv = profile[f"gen_baer_{side}"]
+        assert cv.verdict and len(cv.per_instance) == 2 ** ring.order - 1
+        found = {sum(1 << x for x in members): (n, e) for members, n, e in cv.per_instance}
+        assert all(found[mask] == found[span[mask]] for mask in found), (name, side)
+        generated = {_principal(ring, e, side) for e in idempotents(ring)}
+        for mask in set(span[1:]):
+            members = _mask_members(mask)
+            n, e = found[mask]
+            power = subset_power(ring, members, n)
+            assert annihilator(ring, power, side) == _principal(ring, e, side)
+            if n > 1:
+                shallower = subset_power(ring, members, n - 1)
+                assert annihilator(ring, shallower, side) not in generated, (name, side, members)
 
 
 def test_failing_instance_chain_really_stabilizes():

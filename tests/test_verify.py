@@ -287,13 +287,38 @@ def test_search_walks_only_the_classes_it_reports(kinds, walks, monkeypatch):
     seen = []
     real = properties._decide
 
-    def spy(ring, cls, side, caps, climb, keep=True):
+    def spy(ring, cls, side, caps, climb):
         seen.append((cls, side, climb))
-        return real(ring, cls, side, caps, climb, keep)
+        return real(ring, cls, side, caps, climb)
 
     monkeypatch.setattr(properties, "_decide", spy)
     counterexample_search([("mat2:z2", ring_matrix(ring_zn(2), 2))], properties=kinds)
     assert seen == walks
+
+
+def test_search_verdicts_list_every_instance(monkeypatch):
+    # The verdicts the search reads are full certificates: each accepting one
+    # lists every nonempty subset or every side ideal and rechecks.
+    accepted = []
+    real = verify.class_profile
+
+    def spy(ring, *args, **kwargs):
+        profile = real(ring, *args, **kwargs)
+        accepted.extend((ring, cv) for cv in profile.values() if cv.verdict)
+        return profile
+
+    monkeypatch.setattr(verify, "class_profile", spy)
+    rings = [(name, builtin_ring(name)) for name in ("zn:4", "prod:zn:2,zn:2", "ut2:z2")]
+    counterexample_search(rings, properties=("quasi_baer_not_baer", "gen_baer_not_baer",
+                                             "gen_quasi_baer_not_gen_baer", "left_right"))
+    assert len(accepted) == 16
+    for ring, cv in accepted:
+        if cv.instance_kind == "subset":
+            assert len(cv.per_instance) == 2 ** ring.order - 1
+        else:
+            side = cv.instance_kind.split("_")[0]
+            assert len(cv.per_instance) == len(enumerate_ideals(ring, side))
+        assert properties.recheck_class_verdict(ring, cv), (ring.label, cv.class_name)
 
 
 def test_search_rejects_unknown_property():
