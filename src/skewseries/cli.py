@@ -192,7 +192,7 @@ def _verdict_record(name, cli_class, side, cv):
         "instances": cv.per_instance if cv.verdict else None,
         "failing": None,
     }
-    if not cv.verdict and cv.failing_instance is not None:
+    if not cv.verdict:
         members, n_reached, stable = cv.failing_instance
         rec["failing"] = {
             "members": list(members),

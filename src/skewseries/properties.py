@@ -24,6 +24,7 @@ from .rings import (
     DEFAULT_CAPS,
     SIDES,
     FrozenRecord,
+    _is_index,
     annihilator,
     check_side,
     enumerate_ideals,
@@ -64,12 +65,20 @@ class ClassVerdict(FrozenRecord):
     InstanceBlocks, the oracle as a tuple; the two compare equal when their
     triples do.  failing_instance is (members, n_reached,
     stable_annihilator) for the first rejected instance, with per_instance
-    left empty.  instance_kind says what the instances were.  ring is the
-    FiniteRing decided and class_name one of CLASS_NAMES.
+    left empty.  ring is the FiniteRing decided and class_name one of
+    CLASS_NAMES; verdict and instance_kind are read off the fields.
     """
 
-    __slots__ = ("ring", "class_name", "verdict", "instance_kind", "per_instance",
-                 "failing_instance")
+    __slots__ = ("ring", "class_name", "per_instance", "failing_instance")
+
+    @property
+    def verdict(self):
+        return self.failing_instance is None
+
+    @property
+    def instance_kind(self):
+        side = "left" if self.class_name.endswith("left") else "right"
+        return f"{side}_ideal" if "quasi" in self.class_name else "subset"
 
 
 class InstanceBlocks(Sequence):
@@ -268,9 +277,13 @@ def class_profile(ring, cls, names, caps=DEFAULT_CAPS):
     The ordinary class reports the right side, cross-checked with the left.
     A commutative ring is its own opposite, so there one walk, climbing if
     either side asks, answers both sides.  Every accepting verdict lists all
-    its instances.  Names of the other instance kind are ignored.
+    its instances.  Names of the other instance kind are ignored; a name
+    outside CLASS_NAMES is a ValueError.
     """
     _check_cls(cls)
+    for name in names:
+        if name not in CLASS_NAMES:
+            raise ValueError(f"unknown class name {name!r}; options: {', '.join(CLASS_NAMES)}")
     ordinary, profile = cls in names, {}
     climbs = {side: f"gen_{cls}_{side}" in names for side in SIDES}
     sides = [side for side in SIDES if climbs[side] or ordinary]
@@ -278,17 +291,15 @@ def class_profile(ring, cls, names, caps=DEFAULT_CAPS):
         runs = dict.fromkeys(SIDES, _decide(ring, cls, "right", caps, any(climbs.values())))
     else:
         runs = {side: _decide(ring, cls, side, caps, climbs[side]) for side in sides}
-    kinds = {side: "subset" if cls == "baer" else f"{side}_ideal" for side in SIDES}
     for side, (per_instance, failing, _) in runs.items():
         if climbs[side]:
-            profile[f"gen_{cls}_{side}"] = ClassVerdict(
-                ring, f"gen_{cls}_{side}", failing is None, kinds[side], per_instance, failing)
+            name = f"gen_{cls}_{side}"
+            profile[name] = ClassVerdict(ring, name, per_instance, failing)
     if ordinary:
         if (runs["right"][2] is None) != (runs["left"][2] is None):
             raise InvariantViolation(f"{cls} verdict must be side-symmetric")
         per_instance, _, flat = runs["right"]
-        profile[cls] = ClassVerdict(ring, cls, flat is None, kinds["right"],
-                                    per_instance if flat is None else InstanceBlocks(), flat)
+        profile[cls] = ClassVerdict(ring, cls, InstanceBlocks() if flat else per_instance, flat)
     return profile
 
 
@@ -350,10 +361,8 @@ def oracle_decide_generalized(ring, cls, side="right", cap=8):
         raise SizeCapExceeded(f"oracle capped at order {cap}, ring has {ring.order}")
     class_name = f"gen_{cls}_{side}"
     if cls == "baer":
-        kind = "subset"
         instances = [_mask_members(mask) for mask in range(1, 1 << ring.order)]
     else:
-        kind = f"{side}_ideal"
         instances = [tuple(sorted(s)) for s in _oracle_ideals(ring, side)]
     per_instance = []
     for members in instances:
@@ -365,8 +374,8 @@ def oracle_decide_generalized(ring, cls, side="right", cap=8):
                 break
         else:
             failing = (members, ring.order, tuple(sorted(ann)))
-            return ClassVerdict(ring, class_name, False, kind, (), failing)
-    return ClassVerdict(ring, class_name, True, kind, tuple(per_instance), None)
+            return ClassVerdict(ring, class_name, (), failing)
+    return ClassVerdict(ring, class_name, tuple(per_instance), None)
 
 
 def _oracle_ideals(ring, side):
@@ -387,9 +396,11 @@ def _principal(ring, e, side):
     return frozenset(ring.mul(r, e) for r in range(ring.order))
 
 
-def recheck_class_verdict(ring, cv):
-    """True when cv accepts and its certificate lists every instance in walk
-    order, each triple replaying through the public definitional operations.
+def recheck_class_verdict(cv):
+    """True when cv accepts and its certificate lists every instance of
+    cv.ring in walk order, each triple replaying through the public
+    definitional operations.  An unknown class name, or a member or
+    generator that is no element of the ring, makes it False.
 
     Subsets must be every nonempty subset in ascending bitmask order.  Ideals
     must ascend strictly by size then members, hold {0}, each be its own
@@ -397,12 +408,12 @@ def recheck_class_verdict(ring, cv):
     and element x: every ideal is reached from {0} that way, so none is
     missing.
     """
-    side = "left" if cv.class_name.endswith("left") else "right"
-    kind = f"{side}_ideal" if "quasi" in cv.class_name else "subset"
-    if not cv.verdict or cv.instance_kind != kind:
+    ring, side = cv.ring, "left" if cv.class_name.endswith("left") else "right"
+    if cv.class_name not in CLASS_NAMES or not cv.verdict or not all(
+            _is_index(x, ring.order) for members, _, e in cv.per_instance for x in (*members, e)):
         return False
     listed = [members for members, _, _ in cv.per_instance]
-    if kind == "subset":
+    if cv.instance_kind == "subset":
         complete = listed == [_mask_members(mask) for mask in range(1, 1 << ring.order)]
     else:
         found = set(listed)

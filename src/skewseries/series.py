@@ -350,7 +350,7 @@ def armendariz_pair_count(ring, points, budget):
     """
     n, power = ring.order, 2 * points
     if n > 1 and power > max(budget.bit_length(), _DECIMAL_POWER_LIMIT):
-        count = f"{n}^{power}"
+        count = f"{n}^{_decimal(power)}"
     else:
         total = n ** power
         if total <= budget:
@@ -359,7 +359,7 @@ def armendariz_pair_count(ring, points, budget):
             count = str(total)
         except ValueError:
             # Too many digits for int-to-str conversion: print the power.
-            count = f"{n}^{power}"
+            count = f"{n}^{_decimal(power)}"
     raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {budget}")
 
 

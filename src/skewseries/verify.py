@@ -53,24 +53,31 @@ from .series import (
 
 
 class ConclusionEntry(FrozenRecord):
-    """One checked instance: which statement direction, what, and the verdict
-    (ok), with a witness string when it failed."""
+    """One checked instance: which statement direction, what, and a witness
+    string when it failed; ok when there is none."""
 
-    __slots__ = ("statement_id", "instance", "ok", "witness")
+    __slots__ = ("statement_id", "instance", "witness")
     _defaults = {"witness": None}
+
+    @property
+    def ok(self):
+        return self.witness is None
 
 
 class TheoremReport(FrozenRecord):
     """Outcome of one verification run.
 
-    outcome is PASS only when every hypothesis certificate is consistent and
-    every conclusion entry passed.  scope_note states the finite-support
-    restriction under which the quantifiers were evaluated.
+    outcome is PASS exactly when every conclusion entry is ok; a run whose
+    hypotheses fail raises HypothesisNotMet instead.  scope_note states the
+    finite-support restriction under which the quantifiers were evaluated.
     hypotheses_checked holds (name, PropertyCertificate) pairs.
     """
 
-    __slots__ = ("statement_id", "outcome", "hypotheses_checked", "conclusion_checked",
-                 "scope_note")
+    __slots__ = ("statement_id", "hypotheses_checked", "conclusion_checked", "scope_note")
+
+    @property
+    def outcome(self):
+        return "PASS" if all(e.ok for e in self.conclusion_checked) else "FAIL"
 
 
 class SearchOutcome(FrozenRecord):
@@ -182,22 +189,18 @@ def verify_prop34(ctx, box, budget=ARMENDARIZ_BUDGET):
             continue
         count += 1
         c = f.coeff(one_s)
-        ok = ring.mul(c, c) == c and f == const_embed(ctx, c)
         entries.append(ConclusionEntry(
             "prop34",
             f"idempotent series {format_series(f)} is the constant embedding of an idempotent",
-            ok,
-            None if ok else f"constant term {c}",
+            None if ring.mul(c, c) == c and f == const_embed(ctx, c) else f"constant term {c}",
         ))
     expected = len(idempotents(ring))
     entries.append(ConclusionEntry(
         "prop34",
         f"idempotent series count at box equals ring idempotent count ({count} vs {expected})",
-        count == expected,
         None if count == expected else f"{count} != {expected}",
     ))
-    outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
-    return TheoremReport("prop34", outcome, hyps, tuple(entries), _scope_note(ctx, slots))
+    return TheoremReport("prop34", hyps, tuple(entries), _scope_note(ctx, slots))
 
 
 def _order_hypothesis(monoid, slots, budget):
@@ -298,9 +301,8 @@ def _run_thm37(ctx, variant, box, budget, seed, samples, caps, arm):
                                              slices))
     if variant == "quasi_baer":
         entries.extend(_sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges))
-    outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
     statement = "thm37_baer" if variant == "baer" else "thm37_quasibaer"
-    return TheoremReport(statement, outcome, tuple(hyps), tuple(entries), _scope_note(ctx, slots))
+    return TheoremReport(statement, tuple(hyps), tuple(entries), _scope_note(ctx, slots))
 
 
 def _bridge_entries(ctx, ann, e, label, statement_id, bridges):
@@ -319,14 +321,11 @@ def _bridge_entries(ctx, ann, e, label, statement_id, bridges):
         ce = const_embed(ctx, e)
         outcome = bridges[key] = ce in ann, next((g for g in ann if ce * g != g), None)
     in_ann, bad = outcome
-    yield ConclusionEntry(
-        statement_id, f"{label}: c_e lies in the bounded series annihilator", in_ann,
-        None if in_ann else f"c_{e} missing",
-    )
-    yield ConclusionEntry(
-        statement_id, f"{label}: every bounded annihilating series g equals c_e*g", bad is None,
-        None if bad is None else f"g = {format_series(bad)}",
-    )
+    yield ConclusionEntry(statement_id, f"{label}: c_e lies in the bounded series annihilator",
+                          None if in_ann else f"c_{e} missing")
+    yield ConclusionEntry(statement_id,
+                          f"{label}: every bounded annihilating series g equals c_e*g",
+                          None if bad is None else f"g = {format_series(bad)}")
 
 
 def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id, slices):
@@ -352,7 +351,6 @@ def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id, slic
     return ConclusionEntry(
         statement_id,
         f"{label}: constant slice of the series annihilator equals e*R equals the ring annihilator",
-        ok,
         None if ok else f"constants {sorted(consts)} vs e*R {sorted(e_right)} vs ring {sorted(ring_ann)}",
     )
 
@@ -429,9 +427,8 @@ def verify_corollaries(ring, box, budget=ARMENDARIZ_BUDGET, seed=0, samples=20,
         hyps = tuple(orders[ctx] if h[0] == "quasitotal_order" else h
                      for variant in variants for h in subs[variant].hypotheses_checked)
         entries = tuple(e for variant in variants for e in subs[variant].conclusion_checked)
-        outcome = "PASS" if all(e.ok for e in entries) else "FAIL"
         reports.append(TheoremReport(
-            statement, outcome, hyps, entries,
+            statement, hyps, entries,
             _scope_note(ctx, slots)
             + f"; untwisted specialization with order mode {ctx.monoid.order_mode!r}",
         ))

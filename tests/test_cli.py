@@ -396,6 +396,19 @@ def test_pair_count_past_the_digit_limit_prints_as_a_power(statement):
                         "message": "exhaustive search needs 2^16000 pairs, budget is 100"}
 
 
+@pytest.mark.parametrize("statement", ["thm37-baer", "prop34", "corollaries"])
+def test_pair_count_power_prints_past_the_digit_limit(statement):
+    # 4300 nines is the longest --box that parses; the power 2*box has 4301
+    # digits, one more than str() converts by default.
+    nines = "9" * 4300
+    code, recs = invoke_jsonl("verify", statement, "--ring", "zn:2", "--box", nines,
+                              "--budget", "100")
+    assert code == 3
+    power = "1" + "9" * 4299 + "8"
+    assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
+                        "message": f"exhaustive search needs 2^{power} pairs, budget is 100"}
+
+
 @pytest.mark.parametrize("statement,argv,count", [
     ("thm37-baer", ("--monoid", "nat3:lex", "--box", "2000"), "2^16000000000"),
     ("prop34", ("--monoid", "nat3:lex", "--box", "2000"), "2^16000000000"),
@@ -423,6 +436,13 @@ def test_over_budget_search_stops_before_its_box_is_built(monkeypatch):
     monkeypatch.setattr(OrderedMonoid, "box", refuse)
     code, recs = invoke_jsonl("search", "--catalog", "zn:2", "--properties", "armendariz",
                               "--box", "300000", "--budget", "100")
+    assert code == 3
+    assert recs[-2] == {"record": "search", "findings": 0, "exhausted": True, "work": 0}
+
+
+def test_search_box_past_the_digit_limit_is_exhausted():
+    code, recs = invoke_jsonl("search", "--catalog", "zn:2", "--properties", "armendariz",
+                              "--box", "9" * 4300, "--budget", "100")
     assert code == 3
     assert recs[-2] == {"record": "search", "findings": 0, "exhausted": True, "work": 0}
 

@@ -3,8 +3,10 @@ importing the CLI loads."""
 
 import ast
 import dataclasses
+import glob
 import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -15,7 +17,7 @@ import pytest
 import skewseries
 from skewseries.errors import SpecFormatError
 from skewseries.properties import ClassVerdict
-from skewseries.rings import Caps, PropertyCertificate, RingEndomorphism, ring_zn
+from skewseries.rings import Caps, FrozenRecord, PropertyCertificate, RingEndomorphism, ring_zn
 from skewseries.verify import ConclusionEntry, SearchOutcome, TheoremReport
 
 Z2 = ring_zn(2)
@@ -25,12 +27,28 @@ RECORDS = [
     (Caps, (1, 2, 3, 4), {"subset": 16, "endo": 16, "ideal": 16, "order": 64}),
     (PropertyCertificate, ("no", (1, 2), "scan"), {"witness": None, "notes": ""}),
     (RingEndomorphism, (Z2, (0, 1)), {}),
-    (ClassVerdict, (Z2, "baer", True, "subsets", (((0,), 1, 1),), None), {}),
-    (ConclusionEntry, ("prop34", "count", False, "1 != 2"), {"witness": None}),
-    (TheoremReport, ("prop34", "PASS", (), (), "box {0}"), {}),
+    (ClassVerdict, (Z2, "baer", (((0,), 1, 1),), None), {}),
+    (ConclusionEntry, ("prop34", "count", "1 != 2"), {"witness": None}),
+    (TheoremReport, ("prop34", (), (), "box {0}"), {}),
     (SearchOutcome, ((), False, 0), {}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_records_lists_every_record_class_of_the_package():
+    # A record class missing from RECORDS would skip the frozen, equality,
+    # hash and repr tests below.
+    for module in pkgutil.iter_modules(skewseries.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"skewseries.{module.name}")
+    found = {sub for sub in _subclasses(FrozenRecord) if sub.__module__.startswith("skewseries.")}
+    assert found == {cls for cls, _, _ in RECORDS}
 
 
 def _reference(cls, defaults):
@@ -209,6 +227,25 @@ def _package_nodes():
     # (file name, node) for every syntax node of the package's modules.
     for name, tree in _modules(os.path.dirname(skewseries.__file__)):
         yield from ((name, node) for node in ast.walk(tree))
+
+
+def test_every_python_file_parses_at_the_declared_python_floor():
+    # pyproject.toml declares Python >= 3.10, so no file may use grammar
+    # that a 3.10 interpreter cannot parse (except*, type statements, ...).
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', _read(os.path.join(root, "pyproject.toml")))
+    assert floor[1] == "10"
+    paths = [os.path.join(root, directory, name) for directory in ("src", "tests", "perfbench")
+             for name in glob.glob("**/*.py", root_dir=os.path.join(root, directory),
+                                   recursive=True)]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(_read(path), filename=path, feature_version=(3, 10))
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def test_no_bare_assert_in_the_package():

@@ -242,7 +242,7 @@ def test_block_certificate_is_the_sequence_of_its_triples():
     cv = decide_generalized(M2, "baer", "right")
     cert, triples = cv.per_instance, tuple(cv.per_instance)
     assert cert == triples and triples == cert and hash(cert) == hash(triples)
-    assert cv == ClassVerdict(M2, cv.class_name, True, "subset", triples, None)
+    assert cv == ClassVerdict(M2, cv.class_name, triples, None)
     assert len(cert) == len(triples) == 65535
     assert cert[:20] == triples[:20] and cert[-3:] == triples[-3:]
     assert (cert[300], cert[-1]) == (triples[300], triples[-1])
@@ -257,9 +257,9 @@ def test_block_certificate_is_the_sequence_of_its_triples():
     other = next(x for x in sorted(idempotents(M2)) if principal(x) != principal(es[3]))
     blocks = list(cert.blocks)
     blocks[5] = (lows, high, [*es[:3], other, *es[4:]], depths)
-    tampered = ClassVerdict(M2, cv.class_name, True, "subset", InstanceBlocks(blocks), None)
+    tampered = ClassVerdict(M2, cv.class_name, InstanceBlocks(blocks), None)
     assert tampered.per_instance != cert
-    assert not recheck_class_verdict(M2, tampered)
+    assert not recheck_class_verdict(tampered)
 
 
 def test_order_16_tables_rings_are_generalized_baer_at_depth_two(gf4_eps, gr42):
@@ -287,36 +287,76 @@ def test_oracle_cap_guard():
 def test_recheck_replays_certificates_through_public_ops():
     for ring in (Z4, Z6):
         cv = decide_generalized(ring, "baer", "right")
-        assert cv.per_instance and recheck_class_verdict(ring, cv)
+        assert cv.per_instance and recheck_class_verdict(cv)
     cv = decide_generalized(Z6, "quasi_baer", "left")
-    assert cv.per_instance and recheck_class_verdict(Z6, cv)
+    assert cv.per_instance and recheck_class_verdict(cv)
     # The same certificate with one triple's idempotent swapped for another.
     (members, n, e), *rest = cv.per_instance
     other = next(x for x in sorted(idempotents(Z6)) if x != e)
-    tampered = ClassVerdict(Z6, cv.class_name, cv.verdict, cv.instance_kind,
-                            ((members, n, other), *rest), None)
-    assert not recheck_class_verdict(Z6, tampered)
+    tampered = ClassVerdict(Z6, cv.class_name, ((members, n, other), *rest), None)
+    assert not recheck_class_verdict(tampered)
 
 
 def _with_triples(cv, triples):
-    return ClassVerdict(cv.ring, cv.class_name, cv.verdict, cv.instance_kind, tuple(triples), None)
+    return ClassVerdict(cv.ring, cv.class_name, tuple(triples), None)
 
 
 def test_recheck_rejects_a_certificate_that_skips_an_instance():
     # Z/4 is not Baer, so an accepting verdict with no instances claims too much.
-    assert not recheck_class_verdict(Z4, ClassVerdict(Z4, "baer", True, "subset", (), None))
+    assert not recheck_class_verdict(ClassVerdict(Z4, "baer", (), None))
     subsets = decide_generalized(Z4, "baer", "right")
     ideals = decide_generalized(Z4, "quasi_baer", "right")
     assert [m for m, _, _ in ideals.per_instance] == [(0,), (0, 2), (0, 1, 2, 3)]
     for cv in (subsets, ideals):
         triples = list(cv.per_instance)
-        assert recheck_class_verdict(Z4, cv)
-        assert not recheck_class_verdict(Z4, _with_triples(cv, triples[:-1]))
-        assert not recheck_class_verdict(Z4, _with_triples(cv, triples[:1] + triples))
-        assert not recheck_class_verdict(Z4, _with_triples(cv, triples[:1] + triples[2:]))
+        assert recheck_class_verdict(cv)
+        assert not recheck_class_verdict(_with_triples(cv, triples[:-1]))
+        assert not recheck_class_verdict(_with_triples(cv, triples[:1] + triples))
+        assert not recheck_class_verdict(_with_triples(cv, triples[:1] + triples[2:]))
     # r({0, 1}) = {0} = 0R replays, but {0, 1} is no ideal.
     first, *rest = ideals.per_instance
-    assert not recheck_class_verdict(Z4, _with_triples(ideals, [first, ((0, 1), 1, 0), *rest]))
+    assert not recheck_class_verdict(_with_triples(ideals, [first, ((0, 1), 1, 0), *rest]))
+
+
+def test_recheck_rejects_members_outside_the_ring():
+    ideals = decide_generalized(Z4, "quasi_baer", "right")
+    assert recheck_class_verdict(ideals)
+    triples = [*ideals.per_instance, ((0, 1, 2, 3, 9), 1, 0)]
+    assert not recheck_class_verdict(_with_triples(ideals, triples))
+    subsets = decide_generalized(Z4, "baer", "right")
+    (members, n, _), *rest = subsets.per_instance
+    assert not recheck_class_verdict(_with_triples(subsets, [(members, n, 7), *rest]))
+
+
+def test_unknown_class_names_are_refused():
+    # The certificate is right for gen_baer_right, but "bogus" names no class.
+    cv = decide_generalized(Z4, "baer", "right")
+    assert recheck_class_verdict(cv)
+    assert not recheck_class_verdict(ClassVerdict(Z4, "bogus", cv.per_instance, None))
+    with pytest.raises(ValueError, match="unknown class name 'gen_bear_right'; options: baer,"):
+        class_profile(Z4, "baer", ["gen_bear_right"])
+    # A name of the other instance kind is known, and only ignored.
+    assert set(class_profile(Z4, "baer", CLASS_NAMES)) == {"baer", "gen_baer_right",
+                                                          "gen_baer_left"}
+
+
+KINDS = {"baer": "subset", "gen_baer_right": "subset", "gen_baer_left": "subset",
+         "quasi_baer": "right_ideal", "gen_quasi_baer_right": "right_ideal",
+         "gen_quasi_baer_left": "left_ideal"}
+
+
+@pytest.mark.parametrize("name", ["zn:4", "zn:8", "ut2:z2"])
+def test_verdict_and_instance_kind_are_read_off_the_fields(name):
+    ring = builtin_ring(name)
+    verdicts = [cv for cls in ("baer", "quasi_baer")
+                for cv in class_profile(ring, cls, CLASS_NAMES).values()]
+    verdicts += [oracle_decide_generalized(ring, cls, side)
+                 for cls in ("baer", "quasi_baer") for side in SIDES]
+    assert sorted({cv.class_name for cv in verdicts}) == sorted(CLASS_NAMES)
+    for cv in verdicts:
+        assert cv.instance_kind == KINDS[cv.class_name]
+        assert cv.verdict == (cv.failing_instance is None)
+        assert cv.verdict == bool(cv.per_instance)
 
 
 def _additive_spans(ring):
@@ -419,5 +459,5 @@ def test_left_verdicts_from_the_one_walk_of_a_commutative_ring(name):
         slow = oracle_decide_generalized(ring, cls, "left")
         assert (left.verdict, left.per_instance) == (slow.verdict, slow.per_instance)
         assert left.instance_kind == slow.instance_kind
-        assert recheck_class_verdict(ring, left)
+        assert recheck_class_verdict(left)
         assert left == decide_generalized(ring, cls, "left")

@@ -44,6 +44,8 @@ from skewseries.series import (
 )
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 from skewseries.verify import (
+    ConclusionEntry,
+    TheoremReport,
     _spanning_monomials,
     bounded_annihilator_in_A,
     coefficient_ideal_lift,
@@ -144,6 +146,17 @@ def test_thm37_reports_are_reproducible():
     a = verify_thm37(CTX6, "quasi_baer", [0, 1], seed=9, samples=6)
     b = verify_thm37(CTX6, "quasi_baer", [0, 1], seed=9, samples=6)
     assert a == b
+
+
+def test_report_outcome_is_read_off_its_entries():
+    rep = verify_thm37(CTX4, "baer", [0, 1])
+    (first, *rest), hyps = rep.conclusion_checked, rep.hypotheses_checked
+    assert rep.outcome == "PASS" and all(e.ok and e.witness is None for e in rest)
+    failed = ConclusionEntry(first.statement_id, first.instance, "c_1 missing")
+    assert not failed.ok and ConclusionEntry(first.statement_id, first.instance) == first
+    for entries in ((failed, *rest), (*rest, failed)):
+        assert TheoremReport(rep.statement_id, hyps, entries, rep.scope_note).outcome == "FAIL"
+    assert TheoremReport(rep.statement_id, hyps, (first, *rest), rep.scope_note) == rep
 
 
 def test_thm37_accepts_generalized_but_not_plain_quasi_baer():
@@ -318,7 +331,7 @@ def test_search_verdicts_list_every_instance(monkeypatch):
         else:
             side = cv.instance_kind.split("_")[0]
             assert len(cv.per_instance) == len(enumerate_ideals(ring, side))
-        assert properties.recheck_class_verdict(ring, cv), (ring.label, cv.class_name)
+        assert properties.recheck_class_verdict(cv), (ring.label, cv.class_name)
 
 
 def test_search_rejects_unknown_property():
