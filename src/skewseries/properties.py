@@ -396,11 +396,24 @@ def _principal(ring, e, side):
     return frozenset(ring.mul(r, e) for r in range(ring.order))
 
 
+def _is_triple(triple, order):
+    """Whether triple is (members, n, e) as a certificate lists it: a
+    nonempty tuple of element indices, an int depth >= 1 that is no bool,
+    and an element index."""
+    if not isinstance(triple, tuple) or len(triple) != 3:
+        return False
+    members, n, e = triple
+    return (isinstance(members, tuple) and len(members) > 0
+            and all(_is_index(x, order) for x in members)
+            and isinstance(n, int) and not isinstance(n, bool) and n >= 1 and _is_index(e, order))
+
+
 def recheck_class_verdict(cv):
     """True when cv accepts and its certificate lists every instance of
     cv.ring in walk order, each triple replaying through the public
-    definitional operations.  An unknown class name, or a member or
-    generator that is no element of the ring, makes it False.
+    definitional operations.  An unknown class name, or a triple that is no
+    (nonempty tuple of elements, int depth >= 1, element) of the ring, makes
+    it False.
 
     Subsets must be every nonempty subset in ascending bitmask order.  Ideals
     must ascend strictly by size then members, hold {0}, each be its own
@@ -410,7 +423,7 @@ def recheck_class_verdict(cv):
     """
     ring, side = cv.ring, "left" if cv.class_name.endswith("left") else "right"
     if cv.class_name not in CLASS_NAMES or not cv.verdict or not all(
-            _is_index(x, ring.order) for members, _, e in cv.per_instance for x in (*members, e)):
+            _is_triple(t, ring.order) for t in cv.per_instance):
         return False
     listed = [members for members, _, _ in cv.per_instance]
     if cv.instance_kind == "subset":

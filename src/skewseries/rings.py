@@ -485,14 +485,22 @@ def annihilator(ring, subset, side="right"):
     return res
 
 
+def check_power(n):
+    """Refuse a power that is no int, or a bool (ValueError), or below 1
+    (NonpositiveExponent)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"power exponent must be an int, got {n!r}")
+    if n < 1:
+        raise NonpositiveExponent(f"power exponent must be >= 1, got {n}")
+
+
 def subset_power(ring, subset, n):
     """The set of all n-fold products x1*...*xn with every xi in subset.
 
     This is a set of products, not their additive span.
     """
     xs = _check_subset(ring, subset)
-    if n < 1:
-        raise NonpositiveExponent(f"power exponent must be >= 1, got {n}")
+    check_power(n)
     cur = frozenset(xs)
     for _ in range(n - 1):
         cur = frozenset(ring.mul(p, x) for p in cur for x in xs)

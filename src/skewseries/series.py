@@ -67,8 +67,6 @@ class SkewContext:
         self._powers = powers
         # Box kernel plans by slots tuple; see _annihilating_vectors.
         self._kernel_plans = {}
-        # Bounded annihilators by (slots, product set, budget); see bounded_annihilator_in_A.
-        self._annihilators = {}
 
     def omega(self, s) -> RingEndomorphism:
         """The twist endomorphism at exponent s: sigma to the coordinate sum."""

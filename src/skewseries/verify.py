@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import (
-    BudgetExceeded,
-    HypothesisNotMet,
-    MixedContexts,
-    NonpositiveExponent,
-)
+from .errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from .monoids import OrderedMonoid, check_refinement
 from .properties import _GAPS, SEARCH_KINDS, SIDES, class_profile, decide_generalized
 from .rings import (
@@ -28,6 +23,7 @@ from .rings import (
     additive_generators,
     annihilator,
     check_counts,
+    check_power,
     enumerate_endomorphisms,
     idempotents,
     ideal_generated,
@@ -127,6 +123,17 @@ def coefficient_ideal_lift(ctx, family):
     return tuple(sorted(ideal_generated(ring, coeffs | {ring.zero}, "right")))
 
 
+def _products(gens, n, budget):
+    """The set of n-fold products of the series gens; the budget bounds its
+    growth."""
+    prods = set(gens)
+    for _ in range(n - 1):
+        if len(prods) * len(gens) > budget:
+            raise BudgetExceeded("product set growth exceeds budget")
+        prods = {p * g for p in prods for g in gens}
+    return prods
+
+
 def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
     """Box-supported series killed on the right by every n-fold product of gens.
 
@@ -134,36 +141,22 @@ def bounded_annihilator_in_A(ctx, gens, n, box, budget=ARMENDARIZ_BUDGET):
     enumeration order (see all_series), so it is reproducible.  The budget
     bounds the product set's growth and the slot values the kernel tries.
 
-    The result depends only on the slots, the product set and the budget,
-    so the context keeps one tuple per distinct triple and later calls share
-    it; treat it as read-only.  A call returns or raises exactly as on a
-    fresh context.  A run that raises keeps nothing.
-
     Any family whose additive span equals that of gens gives the same result:
     multiplication distributes over addition (each twist is additive), so the
     n-fold products of either family span the same group, and p -> p*g is
     additive, so g kills that group exactly when it kills a spanning set.
     The harnesses pass such spanning families (see _spanning_monomials).
     """
-    if n < 1:
-        raise NonpositiveExponent(f"power exponent must be >= 1, got {n}")
+    check_power(n)
     gens = list(gens)
     if not gens:
         raise ValueError("gens must be a nonempty series family")
     if any(not isinstance(g, SkewSeries) or g.context is not ctx for g in gens):
         raise MixedContexts("gens must be series of the given skew context")
     slots = normalize_box(ctx.monoid, box)
-    prods = set(gens)
-    for _ in range(n - 1):
-        if len(prods) * len(gens) > budget:
-            raise BudgetExceeded("product set growth exceeds budget")
-        prods = {p * g for p in prods for g in gens}
-    key = slots, frozenset(prods), budget
-    ann = ctx._annihilators.get(key)
-    if ann is None:
-        kernel = _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)
-        ann = ctx._annihilators[key] = tuple(_box_series(ctx, slots, v) for v in kernel)
-    return ann
+    prods = _products(gens, n, budget)
+    kernel = _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget)
+    return tuple(_box_series(ctx, slots, v) for v in kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -291,36 +284,48 @@ def _run_thm37(ctx, variant, box, budget, seed, samples, caps, arm):
     backward_id = "prop35_1" if variant == "baer" else "prop35_2"
     lift, prefix = ((ctx.monoid.identity(),), "X") if variant == "baer" else (slots, "I")
     entries = []
-    bridges, slices = {}, {}
+    checks = {}
     for members, depth, e in rv.per_instance:
         gens = _spanning_monomials(ctx, members, lift)
         label = f"{prefix}={_fmt_members(members)} n={depth} e={e}"
-        ann = bounded_annihilator_in_A(ctx, gens, depth, slots, budget)
-        entries.extend(_bridge_entries(ctx, ann, e, label, forward_id, bridges))
-        entries.append(_reconstruction_entry(ctx, members, depth, e, ann, label, backward_id,
-                                             slices))
+        bridge, consts = _checked(ctx, checks, gens, depth, e, slots, budget)
+        entries.extend(_bridge_entries(bridge, e, label, forward_id))
+        entries.append(_reconstruction_entry(ctx, members, depth, e, consts, label, backward_id))
     if variant == "quasi_baer":
-        entries.extend(_sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges))
+        entries.extend(_sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, checks))
     statement = "thm37_baer" if variant == "baer" else "thm37_quasibaer"
     return TheoremReport(statement, tuple(hyps), tuple(entries), _scope_note(ctx, slots))
 
 
-def _bridge_entries(ctx, ann, e, label, statement_id, bridges):
-    """The two halves of 'annihilator slice == c_e * slice'.
+def _checked(ctx, checks, gens, n, e, slots, budget):
+    """(bridge outcome, constant slice) of the bounded annihilator of gens'
+    n-fold products: whether c_e lies in it and its first g with c_e*g != g,
+    and the constants of its zero series and of its series c at the identity.
 
-    Their outcome, whether c_e lies in ann and the first g in ann with
-    c_e*g != g, depends only on e and ann.  bridges keeps it per e and ann's
-    id for the rest of the run, since many instances share one annihilator
-    tuple (over Z/8 at box 3, 255 subsets have 12 product sets).  The
-    context keeps every tuple that bounded_annihilator_in_A returns, so no
-    id is reused while the run lasts.
+    Both depend only on the product set and e, the run's slots and budget
+    being fixed, so checks keeps them per (product set, e) for the run:
+    instances share product sets (over Z/8 at box 3, 255 subsets have 12).
     """
-    key = e, id(ann)
-    outcome = bridges.get(key)
-    if outcome is None:
-        ce = const_embed(ctx, e)
-        outcome = bridges[key] = ce in ann, next((g for g in ann if ce * g != g), None)
-    in_ann, bad = outcome
+    prods = _products(gens, n, budget)
+    key = frozenset(prods), e
+    found = checks.get(key)
+    if found is None:
+        # prods at n = 1, so they are not multiplied out a second time.
+        ann = bounded_annihilator_in_A(ctx, prods, 1, slots, budget)
+        ce, one_s, consts = const_embed(ctx, e), ctx.monoid.identity(), set()
+        for g in ann:
+            if not g._terms:
+                consts.add(ctx.ring.zero)
+            elif len(g._terms) == 1 and g._terms[0][0] == one_s:
+                consts.add(g._terms[0][1])
+        found = checks[key] = (ce in ann, next((g for g in ann if ce * g != g), None)), consts
+    return found
+
+
+def _bridge_entries(bridge, e, label, statement_id):
+    """The two halves of 'annihilator slice == c_e * slice', from the bridge
+    outcome of _checked."""
+    in_ann, bad = bridge
     yield ConclusionEntry(statement_id, f"{label}: c_e lies in the bounded series annihilator",
                           None if in_ann else f"c_{e} missing")
     yield ConclusionEntry(statement_id,
@@ -328,23 +333,10 @@ def _bridge_entries(ctx, ann, e, label, statement_id, bridges):
                           None if bad is None else f"g = {format_series(bad)}")
 
 
-def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id, slices):
-    """Constants of the series-level annihilator rebuild the ring-level one.
-
-    The constant slice of ann is read once per ann, and slices keeps it by
-    ann's id for the rest of the run (see _bridge_entries).
-    """
+def _reconstruction_entry(ctx, members, depth, e, consts, label, statement_id):
+    """Constants of the series-level annihilator (the constant slice of
+    _checked) rebuild the ring-level one."""
     ring = ctx.ring
-    consts = slices.get(id(ann))
-    if consts is None:
-        # The zero series and each series c at the identity.
-        one_s = ctx.monoid.identity()
-        consts = slices[id(ann)] = set()
-        for g in ann:
-            if not g._terms:
-                consts.add(ring.zero)
-            elif len(g._terms) == 1 and g._terms[0][0] == one_s:
-                consts.add(g._terms[0][1])
     e_right = frozenset(ring.mul_table[e])
     ring_ann = annihilator(ring, subset_power(ring, members, depth), "right")
     ok = consts == e_right and consts == ring_ann
@@ -355,7 +347,7 @@ def _reconstruction_entry(ctx, members, depth, e, ann, label, statement_id, slic
     )
 
 
-def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges):
+def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, checks):
     """Seeded finitely generated series families and their coefficient ideals.
 
     Each sample takes two random box-supported generators, closes them under
@@ -390,8 +382,8 @@ def _sampled_ideal_roundtrips(ctx, rv, slots, seed, samples, budget, bridges):
             f"sample {i}: gens [{format_series(gens[0])}] [{format_series(gens[1])}] "
             f"-> I={_fmt_members(members)} n={depth} b={b}"
         )
-        ann = bounded_annihilator_in_A(ctx, family, depth, slots, budget)
-        entries.extend(_bridge_entries(ctx, ann, b, label, "prop36_2", bridges))
+        bridge, _ = _checked(ctx, checks, family, depth, b, slots, budget)
+        entries.extend(_bridge_entries(bridge, b, label, "prop36_2"))
     return entries
 
 

@@ -25,6 +25,10 @@ pass.
 Every pin here, the zn:8 box 4 pin among them (it runs past the benchmark's
 box 3), was recorded before the context kept one bounded annihilator per
 product set and before jsonl wrote each certificate block by block.
+The zn:12 Baer pin (4,095 instances) and the zn:8 corollaries pin were
+recorded before a Thm 3.7 run came to keep its own table of annihilator
+checks in place of the context's bounded annihilators, which the two
+natural runs of the corollaries shared.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -83,6 +87,10 @@ GOLDEN = [
      0, "ff2bf83bd49bdbf28819fe67fcd0239fef52581cefed340b7acecb046e3711b1"),
     (('verify', 'thm37-baer', '--ring', 'zn:8', '--box', '3'),
      0, "bf6118d72c50f660b89ad95c0625d11ff1915f2c174e789137ab0adcd360e9e7"),
+    (('verify', 'thm37-baer', '--ring', 'zn:12', '--box', '2'),
+     0, "ee5c178e5b471aa5cb9f3f46379f1705434ac6ac1d8e69f35ab6634519958a5e"),
+    (('verify', 'corollaries', '--ring', 'zn:8', '--box', '2'),
+     0, "53f6c9cd06d0c838f330d80a60439108ef385d2d0c69790706a66c16805815d9"),
     (('verify', 'thm37-baer', '--ring', 'zn:8', '--box', '4', '--budget', '100000000'),
      0, "3ea9f870d9597c324c712fdef540782f1df442ce5c559853649b190ea0c981c0"),
     (('verify', 'thm37-baer', '--ring', 'zn:6', '--box', '2', '--monoid', 'nat2:lex'),

@@ -328,6 +328,32 @@ def test_recheck_rejects_members_outside_the_ring():
     assert not recheck_class_verdict(_with_triples(subsets, [(members, n, 7), *rest]))
 
 
+MALFORMED_TRIPLES = [
+    ("depth 0", lambda m, n, e: (m, 0, e)),
+    ("depth -1", lambda m, n, e: (m, -1, e)),
+    ("depth 1.5", lambda m, n, e: (m, 1.5, e)),
+    ("depth '1'", lambda m, n, e: (m, "1", e)),
+    ("depth True", lambda m, n, e: (m, True, e)),
+    ("two entries", lambda m, n, e: (m, n)),
+    ("four entries", lambda m, n, e: (m, n, e, e)),
+    ("list members", lambda m, n, e: (list(m), n, e)),
+    ("no members", lambda m, n, e: ((), n, e)),
+    ("list triple", lambda m, n, e: [m, n, e]),
+]
+
+
+@pytest.mark.parametrize("tamper", [t for _, t in MALFORMED_TRIPLES],
+                         ids=[name for name, _ in MALFORMED_TRIPLES])
+@pytest.mark.parametrize("cls", ["baer", "quasi_baer"])
+def test_recheck_refuses_a_malformed_first_triple(cls, tamper):
+    # Each used to raise (NonpositiveExponent, TypeError, ValueError on
+    # unpacking), except depth True, which equals 1 and rechecked True.
+    cv = decide_generalized(Z4, cls, "right")
+    assert recheck_class_verdict(cv)
+    first, *rest = cv.per_instance
+    assert not recheck_class_verdict(_with_triples(cv, [tamper(*first), *rest]))
+
+
 def test_unknown_class_names_are_refused():
     # The certificate is right for gen_baer_right, but "bogus" names no class.
     cv = decide_generalized(Z4, "baer", "right")

@@ -419,6 +419,13 @@ def test_subset_power_products():
         subset_power(Z4, {2}, 0)
 
 
+@pytest.mark.parametrize("power", [1.5, True, "2"], ids=repr)
+def test_subset_power_refuses_a_power_that_is_no_int(power):
+    # True equals 1 and once returned {2}; 1.5 raised a TypeError from range.
+    with pytest.raises(ValueError, match=f"^power exponent must be an int, got {power!r}$"):
+        subset_power(Z4, {2}, power)
+
+
 def test_annihilator_chain_ascends():
     for subset in ({2}, {2, 3}, {1, 2}):
         prev = annihilator(Z4, subset_power(Z4, subset, 1), "right")

@@ -3,7 +3,7 @@
 perfbench/tracer.py reads the third positional argument of
 armendariz_search as a scan mode, so a call site that passed the budget
 positionally would make series.armendariz_search.pairs read 0 without an
-error.  These runs pin the counts the tracer reports on two small jobs.
+error.  These runs pin the counts the tracer reports on three small jobs.
 """
 
 import json
@@ -34,3 +34,13 @@ def test_armendariz_pairs_and_ideal_generation_counts(tmp_path):
     qb = _traced_metrics(tmp_path, "verify", "thm37-quasibaer", "--ring", "zn:4", "--box", "2",
                          "--samples", "2")
     assert qb["rings.ideal_generated.calls"] == 2
+
+
+def test_annihilator_counters_count_kernel_work(tmp_path):
+    # A Thm 3.7 run computes one bounded annihilator per product set, so the
+    # tracer's calls and candidates count kernel runs: 12 runs over 8^3 box
+    # series for the 255 instances of Z/8 at box 3.
+    baer = _traced_metrics(tmp_path, "verify", "thm37-baer", "--ring", "zn:8", "--box", "3")
+    assert baer["verify.bounded_annihilator.calls"] == 12
+    assert baer["verify.bounded_annihilator.candidates"] == 12 * 8 ** 3 == 6144
+    assert baer["series.mul.calls"] == 561

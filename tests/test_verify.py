@@ -247,7 +247,7 @@ def test_corollaries_run_the_harness_once_per_variant(monkeypatch):
     calls.clear()
     for variant in ("baer", "quasi_baer"):
         verify_thm37(CTX4, variant, [0, 1], samples=2, seed=3)
-    assert corollaries == len(calls) == 20
+    assert corollaries == len(calls) == 8
 
 
 def test_thm37_hypotheses_report_a_given_armendariz_certificate(monkeypatch):
@@ -376,6 +376,13 @@ def test_bounded_annihilator_rejects_foreign_generators():
         bounded_annihilator_in_A(CTX4, [const_embed(CTX6, 1)], 1, [0])
 
 
+@pytest.mark.parametrize("power", [1.5, True, "2"], ids=repr)
+def test_bounded_annihilator_refuses_a_power_that_is_no_int(power):
+    # True equals 1 and once returned the four series killed by c_2.
+    with pytest.raises(ValueError, match=f"^power exponent must be an int, got {power!r}$"):
+        bounded_annihilator_in_A(CTX4, [const_embed(CTX4, 2)], power, [0, 1])
+
+
 def test_thm37_refuses_a_refinement_that_is_not_total():
     monoid = OrderedMonoid("nat_k", "product", k=2)
     monoid.refined_mode = "product"  # a partial order posing as the refinement
@@ -488,21 +495,27 @@ def test_zero_samples_is_a_count_like_any_other():
 
 
 def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
-    # Over Z/8 at box 3 many Baer instances share one annihilator (15 subsets
-    # have the whole box), so their bridge check is done once.
+    # Over Z/8 at box 3 many Baer instances share one product set (15 subsets
+    # have the whole box), so their annihilator and bridge check are done once.
     ctx = SkewContext(ring_zn(8), NAT)
     slots = NAT.box(2)
-    real_ann, real_mul = verify.bounded_annihilator_in_A, SkewSeries.__mul__
+    real_ann, real_products = verify.bounded_annihilator_in_A, verify._products
+    real_mul = SkewSeries.__mul__
     anns = []
-    inside = [False]
+    inside = [0]
     bridge_muls = [0]
 
+    def outside_the_bridge(real):
+        def spy(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+        return spy
+
     def ann_spy(*args, **kwargs):
-        inside[0] = True
-        try:
-            anns.append(real_ann(*args, **kwargs))
-        finally:
-            inside[0] = False
+        anns.append(outside_the_bridge(real_ann)(*args, **kwargs))
         return anns[-1]
 
     def mul_spy(self, other):
@@ -510,15 +523,19 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
         return real_mul(self, other)
 
     monkeypatch.setattr(verify, "bounded_annihilator_in_A", ann_spy)
+    monkeypatch.setattr(verify, "_products", outside_the_bridge(real_products))
     monkeypatch.setattr(SkewSeries, "__mul__", mul_spy)
     report = verify_thm37(ctx, "baer", slots)
     monkeypatch.undo()
     instances = decide_generalized(ctx.ring, "baer", "right", DEFAULT_CAPS).per_instance
     assert report.outcome == "PASS"
-    assert len(anns) == len(instances) == 255  # one annihilator per instance
-    # The uncached bridge: c_e in ann, and the first g in ann with c_e*g != g.
-    expected = []
-    for (_, _, e), ann in zip(instances, anns):
+    assert len(instances) == 255
+    # The bridge of each instance from its own annihilator: c_e in ann, and
+    # the first g in ann with c_e*g != g.
+    expected, per_instance = [], []
+    for members, n, e in instances:
+        ann = bounded_annihilator_in_A(ctx, [const_embed(ctx, x) for x in members], n, slots)
+        per_instance.append(ann)
         ce = const_embed(ctx, e)
         bad = next((g for g in ann if ce * g != g), None)
         expected.append([(ce in ann, None if ce in ann else f"c_{e} missing"),
@@ -526,14 +543,14 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
     entries = report.conclusion_checked
     got = [[(x.ok, x.witness) for x in entries[i:i + 2]] for i in range(0, len(entries), 3)]
     assert got == expected
-    assert [x.statement_id for x in entries] == ["prop36_1", "prop36_1", "prop35_1"] * len(anns)
-    # Each passing bridge multiplies c_e into every g of its annihilator once
-    # per distinct (e, annihilator tuple), not once per instance: instances
-    # with one product set share one tuple, 12 tuples for 255 instances.
-    distinct = {(e, id(ann)): ann for (_, _, e), ann in zip(instances, anns)}
-    assert len(distinct) == 12
-    assert bridge_muls[0] == sum(len(ann) for ann in distinct.values()) == 523
-    assert sum(len(ann) for ann in anns) == 7920
+    assert [x.statement_id for x in entries] == ["prop36_1", "prop36_1", "prop35_1"] * 255
+    # The run computes one annihilator per distinct (product set, e), not one
+    # per instance: 12 for 255 instances.  Each passing bridge multiplies c_e
+    # into every g of its annihilator once.
+    assert len(anns) == 12
+    assert set(anns) == set(per_instance)
+    assert bridge_muls[0] == sum(len(ann) for ann in anns) == 523
+    assert sum(len(ann) for ann in per_instance) == 7920
 
 
 def _kernel_work(monkeypatch):
@@ -571,10 +588,12 @@ def test_thm37_runs_the_kernel_once_per_product_set(monkeypatch, ring, monoid, b
 
     monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
     work = _kernel_work(monkeypatch)
-    report = verify_thm37(SkewContext(builtin_ring(ring), monoid), "baer", monoid.box(box - 1))
+    ctx = SkewContext(builtin_ring(ring), monoid)
+    report = verify_thm37(ctx, "baer", monoid.box(box - 1))
     assert report.outcome == "PASS"
-    # Still one call per instance; the context answers the repeats.
-    assert len(calls) == instances
+    assert len(decide_generalized(ctx.ring, "baer", "right").per_instance) == instances
+    # One call per product set; the run's table answers the repeats.
+    assert len(calls) == runs
     assert work == [runs, series]
 
 
@@ -586,7 +605,6 @@ def test_kept_annihilators_still_honour_the_budget():
     assert len(ann) == 8
     with pytest.raises(BudgetExceeded, match="^annihilator search tried more than 13 slot values$"):
         bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=13)
-    assert bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=14) is ann
 
 
 def test_an_annihilator_over_budget_is_not_kept(monkeypatch):
@@ -596,46 +614,54 @@ def test_an_annihilator_over_budget_is_not_kept(monkeypatch):
     for _ in range(2):
         with pytest.raises(BudgetExceeded, match="slot values"):
             bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2], budget=13)
-    assert ctx._annihilators == {}
     assert len(bounded_annihilator_in_A(ctx, gens, 1, [0, 1, 2])) == 8
     # Each tripped call ran the kernel; the full run is the third.
     assert work[0] == 3
 
 
-def test_a_second_run_on_one_context_reuses_its_annihilators(monkeypatch):
+def test_a_second_run_on_one_context_does_the_first_runs_work_again(monkeypatch):
+    # A run keeps nothing on the context but the kernel plans.
     ctx = SkewContext(ring_zn(8), NAT)
-    first = verify_thm37(ctx, "baer", NAT.box(2))
     work = _kernel_work(monkeypatch)
+    first = verify_thm37(ctx, "baer", NAT.box(2))
+    assert work == [12, 523]
     assert verify_thm37(ctx, "baer", NAT.box(2)) == first
-    assert work == [0, 0]
+    assert work == [24, 1046]
 
 
-def test_bridge_outcomes_are_kept_per_annihilator_contents():
+def test_equal_annihilator_calls_return_equal_distinct_tuples():
     ctx = SkewContext(Z4, NAT)
-    box = NAT.box(1)
-    bridges = {}
+    gens = [const_embed(ctx, 2)]
+    first, second = (bounded_annihilator_in_A(ctx, gens, 1, [0, 1]) for _ in range(2))
+    assert first == second and first is not second
+    assert len(first) == 4
 
-    def ann(gens, n=1):
-        return bounded_annihilator_in_A(ctx, gens, n, box)
 
-    def outcome(ann, e):
-        return [(x.ok, x.witness)
-                for x in verify._bridge_entries(ctx, ann, e, "X={2} n=1 e=0", "prop36_1", bridges)]
+def test_bridge_outcomes_are_kept_per_product_set_and_e():
+    ctx = SkewContext(Z4, NAT)
+    box = normalize_box(NAT, NAT.box(1))
+    checks = {}
 
-    # Same e, different annihilators: each gets its own outcome.
+    def outcome(gens, e, n=1):
+        bridge, _ = verify._checked(ctx, checks, gens, n, e, box, ARMENDARIZ_BUDGET)
+        return [(x.ok, x.witness) for x in verify._bridge_entries(bridge, e, "X n e", "prop36_1")]
+
+    # Same e, different product sets: each gets its own entry.
     one, two, zero = const_embed(ctx, 1), const_embed(ctx, 2), zero_series(ctx)
-    assert ann([one]) == (zero,)
-    assert outcome(ann([one]), 0) == [(True, None), (True, None)]
-    assert ann([zero]) == tuple(all_series(ctx, box))
-    assert outcome(ann([zero]), 0) == [(True, None), (False, "g = 1@1")]
-    assert one not in ann([two])
-    assert outcome(ann([two]), 1) == [(False, "c_1 missing"), (True, None)]
-    assert len(bridges) == 3
-    # The square of zero is zero, so this product set equals that of [zero]:
-    # the call returns the same tuple, and the kept outcome is reused.
-    assert ann([zero, zero], 2) is ann([zero])
-    assert outcome(ann([zero, zero], 2), 0) == [(True, None), (False, "g = 1@1")]
-    assert len(bridges) == 3
+    assert bounded_annihilator_in_A(ctx, [one], 1, box) == (zero,)
+    assert outcome([one], 0) == [(True, None), (True, None)]
+    assert bounded_annihilator_in_A(ctx, [zero], 1, box) == tuple(all_series(ctx, box))
+    assert outcome([zero], 0) == [(True, None), (False, "g = 1@1")]
+    assert one not in bounded_annihilator_in_A(ctx, [two], 1, box)
+    assert outcome([two], 1) == [(False, "c_1 missing"), (True, None)]
+    assert len(checks) == 3
+    # The square of zero is zero, so this product set equals that of [zero]
+    # and the kept entry is reused.
+    assert outcome([zero, zero], 0, n=2) == [(True, None), (False, "g = 1@1")]
+    assert len(checks) == 3
+    # The same product set with another e is another entry.
+    assert outcome([zero], 1) == [(True, None), (True, None)]
+    assert len(checks) == 4
 
 
 def _answer(ctx, terms, n, box, budget):
@@ -841,15 +867,18 @@ def test_thm37_reports_match_the_oracle(gf4, monkeypatch):
     # Every entry of the fast report, in order, against the one the oracle
     # rebuilds from the definitions: Baer on every twist that meets the
     # hypotheses, quasi-Baer with seeded samples on rings of order <= 4.
-    # Each bounded annihilator the fast run computes, call by call, is the
-    # oracle's too.
-    anns = []
+    # Each family the run checks, instance by instance and then sample by
+    # sample, has the oracle's bounded annihilator, and the bridge outcome and
+    # constant slice its run table served are the ones that annihilator gives.
+    checked = []
+    real = verify._checked
 
-    def spy(*args, **kwargs):
-        anns.append(bounded_annihilator_in_A(*args, **kwargs))
-        return anns[-1]
+    def spy(ctx, checks, gens, n, e, slots, budget):
+        gens = list(gens)
+        checked.append((gens, n, e, real(ctx, checks, gens, n, e, slots, budget)))
+        return checked[-1][3]
 
-    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+    monkeypatch.setattr(verify, "_checked", spy)
     compared = {"baer": 0, "quasi_baer": 0}
     for ring, twists in _oracle_rings(gf4):
         variants = ("baer", "quasi_baer") if ring.order <= 4 else ("baer",)
@@ -860,7 +889,7 @@ def test_thm37_reports_match_the_oracle(gf4, monkeypatch):
             ctx = SkewContext(ring, monoid, sigma)
             for variant in variants:
                 box = monoid.box(2)[:2 if ring.order == 8 or variant == "quasi_baer" else 3]
-                anns.clear()
+                checked.clear()
                 try:
                     report = verify_thm37(ctx, variant, box, seed=5, samples=3)
                 except HypothesisNotMet as exc:
@@ -869,9 +898,16 @@ def test_thm37_reports_match_the_oracle(gf4, monkeypatch):
                     continue
                 entries, oracle_anns = oracle_verify_thm37(ctx, variant, box, 5, 3)
                 assert [(e.instance, e.ok) for e in report.conclusion_checked] == entries, ctx
-                assert len(anns) == len(oracle_anns), ctx
-                for call, (ann, oracle_ann) in enumerate(zip(anns, oracle_anns)):
+                assert len(checked) == len(oracle_anns), ctx
+                one_s = monoid.identity()
+                for call, ((gens, n, e, served), oracle_ann) in enumerate(
+                        zip(checked, oracle_anns)):
+                    ann = bounded_annihilator_in_A(ctx, gens, n, box)
                     assert ann == oracle_ann, (ctx, variant, call)
+                    ce = const_embed(ctx, e)
+                    consts = {g.coeff(one_s) for g in ann if g.support <= {one_s}}
+                    assert served == ((ce in ann, next((g for g in ann if ce * g != g), None)),
+                                      consts), (ctx, variant, call)
                 compared[variant] += 1
     assert compared == {"baer": 33, "quasi_baer": 18}
 
