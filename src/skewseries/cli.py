@@ -9,15 +9,19 @@ are the single source of truth.  Exit codes: 0 ok/PASS, 2 bad spec,
 
 The series and verify modules are imported inside the subcommands and
 helpers that use them, so a `ring` command never loads them: each run is a
-fresh process, and start-up is most of a small run's time.
+fresh process, and start-up is most of a small run's time.  For the same
+reason there is no argparse: its import, its parser build and the gettext
+lookups that load locale cost about 8 ms a run, more than most small jobs
+compute.  parse_args reads the line from the COMMANDS table instead.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .errors import (
     AlgebraError,
@@ -351,82 +355,165 @@ def cmd_series(args, records, caps):
 
 
 def _config_record(args):
-    skip = {"func", "output"}
-    rec = {"record": "config", "command": args.command}
-    for key, value in sorted(vars(args).items()):
-        if key not in skip and key != "command" and value is not None:
-            rec[key] = value if isinstance(value, (int, bool)) else str(value)
-    return rec
+    rec = {key: value if isinstance(value, int) else str(value)
+           for key, value in vars(args).items() if key not in ("func", "output")}
+    return {"record": "config", **rec}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="skewseries",
-        description="Exact deciders and theorem harnesses for annihilator "
-                    "conditions in finite rings and their skew series rings.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("text", "jsonl"), default="text",
-                        help="report format; text is derived from the jsonl records")
-    common.add_argument("--caps", default="",
-                        help="override size caps, e.g. subset=20,endo=12")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command line.  COMMANDS maps each command path to (description,
+# positional, options, handler).  The positional is (dest, count, choices):
+# count "1" takes one word, "+" one or more, and "..." a subcommand name that
+# hands the rest of the line on; the path ends at an entry with a handler.
+# An option is (dest, default, choices, conversion, help), and a default of
+# None makes it required.
+_COMMON = {"--output": ("output", "text", ("text", "jsonl"), str, "text renders the jsonl records"),
+           "--caps": ("caps", "", None, str, "override size caps, e.g. subset=20,endo=12")}
+_RING = {"--ring": ("ring", None, None, str, "catalog name, ring spec or ring file")}
+_TWIST = {"--monoid": ("monoid", "nat:natural", None, str, "exponent monoid spec or file"),
+          "--sigma": ("sigma", "id", None, str, "'id' or an index into the endomorphisms")}
+_CHECK = {"--class": ("cls", "all", sorted(_CLASS_FLAGS + ("all",)), str, "class to decide"),
+          "--side": ("side", "right", (*SIDES, "both"), str, "side of the generalized classes")}
+_VERIFY = {"--box": ("box", 2, None, int, "exponent values per axis; over int, -(N-1)..N-1"),
+           "--seed": ("seed", 0, None, int, "seed of the sampled series ideals"),
+           "--samples": ("samples", 20, None, int, "sampled series ideals (quasi-Baer variant)"),
+           "--budget": ("budget", ARMENDARIZ_BUDGET, None, int, "Armendariz pair budget")}
+_SEARCH = {"--catalog": ("catalog", ",".join(CATALOG_NAMES), None, str, "ring names or files"),
+           "--properties": ("properties", "all", None, str, "all, or of " + ",".join(SEARCH_KINDS)),
+           "--budget": ("budget", SEARCH_BUDGET, None, int, "work budget"),
+           "--box": ("box", 2, None, int, "exponent values per axis")}
+COMMANDS = {
+    (): ("Exact deciders and theorem harnesses for annihilator conditions in finite rings "
+         "and their skew series rings.", ("command", "...", ("ring", "verify", "search", "series")),
+         {}, None),
+    ("ring",): ("catalog, tables, and class deciders", ("subcmd", "...", ("list", "show", "check")),
+                {}, None),
+    ("ring", "list"): ("print the builtin catalog", None, _COMMON, cmd_ring),
+    ("ring", "show"): ("tables and idempotents", None, {**_COMMON, **_RING}, cmd_ring),
+    ("ring", "check"): ("run class deciders", None, {**_COMMON, **_RING, **_CHECK}, cmd_ring),
+    ("verify",): ("run a statement harness", ("statement", "1", STATEMENTS),
+                  {**_COMMON, **_RING, **_TWIST, **_VERIFY}, cmd_verify),
+    ("search",): ("scan rings for strict gaps and Armendariz failures", None,
+                  {**_COMMON, **_SEARCH}, cmd_search),
+    ("series",): ("parse series literals like '2@0 + 3@1' or '1@0,1'; print sum and product",
+                  ("literals", "+", None), {**_COMMON, **_RING, **_TWIST}, cmd_series),
+}
 
-    ring_p = sub.add_parser("ring", help="catalog, tables, and class deciders")
-    ring_sub = ring_p.add_subparsers(dest="subcmd", required=True)
-    ring_sub.add_parser("list", parents=[common], help="print the builtin catalog")
-    show_p = ring_sub.add_parser("show", parents=[common], help="tables and idempotents")
-    show_p.add_argument("--ring", required=True)
-    check_p = ring_sub.add_parser("check", parents=[common], help="run class deciders")
-    check_p.add_argument("--ring", required=True)
-    check_p.add_argument("--class", dest="cls", default="all",
-                         choices=sorted(_CLASS_FLAGS + ("all",)))
-    check_p.add_argument("--side", default="right", choices=("right", "left", "both"),
-                         help="side for the generalized classes")
 
-    verify_p = sub.add_parser("verify", parents=[common],
-                              help="run a statement harness")
-    verify_p.add_argument("statement", choices=STATEMENTS)
-    verify_p.add_argument("--ring", required=True)
-    verify_p.add_argument("--monoid", default="nat:natural",
-                          help="exponent monoid spec or file (default nat:natural)")
-    verify_p.add_argument("--sigma", default="id",
-                          help="'id' or an index into the endomorphism enumeration")
-    verify_p.add_argument("--box", type=int, default=2,
-                          help="exponent values per axis from the identity; over int, "
-                               "the 2N-1 values -(N-1)..N-1 (default 2)")
-    verify_p.add_argument("--seed", type=int, default=0)
-    verify_p.add_argument("--samples", type=int, default=20,
-                          help="sampled series ideals for the quasi-Baer variant")
-    verify_p.add_argument("--budget", type=int, default=ARMENDARIZ_BUDGET)
+def _usage(path):
+    _, positional, options, _ = COMMANDS[path]
+    words = ["usage: skewseries", *path, "[-h]"]
+    for flag, (dest, default, choices, _, _) in options.items():
+        word = f"{flag} {'{' + ','.join(choices) + '}' if choices else dest.upper()}"
+        words.append(word if default is None else f"[{word}]")
+    if positional:
+        dest, count, choices = positional
+        words.append(("{" + ",".join(choices) + "}" if choices else dest.upper())
+                     + ("" if count == "1" else " ..."))
+    return " ".join(words)
 
-    search_p = sub.add_parser("search", parents=[common],
-                              help="scan rings for strict gaps and Armendariz failures")
-    search_p.add_argument("--catalog", default=",".join(CATALOG_NAMES),
-                          help="comma-separated ring names or files; empty scans nothing")
-    search_p.add_argument("--properties", default="all",
-                          help="comma-separated subset of: " + ", ".join(SEARCH_KINDS))
-    search_p.add_argument("--budget", type=int, default=SEARCH_BUDGET)
-    search_p.add_argument("--box", type=int, default=2)
 
-    series_p = sub.add_parser("series", parents=[common],
-                              help="parse series literals; print sum and product")
-    series_p.add_argument("--ring", required=True)
-    series_p.add_argument("--monoid", default="nat:natural")
-    series_p.add_argument("--sigma", default="id")
-    series_p.add_argument("literals", nargs="+", metavar="SERIES",
-                          help="literal like '2@0 + 3@1' or '1@0,1' for tuple exponents")
+def _help(path):
+    text, positional, options, _ = COMMANDS[path]
+    lines = [("-h, --help", "show this help and exit"), *((f, o[4]) for f, o in options.items())]
+    if positional and positional[1] == "...":
+        lines += [(name, COMMANDS[path + (name,)][0]) for name in positional[2]]
+    sys.stdout.write(f"{_usage(path)}\n\n{text}\n\n" + "".join(f"  {a:<14}{b}\n" for a, b in lines))
+    raise SystemExit(EXIT_OK)
 
-    ring_p.set_defaults(func=cmd_ring)
-    verify_p.set_defaults(func=cmd_verify)
-    search_p.set_defaults(func=cmd_search)
-    series_p.set_defaults(func=cmd_series)
-    return parser
+
+def _fail(path, message):
+    sys.stderr.write(f"{_usage(path)}\nskewseries: error: {message}\n")
+    raise SystemExit(EXIT_SPEC)
+
+
+def _value(path, name, text, conv, choices):
+    try:
+        value = conv(text)
+    except ValueError:
+        _fail(path, f"argument {name}: invalid {conv.__name__} value: {text!r}")
+    if choices and value not in choices:
+        _fail(path, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _word(path, word, flags):
+    # None for a value, else (flag, text glued to it); the flag is None for
+    # an option this level does not know.
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in flags:
+        return word, None
+    flag, eq, glued = word.partition("=")
+    if eq and flag in flags:
+        return flag, glued
+    # A unique prefix of a long option.  Short options are only -h.
+    found = [(f, glued if eq else None) for f in flags if f.startswith(flag) and word[1] == "-"]
+    if len(found) > 1:
+        _fail(path, f"ambiguous option: {word} could match {', '.join(f for f, _ in found)}")
+    if found:
+        return found[0]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", word) or " " in word else (None, None)
+
+
+def parse_args(argv):
+    """The namespace of a command line: each dest of its command path, and
+    func, the handler.  Words are read in argparse's order, so a line parses,
+    asks for help or fails (exit 2, usage on stderr) where argparse would."""
+    ns, path, words, extras = {}, (), list(argv), []
+    while True:
+        _, positional, options, func = COMMANDS[path]
+        flags = {**options, "-h": None, "--help": None}
+        ns.update({dest: default for dest, default, *_ in options.values()})
+        # Per word: an option's (flag, glued), "A" a value, or "-" the first
+        # "--", which makes every later word a value.
+        sep = words.index("--") if "--" in words else len(words)
+        kinds = ([_word(path, word, flags) or "A" for word in words[:sep]]
+                 + ["-"] * (sep < len(words)) + ["A"] * (len(words) - sep - 1))
+        i, pending = 0, positional
+        while i < len(words):
+            kind = kinds[i]
+            if isinstance(kind, str) and pending and (kind == "A" or i + 1 < len(words)):
+                dest, count, choices = pending
+                end = i + 1 + (kind == "-")
+                while end < len(words) and (count == "..." or kinds[end] == "-"
+                                            or count == "+" and kinds[end] == "A"):
+                    end += 1
+                values = words[i:end]
+                if count != "..." and "--" in values:
+                    values.remove("--")
+                _value(path, dest, values[0], str, choices)  # only "+" takes several, choice-free
+                ns[dest] = values if count == "+" else values[0]
+                pending, i, rest = None, end, values
+            elif isinstance(kind, str) or kind[0] is None:
+                extras.append(words[i])
+                i += 1
+            else:
+                (flag, glued), i = kind, i + 1
+                if flags[flag] is None:  # -h or --help
+                    if glued is None:
+                        _help(path)
+                    _fail(path, f"argument -h/--help: ignored explicit argument {glued!r}")
+                dest, _, choices, conv, _ = flags[flag]
+                if glued is None:
+                    if i == len(words) or kinds[i] != "A":
+                        _fail(path, f"argument {flag}: expected one argument")
+                    glued, i = words[i], i + 1
+                ns[dest] = _value(path, flag, glued, conv, choices)
+        missing = [pending[0]] if pending else []
+        missing += [f for f, o in options.items() if o[1] is None and ns[o[0]] is None]
+        if missing:
+            _fail(path, f"the following arguments are required: {', '.join(missing)}")
+        if func:
+            break
+        path, words = path + (rest[0],), rest[1:]
+    if extras:
+        _fail(path, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**ns, func=func)
 
 
 def run(argv=None, stream=None):
     stream = stream if stream is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     records = [_config_record(args)]
     try:
         code = args.func(args, records, DEFAULT_CAPS.updated(args.caps))

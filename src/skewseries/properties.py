@@ -410,20 +410,27 @@ def _is_triple(triple, order):
 
 def recheck_class_verdict(cv):
     """True when cv accepts and its certificate lists every instance of
-    cv.ring in walk order, each triple replaying through the public
-    definitional operations.  An unknown class name, or a triple that is no
-    (nonempty tuple of elements, int depth >= 1, element) of the ring, makes
-    it False.
+    cv.ring in walk order, each triple stating what the walk states.  An
+    unknown class name, or a triple that is no (nonempty tuple of elements,
+    int depth >= 1, element) of the ring, makes it False.
 
     Subsets must be every nonempty subset in ascending bitmask order.  Ideals
     must ascend strictly by size then members, hold {0}, each be its own
     ideal_generated, and list ideal_generated(I | {x}) for every listed I
     and element x: every ideal is reached from {0} that way, so none is
     missing.
+
+    Each (X, n, e) replays through the public definitional operations: n is
+    the first depth whose r(X^n) is idempotent-generated, and e the smallest
+    idempotent generating it.  Up to that depth the chain r(X) < r(X^2) < ...
+    ascends strictly (a plateau is final), and each step at least doubles an
+    additive group, so n <= log2|R| + 1; a deeper n is refused at once.
     """
+    if cv.class_name not in CLASS_NAMES or not cv.verdict:
+        return False
     ring, side = cv.ring, "left" if cv.class_name.endswith("left") else "right"
-    if cv.class_name not in CLASS_NAMES or not cv.verdict or not all(
-            _is_triple(t, ring.order) for t in cv.per_instance):
+    if not all(_is_triple(t, ring.order) and t[1] <= ring.order.bit_length()
+               for t in cv.per_instance):
         return False
     listed = [members for members, _, _ in cv.per_instance]
     if cv.instance_kind == "subset":
@@ -438,6 +445,10 @@ def recheck_class_verdict(cv):
                     and all((len(a), a) < (len(b), b) for a, b in pairwise(listed))
                     and all(ideal(m) == m for m in listed)
                     and all(ideal({*m, x}) in found for m in listed for x in range(ring.order)))
+    generator = {}  # principal ideal -> its smallest idempotent generator
+    for e in idempotents(ring):
+        generator.setdefault(_principal(ring, e, side), e)
     return complete and all(
-        annihilator(ring, subset_power(ring, members, n), side) == _principal(ring, e, side)
+        [generator.get(annihilator(ring, subset_power(ring, members, k), side))
+         for k in range(1, n + 1)] == [None] * (n - 1) + [e]
         for members, n, e in cv.per_instance)

@@ -254,6 +254,22 @@ def gr42():
     return galois_ring_4_2()
 
 
+@functools.lru_cache(maxsize=None)
+def triangular(a, d, c):
+    """The formal triangular ring [[Z/a, Z/d], [0, Z/c]] for d dividing a and
+    c.  (x, y, z) is stored at index x + a*y + a*d*z, and
+    (x, y, z)(x', y', z') = (xx', xy' + yz', zz'), where Z/a and Z/c act on
+    Z/d through reduction mod d."""
+    elements = [(x, y, z) for z in range(c) for y in range(d) for x in range(a)]
+    index = {t: i for i, t in enumerate(elements)}
+    add = [[index[(x + p) % a, (y + q) % d, (z + r) % c] for p, q, r in elements]
+           for x, y, z in elements]
+    mul = [[index[x * p % a, (x * q + y * r) % d, z * r % c] for p, q, r in elements]
+           for x, y, z in elements]
+    return FiniteRing(a * d * c, add, mul, 0, index[1 % a, 0, 1 % c],
+                      label=f"[[Z/{a}, Z/{d}], [0, Z/{c}]]")
+
+
 # ---------------------------------------------------------------------------
 # random rings for the decider and ideal differential tests
 

@@ -183,7 +183,7 @@ def _modules_loaded(code):
     return set(proc.stdout.split())
 
 
-# What a ring command needs beyond argparse and json.
+# What a ring command needs beyond json.
 RING_COMMAND_MODULES = {
     "__future__",
     "skewseries",
@@ -199,9 +199,20 @@ RING_COMMAND_MODULES = {
 def test_cli_import_loads_only_what_ring_commands_need():
     # A fresh process pays for every import, so a module that creeps into
     # this set slows every run of the CLI.
-    added = _modules_loaded("import skewseries.cli") - _modules_loaded("import argparse, json")
+    added = _modules_loaded("import skewseries.cli") - _modules_loaded("import json")
     assert added == RING_COMMAND_MODULES
     assert not {"dataclasses", "configparser", "skewseries.series", "skewseries.verify"} & added
+
+
+@pytest.mark.parametrize("argv", [["ring", "list"], ["verify", "prop34", "--ring", "zn:4"]],
+                         ids=["ring", "verify"])
+def test_a_cli_run_loads_no_argparse_gettext_or_locale(argv):
+    # The command line is read from cli.COMMANDS: argparse's import, its
+    # parser build and the gettext lookups that load locale cost every run
+    # more than most small jobs compute.
+    loaded = _modules_loaded(
+        f"import io\nfrom skewseries.cli import run\nrun({argv!r}, io.StringIO())")
+    assert not {"argparse", "gettext", "locale"} & loaded
 
 
 @pytest.mark.parametrize("argv", [

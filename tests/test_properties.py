@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import galois_ring_4_2, gf4_dual_numbers, gf4_ring, product_rings
+from conftest import galois_ring_4_2, gf4_dual_numbers, gf4_ring, product_rings, triangular
 from skewseries.errors import SizeCapExceeded
 from skewseries.properties import (
     CLASS_NAMES,
@@ -364,6 +365,61 @@ def test_unknown_class_names_are_refused():
     # A name of the other instance kind is known, and only ignored.
     assert set(class_profile(Z4, "baer", CLASS_NAMES)) == {"baer", "gen_baer_right",
                                                           "gen_baer_left"}
+
+
+def test_recheck_holds_each_triple_to_what_the_walk_states():
+    # Each tampered certificate rechecked True, raised or stalled while the
+    # recheck took any depth n and any idempotent e with r(X^n) = eR.
+    subsets = decide_generalized(Z4, "baer", "right")
+    ideals = decide_generalized(Z4, "quasi_baer", "right")
+    assert recheck_class_verdict(subsets) and recheck_class_verdict(ideals)
+    first, *rest = subsets.per_instance
+    assert first == ((0,), 1, 1)
+    # A depth past log2|R| + 1 is refused before any product set is built.
+    start = time.perf_counter()
+    assert not recheck_class_verdict(_with_triples(subsets, [((0,), 10**9, 1), *rest]))
+    assert time.perf_counter() - start < 0.5
+    # r({0}) = R = 1R already at depth 1, so depth 2 is not the first.
+    assert not recheck_class_verdict(_with_triples(subsets, [((0,), 2, 1), *rest]))
+    # 8R = 12R on mat2:z2, and the walk names the smaller generator.
+    cv = decide_generalized(M2, "baer", "right")
+    triples = list(cv.per_instance)
+    assert triples[1] == ((1,), 1, 8) and _principal(M2, 8, "right") == _principal(M2, 12, "right")
+    assert not recheck_class_verdict(_with_triples(cv, [triples[0], ((1,), 1, 12), *triples[2:]]))
+    # The class name is checked before the side is read off it.
+    assert not recheck_class_verdict(ClassVerdict(Z4, None, (), None))
+    assert not recheck_class_verdict(ClassVerdict(Z4, 5, subsets.per_instance, None))
+    # Without {0} the other ideals still close up, but the list misses one.
+    assert ideals.per_instance[0] == ((0,), 1, 1)
+    assert not recheck_class_verdict(_with_triples(ideals, ideals.per_instance[1:]))
+
+
+T = triangular(2, 2, 4)
+
+
+def test_a_triangular_ring_rejects_on_the_right_after_a_climb():
+    # T = [[Z/2, Z/2], [0, Z/4]]: X = {(1,0,0), (0,1,0)} and the right ideal
+    # {(a,b,0)} climb to depth 2, where r(X^2) = r(X) = {0, (0,0,2)} is no eR.
+    assert T.order == 16 and T.one == 5
+    for cls, members in (("baer", (1, 2)), ("quasi_baer", (0, 1, 2, 3))):
+        right = decide_generalized(T, cls, "right")
+        assert not right.verdict and right.per_instance == ()
+        assert right.failing_instance == (members, 2, (0, 8))
+    assert len(decide_generalized(T, "baer", "left").per_instance) == 65535
+    left = decide_generalized(T, "quasi_baer", "left")
+    assert len(left.per_instance) == 12 and recheck_class_verdict(left)
+    assert not decide_baer(T).verdict and not decide_quasi_baer(T).verdict
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_triangular_ring_agrees_with_the_oracle_on_ideals(side):
+    fast = decide_generalized(T, "quasi_baer", side)
+    slow = oracle_decide_generalized(T, "quasi_baer", side, cap=16)
+    assert (fast.verdict, fast.per_instance) == (slow.verdict, slow.per_instance)
+    if not fast.verdict:
+        # The oracle reports n_reached = |R|; members and the stable
+        # annihilator must agree.
+        assert fast.failing_instance[::2] == slow.failing_instance[::2]
 
 
 KINDS = {"baer": "subset", "gen_baer_right": "subset", "gen_baer_left": "subset",
