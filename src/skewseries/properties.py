@@ -353,7 +353,9 @@ def oracle_decide_generalized(ring, cls, side="right", cap=8):
     set is rebuilt from scratch through subset_power, its annihilator through
     the public annihilator scan, and every idempotent is tried as generator.
     No chain plateau logic, no bitmask tables, no ideal dedup: this is the
-    independent route the fast decider is checked against.
+    independent route the fast decider is checked against.  A rejection
+    reports as n_reached the first n >= 2 whose annihilator equals the one
+    at n - 1 in that list, which is what the fast route reports.
     """
     _check_cls(cls)
     check_side(side)
@@ -366,15 +368,17 @@ def oracle_decide_generalized(ring, cls, side="right", cap=8):
         instances = [tuple(sorted(s)) for s in _oracle_ideals(ring, side)]
     per_instance = []
     for members in instances:
+        anns = []
         for n in range(1, ring.order + 1):
-            ann = annihilator(ring, subset_power(ring, members, n), side)
-            e = next((e for e in idempotents(ring) if _principal(ring, e, side) == ann), None)
+            anns.append(annihilator(ring, subset_power(ring, members, n), side))
+            e = next((e for e in idempotents(ring) if _principal(ring, e, side) == anns[-1]),
+                     None)
             if e is not None:
                 per_instance.append((members, n, e))
                 break
         else:
-            failing = (members, ring.order, tuple(sorted(ann)))
-            return ClassVerdict(ring, class_name, (), failing)
+            n_reached = next(n for n in range(2, ring.order + 1) if anns[n - 1] == anns[n - 2])
+            return ClassVerdict(ring, class_name, (), (members, n_reached, tuple(sorted(anns[-1]))))
     return ClassVerdict(ring, class_name, tuple(per_instance), None)
 
 

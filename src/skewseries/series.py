@@ -252,44 +252,56 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
     `products` are sequences of (exponent, coefficient) pairs, exponents validated.
     Coefficient s of p*g is the sum over u+v = s of p(u)*omega_u(g(v)), one
     term per slot since u = s - v.  Each (p, s) is one constraint on g: a
-    composed row b -> p(u)*omega_u(b) per slot, filed under its highest slot.
-    Vectors are built slot by slot in ascending values, so they come out in
-    itertools.product order; at each slot only the values that zero every
-    constraint filed there are tried.  With a budget, BudgetExceeded is
-    raised once more than budget values have been tried over all slots.
+    composed row b -> p(u)*omega_u(b) per slot.  The vectors come from _walk
+    with every value allowed, in itertools.product order.
     """
-    ring = ctx.ring
-    n, zero = ring.order, ring.zero
-    add_t, mul_t, neg = ring.add_table, ring.mul_table, ring.neg_table
-    k = len(slots)
     # The rows, their value masks and the slot terms of each (u, a) depend
     # only on the context and the slots, so they are built once per (context,
-    # slots) and kept on the context.  fits[r][t] is the bitmask of values b
-    # with rows[r][b] == t; terms_of[(u, a)] lists per slot j the term
-    # (u + slots[j], (j, id of the row of a*omega_u)).
+    # slots) and kept on the context.  terms_of[(u, a)] lists per slot j the
+    # term (u + slots[j], (j, id of the row of a*omega_u)).
     plan = ctx._kernel_plans.get(slots)
     if plan is None:
         plan = ctx._kernel_plans[slots] = ([], [], {})
     rows, fits, terms_of = plan
-    # by_last[j][r]: the earlier (slot, row id) terms of each constraint whose
-    # last term is (j, r), deduplicated.
-    by_last = [{} for _ in range(k)]
+    per_product = []
     for p in products:
         terms = []
         for ua in p:
             term = terms_of.get(ua)
             if term is None:
                 u, a = ua
-                twist, row_a = _twist(ctx, u), mul_t[a]
-                row = tuple(row_a[twist[b]] for b in range(n))
-                masks = [0] * n
-                for b, c in enumerate(row):
-                    masks[c] |= 1 << b
+                row, masks = _row(ctx.ring, _twist(ctx, u), a)
                 rows.append(row)
                 fits.append(masks)
                 term = terms_of[ua] = [(tuple(map(add, u, v)), (j, len(rows) - 1))
                                        for j, v in enumerate(slots)]
             terms.append(term)
+        per_product.append(terms)
+    layout = _layout(len(slots), per_product)
+    yield from _walk(ctx.ring, layout, rows, fits, (1 << ctx.ring.order) - 1, budget)
+
+
+def _row(ring, twist, a):
+    """The row b -> a*twist[b] of one twisted term, and its value masks:
+    masks[t] has bit b set when the row maps b to t."""
+    row_a = ring.mul_table[a]
+    row = tuple(row_a[twist[b]] for b in range(ring.order))
+    masks = [0] * ring.order
+    for b, c in enumerate(row):
+        masks[c] |= 1 << b
+    return row, masks
+
+
+def _layout(k, per_product):
+    """The constraints of products, filed for _walk under their last slot.
+
+    per_product[p][i][j] is (exponent, (j, row id)) for term i of product p
+    at slot j, and the entries at one exponent of one product are one
+    constraint.  Slot j lists (r, earliers) per row id r ending a constraint
+    there, earliers being the set of those constraints' other entries.
+    """
+    by_last = [{} for _ in range(k)]
+    for terms in per_product:
         groups = {}
         for j in range(k):
             for term in terms:
@@ -298,31 +310,43 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
         for group in groups.values():
             j, r = group.pop()
             by_last[j].setdefault(r, set()).add(tuple(group))
-    # filed[j]: (fits, earlier term tuples) per row r last at slot j.
-    filed = [[(fits[r], earliers) for r, earliers in last.items()] for last in by_last]
-    del by_last
-    # Depth-first over the slots; pending[j] holds the values still to try
-    # at slot j, lowest bit first.
+    return [list(last.items()) for last in by_last]
+
+
+def _walk(ring, layout, rows, fits, allowed, budget):
+    """Every vector over the slots with values in the mask allowed that zeroes
+    each constraint of layout (see _layout), in itertools.product order.
+
+    An entry (j, r) stands for rows[r][g(j)]; fits[r][t] is the bitmask of
+    values b with rows[r][b] == t.  Vectors are built depth first, in
+    ascending values, trying at each slot only the allowed values that zero
+    the constraints ending there.  With a budget, BudgetExceeded is raised
+    once more than budget values have been tried.
+    """
+    zero, add_t, neg = ring.zero, ring.add_table, ring.neg_table
+    k = len(layout)
+    # pending[j] holds the values still to try at slot j, lowest bit first.
     vec = [zero] * k
     pending = [0] * k
     tried = 0
     j, entering = 0, True
     while j >= 0:
         if entering:
-            allowed = (1 << n) - 1
-            for fits, earliers in filed[j]:
+            values = allowed
+            for r, earliers in layout[j]:
+                fit = fits[r]
                 for earlier in earliers:
                     acc = zero
-                    for i, r in earlier:
-                        acc = add_t[acc][rows[r][vec[i]]]
-                    allowed &= fits[neg[acc]]
-            pending[j] = allowed
-        allowed = pending[j]
-        if not allowed:
+                    for i, q in earlier:
+                        acc = add_t[acc][rows[q][vec[i]]]
+                    values &= fit[neg[acc]]
+            pending[j] = values
+        values = pending[j]
+        if not values:
             j, entering = j - 1, False
             continue
-        low = allowed & -allowed
-        pending[j] = allowed ^ low
+        low = values & -values
+        pending[j] = values ^ low
         vec[j] = low.bit_length() - 1
         tried += 1
         if budget is not None and tried > budget:
@@ -367,14 +391,14 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
     Scans pairs (f, g) with supports in the box; whenever f*g == 0 it checks
     that every twisted coefficient product f(s)*omega_s(g(t)) vanishes.  A
     violation yields verdict 'no' with witness (f, g, s, t).  The scan covers
-    only the box, so the other verdict is 'unknown-at-bound'.
+    only the box, so the other verdict is 'unknown-at-bound'.  Each f is
+    decided on least coset representatives, which gives the witness a scan
+    of every g would (see _armendariz_refutation).
     """
     ring = ctx.ring
     slots = normalize_box(ctx.monoid, support_box)
     total = armendariz_pair_count(ring, len(slots), budget)
     n = ring.order
-    zero = ring.zero
-    twists = {u: _twist(ctx, u) for u in slots}
     mul_t = ring.mul_table
     scope = (f"exhaustive over all {total} pairs with support in "
              f"[{', '.join(map(_repr_exp, slots))}]")
@@ -386,25 +410,68 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
     one = ring.one
     unit_rows = [mul_t[c] for c in range(n) if c != one and any(
         mul_t[c][d] == one and mul_t[d][c] == one for d in range(n))]
-    # Pairs in (f, g) product order; only the g with f*g == 0 can refute.
+    rows_at = [[_row(ring, _twist(ctx, u), a) for a in range(n)] for u in slots]
+    layouts, transversals = {}, {}
+    zero_f = (ring.zero,) * len(slots)
     for fvec in itertools.product(range(n), repeat=len(slots)):
-        if any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
+        if fvec == zero_f or any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
             continue
-        f = tuple((e, a) for e, a in zip(slots, fvec) if a != zero)
-        if not f:
-            continue
-        for gvec in _annihilating_vectors(ctx, slots, [f]):
-            # f*g == 0 here; look for a nonzero twisted term.
-            for u, a in f:
-                for v, b in zip(slots, gvec):
-                    if mul_t[a][twists[u][b]] != zero:
-                        return PropertyCertificate(
-                            "no",
-                            witness=(SkewSeries._trusted(ctx, f), _box_series(ctx, slots, gvec),
-                                     u, v),
-                            notes=f"f*g == 0 but f({_fmt_exp(u)})*omega(g({_fmt_exp(v)})) != 0; {scope}",
-                        )
+        found = _armendariz_refutation(ring, slots, fvec, rows_at, layouts, transversals)
+        if found is not None:
+            gvec, u, v = found
+            f = tuple((e, a) for e, a in zip(slots, fvec) if a != ring.zero)
+            return PropertyCertificate(
+                "no",
+                witness=(SkewSeries._trusted(ctx, f), _box_series(ctx, slots, gvec), u, v),
+                notes=f"f*g == 0 but f({_fmt_exp(u)})*omega(g({_fmt_exp(v)})) != 0; {scope}",
+            )
     return PropertyCertificate("unknown-at-bound", notes=scope)
+
+
+def _armendariz_refutation(ring, slots, fvec, rows_at, layouts, transversals):
+    """(g, u, v) for the first g in product order with f*g == 0 and a nonzero
+    twisted term f(u)*omega_u(g(v)), and its first such (u, v); None when
+    no g refutes the nonzero f with coefficient vector fvec.
+
+    K = {b : f(u)*omega_u(b) == 0 for every term of f} and G = {g : f*g ==
+    0} are additive groups, each twist being additive, and G holds K^k.  A
+    g in G refutes exactly when it lies outside K^k.  Sending each g(v) to
+    the least index of its coset g(v) + K subtracts a vector of K^k: the
+    image lies in G, no later than g in product order, and outside K^k
+    exactly when g does.  So the first refuting g is its own image, and the
+    walk tries only least coset indices; a non-refuting f meets one vector.
+
+    rows_at[p][a] is (row, masks) of coefficient a at slot p (see _row);
+    layouts (per support pattern) and transversals (per K) fill as needed.
+    """
+    zero = ring.zero
+    pattern = tuple(p for p, a in enumerate(fvec) if a != zero)
+    rows, fits = zip(*[rows_at[p][fvec[p]] for p in pattern])
+    kernel = (1 << ring.order) - 1
+    for masks in fits:
+        kernel &= masks[zero]
+    # The constraints of f*g == 0 depend only on where f is nonzero; their
+    # row ids index f's terms.
+    layout = layouts.get(pattern)
+    if layout is None:
+        terms = [[(tuple(map(add, slots[p], v)), (j, i)) for j, v in enumerate(slots)]
+                 for i, p in enumerate(pattern)]
+        layout = layouts[pattern] = _layout(len(slots), [terms])
+    # The one walked vector inside K^k holds the least index of K at every
+    # slot; every other walked vector has a nonzero twisted term.
+    transversal = transversals.get(kernel)
+    if transversal is None:
+        members = [x for x in range(ring.order) if kernel >> x & 1]
+        transversal = transversals[kernel] = (
+            sum(1 << b for b, sums in enumerate(ring.add_table)
+                if all(sums[x] >= b for x in members)),
+            (members[0],) * len(slots))
+    least, inside = transversal
+    for gvec in _walk(ring, layout, rows, fits, least, None):
+        if gvec != inside:
+            return gvec, *next((slots[pattern[i]], slots[j]) for i, row in enumerate(rows)
+                               for j, b in enumerate(gvec) if row[b] != zero)
+    return None
 
 
 def s_compatibility_check(ctx):

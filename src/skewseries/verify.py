@@ -302,6 +302,11 @@ def _checked(ctx, checks, gens, n, e, slots, budget):
     n-fold products: whether c_e lies in it and its first g with c_e*g != g,
     and the constants of its zero series and of its series c at the identity.
 
+    c_e*g is read off g's coefficients, with no series product: c_e = e*x^1
+    and the twist at the identity exponent is the identity map, so
+    (c_e*g)(v) = e*g(v), and c_e*g == g exactly when e*c == c for every
+    coefficient c of g.
+
     Both depend only on the product set and e, the run's slots and budget
     being fixed, so checks keeps them per (product set, e) for the run:
     instances share product sets (over Z/8 at box 3, 255 subsets have 12).
@@ -312,13 +317,14 @@ def _checked(ctx, checks, gens, n, e, slots, budget):
     if found is None:
         # prods at n = 1, so they are not multiplied out a second time.
         ann = bounded_annihilator_in_A(ctx, prods, 1, slots, budget)
-        ce, one_s, consts = const_embed(ctx, e), ctx.monoid.identity(), set()
+        one_s, consts, times_e = ctx.monoid.identity(), set(), ctx.ring.mul_table[e]
         for g in ann:
             if not g._terms:
                 consts.add(ctx.ring.zero)
             elif len(g._terms) == 1 and g._terms[0][0] == one_s:
                 consts.add(g._terms[0][1])
-        found = checks[key] = (ce in ann, next((g for g in ann if ce * g != g), None)), consts
+        bad = next((g for g in ann if any(times_e[c] != c for _, c in g._terms)), None)
+        found = checks[key] = (const_embed(ctx, e) in ann, bad), consts
     return found
 
 

@@ -270,6 +270,23 @@ def triangular(a, d, c):
                       label=f"[[Z/{a}, Z/{d}], [0, Z/{c}]]")
 
 
+def tables_ini(ring):
+    """The text of a kind = tables spec file that builds ring."""
+    def rows(table):
+        return "; ".join(" ".join(map(str, row)) for row in table)
+
+    return (f"[ring]\nkind = tables\norder = {ring.order}\nadd = {rows(ring.add_table)}\n"
+            f"mul = {rows(ring.mul_table)}\nlabel = {ring.label}\n")
+
+
+def relabelled(ring, perm):
+    """The same ring with element x stored at index perm[x]."""
+    n, back = ring.order, sorted(range(ring.order), key=perm.__getitem__)
+    add = [[perm[ring.add(back[a], back[b])] for b in range(n)] for a in range(n)]
+    mul = [[perm[ring.mul(back[a], back[b])] for b in range(n)] for a in range(n)]
+    return FiniteRing(n, add, mul, perm[ring.zero], perm[ring.one], label=f"{ring.label}'")
+
+
 # ---------------------------------------------------------------------------
 # random rings for the decider and ideal differential tests
 

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import skewseries
+from conftest import tables_ini, triangular
 from skewseries import cli, monoids, properties, verify
 from skewseries.cli import _split_catalog, main, run
 from skewseries.errors import InvariantViolation
@@ -144,6 +145,19 @@ def test_search_gap_scan_on_named_rings():
     assert code == 0
     findings = [r for r in recs if r["record"] == "finding"]
     assert [(f["kind"], f["ring"]) for f in findings] == [("gen_baer_not_baer", "zn:4")]
+
+
+def test_search_reports_the_left_right_gaps_of_a_triangular_ring(tmp_path, monkeypatch):
+    # [[Z/2, Z/2], [0, Z/4]] is generalized left Baer and left quasi-Baer but
+    # neither on the right; zn:4 is the same on both sides.
+    (tmp_path / "t.ini").write_text(tables_ini(triangular(2, 2, 4)))
+    monkeypatch.chdir(tmp_path)
+    code, recs = invoke_jsonl("search", "--catalog", "t.ini,zn:4", "--properties", "left_right")
+    assert code == 0
+    assert [r for r in recs if r["record"] == "finding"] == [
+        {"record": "finding", "kind": "left_right", "ring": "t.ini", "class": cls,
+         "right": False, "left": True}
+        for cls in ("gen_baer", "gen_quasi_baer")]
 
 
 def test_search_armendariz_single_finding_per_ring():

@@ -29,6 +29,11 @@ The zn:12 Baer pin (4,095 instances) and the zn:8 corollaries pin were
 recorded before a Thm 3.7 run came to keep its own table of annihilator
 checks in place of the context's bounded annihilators, which the two
 natural runs of the corollaries shared.
+The two pins of the formal triangular ring [[Z/2, Z/2], [0, Z/4]], written
+as a `kind = tables` file, are the first whose generalized verdicts reject
+after a climb (right side) while the left side accepts; its `search` finds
+the two left-right gaps and an Armendariz witness.  They were recorded
+before the Armendariz scan walked least coset representatives.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -37,6 +42,7 @@ import io
 
 import pytest
 
+from conftest import tables_ini, triangular
 from skewseries.cli import run
 
 # (argv, exit code, sha256 of the jsonl output)
@@ -183,5 +189,26 @@ def test_frobenius_twist_jsonl_matches_the_recorded_digest(argv, code, digest, t
     # The config record names the ring file, so it is written under one fixed
     # name and read from the working directory.
     (tmp_path / "gf4.ini").write_text(GF4_INI)
+    monkeypatch.chdir(tmp_path)
+    test_jsonl_bytes_match_the_recorded_digest(argv, code, digest)
+
+
+# (argv, exit code, sha256 of the jsonl output), run beside t.ini, the formal
+# triangular ring [[Z/2, Z/2], [0, Z/4]]
+TRIANGULAR_GOLDEN = [
+    (('ring', 'check', '--ring', 't.ini', '--class', 'all', '--side', 'both'),
+     0, "01cc442c28651f224da148293772cd7b60c372c09c2ad505c897c0deb1353fa8"),
+    (('search', '--catalog', 't.ini,zn:4'),
+     0, "1362a8ba3deafa95eff0c01ebe860bf2e9eca1d4a8068338942c8ef0bef76d0b"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", TRIANGULAR_GOLDEN,
+                         ids=[" ".join(argv) for argv, _, _ in TRIANGULAR_GOLDEN])
+def test_triangular_ring_jsonl_matches_the_recorded_digest(argv, code, digest, tmp_path,
+                                                           monkeypatch):
+    # The config record names the ring file, so it is written as t.ini and
+    # read from the working directory.
+    (tmp_path / "t.ini").write_text(tables_ini(triangular(2, 2, 4)))
     monkeypatch.chdir(tmp_path)
     test_jsonl_bytes_match_the_recorded_digest(argv, code, digest)

@@ -4,7 +4,14 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import galois_ring_4_2, gf4_dual_numbers, gf4_ring, product_rings, triangular
+from conftest import (
+    galois_ring_4_2,
+    gf4_dual_numbers,
+    gf4_ring,
+    product_rings,
+    relabelled,
+    triangular,
+)
 from skewseries.errors import SizeCapExceeded
 from skewseries.properties import (
     CLASS_NAMES,
@@ -142,14 +149,6 @@ def _literal_subset_walk(ring, side, climb):
     return True, tuple(per_instance), None
 
 
-def _relabelled(ring, perm):
-    # The same ring with element x stored at index perm[x].
-    n, back = ring.order, sorted(range(ring.order), key=perm.__getitem__)
-    add = [[perm[ring.add(back[a], back[b])] for b in range(n)] for a in range(n)]
-    mul = [[perm[ring.mul(back[a], back[b])] for b in range(n)] for a in range(n)]
-    return FiniteRing(n, add, mul, perm[ring.zero], perm[ring.one], label=f"{ring.label}'")
-
-
 # Z/12 is not Baer, and every subset it rejects holds 2, 6 or 10.  Stored at
 # indices 8, 9 and 10, they put the first rejected mask, {2} = 1 << 8, past
 # the walk's first block of 2^8 masks.
@@ -160,11 +159,11 @@ def _relabelled(ring, perm):
 # index 10.  GF(4)[e] has its units at indices 0 to 7, e at 8 and its zero
 # at 9, so {e} = 1 << 8 is rejected first again.
 _WALK_RINGS = {
-    "zn:12 with 2,6,10 at 8,9,10": lambda: _relabelled(
+    "zn:12 with 2,6,10 at 8,9,10": lambda: relabelled(
         ring_zn(12), [0, 1, 8, 3, 4, 5, 9, 7, 2, 6, 10, 11]),
-    "prod:zn:3,zn:5 with 0 at 10": lambda: _relabelled(
+    "prod:zn:3,zn:5 with 0 at 10": lambda: relabelled(
         builtin_ring("prod:zn:3,zn:5"), [(x + 10) % 15 for x in range(15)]),
-    "GF(4)[e] with e,0 at 8,9": lambda: _relabelled(
+    "GF(4)[e] with e,0 at 8,9": lambda: relabelled(
         gf4_dual_numbers(), [9, 0, 1, 2, 8, 3, 4, 5, 14, 6, 7, 10, 15, 11, 12, 13]),
 }
 
@@ -219,7 +218,7 @@ def _relabelled_rings(draw):
     # A product or climbing ring with its zero moved off index 0.
     ring = draw(st.one_of(product_rings(12), st.sampled_from(_CLIMBING).map(builtin_ring)))
     perm = draw(st.permutations(range(ring.order)).filter(lambda p: p[ring.zero] != 0))
-    return _relabelled(ring, perm)
+    return relabelled(ring, perm)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -416,10 +415,21 @@ def test_a_triangular_ring_agrees_with_the_oracle_on_ideals(side):
     fast = decide_generalized(T, "quasi_baer", side)
     slow = oracle_decide_generalized(T, "quasi_baer", side, cap=16)
     assert (fast.verdict, fast.per_instance) == (slow.verdict, slow.per_instance)
-    if not fast.verdict:
-        # The oracle reports n_reached = |R|; members and the stable
-        # annihilator must agree.
-        assert fast.failing_instance[::2] == slow.failing_instance[::2]
+    assert fast.failing_instance == slow.failing_instance
+
+
+@pytest.mark.parametrize("opposite,side", [(False, "right"), (True, "left")])
+def test_triangular_rejections_are_the_oracles_whole(opposite, side):
+    # The rejecting side of T and of its opposite, for both classes: the
+    # failing instance, its depth (the plateau, 2) and its stable
+    # annihilator all agree.
+    ring = _opposite(T) if opposite else T
+    for cls, members in (("baer", (1, 2)), ("quasi_baer", (0, 1, 2, 3))):
+        fast = decide_generalized(ring, cls, side)
+        slow = oracle_decide_generalized(ring, cls, side, cap=16)
+        assert (fast.verdict, fast.per_instance) == (slow.verdict, slow.per_instance) == (
+            False, ())
+        assert fast.failing_instance == slow.failing_instance == (members, 2, (0, 8))
 
 
 KINDS = {"baer": "subset", "gen_baer_right": "subset", "gen_baer_left": "subset",

@@ -3,7 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import KERNEL_MONOIDS, literal_product, series_over, skew_boxes, skew_contexts
+from conftest import (
+    KERNEL_MONOIDS,
+    literal_product,
+    relabelled,
+    series_over,
+    skew_boxes,
+    skew_contexts,
+)
 from skewseries import series
 from skewseries.errors import (
     AxiomViolation,
@@ -16,6 +23,8 @@ from skewseries.errors import (
 )
 from skewseries.monoids import OrderedMonoid
 from skewseries.rings import (
+    ARMENDARIZ_BUDGET,
+    PropertyCertificate,
     RingEndomorphism,
     enumerate_endomorphisms,
     ring_matrix,
@@ -26,17 +35,19 @@ from skewseries.series import (
     SkewContext,
     SkewSeries,
     all_series,
+    armendariz_pair_count,
     armendariz_search,
     const_embed,
     exp_embed,
     format_series,
     is_idempotent_series,
+    normalize_box,
     parse_series_literal,
     s_compatibility_check,
     series_from_pairs,
     zero_series,
 )
-from skewseries.specfile import builtin_ring
+from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
 NAT = OrderedMonoid("nat", "natural")
 Z4 = ring_zn(4)
@@ -354,26 +365,29 @@ def unit_orbit_minima(ring, slots, last=None):
     return minima
 
 
-# Without the orbit skip the kernel would see all 511 nonzero f over Z/8,
+# Without the orbit skip the scan would decide all 511 nonzero f over Z/8,
 # and the 18 nonzero f up to the witness 1@0 + 2@1 over M_2(Z/2).
 @pytest.mark.parametrize("ring_name,size,verdict,scanned_count", [
     ("zn:8", 3, "unknown-at-bound", 147),
     ("mat2:z2", 2, "no", 7),
 ])
-def test_armendariz_scan_hands_the_kernel_one_f_per_unit_orbit(
+def test_armendariz_scan_decides_one_f_per_unit_orbit(
         ring_name, size, verdict, scanned_count, monkeypatch):
     ring = builtin_ring(ring_name)
     ctx = SkewContext(ring, NAT)
     slots = NAT.box(size - 1)
-    real = series._annihilating_vectors
+    real = series._armendariz_refutation
     scanned = []
 
-    def spy(ctx, slots, products, budget=None):
-        (f,) = products
-        scanned.append(tuple(dict(f).get(e, ring.zero) for e in slots))
-        return real(ctx, slots, products, budget)
+    def spy(ring, slots, fvec, *caches):
+        scanned.append(fvec)
+        return real(ring, slots, fvec, *caches)
 
-    monkeypatch.setattr(series, "_annihilating_vectors", spy)
+    def no_kernel(*args):
+        raise AssertionError("the scan ran the box kernel")
+
+    monkeypatch.setattr(series, "_armendariz_refutation", spy)
+    monkeypatch.setattr(series, "_annihilating_vectors", no_kernel)
     cert = armendariz_search(ctx, slots)
     assert cert.verdict == verdict
     last = None
@@ -384,3 +398,120 @@ def test_armendariz_scan_hands_the_kernel_one_f_per_unit_orbit(
     assert len(scanned) == scanned_count
     # The scope note still states every pair, which the orbits cover.
     assert f"all {(ring.order ** size) ** 2} pairs" in cert.notes
+
+
+def reference_armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
+    """The scan as it was before the coset walk, kept as the reference: for
+    each unit-orbit minimum f, every g with f*g == 0 from the box kernel."""
+    ring = ctx.ring
+    slots = normalize_box(ctx.monoid, support_box)
+    total = armendariz_pair_count(ring, len(slots), budget)
+    n = ring.order
+    zero = ring.zero
+    twists = {u: series._twist(ctx, u) for u in slots}
+    mul_t = ring.mul_table
+    scope = (f"exhaustive over all {total} pairs with support in "
+             f"[{', '.join(map(series._repr_exp, slots))}]")
+    one = ring.one
+    unit_rows = [mul_t[c] for c in range(n) if c != one and any(
+        mul_t[c][d] == one and mul_t[d][c] == one for d in range(n))]
+    for fvec in itertools.product(range(n), repeat=len(slots)):
+        if any(tuple(map(row.__getitem__, fvec)) < fvec for row in unit_rows):
+            continue
+        f = tuple((e, a) for e, a in zip(slots, fvec) if a != zero)
+        if not f:
+            continue
+        for gvec in series._annihilating_vectors(ctx, slots, [f]):
+            for u, a in f:
+                for v, b in zip(slots, gvec):
+                    if mul_t[a][twists[u][b]] != zero:
+                        return PropertyCertificate(
+                            "no",
+                            witness=(SkewSeries._trusted(ctx, f),
+                                     series._box_series(ctx, slots, gvec), u, v),
+                            notes=f"f*g == 0 but f({series._fmt_exp(u)})*omega(g("
+                                  f"{series._fmt_exp(v)})) != 0; {scope}",
+                        )
+    return PropertyCertificate("unknown-at-bound", notes=scope)
+
+
+def _full_walk_refutation(ctx, slots, fvec):
+    """(g, u, v) from every g of the box kernel with f*g == 0: the first g
+    with a nonzero twisted term f(u)*omega_u(g(v)), and its first (u, v)."""
+    ring = ctx.ring
+    f = [(u, a) for u, a in zip(slots, fvec) if a != ring.zero]
+    for gvec in series._annihilating_vectors(ctx, slots, [f]):
+        for u, a in f:
+            for v, b in zip(slots, gvec):
+                if ring.mul(a, ctx.omega(u).image[b]) != ring.zero:
+                    return gvec, u, v
+    return None
+
+
+def _certificate(cert):
+    f, g, u, v = cert.witness or (None,) * 4
+    return cert.verdict, cert.notes, f and format_series(f), g and format_series(g), u, v
+
+
+def _scan_grid(gf4_eps):
+    """(ring, twists, monoid, box sizes) of the coset-walk comparison."""
+    rings = [builtin_ring(name) for name in CATALOG_NAMES
+             if name == "mat2:z2" or builtin_ring(name).order <= 8]
+    eps_to_zero = [s for s in enumerate_endomorphisms(gf4_eps) if s.image[4] == gf4_eps.zero]
+    shifted = relabelled(builtin_ring("prod:zn:3,zn:5"), [(x + 10) % 15 for x in range(15)])
+    nat, lex, integers = NAT, OrderedMonoid("nat_k", "lex", k=2), OrderedMonoid("int", "natural")
+    grid = []
+    for ring, twists in ([(r, enumerate_endomorphisms(r)) for r in rings]
+                         + [(gf4_eps, eps_to_zero), (shifted, enumerate_endomorphisms(shifted))]):
+        small = ring.order <= 8
+        for monoid, sizes in ((nat, (2, 3) if small else (2,)), (lex, (2,) if small else ()),
+                              (integers, (2,))):
+            grid.extend((ring, twists, monoid, size) for size in sizes)
+    return grid
+
+
+def test_coset_walk_decides_every_f_as_the_full_kernel_walk(gf4_eps):
+    # For every nonzero f in the box, not only the orbit minima, the walk
+    # over least coset representatives names the same (g, u, v) as the first
+    # refuting g among all g with f*g == 0, or none when no g refutes.
+    # Grid entries with more than 8192 f over all their twists are left to
+    # the certificate comparison below; the full walk is slow on them.
+    refuting = cases = 0
+    for ring, twists, monoid, size in _scan_grid(gf4_eps):
+        if ring.order ** len(monoid.box(size - 1)) * len(twists) > 8192:
+            continue
+        for sigma in twists:
+            if monoid.kind == "int" and not sigma.is_bijective:
+                continue
+            ctx = SkewContext(ring, monoid, sigma)
+            slots = normalize_box(monoid, monoid.box(size - 1))
+            rows_at = [[series._row(ring, series._twist(ctx, u), a) for a in range(ring.order)]
+                       for u in slots]
+            layouts, transversals = {}, {}
+            for fvec in itertools.product(range(ring.order), repeat=len(slots)):
+                if all(a == ring.zero for a in fvec):
+                    continue
+                got = series._armendariz_refutation(ring, slots, fvec, rows_at, layouts,
+                                                    transversals)
+                assert got == _full_walk_refutation(ctx, slots, fvec), (ctx, sigma, fvec)
+                refuting += got is not None
+                cases += 1
+    assert (cases, refuting) == (24246, 562)
+
+
+def test_armendariz_certificates_match_the_full_kernel_scan(gf4_eps):
+    # Verdict, notes, witness series and (u, v), against the scan that
+    # walked every g with f*g == 0 for each orbit minimum.
+    refuted = runs = 0
+    for ring, twists, monoid, size in _scan_grid(gf4_eps):
+        for sigma in twists:
+            if monoid.kind == "int" and not sigma.is_bijective:
+                continue
+            ctx = SkewContext(ring, monoid, sigma)
+            box = monoid.box(size - 1)
+            cert = armendariz_search(ctx, box, budget=10**9)
+            expected = reference_armendariz_search(ctx, box, budget=10**9)
+            assert _certificate(cert) == _certificate(expected), ctx
+            refuted += cert.verdict == "no"
+            runs += 1
+    assert (runs, refuted) == (84, 48)

@@ -522,9 +522,16 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
         bridge_muls[0] += not inside[0]
         return real_mul(self, other)
 
+    bridges = []
+
+    def embed_spy(ctx, e):
+        bridges.append(e)
+        return const_embed(ctx, e)
+
     monkeypatch.setattr(verify, "bounded_annihilator_in_A", ann_spy)
     monkeypatch.setattr(verify, "_products", outside_the_bridge(real_products))
     monkeypatch.setattr(SkewSeries, "__mul__", mul_spy)
+    monkeypatch.setattr(verify, "const_embed", embed_spy)
     report = verify_thm37(ctx, "baer", slots)
     monkeypatch.undo()
     instances = decide_generalized(ctx.ring, "baer", "right", DEFAULT_CAPS).per_instance
@@ -545,11 +552,14 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
     assert got == expected
     assert [x.statement_id for x in entries] == ["prop36_1", "prop36_1", "prop35_1"] * 255
     # The run computes one annihilator per distinct (product set, e), not one
-    # per instance: 12 for 255 instances.  Each passing bridge multiplies c_e
-    # into every g of its annihilator once.
+    # per instance: 12 for 255 instances.  Each is bridge-checked once (one
+    # c_e built for its membership test), and c_e*g is read off the
+    # coefficients of g: no series is multiplied outside the annihilator.
     assert len(anns) == 12
     assert set(anns) == set(per_instance)
-    assert bridge_muls[0] == sum(len(ann) for ann in anns) == 523
+    assert len(bridges) == 12
+    assert bridge_muls[0] == 0
+    assert sum(len(ann) for ann in anns) == 523
     assert sum(len(ann) for ann in per_instance) == 7920
 
 
@@ -825,6 +835,20 @@ def _gf4_z2(gf4):
     return ring, RingEndomorphism(ring, [2 * frobenius[x // 2] + x % 2 for x in range(8)])
 
 
+def _oracle_grid(gf4):
+    """(ctx, variant, box) of each Thm 3.7 run the oracle comparison makes:
+    Baer on every twist, quasi-Baer on rings of order <= 4."""
+    for ring, twists in _oracle_rings(gf4):
+        variants = ("baer", "quasi_baer") if ring.order <= 4 else ("baer",)
+        for sigma, (kind, mode, k) in itertools.product(twists, ORACLE_MONOIDS):
+            if kind == "int" and not sigma.is_bijective:
+                continue
+            monoid = OrderedMonoid(kind, mode, k=k)
+            for variant in variants:
+                box = monoid.box(2)[:2 if ring.order == 8 or variant == "quasi_baer" else 3]
+                yield SkewContext(ring, monoid, sigma), variant, box
+
+
 def _oracle_rings(gf4):
     """(ring, twists): each catalog ring of order <= 8 with all its
     endomorphisms, GF(4) with both of its own, and GF(4)xZ/2 under
@@ -880,36 +904,69 @@ def test_thm37_reports_match_the_oracle(gf4, monkeypatch):
 
     monkeypatch.setattr(verify, "_checked", spy)
     compared = {"baer": 0, "quasi_baer": 0}
-    for ring, twists in _oracle_rings(gf4):
-        variants = ("baer", "quasi_baer") if ring.order <= 4 else ("baer",)
-        for sigma, (kind, mode, k) in itertools.product(twists, ORACLE_MONOIDS):
-            if kind == "int" and not sigma.is_bijective:
-                continue
-            monoid = OrderedMonoid(kind, mode, k=k)
-            ctx = SkewContext(ring, monoid, sigma)
-            for variant in variants:
-                box = monoid.box(2)[:2 if ring.order == 8 or variant == "quasi_baer" else 3]
-                checked.clear()
-                try:
-                    report = verify_thm37(ctx, variant, box, seed=5, samples=3)
-                except HypothesisNotMet as exc:
-                    if exc.hypothesis.startswith("ring_gen_right"):
-                        assert oracle_verify_thm37(ctx, variant, box, 5, 3) is None
-                    continue
-                entries, oracle_anns = oracle_verify_thm37(ctx, variant, box, 5, 3)
-                assert [(e.instance, e.ok) for e in report.conclusion_checked] == entries, ctx
-                assert len(checked) == len(oracle_anns), ctx
-                one_s = monoid.identity()
-                for call, ((gens, n, e, served), oracle_ann) in enumerate(
-                        zip(checked, oracle_anns)):
-                    ann = bounded_annihilator_in_A(ctx, gens, n, box)
-                    assert ann == oracle_ann, (ctx, variant, call)
-                    ce = const_embed(ctx, e)
-                    consts = {g.coeff(one_s) for g in ann if g.support <= {one_s}}
-                    assert served == ((ce in ann, next((g for g in ann if ce * g != g), None)),
-                                      consts), (ctx, variant, call)
-                compared[variant] += 1
+    for ctx, variant, box in _oracle_grid(gf4):
+        checked.clear()
+        try:
+            report = verify_thm37(ctx, variant, box, seed=5, samples=3)
+        except HypothesisNotMet as exc:
+            if exc.hypothesis.startswith("ring_gen_right"):
+                assert oracle_verify_thm37(ctx, variant, box, 5, 3) is None
+            continue
+        entries, oracle_anns = oracle_verify_thm37(ctx, variant, box, 5, 3)
+        assert [(e.instance, e.ok) for e in report.conclusion_checked] == entries, ctx
+        assert len(checked) == len(oracle_anns), ctx
+        one_s = ctx.monoid.identity()
+        for call, ((gens, n, e, served), oracle_ann) in enumerate(zip(checked, oracle_anns)):
+            ann = bounded_annihilator_in_A(ctx, gens, n, box)
+            assert ann == oracle_ann, (ctx, variant, call)
+            ce = const_embed(ctx, e)
+            consts = {g.coeff(one_s) for g in ann if g.support <= {one_s}}
+            assert served == ((ce in ann, next((g for g in ann if ce * g != g), None)),
+                              consts), (ctx, variant, call)
+        compared[variant] += 1
     assert compared == {"baer": 33, "quasi_baer": 18}
+
+
+def test_bridge_reads_c_e_times_g_off_the_coefficients(gf4, monkeypatch):
+    # c_e*g is e times each coefficient of g, because the twist at the
+    # identity exponent is the identity map.  For every family the oracle
+    # grid's runs check, and every e (idempotent or not, zero included), the
+    # bridge names the first g of the annihilator with c_e*g != g that a
+    # series product names.  mat2:z2 (noncommutative, refused by the
+    # Armendariz hypothesis) and the box {1, 2} without the identity reach
+    # the bridge here through families built by hand.
+    families = {}
+    real = verify._checked
+
+    def spy(ctx, checks, gens, n, e, slots, budget):
+        gens = list(gens)
+        families[ctx, frozenset(gens), n, slots] = gens
+        return real(ctx, checks, gens, n, e, slots, budget)
+
+    monkeypatch.setattr(verify, "_checked", spy)
+    for ctx, variant, box in _oracle_grid(gf4):
+        try:
+            verify_thm37(ctx, variant, box, seed=5, samples=3)
+        except HypothesisNotMet:
+            pass
+    monkeypatch.undo()
+    m2 = builtin_ring("mat2:z2")
+    for ring, sigma in [(m2, s) for s in enumerate_endomorphisms(m2)[:2]] + [(Z4, None)]:
+        ctx = SkewContext(ring, NAT, sigma)
+        for slots in (tuple(NAT.box(1)), ((1,), (2,))):
+            for x in range(ring.order):
+                for gens in ([const_embed(ctx, x)], _spanning_monomials(ctx, (x,), slots)):
+                    for n in (1, 2):
+                        families[ctx, frozenset(gens), n, slots] = gens
+    moved = 0
+    for (ctx, _, n, slots), gens in families.items():
+        ann = bounded_annihilator_in_A(ctx, gens, n, slots)
+        for e in range(ctx.ring.order):
+            ce = const_embed(ctx, e)
+            bridge, _ = verify._checked(ctx, {}, gens, n, e, slots, ARMENDARIZ_BUDGET)
+            assert bridge == (ce in ann, next((g for g in ann if ce * g != g), None)), (ctx, e)
+            moved += bridge[1] is not None
+    assert (len(families), moved) == (751, 2075)
 
 
 class OrderCheckReached(Exception):
