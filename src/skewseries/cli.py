@@ -556,5 +556,15 @@ def main(argv=None):
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def exit_main():
+    """Run main and end the process with its exit code through os._exit,
+    once stdout and stderr are flushed.  This is the process entry point
+    (`python -m skewseries` and the `skewseries` script): it skips
+    interpreter teardown, which frees every module and object that nothing
+    reads again and cost each run about 10 ms, so atexit handlers do not run
+    either.  --help, usage errors and bugs leave main by raising and exit as
+    any Python program does."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -57,6 +57,27 @@ MUTANTS = [
      "complete = (",
      ["tests/test_properties.py"],
      "the ideal recheck accepts a certificate without its {0} triple"),
+    ("properties.py",
+     "        if h == trivial:",
+     "        if h & trivial:",
+     ["tests/test_properties.py"],
+     "every block takes the trivial-annihilator shortcut, since 0 annihilates everything"),
+    ("properties.py",
+     "[genmap[trivial]] * len(lows)",
+     "[genmap[1]] * len(lows)",
+     ["tests/test_properties.py"],
+     "the shortcut reads the generator of {element 0}, not of {zero}"),
+    ("cli.py",
+     "        code = run(argv)\n        # Flush here so a closed pipe raises inside the try.\n"
+     "        sys.stdout.flush()",
+     "        code = run(argv)",
+     ["tests/test_cli.py", "-k", "closed_stdout"],
+     "main leaves stdout unflushed, so a closed pipe raises outside its try"),
+    ("cli.py",
+     "    os._exit(code)",
+     "    os._exit(0)",
+     ["tests/test_cli.py", "-k", "cli_process"],
+     "the process exits 0 whatever main returned"),
 ]
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -321,23 +322,81 @@ def test_main_is_a_plain_exit_code_wrapper(capsys):
     assert "zn:2" in capsys.readouterr().out
 
 
-def test_closed_stdout_exits_1_without_a_traceback():
+def _child(argv, stdout, cwd=None):
+    """`python -m skewseries *argv` in a fresh process, stderr captured."""
+    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "skewseries", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        cwd=cwd, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+
+
+def _child_into_closed_pipe(argv):
     # The read end is closed before the child starts, so its first flush
     # meets a pipe with no reader, as under `| head -c 10`.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "skewseries", "ring", "show", "--ring", "ut3:z2",
-             "--output", "jsonl"],
-            stdout=write_end, stderr=subprocess.PIPE,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-        )
+        return _child(argv, write_end)
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    proc = _child_into_closed_pipe(["ring", "show", "--ring", "ut3:z2", "--output", "jsonl"])
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def test_closed_stdout_exits_1_when_the_output_fits_one_buffer():
+    # 200 bytes: nothing reaches the pipe before main's own flush, which
+    # must meet the closed pipe inside main's try.
+    proc = _child_into_closed_pipe(["ring", "show", "--ring", "zn:2"])
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # --help and usage errors
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+# name -> (argv, the exit code the README gives it)
+CHILD_RUNS = {
+    "jsonl-5MB": (["ring", "check", "--ring", "mat2:z2", "--class", "all", "--side", "both",
+                   "--output", "jsonl"], 0),
+    "text": (["verify", "thm37-quasibaer", "--ring", "zn:6", "--box", "2", "--samples", "5",
+              "--seed", "1"], 0),
+    "help": (["verify", "--help"], 0),
+    "bad-spec": (["ring", "show", "--ring", "zn:0"], 2),
+    "usage-error": (["verify", "prop34"], 2),
+    "budget": (["search", "--catalog", "mat2:z2", "--properties", "armendariz",
+                "--budget", "10"], 3),
+    "hypothesis": (["verify", "thm37-baer", "--ring", "mat2:z2", "--box", "2"], 4),
+}
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+@pytest.mark.parametrize("name", CHILD_RUNS)
+def test_a_cli_process_writes_the_bytes_of_run_and_exits_with_its_code(tmp_path, name, sink):
+    # The process ends through os._exit, which drops whatever no flush wrote.
+    argv, readme_code = CHILD_RUNS[name]
+    if sink == "file":
+        with open(tmp_path / "out", "wb") as out:
+            proc = _child(argv, out)
+        stdout = (tmp_path / "out").read_bytes()
+    else:
+        proc = _child(argv, subprocess.PIPE)
+        stdout = proc.stdout
+    code, want_out, want_err = _in_process(argv)
+    assert proc.returncode == code == readme_code
+    assert proc.stderr == want_err
+    assert len(stdout) == len(want_out) and stdout == want_out
 
 
 def test_broken_invariant_exits_6(monkeypatch):
@@ -732,11 +791,8 @@ def test_ring_files_that_name_themselves_exit_2(tmp_path, files):
     for name, body in files.items():
         (tmp_path / name).write_text("[ring]\n" + body)
     first = next(iter(files))
-    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "skewseries", "ring", "show", "--ring", first, "--output", "jsonl"],
-        capture_output=True, cwd=tmp_path, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
-    )
+    proc = _child(["ring", "show", "--ring", first, "--output", "jsonl"], subprocess.PIPE,
+                  cwd=tmp_path)
     assert proc.returncode == 2
     assert proc.stderr == b""
     recs = [json.loads(line) for line in proc.stdout.splitlines()]
