@@ -15,8 +15,6 @@ lookups that load locale cost about 8 ms a run, more than most small jobs
 compute.  parse_args reads the line from the COMMANDS table instead.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import re
@@ -418,6 +416,8 @@ def _help(path):
     if positional and positional[1] == "...":
         lines += [(name, COMMANDS[path + (name,)][0]) for name in positional[2]]
     sys.stdout.write(f"{_usage(path)}\n\n{text}\n\n" + "".join(f"  {a:<14}{b}\n" for a, b in lines))
+    # Flush here so a closed pipe raises inside main's try.
+    sys.stdout.flush()
     raise SystemExit(EXIT_OK)
 
 

@@ -1,7 +1,5 @@
 """Exception types shared across the toolkit."""
 
-from __future__ import annotations
-
 
 class AlgebraError(Exception):
     """Base class for all structured errors raised by this package."""

@@ -5,8 +5,6 @@ order mode plus a designated total refinement, so partial modes can always
 be sharpened to a compatible strict total order when one is needed.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .errors import IllegalPairing, InvariantViolation, MixedMonoids

@@ -14,10 +14,8 @@ ideals and principal ideals eR are the left annihilators, left ideals and
 Re of the ring itself.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
-from itertools import chain, groupby, islice, pairwise, repeat
+from itertools import chain, islice, pairwise, repeat
 
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
@@ -87,8 +85,9 @@ class InstanceBlocks(Sequence):
     blocks holds (lows, high, es, depths) entries: a block's i-th instance
     has members lows[i] + high, depth depths[i] (1 throughout when depths is
     None) and generator es[i].  The blocks of one walk share one lows list,
-    so a triple is built only when it is read.  The sequence equals, and
-    hashes like, the tuple of its triples.
+    so a triple is built only when it is read, and its trivial blocks of
+    one length share one generator list.  The sequence equals, and hashes
+    like, the tuple of its triples.
     """
 
     __slots__ = ("blocks", "_count")
@@ -133,25 +132,28 @@ class InstanceBlocks(Sequence):
         "[" + ",".join(parts) + "]" is the JSON array of all the triples, so
         a writer can emit it one block at a time.  Every entry is a
         non-negative int, whose decimal text is its JSON text (RFC 8259
-        section 6).  The head "[[low," of each low part is made once per lows
-        list.  A run of triples with equal depth and generator shares its
-        tail "high],n,e]", so the run is one join of its heads.
+        section 6).  The i-th triple of a block reads head_i + high +
+        "],n_i,e_i]", where head_i is "[[low_i," and high the text of the
+        high part, so the block's text is one join of high between the
+        segments head_0, "],n_0,e_0]," + head_1, ..., "],n_last,e_last]".
+        The segments are made once per lows list, depths and generators, so
+        blocks that differ only in their high part share them.
         """
-        heads, parts = {}, []
+        heads, templates, parts = {}, {}, []
         for lows, high, es, depths in self.blocks:
             key = id(lows), bool(high)
             if key not in heads:
                 sep = "," if high else ""
                 heads[key] = [f"[[{','.join(map(str, low))}{sep if low else ''}" for low in lows]
-            close, block_heads = ",".join(map(str, high)) + "],", heads[key]
-            runs = groupby(zip(depths, es)) if depths else (((1, e), run) for e, run in groupby(es))
-            i, texts = 0, []
-            for (d, e), run in runs:
-                j = i + len(list(run))
-                tail = f"{close}{d},{e}]"
-                texts.append((tail + ",").join(block_heads[i:j]) + tail)
-                i = j
-            parts.append(",".join(texts))
+            template_key = key, id(es), id(depths)
+            segments = templates.get(template_key)
+            if segments is None:
+                block_heads = heads[key]
+                tails = [f"],{d},{e}]" for d, e in zip(depths or repeat(1), es)]
+                segments = [block_heads[0], *map("{},{}".format, tails, block_heads[1:]),
+                            tails[-1]]
+                templates[template_key] = segments
+            parts.append(",".join(map(str, high)).join(segments))
         return parts
 
 
@@ -234,7 +236,7 @@ def _decide(ring, cls, side, caps, climb):
             e = genmap.get(ann)
         return depth, e, ann
 
-    per_instance, flat, trivial = [], None, 1 << zero
+    per_instance, flat, trivial, trivial_es = [], None, 1 << zero, {}
     if cls == "baer":
         c = min(n, 8)
         low_anns, low_members = _subset_table(singles, full, 0, c)
@@ -248,8 +250,11 @@ def _decide(ring, cls, side, caps, climb):
         blocks = [(full, [ann_of(m) for m in ideals], ideals, ())]
     for h, anns, lows, high in blocks:
         if h == trivial:
-            # Every mask of the block has annihilator {0} = 0R.
-            per_instance.append((lows, high, [genmap[trivial]] * len(lows), None))
+            # Every mask of the block has annihilator {0} = 0R.  Blocks of
+            # one length share one generator list.
+            if len(lows) not in trivial_es:
+                trivial_es[len(lows)] = [genmap[trivial]] * len(lows)
+            per_instance.append((lows, high, trivial_es[len(lows)], None))
             continue
         anns = [h & a for a in anns]
         es, depths = list(map(genmap.get, anns)), None

@@ -7,8 +7,6 @@ go through the literal n^3 scan, which names the first failing axiom and its
 witness.
 """
 
-from __future__ import annotations
-
 from .errors import (
     AxiomViolation,
     EmptySubset,
@@ -271,6 +269,10 @@ def _normalize_table(table, order, name):
     if len(rows) != order or any(len(row) != order for row in rows):
         raise ValueError(f"{name} table must be {order}x{order}")
     for row in rows:
+        # A row of plain ints within range passes at C speed; any other row
+        # goes entry by entry, which names its first bad entry.
+        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < order:
+            continue
         for entry in row:
             if not _is_index(entry, order):
                 raise ValueError(f"{name} table entry {entry!r} out of range")
@@ -359,22 +361,18 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
         return x
 
     mats = [decode(x) for x in range(order)]
-
     base_add, base_mul = base.add_table, base.mul_table
 
-    def product_row(a):
-        # a*y for every y, entry by entry with k^3 base operations.
-        row = []
-        for b in mats:
-            p = [[base.zero] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    acc = base.zero
-                    for t in range(k):
-                        acc = base_add[acc][base_mul[a[i][t]][b[t][j]]]
-                    p[i][j] = acc
-            row.append(encode(p))
-        return row
+    def product(a, b):
+        # a*b, entry by entry with k^3 base operations.
+        p = [[base.zero] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(k):
+                acc = base.zero
+                for t in range(k):
+                    acc = base_add[acc][base_mul[a[i][t]][b[t][j]]]
+                p[i][j] = acc
+        return p
 
     # Addition is entrywise: widen the table by one digit position at a time.
     add = [list(row) for row in base_add]
@@ -384,28 +382,41 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
                for i in range(m) for a in range(width)]
         width *= m
 
-    # Multiplication: literal rows for zero and for each generator c at one
-    # position; every other row is x' + g for a row x' already known, and
-    # (x' + g)*y = x'*y + g*y.
+    # Generators: each additive generator c of the base at one position.
+    # Every matrix is a sum of them; steps holds, for each matrix y but zero
+    # and the generators, one (x, g, y) with y = x + g and x reached first.
     zero = encode([[base.zero] * k for _ in range(k)])
-    mul = [None] * order
-    mul[zero] = product_row(mats[zero])
     gens = []
     for (i, j) in positions:
         for c in additive_generators(base, range(m)):
             mat = [[base.zero] * k for _ in range(k)]
             mat[i][j] = c
-            g = encode(mat)
-            gens.append(g)
-            mul[g] = product_row(mat)
-    queue = [zero] + gens
+            gens.append(encode(mat))
+    queue, steps = [zero, *gens], []
+    seen = set(queue)
     for x in queue:
-        x_row, x_sums = mul[x], add[x]
+        x_sums = add[x]
         for g in gens:
             y = x_sums[g]
-            if mul[y] is None:
-                mul[y] = [add[a][b] for a, b in zip(x_row, mul[g])]
+            if y not in seen:
+                seen.add(y)
                 queue.append(y)
+                steps.append((x, g, y))
+    # Multiplication is bi-additive, so the products of generator pairs fix
+    # it: encode checks each of them for the shape, and every other product
+    # is a sum of them.  A generator's row fills g*y as g*x + g*h along the
+    # steps; then each other row fills (x + g)*y as x*y + g*y.
+    mul = [None] * order
+    mul[zero] = [zero] * order
+    for g in gens:
+        row = [zero] * order
+        for h in gens:
+            row[h] = encode(product(mats[g], mats[h]))
+        for x, h, y in steps:
+            row[y] = add[row[x]][row[h]]
+        mul[g] = row
+    for x, g, y in steps:
+        mul[y] = [add[a][b] for a, b in zip(mul[x], mul[g])]
 
     ident = [[base.zero] * k for _ in range(k)]
     for i in range(k):
@@ -567,17 +578,32 @@ def enumerate_ideals(ring, side="right", caps=DEFAULT_CAPS):
 
     In a unital ring every one-sided ideal is the sum of the principal ideals
     xR (right) or Rx (left) of its members, and the sum of two ideals is
-    {a + b}.  So closing {0} under adding one principal ideal, a row of the
-    side table, reaches every ideal and nothing else.
+    {a + b}.  A principal ideal that is the sum of the principal ideals
+    strictly inside it is redundant, and each principal ideal is a sum of
+    the irreducible ones (those that are not).  So closing {0} under adding
+    one irreducible principal ideal reaches every ideal and nothing else.
+    One pass over the distinct principal ideals, rows of the side table, in
+    ascending size finds the irreducible ones: the ones inside a p are
+    already known when p comes.
     """
     if ring.order > caps.ideal:
         raise SizeCapExceeded(f"ideal enumeration capped at order {caps.ideal}, ring has {ring.order}")
-    principals = list(dict.fromkeys(frozenset(row) for row in side_table(ring, side)))
-    found = {frozenset({ring.zero})}
-    queue = list(found)
+    add, zero = ring.add_table, frozenset({ring.zero})
+    irreducible = []
+    for p in sorted(dict.fromkeys(map(frozenset, side_table(ring, side))), key=len):
+        below = zero
+        for q in irreducible:
+            if q < p:
+                below = _ideal_sum(add, below, q)
+        if below != p:
+            irreducible.append(p)
+    found = {zero}
+    queue = [zero]
     for ideal in queue:
-        for p in principals:
-            bigger = _ideal_sum(ring.add_table, ideal, p)
+        for p in irreducible:
+            if p <= ideal:
+                continue
+            bigger = _ideal_sum(add, ideal, p)
             if bigger not in found:
                 found.add(bigger)
                 queue.append(bigger)

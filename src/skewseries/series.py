@@ -11,8 +11,6 @@ and exp_embed.  Sums, products, box series and the box kernel build results
 from values already checked, through SkewSeries._trusted.
 """
 
-from __future__ import annotations
-
 import itertools
 from operator import add
 

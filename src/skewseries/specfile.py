@@ -6,8 +6,6 @@ the builtin namespace.  All format problems raise SpecFormatError so the
 front end can map them to one exit code.
 """
 
-from __future__ import annotations
-
 import os
 import re
 

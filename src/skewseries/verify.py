@@ -7,8 +7,6 @@ over series are restricted to finite supports inside an explicit box, and every
 report says so in its scope note.
 """
 
-from __future__ import annotations
-
 import random
 
 from .errors import BudgetExceeded, HypothesisNotMet, MixedContexts

@@ -67,6 +67,23 @@ MUTANTS = [
      "[genmap[1]] * len(lows)",
      ["tests/test_properties.py"],
      "the shortcut reads the generator of {element 0}, not of {zero}"),
+    ("rings.py",
+     "                below = _ideal_sum(add, below, q)",
+     "                below = _ideal_sum(add, below, p)",
+     ["tests/test_rings.py", "-k", "all_principal_reference"],
+     "the irreducibility pass adds p in place of q, so it keeps only minimal principal ideals"),
+    ("rings.py",
+     "            row[h] = encode(product(mats[g], mats[h]))",
+     "            row[h] = sum(product(mats[g], mats[h])[i][j] * m ** t\n"
+     "                         for t, (i, j) in enumerate(positions))",
+     ["tests/test_rings.py", "-k", "matrix_shape or literal_builder"],
+     "generator products are encoded without the shape check"),
+    ("cli.py",
+     "    # Flush here so a closed pipe raises inside main's try.\n    sys.stdout.flush()\n"
+     "    raise SystemExit(EXIT_OK)",
+     "    raise SystemExit(EXIT_OK)",
+     ["tests/test_cli.py", "-k", "help_into_a_closed"],
+     "--help leaves its text unflushed, so a closed pipe raises at exit, outside main's try"),
     ("cli.py",
      "        code = run(argv)\n        # Flush here so a closed pipe raises inside the try.\n"
      "        sys.stdout.flush()",

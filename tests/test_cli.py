@@ -356,6 +356,27 @@ def test_closed_stdout_exits_1_when_the_output_fits_one_buffer():
     assert proc.stderr == b""
 
 
+HELP_LEVELS = {"top": ["--help"], "command": ["verify", "--help"]}
+
+
+@pytest.mark.parametrize("level", HELP_LEVELS)
+def test_help_into_a_closed_stdout_exits_1_without_a_traceback(level):
+    # --help leaves run by SystemExit; its own flush must meet the closed
+    # pipe inside main's try, as the exit table of the README says.
+    proc = _child_into_closed_pipe(HELP_LEVELS[level])
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("level", HELP_LEVELS)
+def test_help_into_an_open_pipe_exits_0_with_the_help_text(level):
+    argv = HELP_LEVELS[level]
+    proc = _child(argv, subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == _in_process(argv)[1]
+    assert proc.stdout.startswith(f"usage: skewseries {' '.join(argv[:-1])}".encode())
+
+
 def _in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -34,6 +34,10 @@ as a `kind = tables` file, are the first whose generalized verdicts reject
 after a climb (right side) while the left side accepts; its `search` finds
 the two left-right gaps and an Armendariz witness.  They were recorded
 before the Armendariz scan walked least coset representatives.
+The two generalized quasi-Baer pins of ut3:z2 and ut2:z4, on both sides,
+were recorded before ideals came from the join-irreducible principal
+ideals, matrix tables from generator products and certificate text from
+cached block templates.
 Criterion 09 already shows the output does not depend on the hash seed.
 """
 
@@ -81,6 +85,12 @@ GOLDEN = [
      0, "e9b0c6d680e9d3a95cd57956a5722067f9d8389ae2207a4b0469bb4d194efeca"),
     (('ring', 'check', '--ring', 'ut2:z4', '--class', 'quasi-baer', '--caps', 'ideal=64'),
      0, "57d5810454f7299af7a17896ce74eda42331221b89215f1645348883d9d2ac2c"),
+    (('ring', 'check', '--ring', 'ut3:z2', '--class', 'gen-quasi-baer', '--side', 'both',
+      '--caps', 'ideal=64'),
+     0, "bb15bd0a8a7cb05f8d3c1238a610e506cf90b76f2dac11004a25490209097588"),
+    (('ring', 'check', '--ring', 'ut2:z4', '--class', 'gen-quasi-baer', '--side', 'both',
+      '--caps', 'ideal=64'),
+     0, "143c65a6b33fd88e79badcce0e9e3433b34166d4adc6b79888dd264c89f9cb01"),
     (('ring', 'check', '--ring', 'zn:6', '--class', 'gen-quasi-baer', '--side', 'left'),
      0, "b24f176a14dda533dfda62313328addae9dee3643396110a3befc259a19fa24b"),
     (('ring', 'check', '--ring', 'prod:zn:3,zn:5', '--class', 'baer', '--side', 'left'),

@@ -185,7 +185,6 @@ def _modules_loaded(code):
 
 # What a ring command needs beyond json.
 RING_COMMAND_MODULES = {
-    "__future__",
     "skewseries",
     "skewseries.cli",
     "skewseries.errors",
@@ -223,7 +222,7 @@ def test_a_cli_run_loads_no_argparse_gettext_or_locale(argv):
 def test_ring_commands_load_no_series_code(argv):
     loaded = _modules_loaded(
         f"import io\nfrom skewseries.cli import run\nrun({argv!r}, io.StringIO())")
-    assert {m for m in loaded if m.startswith("skewseries")} == RING_COMMAND_MODULES - {"__future__"}
+    assert {m for m in loaded if m.startswith("skewseries")} == RING_COMMAND_MODULES
 
 
 def _modules(directory):

@@ -8,6 +8,7 @@ from conftest import (
     literal_axiom_violation,
     literal_matrix_tables,
     product_rings,
+    triangular,
 )
 from skewseries.errors import (
     AxiomViolation,
@@ -102,6 +103,23 @@ def test_non_int_order_and_indices_rejected(order, zero, one, field):
     add, mul = (XOR, AND) if order == 2 else ([[0]], [[0]])
     with pytest.raises(ValueError, match=f"^{field} "):
         FiniteRing(order, add, mul, zero, one)
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 1.0, True, "1", None], ids=repr)
+def test_a_bad_table_entry_is_named(bad):
+    # A row fails its whole-row test, then names its first bad entry; the
+    # rows before it pass, so that is the first bad entry of the table.
+    with pytest.raises(ValueError, match=rf"^mul table entry {bad!r} out of range$"):
+        FiniteRing(2, XOR, [[0, 0], [bad, 5]], 0, 1)
+
+
+def test_table_entries_of_an_int_subclass_are_indices():
+    # Such a row fails the plain-int test, and passes entry by entry.
+    class Index(int):
+        pass
+
+    ring = FiniteRing(2, XOR, [[Index(0), 0], [0, Index(1)]], 0, 1)
+    assert ring.mul_table == ((0, 0), (0, 1))
 
 
 def test_non_int_endomorphism_image_rejected():
@@ -367,6 +385,14 @@ def test_a_product_off_the_matrix_shape_is_an_internal_fault():
         _matrix_like(ring_zn(2), 2, [(0, 1), (1, 0)], "bad")
 
 
+def test_a_product_off_the_matrix_shape_is_caught_when_the_identity_fits():
+    # Here e01*e12 = e02 leaves the positions while the identity stays in
+    # them.  Dropping e02 from every product would give a ring, the quotient
+    # of UT3 by e02, so only the shape check can refuse it.
+    with pytest.raises(InvariantViolation, match=r"matrix-shape: nonzero product entry at \(0, 2\)"):
+        _matrix_like(ring_zn(2), 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)], "bad")
+
+
 def test_upper_triangular_order():
     ut = ring_upper_triangular(ring_zn(2), 2)
     assert ut.order == 8
@@ -463,6 +489,47 @@ def test_principal_ideal_sums_match_the_brute_filter(name, side):
 def test_principal_ideal_sums_match_the_brute_filter_on_random_products(ring):
     for side in ("right", "left"):
         assert enumerate_ideals(ring, side) == _oracle_ideals(ring, side), (ring.label, side)
+
+
+def _all_principal_closure(ring, side):
+    """Every ideal on side, found as enumerate_ideals found it before it
+    kept only the irreducible principal ideals: {0} closed under adding any
+    distinct principal ideal, each sum taken literally as {a + b}."""
+    add = ring.add_table
+    principals = list(dict.fromkeys(frozenset(row) for row in side_table(ring, side)))
+    found = {frozenset({ring.zero})}
+    queue = list(found)
+    for ideal in queue:
+        for p in principals:
+            bigger = frozenset(add[a][b] for a in ideal for b in p)
+            if bigger not in found:
+                found.add(bigger)
+                queue.append(bigger)
+    return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def _opposite(ring):
+    return FiniteRing(ring.order, ring.add_table, tuple(zip(*ring.mul_table)), ring.zero,
+                      ring.one, label=f"{ring.label}^op")
+
+
+ORDER_64_IDEAL_RINGS = {
+    "ut3:z2": lambda: builtin_ring("ut3:z2"),
+    "ut2:z4": lambda: builtin_ring("ut2:z4"),
+    "zn:64": lambda: builtin_ring("zn:64"),
+    "prod:zn:8,zn:8": lambda: builtin_ring("prod:zn:8,zn:8"),
+    "T": lambda: triangular(2, 2, 4),
+    "T^op": lambda: _opposite(triangular(2, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("name", ORDER_64_IDEAL_RINGS)
+def test_irreducible_principal_closure_matches_the_all_principal_reference(name, side):
+    # The brute filter of _oracle_ideals runs over 2^order subsets, so it
+    # cannot reach order 64; this reference can.
+    ring = ORDER_64_IDEAL_RINGS[name]()
+    assert enumerate_ideals(ring, side, Caps(ideal=64)) == _all_principal_closure(ring, side)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
