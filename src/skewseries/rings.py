@@ -339,42 +339,28 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
     positions are zero and must stay zero under multiplication, which
     holds for the full and upper triangular position sets.
     """
-    m = base.order
-    order = m ** len(positions)
+    m, z = base.order, base.zero
+    n = len(positions)
+    order = m ** n
     _check_construction(order, caps)
+    rank = {p: t for t, p in enumerate(positions)}
+    digits = [[x // m ** t % m for x in range(order)] for t in range(n)]
+    zero = z * sum(m ** t for t in range(n))
 
-    def decode(x):
-        mat = [[base.zero] * k for _ in range(k)]
-        for (i, j) in positions:
-            mat[i][j] = x % m
-            x //= m
-        return mat
-
-    def encode(mat):
-        x = 0
-        for t, (i, j) in enumerate(positions):
-            x += mat[i][j] * m ** t
-        for i in range(k):
-            for j in range(k):
-                if (i, j) not in positions and mat[i][j] != base.zero:
-                    raise InvariantViolation(f"matrix-shape: nonzero product entry at {(i, j)}")
-        return x
-
-    mats = [decode(x) for x in range(order)]
-    base_add, base_mul = base.add_table, base.mul_table
-
-    def product(a, b):
-        # a*b, entry by entry with k^3 base operations.
-        p = [[base.zero] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                acc = base.zero
-                for t in range(k):
-                    acc = base_add[acc][base_mul[a[i][t]][b[t][j]]]
-                p[i][j] = acc
-        return p
+    def place(columns, size):
+        # The indices of `size` matrices, each zero but at the positions p of
+        # columns, where matrix y holds entry vals[y] for each (p, vals).
+        out = [zero] * size
+        for p, vals in columns:
+            if p in rank:
+                w = m ** rank[p]
+                out = [x + (v - z) * w for x, v in zip(out, vals)]
+            elif any(v != z for v in vals):
+                raise InvariantViolation(f"matrix-shape: nonzero product entry at {p}")
+        return out
 
     # Addition is entrywise: widen the table by one digit position at a time.
+    base_add = base.add_table
     add = [list(row) for row in base_add]
     width = m
     for _ in positions[1:]:
@@ -382,50 +368,35 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
                for i in range(m) for a in range(width)]
         width *= m
 
-    # Generators: each additive generator c of the base at one position.
-    # Every matrix is a sum of them; steps holds, for each matrix y but zero
-    # and the generators, one (x, g, y) with y = x + g and x reached first.
-    zero = encode([[base.zero] * k for _ in range(k)])
-    gens = []
-    for (i, j) in positions:
-        for c in additive_generators(base, range(m)):
-            mat = [[base.zero] * k for _ in range(k)]
-            mat[i][j] = c
-            gens.append(encode(mat))
-    queue, steps = [zero, *gens], []
-    seen = set(queue)
-    for x in queue:
-        x_sums = add[x]
-        for g in gens:
-            y = x_sums[g]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-                steps.append((x, g, y))
-    # Multiplication is bi-additive, so the products of generator pairs fix
-    # it: encode checks each of them for the shape, and every other product
-    # is a sum of them.  A generator's row fills g*y as g*x + g*h along the
-    # steps; then each other row fills (x + g)*y as x*y + g*y.
+    # A matrix is the sum of its entries at their positions, and
+    # multiplication is bi-additive.  So once the digits of x after position
+    # t are set, setting digit t to d adds the unit row y -> (d at t)*y to
+    # x's row.  Row i of (d at (i, j))*y is d times row j of y.
     mul = [None] * order
     mul[zero] = [zero] * order
-    for g in gens:
-        row = [zero] * order
-        for h in gens:
-            row[h] = encode(product(mats[g], mats[h]))
-        for x, h, y in steps:
-            row[y] = add[row[x]][row[h]]
-        mul[g] = row
-    for x, g, y in steps:
-        mul[y] = [add[a][b] for a, b in zip(mul[x], mul[g])]
+    done = [zero]
+    for t in reversed(range(n)):
+        i, j = positions[t]
+        cols = [(l, digits[rank[j, l]]) for l in range(k) if (j, l) in rank]
+        new = []
+        for d in range(m):
+            if d == z:
+                continue
+            times_d = base.mul_table[d]
+            unit = place([((i, l), [times_d[v] for v in col]) for l, col in cols], order)
+            for x in done:
+                y = x + (d - z) * m ** t
+                mul[y] = [add[a][b] for a, b in zip(mul[x], unit)]
+                new.append(y)
+        done += new
 
-    ident = [[base.zero] * k for _ in range(k)]
-    for i in range(k):
-        ident[i][i] = base.one
-    labels = [
-        "[" + ";".join(",".join(base.element_labels[mats[x][i][j]] for j in range(k)) for i in range(k)) + "]"
-        for x in range(order)
-    ]
-    return FiniteRing(order, add, mul, zero, encode(ident), label=label, element_labels=labels)
+    names = base.element_labels
+    cells = [[[names[v] for v in digits[rank[i, j]]] if (i, j) in rank else [names[z]] * order
+              for j in range(k)] for i in range(k)]
+    labels = ["[" + ";".join(",".join(c[x] for c in row) for row in cells) + "]"
+              for x in range(order)]
+    one = place([((i, i), [base.one]) for i in range(k)], 1)[0]
+    return FiniteRing(order, add, mul, zero, one, label=label, element_labels=labels)
 
 
 def _check_construction(order, caps):

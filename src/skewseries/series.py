@@ -103,13 +103,14 @@ class SkewSeries:
     def __init__(self, context, terms):
         self.context = context
         ring, monoid = context.ring, context.monoid
-        clean = {}
+        clean, seen = {}, set()
         for e, c in terms.items():
             e = normalize_exponent(monoid, e)
             if not _is_index(c, ring.order):
                 raise ForeignElement(f"coefficient {c!r} not in ring of order {ring.order}")
-            if e in clean:
+            if e in seen:
                 raise DuplicateExponent(f"exponent {e} given twice")
+            seen.add(e)
             if c != ring.zero:
                 clean[e] = c
         self._terms = tuple(sorted(clean.items()))

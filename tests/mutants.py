@@ -37,6 +37,26 @@ MUTANTS = [
      "    for p in pattern:\n        kernel &= _row(ring, range(ring.order), fvec[p])[1][zero]",
      ["tests/test_series.py"],
      "K_f built from the untwisted rows b -> f(u)*b"),
+    ("series.py",
+     "                    values &= fit[neg[acc]]",
+     "                    values &= fit[acc]",
+     ["tests/test_verify.py", "-k", "bounded_annihilator_with_cancelling_terms"],
+     "the box kernel solves for acc where the earlier terms need -acc"),
+    ("verify.py",
+     "for c in additive_generators(ctx.ring, members) for v in slots]",
+     "for c in additive_generators(ctx.ring, members) for v in slots[1:]]",
+     ["tests/test_verify.py", "-k", "spanning_families"],
+     "the spanning monomials leave out the first box slot"),
+    ("verify.py",
+     "for c in additive_generators(ctx.ring, members) for v in slots]",
+     "for c in additive_generators(ctx.ring, members) for v in slots[:-1]]",
+     ["tests/test_verify.py", "-k", "spanning_families"],
+     "the spanning monomials leave out the last box slot"),
+    ("verify.py",
+     "        family = sampled | set(_spanning_monomials(ctx, members, slots))",
+     "        family = set(_spanning_monomials(ctx, members, slots))",
+     ["tests/test_verify.py", "-k", "quasi_baer_samples_keep_products_past_the_box"],
+     "the sampled family is the ideal's spanning monomials alone, dropping the sampled products"),
     ("verify.py",
      "any(times_e[c] != c for _, c in g._terms)",
      "any(ctx.ring.mul_table[c][e] != c for _, c in g._terms)",
@@ -73,11 +93,30 @@ MUTANTS = [
      ["tests/test_rings.py", "-k", "all_principal_reference"],
      "the irreducibility pass adds p in place of q, so it keeps only minimal principal ideals"),
     ("rings.py",
-     "            row[h] = encode(product(mats[g], mats[h]))",
-     "            row[h] = sum(product(mats[g], mats[h])[i][j] * m ** t\n"
-     "                         for t, (i, j) in enumerate(positions))",
+     "            elif any(v != z for v in vals):",
+     "            elif False:",
      ["tests/test_rings.py", "-k", "matrix_shape or literal_builder"],
-     "generator products are encoded without the shape check"),
+     "a unit row silently drops a product entry that lands off the matrix positions"),
+    ("rings.py",
+     "        for g in gens:\n            # pick(row) lists x + (g + y)",
+     "        for g in gens[1:]:\n            # pick(row) lists x + (g + y)",
+     ["tests/test_rings.py", "-k", "light_test"],
+     "Light's associativity test skips the first additive generator"),
+    ("rings.py",
+     "        for g in gens:\n            # pick(row) lists x + (g + y)",
+     "        for g in gens[:-1]:\n            # pick(row) lists x + (g + y)",
+     ["tests/test_rings.py", "-k", "light_test"],
+     "Light's associativity test skips the last additive generator"),
+    ("rings.py",
+     "        for table in (mul, tuple(zip(*mul))):",
+     "        for table in (mul,):",
+     ["tests/test_rings.py", "-k", "one_sided_distributivity"],
+     "the proof checks left distributivity only, so (b + g)a == ba + ga goes unchecked"),
+    ("rings.py",
+     "        for a in gens:\n            row = mul[a]",
+     "        for a in ():\n            row = mul[a]",
+     ["tests/test_rings.py", "-k", "associativity_on_the_generators"],
+     "the proof skips (ab)c == a(bc) on the generator triples"),
     ("cli.py",
      "    # Flush here so a closed pipe raises inside main's try.\n    sys.stdout.flush()\n"
      "    raise SystemExit(EXIT_OK)",

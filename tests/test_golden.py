@@ -210,6 +210,15 @@ TRIANGULAR_GOLDEN = [
      0, "01cc442c28651f224da148293772cd7b60c372c09c2ad505c897c0deb1353fa8"),
     (('search', '--catalog', 't.ini,zn:4'),
      0, "1362a8ba3deafa95eff0c01ebe860bf2e9eca1d4a8068338942c8ef0bef76d0b"),
+    # T is neither generalized right Baer nor generalized right quasi-Baer.
+    # At box 1 every series is a constant, so the Armendariz scan passes and
+    # Thm 3.7's harness refuses on the ring side: exit 4, naming
+    # ring_gen_right_baer with witness ((1, 2), 2, (0, 8)), and
+    # ring_gen_right_quasi_baer with witness ((0, 1, 2, 3), 2, (0, 8)).
+    (('verify', 'thm37-baer', '--ring', 't.ini', '--box', '1'),
+     4, "a637002505b0996365551a2197476bc89c853e2786d152d60354ef6c044c0786"),
+    (('verify', 'thm37-quasibaer', '--ring', 't.ini', '--box', '1'),
+     4, "2ab0ab622a97c9513f8e4ab3ffbfff6f1b2632271c656b25828e38675e133845"),
 ]
 
 

@@ -258,6 +258,15 @@ def _read(path):
         return fh.read()
 
 
+def test_every_standing_mutant_matches_its_source_exactly_once():
+    # tests/mutants.py runs for about a minute, so a refactor that strands
+    # an entry (its old text gone or repeated) fails here first.
+    from mutants import MUTANTS, ROOT
+    for file, old, new, _, why in MUTANTS:
+        assert old != new, why
+        assert _read(ROOT / "src" / "skewseries" / file).count(old) == 1, why
+
+
 def test_no_bare_assert_in_the_package():
     # python -O strips assert statements, and the invariants must hold there
     # too: they raise InvariantViolation instead.

@@ -295,15 +295,16 @@ MATRIX_SHAPES = {  # (maker, k): free positions
     (ring_upper_triangular, 2): [(i, j) for i in range(2) for j in range(i, 2)],
     (ring_upper_triangular, 3): [(i, j) for i in range(3) for j in range(i, 3)],
 }
-# Every matrix ring over these bases within the default order cap of 64.
+# Every matrix ring over these bases up to order 81, past the default order
+# cap of 64, so that M2 over Z/3 and its renaming are covered.
 MATRIX_CASES = [(name, maker, k) for name, (m, _) in MATRIX_BASES.items()
-                for (maker, k), pos in MATRIX_SHAPES.items() if m ** len(pos) <= 64]
+                for (maker, k), pos in MATRIX_SHAPES.items() if m ** len(pos) <= 81]
 
 
 @pytest.mark.parametrize("base_name,maker,k", MATRIX_CASES)
 def test_matrix_tables_match_the_literal_builder(base_name, maker, k):
     base = MATRIX_BASES[base_name][1]()
-    ring = maker(base, k)
+    ring = maker(base, k, Caps(order=81))
     add, mul = literal_matrix_tables(base, k, MATRIX_SHAPES[maker, k])
     assert ring.add_table == tuple(map(tuple, add))
     assert ring.mul_table == tuple(map(tuple, mul))
@@ -383,6 +384,10 @@ def test_a_product_off_the_matrix_shape_is_an_internal_fault():
     # not bad input (exit 2).
     with pytest.raises(InvariantViolation, match="matrix-shape"):
         _matrix_like(ring_zn(2), 2, [(0, 1), (1, 0)], "bad")
+    # Strictly upper 2 x 2 matrices are closed under products, but the
+    # identity leaves them.
+    with pytest.raises(InvariantViolation, match=r"matrix-shape: nonzero product entry at \(0, 0\)"):
+        _matrix_like(ring_zn(2), 2, [(0, 1)], "bad")
 
 
 def test_a_product_off_the_matrix_shape_is_caught_when_the_identity_fits():

@@ -65,6 +65,11 @@ def test_zero_coefficients_are_dropped():
 def test_duplicate_exponent_rejected():
     with pytest.raises(DuplicateExponent):
         series_from_pairs(CTX4, [(1, 2), (3, 2)])
+    # A zero coefficient is dropped, but its exponent still counts as given,
+    # whichever of the two spellings comes first.
+    for terms in ({0: 0, (0,): 1}, {0: 1, (0,): 0}, {0: 0, (0,): 0}):
+        with pytest.raises(DuplicateExponent, match=r"^exponent \(0,\) given twice$"):
+            SkewSeries(CTX4, terms)
 
 
 def test_foreign_coefficient_rejected():
