@@ -39,10 +39,10 @@ class SkewContext:
 
     The twist is one endomorphism sigma of the ring: the map at exponent s
     is sigma^(s_1+...+s_k), so s -> omega(s) is a monoid homomorphism into
-    End(R).  The powers sigma^0, sigma^1, ... are kept up to the first
-    repeated image, with the index where their cycle starts, so every power
-    is one lookup.  Over the integers sigma must be an automorphism; then
-    the cycle starts at 0 and sigma^-d is a positive power.
+    End(R).  Fields: ring, monoid, sigma, _powers (sigma^0, sigma^1, ... up
+    to the first repeated image, so every power is one lookup) and
+    _cycle_start (where their cycle starts; 0 over the integers, where
+    sigma must be an automorphism and sigma^-d is a positive power).
     """
 
     def __init__(self, ring: FiniteRing, monoid: OrderedMonoid, sigma=None):
@@ -63,8 +63,6 @@ class SkewContext:
             powers.append(sigma.compose(powers[-1]))
         self._cycle_start = index[powers.pop().image]
         self._powers = powers
-        # Box kernel plans by slots tuple; see _annihilating_vectors.
-        self._kernel_plans = {}
 
     def omega(self, s) -> RingEndomorphism:
         """The twist endomorphism at exponent s: sigma to the coordinate sum."""
@@ -254,15 +252,9 @@ def _annihilating_vectors(ctx, slots, products, budget=None):
     composed row b -> p(u)*omega_u(b) per slot.  The vectors come from _walk
     with every value allowed, in itertools.product order.
     """
-    # The rows, their value masks and the slot terms of each (u, a) depend
-    # only on the context and the slots, so they are built once per (context,
-    # slots) and kept on the context.  terms_of[(u, a)] lists per slot j the
-    # term (u + slots[j], (j, id of the row of a*omega_u)).
-    plan = ctx._kernel_plans.get(slots)
-    if plan is None:
-        plan = ctx._kernel_plans[slots] = ([], [], {})
-    rows, fits, terms_of = plan
-    per_product = []
+    # Products share one row per distinct (u, a): terms_of[(u, a)] lists per
+    # slot j the term (u + slots[j], (j, id of the row of a*omega_u)).
+    rows, fits, terms_of, per_product = [], [], {}, []
     for p in products:
         terms = []
         for ua in p:

@@ -42,6 +42,12 @@ MUTANTS = [
      "                    values &= fit[acc]",
      ["tests/test_verify.py", "-k", "bounded_annihilator_with_cancelling_terms"],
      "the box kernel solves for acc where the earlier terms need -acc"),
+    ("series.py",
+     "_row(ctx.ring, _twist(ctx, u), a)",
+     "_row(ctx.ring, range(ctx.ring.order), a)",
+     ["tests/test_verify.py", "-k",
+      "bounded_annihilator_matches_the_brute_filter or bounded_annihilator_with_cancelling_terms"],
+     "the box kernel builds its rows untwisted, b -> a*b"),
     ("verify.py",
      "for c in additive_generators(ctx.ring, members) for v in slots]",
      "for c in additive_generators(ctx.ring, members) for v in slots[1:]]",

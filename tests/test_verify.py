@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     KERNEL_MONOIDS,
+    galois_ring_4_2,
+    gf4_dual_numbers,
+    gf4_ring,
     lift_ideal_to_series,
     literal_product,
     oracle_verify_thm37,
     series_over,
     skew_boxes,
     skew_contexts,
+    triangular,
 )
 from skewseries import properties, verify
 from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
@@ -20,11 +24,13 @@ from skewseries.properties import decide_generalized
 from skewseries.rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
+    Caps,
     PropertyCertificate,
     RingEndomorphism,
     annihilator,
     enumerate_endomorphisms,
     enumerate_ideals,
+    idempotents,
     ring_matrix,
     ring_product,
     ring_zn,
@@ -34,6 +40,7 @@ from skewseries.series import (
     SkewContext,
     SkewSeries,
     all_series,
+    armendariz_pair_count,
     armendariz_search,
     const_embed,
     exp_embed,
@@ -630,13 +637,24 @@ def test_an_annihilator_over_budget_is_not_kept(monkeypatch):
 
 
 def test_a_second_run_on_one_context_does_the_first_runs_work_again(monkeypatch):
-    # A run keeps nothing on the context but the kernel plans.
     ctx = SkewContext(ring_zn(8), NAT)
     work = _kernel_work(monkeypatch)
     first = verify_thm37(ctx, "baer", NAT.box(2))
     assert work == [12, 523]
     assert verify_thm37(ctx, "baer", NAT.box(2)) == first
     assert work == [24, 1046]
+
+
+def test_runs_leave_their_context_as_they_found_it():
+    ctx = SkewContext(ring_zn(8), NAT)
+    fields = dict(vars(ctx))
+    powers = list(ctx._powers)
+    assert set(fields) == {"ring", "monoid", "sigma", "_cycle_start", "_powers"}
+    verify_thm37(ctx, "quasi_baer", NAT.box(2), samples=4)
+    armendariz_search(ctx, NAT.box(2))
+    assert len(bounded_annihilator_in_A(ctx, [const_embed(ctx, 2)], 2, NAT.box(2))) == 64
+    assert vars(ctx) == fields
+    assert ctx._powers == powers
 
 
 def test_equal_annihilator_calls_return_equal_distinct_tuples():
@@ -1036,3 +1054,40 @@ def test_baer_subsets_lift_through_their_additive_generators(gf4):
                                 bounded_annihilator_in_A(ctx, gens, depth, slots, meter.most - 1)
                         cases += 1
     assert cases > 2000
+
+
+def test_a_passing_armendariz_scan_forces_the_ring_side_hypotheses():
+    # Under the identity twist over nat, a box of 2 or more points holds
+    # f = e - a*x and g = (1 - e) + a*x for an idempotent e and a = e*r*(1 - e).
+    # f*g == 0, so a scan that passes forces a = e*a = 0, and 1 - e in place
+    # of e gives (1 - e)*r*e = 0: every idempotent is central, R is a product
+    # of local rings, and its four generalized classes accept, each depth at
+    # most the nilpotency index of N(R).  Here every maximum meets the bound.
+    rings = [builtin_ring(name) for name in CATALOG_NAMES]
+    rings += [builtin_ring(name, Caps(order=64))
+              for name in ("ut2:z3", "ut2:z4", "prod:zn:4,zn:4", "zn:16", "prod:zn:3,zn:5")]
+    rings += [gf4_ring(), gf4_dual_numbers(), galois_ring_4_2()]
+    rings += [triangular(*acd) for acd in ((2, 2, 4), (4, 2, 2), (2, 2, 2), (3, 3, 3))]
+    outcomes = {"passes": 0, "refutes": 0, "over budget": 0}
+    for ring, points in itertools.product(rings, (2, 3)):
+        try:
+            armendariz_pair_count(ring, points, 10 ** 8)
+        except BudgetExceeded:
+            outcomes["over budget"] += 1
+            continue
+        cert = armendariz_search(SkewContext(ring, NAT), NAT.box(points - 1), 10 ** 8)
+        if cert.verdict == "no":
+            outcomes["refutes"] += 1
+            continue
+        outcomes["passes"] += 1
+        elements = range(ring.order)
+        assert all(ring.mul(e, r) == ring.mul(r, e) for e in idempotents(ring) for r in elements)
+        nilpotent = {x for x in elements if ring.zero in subset_power(ring, {x}, ring.order)}
+        index = next(m for m in itertools.count(1)
+                     if subset_power(ring, nilpotent, m) == {ring.zero})
+        runs = [("quasi_baer", Caps(ideal=64))] + [("baer", DEFAULT_CAPS)] * (ring.order <= 16)
+        for (cls, caps), side in itertools.product(runs, ("right", "left")):
+            verdict = decide_generalized(ring, cls, side, caps)
+            assert verdict.verdict, (ring.label, cls, side)
+            assert max(n for _, n, _ in verdict.per_instance) == index, (ring.label, cls, side)
+    assert outcomes == {"passes": 28, "refutes": 13, "over budget": 3}
