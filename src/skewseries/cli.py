@@ -139,10 +139,7 @@ def _text_lines(r):
     if kind == "error":
         return [f"error[{r['kind']}]: {r['message']}"]
     if kind == "summary":
-        extras = " ".join(
-            f"{k}={r[k]}" for k in sorted(r) if k not in ("record", "records", "exit"))
-        tail = f" {extras}" if extras else ""
-        return [f"done: {r['records']} records, exit {r['exit']}{tail}"]
+        return [f"done: {r['records']} records, exit {r['exit']}"]
     return [json.dumps(r, sort_keys=True)]
 
 

@@ -64,7 +64,7 @@ class ClassVerdict(FrozenRecord):
     triples do.  failing_instance is (members, n_reached,
     stable_annihilator) for the first rejected instance, with per_instance
     left empty.  ring is the FiniteRing decided and class_name one of
-    CLASS_NAMES; verdict and instance_kind are read off the fields.
+    CLASS_NAMES; verdict, side and instance_kind are read off the fields.
     """
 
     __slots__ = ("ring", "class_name", "per_instance", "failing_instance")
@@ -74,9 +74,12 @@ class ClassVerdict(FrozenRecord):
         return self.failing_instance is None
 
     @property
+    def side(self):
+        return "left" if self.class_name.endswith("left") else "right"
+
+    @property
     def instance_kind(self):
-        side = "left" if self.class_name.endswith("left") else "right"
-        return f"{side}_ideal" if "quasi" in self.class_name else "subset"
+        return f"{self.side}_ideal" if "quasi" in self.class_name else "subset"
 
 
 class InstanceBlocks(Sequence):
@@ -437,7 +440,7 @@ def recheck_class_verdict(cv):
     """
     if cv.class_name not in CLASS_NAMES or not cv.verdict:
         return False
-    ring, side = cv.ring, "left" if cv.class_name.endswith("left") else "right"
+    ring, side = cv.ring, cv.side
     if not all(_is_triple(t, ring.order) and t[1] <= ring.order.bit_length()
                for t in cv.per_instance):
         return False

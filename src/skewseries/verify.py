@@ -297,13 +297,13 @@ def _run_thm37(ctx, variant, box, budget, seed, samples, caps, arm):
 
 def _checked(ctx, checks, gens, n, e, slots, budget):
     """(bridge outcome, constant slice) of the bounded annihilator of gens'
-    n-fold products: whether c_e lies in it and its first g with c_e*g != g,
-    and the constants of its zero series and of its series c at the identity.
+    n-fold products, read off the box kernel's vectors in one pass: whether
+    c_e lies in it, its first g with c_e*g != g (the one series built), and
+    the constants of its vectors zero off the identity slot ({0} for a box
+    without the identity), so that c_e lies in it exactly when e is one.
 
-    c_e*g is read off g's coefficients, with no series product: c_e = e*x^1
-    and the twist at the identity exponent is the identity map, so
-    (c_e*g)(v) = e*g(v), and c_e*g == g exactly when e*c == c for every
-    coefficient c of g.
+    c_e*g is e times g's coefficients, with no series product: c_e = e*x^1
+    and the twist at the identity exponent is the identity map.
 
     Both depend only on the product set and e, the run's slots and budget
     being fixed, so checks keeps them per (product set, e) for the run:
@@ -313,16 +313,15 @@ def _checked(ctx, checks, gens, n, e, slots, budget):
     key = frozenset(prods), e
     found = checks.get(key)
     if found is None:
-        # prods at n = 1, so they are not multiplied out a second time.
-        ann = bounded_annihilator_in_A(ctx, prods, 1, slots, budget)
-        one_s, consts, times_e = ctx.monoid.identity(), set(), ctx.ring.mul_table[e]
-        for g in ann:
-            if not g._terms:
-                consts.add(ctx.ring.zero)
-            elif len(g._terms) == 1 and g._terms[0][0] == one_s:
-                consts.add(g._terms[0][1])
-        bad = next((g for g in ann if any(times_e[c] != c for _, c in g._terms)), None)
-        found = checks[key] = (const_embed(ctx, e) in ann, bad), consts
+        zero, times_e, one_s = ctx.ring.zero, ctx.ring.mul_table[e], ctx.monoid.identity()
+        at = slots.index(one_s) if one_s in slots else None
+        consts, bad = set(), None
+        for v in _annihilating_vectors(ctx, slots, [p._terms for p in prods], budget):
+            if all(c == zero for j, c in enumerate(v) if j != at):
+                consts.add(zero if at is None else v[at])
+            if bad is None and any(times_e[c] != c for c in v):
+                bad = _box_series(ctx, slots, v)
+        found = checks[key] = (e in consts, bad), consts
     return found
 
 

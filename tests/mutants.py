@@ -64,10 +64,20 @@ MUTANTS = [
      ["tests/test_verify.py", "-k", "quasi_baer_samples_keep_products_past_the_box"],
      "the sampled family is the ideal's spanning monomials alone, dropping the sampled products"),
     ("verify.py",
-     "any(times_e[c] != c for _, c in g._terms)",
-     "any(ctx.ring.mul_table[c][e] != c for _, c in g._terms)",
+     "any(times_e[c] != c for c in v)",
+     "any(ctx.ring.mul_table[c][e] != c for c in v)",
      ["tests/test_verify.py"],
      "the bridge reads c_e*g as c*e, right multiplication by e"),
+    ("verify.py",
+     "        found = checks[key] = (e in consts, bad), consts",
+     "        found = checks[key] = (True, bad), consts",
+     ["tests/test_verify.py", "-k", "bridge_reads_c_e or reports_match_the_oracle"],
+     "the bridge takes c_e to lie in every annihilator"),
+    ("verify.py",
+     "if all(c == zero for j, c in enumerate(v) if j != at)",
+     "if all(c == zero for j, c in enumerate(v) if j != 0)",
+     ["tests/test_verify.py", "-k", "reports_match_the_oracle"],
+     "the constant slice reads the identity at the box's first slot"),
     ("properties.py",
      "            if ann == ann_prev:\n                break",
      "            if ann == ann_prev:\n                depth += 7\n                break",

@@ -447,6 +447,7 @@ def test_verdict_and_instance_kind_are_read_off_the_fields(name):
     assert sorted({cv.class_name for cv in verdicts}) == sorted(CLASS_NAMES)
     for cv in verdicts:
         assert cv.instance_kind == KINDS[cv.class_name]
+        assert cv.side == ("left" if cv.class_name.endswith("_left") else "right")
         assert cv.verdict == (cv.failing_instance is None)
         assert cv.verdict == bool(cv.per_instance)
 

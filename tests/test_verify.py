@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,15 +241,15 @@ def test_corollaries_run_each_distinct_hypothesis_once(monkeypatch):
 
 def test_corollaries_run_the_harness_once_per_variant(monkeypatch):
     # The order enters only as a hypothesis, so the five corollaries reuse
-    # the two natural runs: as many series annihilators as those two runs.
+    # the two natural runs: as many box kernel runs as those two runs.
     calls = []
-    real = verify.bounded_annihilator_in_A
+    real = verify._annihilating_vectors
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+    monkeypatch.setattr(verify, "_annihilating_vectors", spy)
     verify_corollaries(Z4, [0, 1], samples=2, seed=3)
     corollaries = len(calls)
     calls.clear()
@@ -346,18 +347,27 @@ def test_search_rejects_unknown_property():
         counterexample_search([("zn:4", Z4)], properties=("frobenius",))
 
 
+def _swap_context():
+    """Z/3 x Z/3 over N, twisted by the swap of its two factors."""
+    el = builtin_ring("prod:zn:3,zn:3").element_labels.index
+    return next(c for c in skew_contexts("prod:zn:3,zn:3", "nat")
+                if c.omega((1,)).image[el("(0,1)")] == el("(1,0)"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bounded_annihilator_matches_the_brute_filter(data):
-    ctx, box = data.draw(skew_boxes(max_candidates=256))
-    gens = data.draw(st.lists(series_over(ctx, ctx.monoid.box(2)), min_size=1, max_size=3))
-    n = data.draw(st.integers(1, 2))
-    # the reference multiplies through the literal convolution, not __mul__
-    prods = set(gens)
-    for _ in range(n - 1):
-        prods = {SkewSeries(ctx, literal_product(p, g)) for p in prods for g in gens}
-    brute = [g for g in all_series(ctx, box) if all(not literal_product(p, g) for p in prods)]
-    assert bounded_annihilator_in_A(ctx, gens, n, box) == tuple(brute)
+    # Each example checks the swap context before a drawn one, so every run
+    # meets a twist that moves coefficients, whatever the draws.
+    for ctx, box in ((_swap_context(), [0, 1]), data.draw(skew_boxes(max_candidates=256))):
+        gens = data.draw(st.lists(series_over(ctx, ctx.monoid.box(2)), min_size=1, max_size=3))
+        n = data.draw(st.integers(1, 2))
+        # the reference multiplies through the literal convolution, not __mul__
+        prods = set(gens)
+        for _ in range(n - 1):
+            prods = {SkewSeries(ctx, literal_product(p, g)) for p in prods for g in gens}
+        brute = [g for g in all_series(ctx, box) if all(not literal_product(p, g) for p in prods)]
+        assert bounded_annihilator_in_A(ctx, gens, n, box) == tuple(brute)
 
 
 def test_bounded_annihilator_with_cancelling_terms():
@@ -370,8 +380,7 @@ def test_bounded_annihilator_with_cancelling_terms():
             brute = [g for g in all_series(ctx, [0, 1]) if not literal_product(p, g)]
             assert bounded_annihilator_in_A(ctx, [p], 1, [0, 1]) == tuple(brute)
     el = ring.element_labels.index
-    swap = next(c for c in skew_contexts("prod:zn:3,zn:3", "nat")
-                if c.omega((1,)).image[el("(0,1)")] == el("(1,0)"))
+    swap = _swap_context()
     e = el("(1,0)")
     killed = bounded_annihilator_in_A(swap, [SkewSeries(swap, {0: e, 1: e})], 1, [0, 1])
     assert killed == tuple(SkewSeries(swap, terms) for terms in (
@@ -465,12 +474,13 @@ def test_quasi_baer_samples_keep_products_past_the_box(monkeypatch):
     # which reach past the box; the ideal's spanning monomials alone would
     # stay inside it, and under the hypotheses give the same annihilator.
     families = []
+    real = verify._checked
 
-    def spy(ctx, gens, *args, **kwargs):
+    def spy(ctx, checks, gens, *args):
         families.append(list(gens))
-        return bounded_annihilator_in_A(ctx, families[-1], *args, **kwargs)
+        return real(ctx, checks, families[-1], *args)
 
-    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+    monkeypatch.setattr(verify, "_checked", spy)
     box = NAT.box(1)
     assert verify_thm37(CTX4, "quasi_baer", box, samples=3).outcome == "PASS"
     assert any(e not in box for family in families for f in family for e, _ in f._terms)
@@ -506,7 +516,8 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
     # have the whole box), so their annihilator and bridge check are done once.
     ctx = SkewContext(ring_zn(8), NAT)
     slots = NAT.box(2)
-    real_ann, real_products = verify.bounded_annihilator_in_A, verify._products
+    real_kernel, real_box = verify._annihilating_vectors, verify._box_series
+    real_products = verify._products
     real_mul = SkewSeries.__mul__
     anns = []
     inside = [0]
@@ -521,24 +532,25 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
                 inside[0] -= 1
         return spy
 
-    def ann_spy(*args, **kwargs):
-        anns.append(outside_the_bridge(real_ann)(*args, **kwargs))
-        return anns[-1]
+    def kernel_spy(ctx, slots, *args):
+        vecs = tuple(real_kernel(ctx, slots, *args))
+        anns.append(tuple(real_box(ctx, slots, v) for v in vecs))
+        return iter(vecs)
 
     def mul_spy(self, other):
         bridge_muls[0] += not inside[0]
         return real_mul(self, other)
 
-    bridges = []
+    built = []
 
-    def embed_spy(ctx, e):
-        bridges.append(e)
-        return const_embed(ctx, e)
+    def box_spy(*args):
+        built.append(args)
+        return real_box(*args)
 
-    monkeypatch.setattr(verify, "bounded_annihilator_in_A", ann_spy)
+    monkeypatch.setattr(verify, "_annihilating_vectors", kernel_spy)
+    monkeypatch.setattr(verify, "_box_series", box_spy)
     monkeypatch.setattr(verify, "_products", outside_the_bridge(real_products))
     monkeypatch.setattr(SkewSeries, "__mul__", mul_spy)
-    monkeypatch.setattr(verify, "const_embed", embed_spy)
     report = verify_thm37(ctx, "baer", slots)
     monkeypatch.undo()
     instances = decide_generalized(ctx.ring, "baer", "right", DEFAULT_CAPS).per_instance
@@ -559,20 +571,21 @@ def test_bridge_check_runs_once_per_distinct_annihilator(monkeypatch):
     assert got == expected
     assert [x.statement_id for x in entries] == ["prop36_1", "prop36_1", "prop35_1"] * 255
     # The run computes one annihilator per distinct (product set, e), not one
-    # per instance: 12 for 255 instances.  Each is bridge-checked once (one
-    # c_e built for its membership test), and c_e*g is read off the
-    # coefficients of g: no series is multiplied outside the annihilator.
+    # per instance: 12 for 255 instances.  Each is bridge-checked once off
+    # its kernel vectors: c_e's membership is read off the constant slice and
+    # c_e*g off the coefficients of g, so no series is multiplied outside
+    # the products, and, every bridge holding, no box series is built.
     assert len(anns) == 12
     assert set(anns) == set(per_instance)
-    assert len(bridges) == 12
+    assert built == []
     assert bridge_muls[0] == 0
     assert sum(len(ann) for ann in anns) == 523
     assert sum(len(ann) for ann in per_instance) == 7920
 
 
 def _kernel_work(monkeypatch):
-    """Spy on the box kernel and the box series of bounded_annihilator_in_A:
-    returns [kernel runs, box series built]."""
+    """Spy on the box kernel and the box series that verify builds from its
+    vectors: returns [kernel runs, box series built]."""
     work = [0, 0]
     real_kernel, real_box = verify._annihilating_vectors, verify._box_series
 
@@ -589,29 +602,22 @@ def _kernel_work(monkeypatch):
     return work
 
 
-@pytest.mark.parametrize("ring,monoid,box,instances,runs,series", [
+@pytest.mark.parametrize("ring,monoid,box,instances,runs", [
     # 255 subsets of Z/8 at box 3 have 12 distinct product sets.
-    ("zn:8", OrderedMonoid("nat", "natural"), 3, 255, 12, 523),
-    ("zn:6", OrderedMonoid("nat_k", "lex", k=2), 2, 63, 11, 1416),
+    ("zn:8", OrderedMonoid("nat", "natural"), 3, 255, 12),
+    ("zn:6", OrderedMonoid("nat_k", "lex", k=2), 2, 63, 11),
 ])
 def test_thm37_runs_the_kernel_once_per_product_set(monkeypatch, ring, monoid, box,
-                                                    instances, runs, series):
-    calls = []
-    real = verify.bounded_annihilator_in_A
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "bounded_annihilator_in_A", spy)
+                                                    instances, runs):
     work = _kernel_work(monkeypatch)
     ctx = SkewContext(builtin_ring(ring), monoid)
     report = verify_thm37(ctx, "baer", monoid.box(box - 1))
     assert report.outcome == "PASS"
     assert len(decide_generalized(ctx.ring, "baer", "right").per_instance) == instances
-    # One call per product set; the run's table answers the repeats.
-    assert len(calls) == runs
-    assert work == [runs, series]
+    # One kernel run per product set; the run's table answers the repeats.
+    # Every bridge holds, so none of the kernel's vectors (523 and 1,416)
+    # becomes a series.
+    assert work == [runs, 0]
 
 
 def test_kept_annihilators_still_honour_the_budget():
@@ -640,9 +646,25 @@ def test_a_second_run_on_one_context_does_the_first_runs_work_again(monkeypatch)
     ctx = SkewContext(ring_zn(8), NAT)
     work = _kernel_work(monkeypatch)
     first = verify_thm37(ctx, "baer", NAT.box(2))
-    assert work == [12, 523]
+    assert work == [12, 0]
     assert verify_thm37(ctx, "baer", NAT.box(2)) == first
-    assert work == [24, 1046]
+    assert work == [24, 0]
+
+
+def test_a_quasi_baer_run_keeps_no_annihilator_series():
+    # Over Z/16 at box 3 the zero ideal's annihilator is all 16^3 box
+    # vectors.  The bridge reads them one at a time off the kernel and builds
+    # no series for them, so the run's peak stays far below the 1.2 MB that
+    # one series per vector would hold.
+    ctx = SkewContext(ring_zn(16), NAT)
+    tracemalloc.start()
+    try:
+        report = verify_thm37(ctx, "quasi_baer", NAT.box(2), budget=10 ** 8, samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.outcome == "PASS"
+    assert peak < 500_000, peak
 
 
 def test_runs_leave_their_context_as_they_found_it():
