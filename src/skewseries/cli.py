@@ -138,9 +138,7 @@ def _text_lines(r):
         return [f"{r['role']}: {r['value']}"]
     if kind == "error":
         return [f"error[{r['kind']}]: {r['message']}"]
-    if kind == "summary":
-        return [f"done: {r['records']} records, exit {r['exit']}"]
-    return [json.dumps(r, sort_keys=True)]
+    return [f"done: {r['records']} records, exit {r['exit']}"]
 
 
 def _emit(records, mode, stream):
@@ -222,15 +220,17 @@ def cmd_ring(args, records, caps):
         records.append({"record": "idempotents", "values": sorted(idempotents(ring))})
         return EXIT_OK
     sides = SIDES if args.side == "both" else (args.side,)
-    wanted = [(flag, side, flag.replace("-", "_") + (f"_{side}" if side else ""))
-              for flag in (_CLASS_FLAGS if args.cls == "all" else (args.cls,))
-              for side in (sides if flag.startswith("gen-") else (None,))]
+    # Only a generalized class on one side walks one side; the ordinary
+    # classes cross-check both.
+    walk = args.side if args.cls.startswith("gen-") and args.side != "both" else None
     profiles = {}
-    for flag, side, cls in wanted:
+    for flag in _CLASS_FLAGS if args.cls == "all" else (args.cls,):
         kind = "quasi_baer" if "quasi" in flag else "baer"
         if kind not in profiles:
-            profiles[kind] = class_profile(ring, kind, [w[2] for w in wanted], caps)
-        records.append(_verdict_record(name, flag, side, profiles[kind][cls]))
+            profiles[kind] = class_profile(ring, kind, walk, caps)
+        for side in sides if flag.startswith("gen-") else (None,):
+            cls = flag.replace("-", "_") + (f"_{side}" if side else "")
+            records.append(_verdict_record(name, flag, side, profiles[kind][cls]))
     return EXIT_OK
 
 

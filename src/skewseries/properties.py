@@ -1,8 +1,9 @@
 """Deciders for annihilator-based ring classes, with checkable certificates.
 
 Two routes exist on purpose.  decide_* go through class_profile, which walks
-each side once with one bitmask routine: a walk's depth-1 failures decide the
-ordinary class and its annihilator chain the generalized one on that side.
+each side once with one bitmask routine: a walk's first depth-1 failure
+decides the ordinary class and its annihilator chains the generalized one on
+that side.
 oracle_decide_generalized recomputes every quantity from the definitions
 through the public ring operations.  The two are cross-checked in the test
 suite and must never be merged.
@@ -177,7 +178,7 @@ def _subset_table(singles, full, first, count):
     return anns, members
 
 
-def _decide(ring, cls, side, caps, climb):
+def _decide(ring, cls, side, caps):
     """(per_instance, failing, flat_failing) for one side; failing is None
     exactly when the walk accepts.
 
@@ -195,11 +196,11 @@ def _decide(ring, cls, side, caps, climb):
     The ideals form one block.  per_instance is an InstanceBlocks holding
     each block as it was walked.
 
-    Without climb the walk stops at the first instance whose annihilator is
-    not idempotent-generated; with climb that instance climbs the chain of
-    its n-fold product sets until one is or the chain plateaus.  The chain
-    ascends (checked along the way) and a plateau is final, so stopping
-    there is exact.  flat_failing is the first depth-1 failure, or None.
+    An instance whose annihilator is not idempotent-generated climbs the
+    chain of its n-fold product sets until one is or the chain plateaus.
+    The chain ascends (checked along the way) and a plateau is final, so
+    stopping there is exact.  flat_failing is the first such instance, the
+    first depth-1 failure, or None.
     """
     table = side_table(ring, side)
     n, zero = ring.order, ring.zero
@@ -223,12 +224,9 @@ def _decide(ring, cls, side, caps, climb):
     def chain_end(members, ann):
         # (depth, e, ann) where the chain of an instance whose depth-1
         # annihilator ann is not idempotent-generated stops: at its first
-        # idempotent-generated one, or with e None at depth 1 (no climb) or
-        # a plateau.  The first such instance is the first depth-1 failure.
-        nonlocal flat
-        flat = flat or (members, 1, _mask_members(ann))
+        # idempotent-generated one, or with e None at a plateau.
         power, depth, e = members, 1, None
-        while e is None and climb:
+        while e is None:
             power = {table[p][x] for p in power for x in members}
             depth += 1
             ann_prev, ann = ann, ann_of(power)
@@ -265,6 +263,7 @@ def _decide(ring, cls, side, caps, climb):
             depths = [1] * len(es)
             for i in [i for i, e in enumerate(es) if e is None]:
                 members = lows[i] + high
+                flat = flat or (members, 1, _mask_members(anns[i]))
                 depths[i], es[i], ann = chain_end(members, anns[i])
                 if es[i] is None:
                     return InstanceBlocks(), (members, depths[i], _mask_members(ann)), flat
@@ -276,34 +275,28 @@ def _decide(ring, cls, side, caps, climb):
 # deciders
 
 
-def class_profile(ring, cls, names, caps=DEFAULT_CAPS):
-    """{class name: ClassVerdict} for the classes in names on cls's instances.
+def class_profile(ring, cls, side=None, caps=DEFAULT_CAPS):
+    """{class name: ClassVerdict} on cls's instances, one climbing walk per side.
 
-    Each side is walked at most once and climbs only for its generalized
-    class.  A walk's first depth-1 failure decides the ordinary class; with
-    none, the ordinary certificate is the generalized one (all depth 1).
-    The ordinary class reports the right side, cross-checked with the left.
-    A commutative ring is its own opposite, so there one walk, climbing if
-    either side asks, answers both sides.  Every accepting verdict lists all
-    its instances.  Names of the other instance kind are ignored; a name
-    outside CLASS_NAMES is a ValueError.
+    With a side, the profile holds that side's generalized class alone, from
+    one walk.  With None, both sides walk and the profile holds both
+    generalized classes and the ordinary one: the right walk's first depth-1
+    failure, cross-checked with the left walk's; with none, the ordinary
+    certificate is the generalized one (all depth 1).  A commutative ring is
+    its own opposite, so there one walk answers both sides.  Every accepting
+    verdict lists all its instances.  A side outside SIDES is a ValueError.
     """
     _check_cls(cls)
-    for name in names:
-        if name not in CLASS_NAMES:
-            raise ValueError(f"unknown class name {name!r}; options: {', '.join(CLASS_NAMES)}")
-    ordinary, profile = cls in names, {}
-    climbs = {side: f"gen_{cls}_{side}" in names for side in SIDES}
-    sides = [side for side in SIDES if climbs[side] or ordinary]
-    if len(sides) == 2 and side_table(ring, "left") == ring.mul_table:
-        runs = dict.fromkeys(SIDES, _decide(ring, cls, "right", caps, any(climbs.values())))
+    if side is not None:
+        check_side(side)
+        runs = {side: _decide(ring, cls, side, caps)}
+    elif side_table(ring, "left") == ring.mul_table:
+        runs = dict.fromkeys(SIDES, _decide(ring, cls, "right", caps))
     else:
-        runs = {side: _decide(ring, cls, side, caps, climbs[side]) for side in sides}
-    for side, (per_instance, failing, _) in runs.items():
-        if climbs[side]:
-            name = f"gen_{cls}_{side}"
-            profile[name] = ClassVerdict(ring, name, per_instance, failing)
-    if ordinary:
+        runs = {s: _decide(ring, cls, s, caps) for s in SIDES}
+    profile = {f"gen_{cls}_{s}": ClassVerdict(ring, f"gen_{cls}_{s}", per_instance, failing)
+               for s, (per_instance, failing, _) in runs.items()}
+    if side is None:
         if (runs["right"][2] is None) != (runs["left"][2] is None):
             raise InvariantViolation(f"{cls} verdict must be side-symmetric")
         per_instance, _, flat = runs["right"]
@@ -320,7 +313,7 @@ def decide_baer(ring, caps=DEFAULT_CAPS):
     Subsets run in ascending bitmask order, so the reported failing subset
     is the first one in that order.
     """
-    return class_profile(ring, "baer", ("baer",), caps)["baer"]
+    return class_profile(ring, "baer", None, caps)["baer"]
 
 
 def decide_quasi_baer(ring, caps=DEFAULT_CAPS):
@@ -329,7 +322,7 @@ def decide_quasi_baer(ring, caps=DEFAULT_CAPS):
     The certificate reports the right side: right annihilators of right
     ideals, in ascending size-then-lexicographic ideal order.
     """
-    return class_profile(ring, "quasi_baer", ("quasi_baer",), caps)["quasi_baer"]
+    return class_profile(ring, "quasi_baer", None, caps)["quasi_baer"]
 
 
 def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
@@ -341,8 +334,7 @@ def decide_generalized(ring, cls, side="right", caps=DEFAULT_CAPS):
     sides are genuinely independent classes here, so nothing is cross-checked.
     """
     check_side(side)
-    name = f"gen_{cls}_{side}"
-    return class_profile(ring, cls, (name,), caps)[name]
+    return class_profile(ring, cls, side, caps)[f"gen_{cls}_{side}"]
 
 
 def _check_cls(cls):

@@ -11,7 +11,7 @@ import random
 
 from .errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from .monoids import OrderedMonoid, check_refinement
-from .properties import _GAPS, SEARCH_KINDS, SIDES, class_profile, decide_generalized
+from .properties import _GAPS, SEARCH_KINDS, class_profile, decide_generalized
 from .rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
@@ -450,19 +450,20 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=2,
             raise ValueError(f"unknown search property {kind!r}; options: {', '.join(SEARCH_KINDS)}")
     if box < 1:
         raise ValueError(f"box must be >= 1, got {box}")
-    # Only the classes the requested gaps and the left-right comparison read.
+    # Both sides of each instance kind that a requested gap or the
+    # left-right comparison reads.
     names = {cname for kind in kinds if kind in _GAPS for cname in _GAPS[kind][:2]}
-    if "left_right" in kinds:
-        names.update(f"gen_{cls}_{side}" for cls in ("baer", "quasi_baer") for side in SIDES)
+    walks = [cls for cls in ("baer", "quasi_baer")
+             if "left_right" in kinds or {cls, f"gen_{cls}_right"} & names]
     findings = []
     exhausted = False
     work = 0
     monoid, slots = OrderedMonoid("nat", "natural"), None
     for name, ring in catalog:
         profile = {}
-        for cls in ("baer", "quasi_baer"):
+        for cls in walks:
             profile.update((cname, cv.verdict) for cname, cv in class_profile(
-                ring, cls, names, caps).items())
+                ring, cls, None, caps).items())
         for kind, (holds, fails, detail) in _GAPS.items():
             if kind in kinds and profile[holds] and not profile[fails]:
                 findings.append({"kind": kind, "ring": name, "detail": detail})

@@ -89,6 +89,16 @@ MUTANTS = [
      ["tests/test_properties.py"],
      "a chain that plateaus at depth >= 2 raises instead of rejecting"),
     ("properties.py",
+     "        while e is None:",
+     "        while e is None and depth < 2:",
+     ["tests/test_properties.py"],
+     "a chain stops climbing after depth 2, short of the zn:8 and zn:16 depths 3 and 4"),
+    ("properties.py",
+     "flat = flat or (members, 1, _mask_members(anns[i]))",
+     "flat = (members, 1, _mask_members(anns[i]))",
+     ["tests/test_properties.py"],
+     "flat_failing keeps the last depth-1 failure instead of the first"),
+    ("properties.py",
      "complete = ((ring.zero,) in found\n                    and ",
      "complete = (",
      ["tests/test_properties.py"],

@@ -702,8 +702,8 @@ def _mat2_certificate_parts():
     # The block texts of each accepted mat2:z2 certificate.
     return [cv.per_instance.json_parts()
             for cls in ("baer", "quasi_baer")
-            for cv in properties.class_profile(builtin_ring("mat2:z2"), cls,
-                                               properties.CLASS_NAMES).values() if cv.verdict]
+            for cv in properties.class_profile(builtin_ring("mat2:z2"), cls).values()
+            if cv.verdict]
 
 
 class _DigestWriter:

@@ -34,6 +34,8 @@ as a `kind = tables` file, are the first whose generalized verdicts reject
 after a climb (right side) while the left side accepts; its `search` finds
 the two left-right gaps and an Armendariz witness.  They were recorded
 before the Armendariz scan walked least coset representatives.
+Its four one-sided generalized pins were recorded before a decider walk
+always climbed and a single-side check came to walk one side by itself.
 The two generalized quasi-Baer pins of ut3:z2 and ut2:z4, on both sides,
 were recorded before ideals came from the join-irreducible principal
 ideals, matrix tables from generator products and certificate text from
@@ -219,6 +221,16 @@ TRIANGULAR_GOLDEN = [
      4, "a637002505b0996365551a2197476bc89c853e2786d152d60354ef6c044c0786"),
     (('verify', 'thm37-quasibaer', '--ring', 't.ini', '--box', '1'),
      4, "2ab0ab622a97c9513f8e4ab3ffbfff6f1b2632271c656b25828e38675e133845"),
+    # One side of a generalized class walks alone: no on the right, yes on
+    # the left.
+    (('ring', 'check', '--ring', 't.ini', '--class', 'gen-baer'),
+     0, "161e62780bbf98204827b96da5cd26a758f9e03c7b0b3460a5eec494f4fcd5d7"),
+    (('ring', 'check', '--ring', 't.ini', '--class', 'gen-baer', '--side', 'left'),
+     0, "5490565154a5da120c1af3ba6a8a12a5b1eeafe08dca3cbee9f5cbd526c17987"),
+    (('ring', 'check', '--ring', 't.ini', '--class', 'gen-quasi-baer'),
+     0, "d4d1eac2757c7e7e4a2323bd053e3ef7ee655be4fee7f903a1efbe7a78487f09"),
+    (('ring', 'check', '--ring', 't.ini', '--class', 'gen-quasi-baer', '--side', 'left'),
+     0, "f875ececfd6660e1302b5e93d1525209504ee8a9893e83518dd988cdc3feb92e"),
 ]
 
 

@@ -170,43 +170,33 @@ _WALK_RINGS = {
 # The order-16 tables rings as built, their zero at index 0.
 _TABLE_RINGS = {"GF(4)[e]": gf4_dual_numbers, "GR(4,2)": galois_ring_4_2}
 
-# (ring, climb, deepest accepted depth, or None for a rejected ring)
+# (ring, deepest accepted depth); a ring accepted at depth 1 alone is Baer.
 WALK_CASES = [
-    ("mat2:z2", False, 1),
-    ("mat2:z2", True, 1),
-    ("zn:4", False, None),
-    ("zn:8", False, None),
-    ("zn:4", True, 2),
-    ("zn:8", True, 3),
-    ("prod:zn:4,zn:2", True, 2),
-    ("zn:12 with 2,6,10 at 8,9,10", False, None),
-    ("zn:12 with 2,6,10 at 8,9,10", True, 2),
-    ("zn:16", True, 4),
-    ("GF(4)[e]", False, None),
-    ("GF(4)[e]", True, 2),
-    ("GR(4,2)", False, None),
-    ("GR(4,2)", True, 2),
-    ("prod:zn:3,zn:5 with 0 at 10", False, 1),
-    ("prod:zn:3,zn:5 with 0 at 10", True, 1),
-    ("GF(4)[e] with e,0 at 8,9", False, None),
-    ("GF(4)[e] with e,0 at 8,9", True, 2),
+    ("mat2:z2", 1),
+    ("zn:4", 2),
+    ("zn:8", 3),
+    ("prod:zn:4,zn:2", 2),
+    ("zn:12 with 2,6,10 at 8,9,10", 2),
+    ("zn:16", 4),
+    ("GF(4)[e]", 2),
+    ("GR(4,2)", 2),
+    ("prod:zn:3,zn:5 with 0 at 10", 1),
+    ("GF(4)[e] with e,0 at 8,9", 2),
 ]
 
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("name,climb,deepest", WALK_CASES)
-def test_subset_walk_matches_a_literal_reference(name, climb, deepest, side):
+@pytest.mark.parametrize("name,deepest", WALK_CASES)
+def test_subset_walk_matches_a_literal_reference(name, deepest, side):
     ring = (_WALK_RINGS | _TABLE_RINGS).get(name, lambda: builtin_ring(name))()
-    verdict, per_instance, failing = _literal_subset_walk(ring, side, climb)
-    if deepest is None:
-        assert not verdict
-        if name in _WALK_RINGS:
-            assert failing[0] == (8,)
-    else:
-        assert max(depth for _, depth, _ in per_instance) == deepest
+    verdict, per_instance, failing = _literal_subset_walk(ring, side, True)
+    assert verdict and max(depth for _, depth, _ in per_instance) == deepest
     # flat_failing is what the walk without a climb rejects first.
-    flat = _literal_subset_walk(ring, side, False)[2]
-    assert _decide(ring, "baer", side, DEFAULT_CAPS, climb) == (per_instance, failing, flat)
+    flat_verdict, _, flat = _literal_subset_walk(ring, side, False)
+    assert flat_verdict == (deepest == 1)
+    if name in _WALK_RINGS and not flat_verdict:
+        assert flat[0] == (8,)
+    assert _decide(ring, "baer", side, DEFAULT_CAPS) == (per_instance, failing, flat)
 
 
 # Rings whose generalized classes accept some instance only at depth > 1.
@@ -231,7 +221,7 @@ def _relabelled_rings(draw):
 def test_certificate_json_text_is_the_encoders_text(ring):
     encode = json.JSONEncoder(separators=(",", ":")).encode
     for cls in ("baer", "quasi_baer"):
-        for cv in class_profile(ring, cls, CLASS_NAMES).values():
+        for cv in class_profile(ring, cls).values():
             cert = cv.per_instance
             assert isinstance(cert, InstanceBlocks)
             text = "[" + ",".join(cert.json_parts()) + "]"
@@ -267,7 +257,7 @@ def test_order_16_tables_rings_are_generalized_baer_at_depth_two(gf4_eps, gr42):
     # but m^2 = {0}.  Every instance outside m holds a unit.
     for ring, m, first in ((gf4_eps, (0, 4, 8, 12), (4,)), (gr42, (0, 2, 8, 10), (2,))):
         for cls in ("baer", "quasi_baer"):
-            profile = class_profile(ring, cls, (cls, f"gen_{cls}_right"))
+            profile = class_profile(ring, cls)
             assert not profile[cls].verdict
             assert profile[cls].failing_instance[2] == m
             generalized = profile[f"gen_{cls}_right"]
@@ -354,16 +344,18 @@ def test_recheck_refuses_a_malformed_first_triple(cls, tamper):
     assert not recheck_class_verdict(_with_triples(cv, [tamper(*first), *rest]))
 
 
-def test_unknown_class_names_are_refused():
+def test_an_unknown_side_or_class_is_refused():
     # The certificate is right for gen_baer_right, but "bogus" names no class.
     cv = decide_generalized(Z4, "baer", "right")
     assert recheck_class_verdict(cv)
     assert not recheck_class_verdict(ClassVerdict(Z4, "bogus", cv.per_instance, None))
-    with pytest.raises(ValueError, match="unknown class name 'gen_bear_right'; options: baer,"):
-        class_profile(Z4, "baer", ["gen_bear_right"])
-    # A name of the other instance kind is known, and only ignored.
-    assert set(class_profile(Z4, "baer", CLASS_NAMES)) == {"baer", "gen_baer_right",
-                                                          "gen_baer_left"}
+    with pytest.raises(ValueError, match="side must be 'right' or 'left', got 'both'"):
+        class_profile(Z4, "baer", "both")
+    with pytest.raises(ValueError, match="cls must be 'baer' or 'quasi_baer', got 'bear'"):
+        class_profile(Z4, "bear")
+    # Without a side, both sides and the ordinary class; with one, that side.
+    assert set(class_profile(Z4, "baer")) == {"baer", "gen_baer_right", "gen_baer_left"}
+    assert set(class_profile(M2, "quasi_baer", "left")) == {"gen_quasi_baer_left"}
 
 
 def test_recheck_holds_each_triple_to_what_the_walk_states():
@@ -441,7 +433,7 @@ KINDS = {"baer": "subset", "gen_baer_right": "subset", "gen_baer_left": "subset"
 def test_verdict_and_instance_kind_are_read_off_the_fields(name):
     ring = builtin_ring(name)
     verdicts = [cv for cls in ("baer", "quasi_baer")
-                for cv in class_profile(ring, cls, CLASS_NAMES).values()]
+                for cv in class_profile(ring, cls).values()]
     verdicts += [oracle_decide_generalized(ring, cls, side)
                  for cls in ("baer", "quasi_baer") for side in SIDES]
     assert sorted({cv.class_name for cv in verdicts}) == sorted(CLASS_NAMES)
@@ -485,7 +477,7 @@ def test_subset_chains_are_the_chains_of_their_additive_spans(name):
     # span's (n, e) replays through the public operations.
     ring = _SPAN_TABLE_RINGS.get(name, lambda: builtin_ring(name))()
     span = _additive_spans(ring)
-    profile = class_profile(ring, "baer", ("gen_baer_right", "gen_baer_left"))
+    profile = class_profile(ring, "baer")
     for side in SIDES:
         cv = profile[f"gen_baer_{side}"]
         assert cv.verdict and len(cv.per_instance) == 2 ** ring.order - 1
@@ -548,7 +540,7 @@ def test_left_verdicts_from_the_one_walk_of_a_commutative_ring(name):
     # oracle's, replay through the public operations and name left ideals.
     ring = builtin_ring(name)
     for cls in ("baer", "quasi_baer"):
-        left = class_profile(ring, cls, CLASS_NAMES)[f"gen_{cls}_left"]
+        left = class_profile(ring, cls)[f"gen_{cls}_left"]
         slow = oracle_decide_generalized(ring, cls, "left")
         assert (left.verdict, left.per_instance) == (slow.verdict, slow.per_instance)
         assert left.instance_kind == slow.instance_kind

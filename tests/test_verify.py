@@ -21,7 +21,7 @@ from conftest import (
 from skewseries import properties, verify
 from skewseries.errors import BudgetExceeded, HypothesisNotMet, MixedContexts
 from skewseries.monoids import OrderedMonoid
-from skewseries.properties import decide_generalized
+from skewseries.properties import class_profile, decide_generalized
 from skewseries.rings import (
     ARMENDARIZ_BUDGET,
     DEFAULT_CAPS,
@@ -88,6 +88,22 @@ def test_bounded_annihilator_hand_values():
     assert len(bounded_annihilator_in_A(CTX4, gens, 2, [0, 1])) == 16
     small = bounded_annihilator_in_A(CTX4, gens, 1, [0])
     assert [g.items() for g in small] == [[], [((0,), 2)]]
+
+
+@pytest.mark.parametrize("refused,error,match", [
+    (lambda: bounded_annihilator_in_A(CTX4, [const_embed(CTX4, x) for x in (1, 2, 3)], 2,
+                                      [0, 1], budget=8),
+     BudgetExceeded, "product set growth exceeds budget"),
+    (lambda: bounded_annihilator_in_A(CTX4, [], 1, [0, 1]),
+     ValueError, "gens must be a nonempty series family"),
+    (lambda: verify_thm37(CTX4, "bear", [0, 1]),
+     ValueError, "variant must be 'baer' or 'quasi_baer', got 'bear'"),
+    (lambda: counterexample_search([("zn:4", Z4)], box=0), ValueError, "box must be >= 1, got 0"),
+], ids=["product-growth", "no-generators", "unknown-variant", "empty-box"])
+def test_library_calls_refuse_what_they_cannot_run(refused, error, match):
+    # Three generators have 9 > 8 products of two; the others name bad input.
+    with pytest.raises(error, match=match):
+        refused()
 
 
 def test_bounded_annihilator_budget():
@@ -297,20 +313,20 @@ def test_search_armendariz_budget_exhaustion():
 
 
 @pytest.mark.parametrize("kinds,walks", [
-    (("gen_baer_not_baer",), [("baer", "right", True), ("baer", "left", False)]),
-    (("quasi_baer_not_baer",), [("baer", "right", False), ("baer", "left", False),
-                                ("quasi_baer", "right", False), ("quasi_baer", "left", False)]),
+    (("gen_baer_not_baer",), [("baer", "right"), ("baer", "left")]),
+    (("quasi_baer_not_baer",), [("baer", "right"), ("baer", "left"),
+                                ("quasi_baer", "right"), ("quasi_baer", "left")]),
     (("armendariz",), []),
-    (None, [(cls, side, True) for cls in ("baer", "quasi_baer") for side in ("right", "left")]),
+    (None, [(cls, side) for cls in ("baer", "quasi_baer") for side in ("right", "left")]),
 ], ids=["gen-baer-gap", "quasi-baer-gap", "armendariz", "all"])
 def test_search_walks_only_the_classes_it_reports(kinds, walks, monkeypatch):
     # mat2:z2 is not commutative, so each side it asks about is its own walk.
     seen = []
     real = properties._decide
 
-    def spy(ring, cls, side, caps, climb):
-        seen.append((cls, side, climb))
-        return real(ring, cls, side, caps, climb)
+    def spy(ring, cls, side, caps):
+        seen.append((cls, side))
+        return real(ring, cls, side, caps)
 
     monkeypatch.setattr(properties, "_decide", spy)
     counterexample_search([("mat2:z2", ring_matrix(ring_zn(2), 2))], properties=kinds)
@@ -1085,31 +1101,44 @@ def test_a_passing_armendariz_scan_forces_the_ring_side_hypotheses():
     # of e gives (1 - e)*r*e = 0: every idempotent is central, R is a product
     # of local rings, and its four generalized classes accept, each depth at
     # most the nilpotency index of N(R).  Here every maximum meets the bound.
+    # Every endomorphism is scanned too.  A twisted pass has no such proof;
+    # each one here lies on a ring that also passes untwisted.
     rings = [builtin_ring(name) for name in CATALOG_NAMES]
     rings += [builtin_ring(name, Caps(order=64))
               for name in ("ut2:z3", "ut2:z4", "prod:zn:4,zn:4", "zn:16", "prod:zn:3,zn:5")]
     rings += [gf4_ring(), gf4_dual_numbers(), galois_ring_4_2()]
     rings += [triangular(*acd) for acd in ((2, 2, 4), (4, 2, 2), (2, 2, 2), (3, 3, 3))]
-    outcomes = {"passes": 0, "refutes": 0, "over budget": 0}
+    outcomes = {"passes": 0, "twisted passes": 0, "refutes": 0, "over budget": 0}
+    passing, twisted = {}, set()
     for ring, points in itertools.product(rings, (2, 3)):
-        try:
-            armendariz_pair_count(ring, points, 10 ** 8)
-        except BudgetExceeded:
-            outcomes["over budget"] += 1
-            continue
-        cert = armendariz_search(SkewContext(ring, NAT), NAT.box(points - 1), 10 ** 8)
-        if cert.verdict == "no":
-            outcomes["refutes"] += 1
-            continue
-        outcomes["passes"] += 1
+        for sigma in enumerate_endomorphisms(ring, Caps(endo=64)):
+            try:
+                armendariz_pair_count(ring, points, 10 ** 8)
+            except BudgetExceeded:
+                outcomes["over budget"] += 1
+                continue
+            ctx = SkewContext(ring, NAT, sigma)
+            if armendariz_search(ctx, NAT.box(points - 1), 10 ** 8).verdict == "no":
+                outcomes["refutes"] += 1
+                continue
+            outcomes["passes"] += 1
+            if sigma.image == tuple(range(ring.order)):
+                passing[id(ring)] = ring
+            else:
+                outcomes["twisted passes"] += 1
+                twisted.add(id(ring))
+    assert twisted <= passing.keys()
+    for ring in passing.values():
         elements = range(ring.order)
         assert all(ring.mul(e, r) == ring.mul(r, e) for e in idempotents(ring) for r in elements)
         nilpotent = {x for x in elements if ring.zero in subset_power(ring, {x}, ring.order)}
         index = next(m for m in itertools.count(1)
                      if subset_power(ring, nilpotent, m) == {ring.zero})
         runs = [("quasi_baer", Caps(ideal=64))] + [("baer", DEFAULT_CAPS)] * (ring.order <= 16)
-        for (cls, caps), side in itertools.product(runs, ("right", "left")):
-            verdict = decide_generalized(ring, cls, side, caps)
-            assert verdict.verdict, (ring.label, cls, side)
-            assert max(n for _, n, _ in verdict.per_instance) == index, (ring.label, cls, side)
-    assert outcomes == {"passes": 28, "refutes": 13, "over budget": 3}
+        for cls, caps in runs:
+            profile = class_profile(ring, cls, caps=caps)
+            for side in ("right", "left"):
+                verdict = profile[f"gen_{cls}_{side}"]
+                assert verdict.verdict, (ring.label, cls, side)
+                assert max(n for _, n, _ in verdict.per_instance) == index, (ring.label, cls, side)
+    assert outcomes == {"passes": 46, "twisted passes": 18, "refutes": 126, "over budget": 50}
