@@ -292,16 +292,12 @@ def cmd_verify(args, records, caps):
 
 def _split_catalog(text):
     # prod:zn:A,zn:B carries a comma of its own, so it eats the next token.
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
     names = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.startswith("prod:") and i + 1 < len(tokens):
-            tok = tok + "," + tokens[i + 1]
-            i += 1
-        names.append(tok)
-        i += 1
+    for tok in filter(None, map(str.strip, text.split(","))):
+        if names and names[-1].startswith("prod:") and "," not in names[-1]:
+            names[-1] += "," + tok
+        else:
+            names.append(tok)
     return names
 
 

@@ -428,7 +428,8 @@ def recheck_class_verdict(cv):
     the first depth whose r(X^n) is idempotent-generated, and e the smallest
     idempotent generating it.  Up to that depth the chain r(X) < r(X^2) < ...
     ascends strictly (a plateau is final), and each step at least doubles an
-    additive group, so n <= log2|R| + 1; a deeper n is refused at once.
+    additive group, so n <= log2|R| + 1; a deeper n is refused at once.  The
+    exact bound max(1, floor(log2|R|)) would need a case for |R| = 1.
     """
     if cv.class_name not in CLASS_NAMES or not cv.verdict:
         return False
@@ -438,7 +439,9 @@ def recheck_class_verdict(cv):
         return False
     listed = [members for members, _, _ in cv.per_instance]
     if cv.instance_kind == "subset":
-        complete = listed == [_mask_members(mask) for mask in range(1, 1 << ring.order)]
+        # The count comes first: 2^n - 1 member tuples of a large ring never end.
+        complete = (len(listed) == (1 << ring.order) - 1
+                    and all(m == _mask_members(mask) for mask, m in enumerate(listed, 1)))
     else:
         found = set(listed)
 

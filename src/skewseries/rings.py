@@ -640,7 +640,8 @@ def enumerate_endomorphisms(ring, caps=DEFAULT_CAPS):
     assignment forces images across the subring generated so far (sums and
     products of determined elements have determined images), so conflicts
     are detected long before a full map is built.  The identity is always
-    among the results.
+    among the results.  Sibling branches agree below that element and try
+    its images in ascending order, so the maps are found sorted and distinct.
     """
     if ring.order > caps.endo:
         raise SizeCapExceeded(f"endomorphism search capped at order {caps.endo}, ring has {ring.order}")
@@ -685,7 +686,7 @@ def enumerate_endomorphisms(ring, caps=DEFAULT_CAPS):
     seed[ring.one] = ring.one
     if close(seed, ring.zero) and close(seed, ring.one):
         extend(seed)
-    return [RingEndomorphism(ring, img) for img in sorted(set(found))]
+    return [RingEndomorphism(ring, img) for img in found]
 
 
 def endo_property(sigma):

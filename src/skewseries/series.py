@@ -397,10 +397,10 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
     # term's vanishing, since (c*f)(u)*omega_u(g(v)) = c*(f(u)*omega_u(g(v))).
     # So c*f refutes exactly when f does, with the same g, and the first
     # refuting f in product order is the least of its unit orbit: only
-    # orbit minima are scanned, and they stand for every pair.
+    # orbit minima are scanned, and they stand for every pair.  In a finite
+    # ring c*d == 1 gives d*c == 1, so the units are the rows holding one.
     one = ring.one
-    unit_rows = [mul_t[c] for c in range(n) if c != one and any(
-        mul_t[c][d] == one and mul_t[d][c] == one for d in range(n))]
+    unit_rows = [row for c, row in enumerate(mul_t) if c != one and one in row]
     rows_at = [[_row(ring, _twist(ctx, u), a) for a in range(n)] for u in slots]
     layouts, transversals = {}, {}
     zero_f = (ring.zero,) * len(slots)
@@ -410,10 +410,9 @@ def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):
         found = _armendariz_refutation(ring, slots, fvec, rows_at, layouts, transversals)
         if found is not None:
             gvec, u, v = found
-            f = tuple((e, a) for e, a in zip(slots, fvec) if a != ring.zero)
             return PropertyCertificate(
                 "no",
-                witness=(SkewSeries._trusted(ctx, f), _box_series(ctx, slots, gvec), u, v),
+                witness=(_box_series(ctx, slots, fvec), _box_series(ctx, slots, gvec), u, v),
                 notes=f"f*g == 0 but f({_fmt_exp(u)})*omega(g({_fmt_exp(v)})) != 0; {scope}",
             )
     return PropertyCertificate("unknown-at-bound", notes=scope)

@@ -441,8 +441,8 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=2,
     Armendariz pair budget runs out, flagging the outcome as exhausted.
 
     The Armendariz scans run over the box of exponents 0..box-1 of N.  Each
-    scan's pair count comes from box alone, so the box is built only once
-    some scan fits the budget.
+    scan's pair count comes from box alone, so a box is built only for a
+    scan that fits the budget.
     """
     kinds = SEARCH_KINDS if properties is None else tuple(properties)
     for kind in kinds:
@@ -458,7 +458,7 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=2,
     findings = []
     exhausted = False
     work = 0
-    monoid, slots = OrderedMonoid("nat", "natural"), None
+    monoid = OrderedMonoid("nat", "natural")
     for name, ring in catalog:
         profile = {}
         for cls in walks:
@@ -482,10 +482,8 @@ def counterexample_search(catalog, properties=None, budget=SEARCH_BUDGET, box=2,
                 except BudgetExceeded:
                     exhausted = True
                     break
-                if slots is None:
-                    slots = normalize_box(monoid, monoid.box(box - 1))
-                ctx = SkewContext(ring, monoid, sigma)
-                cert = armendariz_search(ctx, slots, budget=remaining)
+                cert = armendariz_search(SkewContext(ring, monoid, sigma), monoid.box(box - 1),
+                                         budget=remaining)
                 if cert.verdict == "no":
                     f, g, s, t = cert.witness
                     findings.append({

@@ -78,6 +78,16 @@ MUTANTS = [
      "if all(c == zero for j, c in enumerate(v) if j != 0)",
      ["tests/test_verify.py", "-k", "reports_match_the_oracle"],
      "the constant slice reads the identity at the box's first slot"),
+    ("series.py",
+     "        if total <= budget:",
+     "        if total < budget:",
+     ["tests/test_series.py", "-k", "pair_count_at_the_budget"],
+     "a scan whose pair count equals the budget is refused"),
+    ("series.py",
+     "    if n > 1 and power > max(",
+     "    if n >= 1 and power > max(",
+     ["tests/test_series.py", "-k", "pair_count_at_the_budget"],
+     "a one-element ring past the power printing limit reads as over budget"),
     ("properties.py",
      "            if ann == ann_prev:\n                break",
      "            if ann == ann_prev:\n                depth += 7\n                break",
@@ -103,6 +113,16 @@ MUTANTS = [
      "complete = (",
      ["tests/test_properties.py"],
      "the ideal recheck accepts a certificate without its {0} triple"),
+    ("properties.py",
+     "complete = (len(listed) == (1 << ring.order) - 1\n                    and all(",
+     "complete = (all(",
+     ["tests/test_properties.py", "-k", "counts_the_subsets"],
+     "the subset recheck compares the listed prefix only, so a short certificate passes"),
+    ("properties.py",
+     "len(members) > 0",
+     "len(members) >= 0",
+     ["tests/test_properties.py", "-k", "empty_member_tuple"],
+     "an empty member tuple passes as a triple, and the ideal recheck raises EmptySubset"),
     ("properties.py",
      "        if h == trivial:",
      "        if h & trivial:",
@@ -133,6 +153,11 @@ MUTANTS = [
      "        for g in gens[:-1]:\n            # pick(row) lists x + (g + y)",
      ["tests/test_rings.py", "-k", "light_test"],
      "Light's associativity test skips the last additive generator"),
+    ("rings.py",
+     "        for a in range(n):\n            for b in range(n):\n                if image[ring.add(a, b)]",
+     "        for a in range(0):\n            for b in range(n):\n                if image[ring.add(a, b)]",
+     ["tests/test_rings.py", "-k", "no_endomorphism"],
+     "RingEndomorphism checks no sum or product, so a non-additive image passes"),
     ("rings.py",
      "        for table in (mul, tuple(zip(*mul))):",
      "        for table in (mul,):",

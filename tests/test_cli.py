@@ -138,6 +138,23 @@ def test_catalog_splitting_keeps_product_names_whole():
     assert _split_catalog(",".join(CATALOG_NAMES)) == list(CATALOG_NAMES)
     assert _split_catalog(" zn:4 , prod:zn:2,zn:3 ,ut2:z2") == [
         "zn:4", "prod:zn:2,zn:3", "ut2:z2"]
+    # A product name takes the next token whole, whatever it holds.
+    assert _split_catalog("prod:zn:2, zn:3,zn:4") == ["prod:zn:2,zn:3", "zn:4"]
+    assert _split_catalog("prod:zn:2,prod:zn:3,zn:5") == ["prod:zn:2,prod:zn:3", "zn:5"]
+    assert _split_catalog("zn:2,prod:zn:2,zn:2,prod:zn:3") == [
+        "zn:2", "prod:zn:2,zn:2", "prod:zn:3"]
+    assert _split_catalog("zn:4,prod:") == ["zn:4", "prod:"]
+    # Empty tokens drop out before any gluing.
+    assert _split_catalog(",, prod:zn:2,, ,zn:3,,") == ["prod:zn:2,zn:3"]
+    assert _split_catalog("") == _split_catalog(" , ,") == []
+
+
+def test_armendariz_budget_is_inclusive_on_the_command_line():
+    # zn:8 at box 2 has 8^4 = 4096 pairs: a budget of exactly that runs.
+    argv = ("verify", "thm37-baer", "--ring", "zn:8", "--box", "2", "--budget")
+    assert invoke_jsonl(*argv, "4096")[0] == 0
+    code, recs = invoke_jsonl(*argv, "4095")
+    assert code == 3 and summary_of(recs)["exit"] == 3
 
 
 def test_search_gap_scan_on_named_rings():

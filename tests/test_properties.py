@@ -329,6 +329,25 @@ def test_recheck_rejects_members_outside_the_ring():
     assert not recheck_class_verdict(_with_triples(subsets, [(members, n, 7), *rest]))
 
 
+def test_recheck_counts_the_subsets_before_it_lists_them():
+    # The one triple is right for {0} on Z/30, but 2^30 - 1 subsets are
+    # due; the count refuses at once, before any member tuple is built.
+    cv = ClassVerdict(ring_zn(30), "gen_baer_right", (((0,), 1, 1),), None)
+    assert cv.verdict and cv.instance_kind == "subset"
+    start = time.perf_counter()
+    assert not recheck_class_verdict(cv)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("cls", ["baer", "quasi_baer"])
+def test_recheck_refuses_an_empty_member_tuple(cls):
+    # ((), 1, 0) is no triple: the recheck says False before an ideal of the
+    # empty set is asked for (which raises EmptySubset).
+    cv = decide_generalized(Z4, cls, "right")
+    assert recheck_class_verdict(cv)
+    assert not recheck_class_verdict(_with_triples(cv, [((), 1, 0), *cv.per_instance]))
+
+
 MALFORMED_TRIPLES = [
     ("depth 0", lambda m, n, e: (m, 0, e)),
     ("depth -1", lambda m, n, e: (m, -1, e)),

@@ -578,6 +578,37 @@ def test_endomorphism_enumeration():
     assert images == sorted(images)
 
 
+# Builtin rings up to order 125 from every family: the catalog, the matrix and
+# triangular rings, and the products of Z/A and Z/B with A <= B <= 8.
+ENDO_ORDER_RINGS = tuple(dict.fromkeys(
+    CATALOG_NAMES + ("ut2:z3", "ut2:z4", "ut2:z5", "mat2:z3", "ut3:z2")
+    + tuple(f"prod:zn:{a},zn:{b}" for a in range(2, 9) for b in range(a, 9))))
+
+
+def test_endomorphism_search_yields_ascending_images_without_repeats():
+    # The search branches on the lowest undetermined element, trying images
+    # in ascending order, so the maps come out sorted and distinct.
+    caps = Caps(endo=125, order=125)
+    counts = {}
+    for name in ENDO_ORDER_RINGS:
+        images = [e.image for e in enumerate_endomorphisms(builtin_ring(name, caps), caps)]
+        assert images == sorted(set(images)), name
+        counts[name] = len(images)
+    assert (counts["ut3:z2"], counts["ut2:z5"], counts["mat2:z3"]) == (243, 32, 24)
+    assert counts["prod:zn:6,zn:6"] == 16
+
+
+@pytest.mark.parametrize("ring, image, message", [
+    (builtin_ring("ut2:z2"), (0, 0, 1, 1, 5, 5, 4, 4), "not multiplicative at (1,2)"),
+    (Z4, (0, 1, 0, 0), "not additive at (1,1)"),
+    (Z4, (1, 1, 2, 3), "endomorphism must fix 0"),
+], ids=["additive-unital-not-multiplicative", "not-additive", "moves-zero"])
+def test_an_image_that_is_no_endomorphism_is_refused(ring, image, message):
+    with pytest.raises(ValueError) as info:
+        RingEndomorphism(ring, image)
+    assert str(info.value) == message
+
+
 def test_endomorphism_validation_and_inverse():
     swap = next(e for e in enumerate_endomorphisms(ring_product(ring_zn(2), ring_zn(2)))
                 if e.image == (0, 2, 1, 3))

@@ -26,6 +26,7 @@ from skewseries.rings import (
     ARMENDARIZ_BUDGET,
     PropertyCertificate,
     RingEndomorphism,
+    build_ring_from_tables,
     enumerate_endomorphisms,
     ring_matrix,
     ring_product,
@@ -237,6 +238,17 @@ def test_armendariz_witness_for_m2_z2():
 def test_armendariz_budget_guard():
     with pytest.raises(BudgetExceeded):
         armendariz_search(CTX6, [0, 1, 2], budget=100)
+
+
+def test_armendariz_pair_count_at_the_budget_and_on_a_one_element_ring():
+    # The budget is inclusive: 8^4 pairs fit a budget of exactly 4096.
+    assert armendariz_pair_count(ring_zn(8), 2, 4096) == 4096
+    with pytest.raises(BudgetExceeded, match="needs 4096 pairs, budget is 4095"):
+        armendariz_pair_count(ring_zn(8), 2, 4095)
+    # A one-element ring has one pair at any box, also past the power
+    # printing limit, where 1^(2*points) must not be read as over budget.
+    zero_ring = build_ring_from_tables(1, [[0]], [[0]], 0, 0)
+    assert armendariz_pair_count(zero_ring, 7201, 1) == 1
 
 
 def test_compatibility_check_identity_twists():
