@@ -90,7 +90,7 @@ class OrderedMonoid:
         return _strict(self.refined_mode if refined else self.order_mode)(u, v)
 
     def box(self, bound):
-        """All elements with coordinates of magnitude <= bound, sorted."""
+        """All elements with coordinates of magnitude <= bound, sorted as the loop builds them."""
         if bound < 0:
             raise ValueError("bound must be >= 0")
         lo = -bound if self.kind == "int" else 0
@@ -98,7 +98,7 @@ class OrderedMonoid:
         out = [()]
         for _ in range(self.k):
             out = [pre + (c,) for pre in out for c in coords]
-        return sorted(out)
+        return out
 
     def box_size(self, bound):
         """len(self.box(bound)), without building the box."""

@@ -599,12 +599,19 @@ class RingEndomorphism(FrozenRecord):
             raise ValueError("endomorphism must fix 0")
         if image[ring.one] != ring.one:
             raise ValueError("endomorphism must fix 1")
+        # Checking on the additive generators G is exact.  The b with
+        # image(a + b) == image(a) + image(b) for all a are closed under +
+        # and hold G, so they are all of R.  Then image(ab) - image(a)image(b)
+        # is bi-additive, so it vanishes once it vanishes on G x G.
+        add, mul, gens = ring.add_table, ring.mul_table, additive_generators(ring, range(n))
         for a in range(n):
-            for b in range(n):
-                if image[ring.add(a, b)] != ring.add(image[a], image[b]):
-                    raise ValueError(f"not additive at ({a},{b})")
-                if image[ring.mul(a, b)] != ring.mul(image[a], image[b]):
-                    raise ValueError(f"not multiplicative at ({a},{b})")
+            for g in gens:
+                if image[add[a][g]] != add[image[a]][image[g]]:
+                    raise ValueError(f"not additive at ({a},{g})")
+        for g in gens:
+            for h in gens:
+                if image[mul[g][h]] != mul[image[g]][image[h]]:
+                    raise ValueError(f"not multiplicative at ({g},{h})")
         super().__init__(ring, image)
 
     def __call__(self, x):
@@ -636,57 +643,49 @@ def identity_endomorphism(ring):
 def enumerate_endomorphisms(ring, caps=DEFAULT_CAPS):
     """All unital ring endomorphisms, sorted by image tuple.
 
-    Backtracking on the image of the lowest undetermined element.  Any
-    assignment forces images across the subring generated so far (sums and
-    products of determined elements have determined images), so conflicts
-    are detected long before a full map is built.  The identity is always
-    among the results.  Sibling branches agree below that element and try
-    its images in ascending order, so the maps are found sorted and distinct.
+    A map is fixed by its images of the additive generators G, and checking
+    it on G is exact (see RingEndomorphism).  So the search backtracks over
+    the images of G in turn, ascending, extending the map over the span by
+    the walk y -> y + g.  A sum reached twice with two different images ends
+    the branch, and so does a product of chosen generators whose image is
+    known and is not the product of theirs.  The full maps that fix 1 remain.
     """
     if ring.order > caps.endo:
         raise SizeCapExceeded(f"endomorphism search capped at order {caps.endo}, ring has {ring.order}")
-    n = ring.order
-    add, mul = ring.add_table, ring.mul_table
+    n, add, mul = ring.order, ring.add_table, ring.mul_table
+    gens = additive_generators(ring, range(n))
 
-    def close(img, start):
-        # Force img along +/* closure from start; False on conflict.
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for y in range(n):
-                if img[y] is None:
-                    continue
-                for a, b in ((x, y), (y, x)):
-                    for table in (add, mul):
-                        s = table[a][b]
-                        v = table[img[a]][img[b]]
-                        if img[s] is None:
-                            img[s] = v
-                            queue.append(s)
-                        elif img[s] != v:
-                            return False
+    def fits(img, chosen):
+        return all(img[mul[g][h]] in (None, mul[img[g]][img[h]]) for g in chosen for h in chosen)
+
+    def spread(img, span):
+        # The walk from span, a subgroup on which img is additive, then g =
+        # span[-1].  For y = s + m*g with s in the subgroup, img(y + h) =
+        # img(s + h) + m*img(g) = img(y) + img(h) at each earlier generator h.
+        plus_g, plus_v = add[span[-1]], add[img[span[-1]]]
+        for y in span:
+            z, w = plus_g[y], plus_v[img[y]]
+            if img[z] is None:
+                img[z] = w
+                span.append(z)
+            elif img[z] != w:
+                return False
         return True
 
-    found = []
-
-    def extend(img):
-        try:
-            x = img.index(None)
-        except ValueError:
-            found.append(tuple(img))
+    def extend(img, span, k):
+        if k == len(gens):
+            yield tuple(img)
             return
-        for y in range(n):
-            trial = img.copy()
-            trial[x] = y
-            if close(trial, x):
-                extend(trial)
+        g, chosen = gens[k], gens[:k + 1]
+        for v in range(n):
+            trial, grown = img.copy(), span + [g]
+            trial[g] = v
+            # Products check before the walk, which they often spare, and after.
+            if fits(trial, chosen) and spread(trial, grown) and fits(trial, chosen):
+                yield from extend(trial, grown, k + 1)
 
-    seed = [None] * n
-    seed[ring.zero] = ring.zero
-    seed[ring.one] = ring.one
-    if close(seed, ring.zero) and close(seed, ring.one):
-        extend(seed)
-    return [RingEndomorphism(ring, img) for img in found]
+    maps = extend([ring.zero if x == ring.zero else None for x in range(n)], [ring.zero], 0)
+    return [RingEndomorphism(ring, img) for img in sorted(maps) if img[ring.one] == ring.one]
 
 
 def endo_property(sigma):

@@ -46,13 +46,13 @@ def builtin_ring(name, caps=DEFAULT_CAPS):
     """A catalog ring by name; SpecFormatError names the valid patterns."""
     m = _ZN_RE.match(name)
     if m:
-        return ring_zn(_positive(m.group(1), name, low=2), caps)
+        return ring_zn(_modulus(m.group(1), name), caps)
     m = _PROD_RE.match(name)
     if m:
         return ring_product(builtin_ring(m.group(1), caps), builtin_ring(m.group(2), caps), caps)
     m = _MAT_RE.match(name)
     if m:
-        base = ring_zn(_positive(m.group(3), name, low=2), caps)
+        base = ring_zn(_modulus(m.group(3), name), caps)
         k = int(m.group(2))
         maker = ring_matrix if m.group(1) == "mat" else ring_upper_triangular
         return maker(base, k, caps)
@@ -61,9 +61,9 @@ def builtin_ring(name, caps=DEFAULT_CAPS):
         f"(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them")
 
 
-def _positive(text, context, low=1):
+def _modulus(text, context):
     n = int(text)
-    if n < low:
+    if n < 2:
         raise SpecFormatError(f"number {n} too small in ring spec {context!r}")
     return n
 

@@ -383,6 +383,16 @@ def literal_matrix_tables(base, k, positions):
     return add, mul
 
 
+def literal_endomorphism(ring, image):
+    """Whether image (a tuple of indices, one per element) is a unital ring
+    endomorphism, by the literal scan of all n^2 pairs."""
+    rng = range(ring.order)
+    add, mul = ring.add_table, ring.mul_table
+    return (image[ring.zero] == ring.zero and image[ring.one] == ring.one
+            and all(image[add[a][b]] == add[image[a]][image[b]]
+                    and image[mul[a][b]] == mul[image[a]][image[b]] for a in rng for b in rng))
+
+
 def additive_closure(ring, subset):
     """Closure of subset plus 0 under addition (a finite additive subgroup)."""
     cur = set(subset) | {ring.zero}

@@ -154,10 +154,25 @@ MUTANTS = [
      ["tests/test_rings.py", "-k", "light_test"],
      "Light's associativity test skips the last additive generator"),
     ("rings.py",
-     "        for a in range(n):\n            for b in range(n):\n                if image[ring.add(a, b)]",
-     "        for a in range(0):\n            for b in range(n):\n                if image[ring.add(a, b)]",
+     "        for a in range(n):\n            for g in gens:\n                if image[add[a][g]]",
+     "        for a in range(0):\n            for g in gens:\n                if image[add[a][g]]",
      ["tests/test_rings.py", "-k", "no_endomorphism"],
-     "RingEndomorphism checks no sum or product, so a non-additive image passes"),
+     "RingEndomorphism checks no sum, so a non-additive image passes"),
+    ("rings.py",
+     "        for a in range(n):\n            for g in gens:\n                if image[add[a][g]]",
+     "        for a in gens:\n            for g in gens:\n                if image[add[a][g]]",
+     ["tests/test_rings.py", "-k", "refused_exactly_when"],
+     "RingEndomorphism checks sums on G x G only, so a map additive on the generators alone passes"),
+    ("rings.py",
+     "        for g in gens:\n            for h in gens:\n",
+     "        for g in gens:\n            for h in gens[gens.index(g):]:\n",
+     ["tests/test_rings.py", "-k", "no_endomorphism"],
+     "RingEndomorphism checks products g*h with g <= h only, so mat2:z2's failing pair (4,2) is missed"),
+    ("rings.py",
+     "            if fits(trial, chosen) and spread(trial, grown) and fits(trial, chosen):",
+     "            if spread(trial, grown):",
+     ["tests/test_rings.py", "-k", "equals_the_literal_scan"],
+     "the endomorphism search keeps additive unital maps that are not multiplicative"),
     ("rings.py",
      "        for table in (mul, tuple(zip(*mul))):",
      "        for table in (mul,):",

@@ -87,7 +87,9 @@ def test_box_contents():
                          ids=repr)
 def test_box_size_counts_the_box_without_building_it(monoid):
     for bound in range(5):
-        assert monoid.box_size(bound) == len(monoid.box(bound))
+        box = monoid.box(bound)
+        assert monoid.box_size(bound) == len(box)
+        assert box == sorted(box)
     with pytest.raises(ValueError):
         monoid.box_size(-1)
 

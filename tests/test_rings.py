@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     additive_closure,
+    gf4_ring,
     literal_axiom_violation,
+    literal_endomorphism,
     literal_matrix_tables,
     product_rings,
+    quadratic_ring,
     triangular,
 )
 from skewseries.errors import (
@@ -18,6 +22,7 @@ from skewseries.errors import (
     SizeCapExceeded,
 )
 from skewseries.rings import (
+    DEFAULT_CAPS,
     Caps,
     _matrix_like,
     FiniteRing,
@@ -598,15 +603,110 @@ def test_endomorphism_search_yields_ascending_images_without_repeats():
     assert counts["prod:zn:6,zn:6"] == 16
 
 
+@pytest.mark.parametrize("ring", [
+    ring_zn(4), ring_zn(6), builtin_ring("prod:zn:2,zn:2"), builtin_ring("ut2:z2"), gf4_ring(),
+    quadratic_ring(ring_zn(2), 0, 0, "Z/2[e]"), triangular(2, 2, 2),
+], ids=repr)
+def test_endomorphism_search_equals_the_literal_scan(ring):
+    # Every map that fixes 0 and 1, kept when it passes the literal n^2
+    # check; the maps come out sorted, since the free entries vary in
+    # ascending order.
+    n = ring.order
+    free = [x for x in range(n) if x not in (ring.zero, ring.one)]
+    image = list(range(n))
+    literal = []
+    for values in itertools.product(range(n), repeat=len(free)):
+        for x, y in zip(free, values):
+            image[x] = y
+        if literal_endomorphism(ring, image):
+            literal.append(tuple(image))
+    assert [e.image for e in enumerate_endomorphisms(ring)] == literal
+
+
+# The sorted image lists of the endomorphism search, pinned by their count and
+# one sha256 over repr([e.image for e in ...]) ring after ring: 12 builtin
+# rings up to order 256, then the order-16 rings of conftest.py.
+PINNED_ENDOMORPHISMS = {
+    "zn:8": 1, "zn:16": 1, "prod:zn:2,zn:2": 4, "prod:zn:4,zn:4": 4, "ut2:z2": 8,
+    "mat2:z2": 6, "ut2:z3": 14, "ut2:z4": 22, "ut3:z2": 243, "mat2:z3": 24, "ut2:z5": 32,
+    "mat2:z4": 48,
+}
+
+
+def _image_digest(rings, caps=DEFAULT_CAPS):
+    digest, counts = hashlib.sha256(), []
+    for ring in rings:
+        images = [e.image for e in enumerate_endomorphisms(ring, caps)]
+        digest.update(repr(images).encode())
+        counts.append(len(images))
+    return counts, digest.hexdigest()
+
+
+def test_endomorphism_search_is_pinned_up_to_order_256(gf4_eps, gr42):
+    caps = Caps(endo=256, order=256)
+    rings = [builtin_ring(name, caps) for name in PINNED_ENDOMORPHISMS]
+    assert _image_digest(rings, caps) == (
+        list(PINNED_ENDOMORPHISMS.values()),
+        "ec6e2280991e7deafd23e0c9f5be6f04aef59c11ee40cd94715bcfa48dedeeaf")
+    assert _image_digest([gf4_eps, gr42, triangular(2, 2, 4)]) == (
+        [8, 2, 5], "63c521213efc377f8e0e75c33b500a58f006f399172d5138bb99f483365e4a5a")
+
+
 @pytest.mark.parametrize("ring, image, message", [
     (builtin_ring("ut2:z2"), (0, 0, 1, 1, 5, 5, 4, 4), "not multiplicative at (1,2)"),
+    # Additive and unital, x -> (its (1,1) entry) * I, but E10*E01 = E11 goes
+    # to I while E10 and E01 go to 0: only the generator pair (4,2) fails.
+    (builtin_ring("mat2:z2"), (0,) * 8 + (9,) * 8, "not multiplicative at (4,2)"),
     (Z4, (0, 1, 0, 0), "not additive at (1,1)"),
     (Z4, (1, 1, 2, 3), "endomorphism must fix 0"),
-], ids=["additive-unital-not-multiplicative", "not-additive", "moves-zero"])
+], ids=["additive-unital-not-multiplicative", "one-generator-pair", "not-additive", "moves-zero"])
 def test_an_image_that_is_no_endomorphism_is_refused(ring, image, message):
     with pytest.raises(ValueError) as info:
         RingEndomorphism(ring, image)
     assert str(info.value) == message
+
+
+# The catalog rings and the order-4 rings of conftest.py.
+REFUSAL_RINGS = tuple(builtin_ring(name) for name in CATALOG_NAMES) + (
+    gf4_ring(), quadratic_ring(ring_zn(2), 0, 0, "Z/2[e]"))
+
+
+@st.composite
+def generator_images(draw):
+    """(ring, image): a small ring and the map that sends each additive
+    generator g to g or to a drawn element, and every other element where
+    the walk y -> y + g first takes it, with at most one entry then redrawn.
+    Keeping some generators where the identity puts them makes maps that are
+    additive and fix 1 common, so the product check is reached as well as
+    the sum check."""
+    ring = draw(st.sampled_from(REFUSAL_RINGS))
+    n, add = ring.order, ring.add_table
+    gens = additive_generators(ring, range(n))
+    picks = {g: draw(st.just(g) | st.integers(0, n - 1)) for g in gens}
+    image = [None] * n
+    image[ring.zero] = ring.zero
+    queue = [ring.zero]
+    for y in queue:
+        for g in gens:
+            z = add[y][g]
+            if image[z] is None:
+                image[z] = add[image[y]][picks[g]]
+                queue.append(z)
+    if draw(st.booleans()):
+        image[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return ring, tuple(image)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(generator_images())
+def test_an_image_is_refused_exactly_when_the_literal_scan_refuses_it(case):
+    ring, image = case
+    try:
+        RingEndomorphism(ring, image)
+    except ValueError:
+        assert not literal_endomorphism(ring, image)
+    else:
+        assert literal_endomorphism(ring, image)
 
 
 def test_endomorphism_validation_and_inverse():
