@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 from types import SimpleNamespace
 
 from .errors import (
@@ -104,7 +105,7 @@ def _text_lines(r):
         lines = [head]
         if r.get("instances") is not None:
             lines.append(f"  {len(r['instances'])} instances accepted")
-            for members, n, e in r["instances"][:20]:
+            for members, n, e in islice(r["instances"], 20):
                 lines.append(f"  {{{','.join(str(x) for x in members)}}}: n={n} e={e}")
             if len(r["instances"]) > 20:
                 lines.append(f"  ... {len(r['instances']) - 20} more in jsonl output")
@@ -242,14 +243,15 @@ def _report_records(records, report):
         records.append({"record": "conclusion", "statement": entry.statement_id,
                         "instance": entry.instance, "ok": entry.ok,
                         "witness": entry.witness})
+    outcome = report.outcome
     rec = {"record": "report", "statement": report.statement_id,
-           "outcome": report.outcome,
+           "outcome": outcome,
            "entries": len(report.conclusion_checked),
            "scope": report.scope_note}
     if report.statement_id == "prop34":
         rec["idempotent_series"] = len(report.conclusion_checked) - 1
     records.append(rec)
-    return report.outcome == "PASS"
+    return outcome == "PASS"
 
 
 def cmd_verify(args, records, caps):

@@ -15,8 +15,7 @@ ideals and principal ideals eR are the left annihilators, left ideals and
 Re of the ring itself.
 """
 
-from collections.abc import Sequence
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, pairwise, repeat
 
 from .errors import InvariantViolation, SizeCapExceeded
 from .rings import (
@@ -58,11 +57,11 @@ SEARCH_KINDS = (*_GAPS, "left_right", "armendariz")
 class ClassVerdict(FrozenRecord):
     """Decision for one ring class.
 
-    per_instance is a sequence of (members, n, e) triples for accepting
-    runs: the instance's sorted element tuple, the accepted annihilator-chain
-    depth, and the generating idempotent.  The fast route keeps it as an
-    InstanceBlocks, the oracle as a tuple; the two compare equal when their
-    triples do.  failing_instance is (members, n_reached,
+    per_instance holds the (members, n, e) triples of an accepting run in
+    walk order: the instance's sorted element tuple, the accepted
+    annihilator-chain depth, and the generating idempotent.  The fast route
+    keeps it as an InstanceBlocks, the oracle as a tuple; the two compare
+    equal when their triples do.  failing_instance is (members, n_reached,
     stable_annihilator) for the first rejected instance, with per_instance
     left empty.  ring is the FiniteRing decided and class_name one of
     CLASS_NAMES; verdict, side and instance_kind are read off the fields.
@@ -83,15 +82,16 @@ class ClassVerdict(FrozenRecord):
         return f"{self.side}_ideal" if "quasi" in self.class_name else "subset"
 
 
-class InstanceBlocks(Sequence):
+class InstanceBlocks:
     """The (members, n, e) triples of an accepting walk, kept by block.
 
     blocks holds (lows, high, es, depths) entries: a block's i-th instance
     has members lows[i] + high, depth depths[i] (1 throughout when depths is
     None) and generator es[i].  The blocks of one walk share one lows list,
     so a triple is built only when it is read, and its trivial blocks of
-    one length share one generator list.  The sequence equals, and hashes
-    like, the tuple of its triples.
+    one length share one generator list.  Readers take the triples in walk
+    order: it iterates them, has their count as its length, and equals, and
+    hashes like, the tuple of its triples.
     """
 
     __slots__ = ("blocks", "_count")
@@ -106,18 +106,6 @@ class InstanceBlocks(Sequence):
     def __iter__(self):
         for lows, high, es, depths in self.blocks:
             yield from zip([low + high for low in lows], depths or repeat(1), es)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._count)
-            if step < 0:
-                return tuple(self)[index]
-            return tuple(islice(self, start, stop, step))
-        i = range(self._count)[index]
-        for lows, high, es, depths in self.blocks:
-            if i < len(es):
-                return lows[i] + high, depths[i] if depths else 1, es[i]
-            i -= len(es)
 
     def __eq__(self, other):
         if isinstance(other, InstanceBlocks):

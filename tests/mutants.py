@@ -200,6 +200,11 @@ MUTANTS = [
      "    os._exit(0)",
      ["tests/test_cli.py", "-k", "cli_process"],
      "the process exits 0 whatever main returned"),
+    ("cli.py",
+     'islice(r["instances"], 20)',
+     'islice(r["instances"], 19)',
+     ["tests/test_golden.py", "-k", "text_bytes"],
+     "text shows 19 of a certificate's triples while its tail line counts from 20"),
 ]
 
 

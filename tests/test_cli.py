@@ -307,6 +307,18 @@ def test_zero_counts_stay_valid(argv, exit_code):
     assert all(r.get("kind") != "spec" for r in recs)
 
 
+@pytest.mark.parametrize("literal,kind,message", [
+    ("9@0", "ForeignElement", "coefficient 9 not in ring of order 4"),
+    ("1@0 + 2@0", "DuplicateExponent", "exponent (0,) given twice"),
+    ("1@0,1", "MixedMonoids", "(0, 1) is not an arity-1 exponent"),
+])
+def test_an_algebra_error_is_named_by_its_class_and_exits_2(literal, kind, message):
+    code, recs = invoke_jsonl("series", "--ring", "zn:4", literal)
+    assert code == 2
+    assert recs[-2] == {"record": "error", "kind": kind, "message": message}
+    assert summary_of(recs)["exit"] == 2
+
+
 def test_series_subcommand_sum_and_product():
     code, recs = invoke_jsonl("series", "--ring", "zn:4", "2@0 + 3@1", "2@1")
     assert code == 0

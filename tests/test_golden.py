@@ -153,10 +153,16 @@ def test_jsonl_bytes_match_the_recorded_digest(argv, code, digest):
 
 
 # (argv, exit code, sha256 of the text output); text reads each certificate's
-# length and its first 20 triples.
+# length and its first 20 triples.  The search and series pins, which render
+# findings and series values, were recorded before certificates lost their
+# index and slice reads.
 TEXT_GOLDEN = [
     (('ring', 'check', '--ring', 'mat2:z2', '--class', 'all', '--side', 'both'),
      0, "92e166bc605b83fd7197392cdccd1ca04d44912c5dd4c5499e64a6387f5b60bf"),
+    (('search', '--catalog', 'zn:4,ut2:z2,mat2:z2'),
+     0, "1f9dc8991a3b38fed30b46eae98887829b6019b34270a1d364592ef34a1219ec"),
+    (('series', '--ring', 'zn:4', '1@0 + 2@1', '3@1'),
+     0, "ee6f012e469565cacf8f9b7de8a2d0844e29695829637d70161ab4597d061f34"),
 ]
 
 

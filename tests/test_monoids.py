@@ -1,7 +1,10 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import literal_order_check, literal_refinement_check
+from skewseries import monoids
 from skewseries.errors import IllegalPairing, MixedMonoids
 from skewseries.monoids import (
     _MODES,
@@ -125,6 +128,18 @@ def test_refinement_certificates():
     broken = OrderedMonoid("nat_k", "product", k=2)
     broken.refined_mode = "trivial"  # vacuously strict and compatible, but not total
     assert check_refinement(broken, 1).witness == ((0, 0), (0, 1), "totality")
+
+
+@pytest.mark.parametrize("lt,witness", [
+    # Not strict: the order axioms' own certificate is returned as it is.
+    (lambda u, v: True, ((0, 0), (0, 0), "irreflexivity")),
+    # Reverse lex is a strict compatible total order that misses (0,0) < (0,1).
+    (operator.gt, ((0, 0), (0, 1), "extension")),
+])
+def test_refinement_check_names_a_corrupt_refinement(monkeypatch, lt, witness):
+    monkeypatch.setitem(monoids._STRICT, "lex", lt)
+    cert = check_refinement(NAT2, 1)
+    assert (cert.verdict, cert.witness) == ("no", witness)
 
 
 ORDER_MONOIDS = (NAT, INT, OrderedMonoid("nat_k", "lex", k=2), NAT2)

@@ -1,5 +1,5 @@
-"""Package surface: the immutable records, the lazy exports, and what
-importing the CLI loads."""
+"""Package surface: the immutable records, the refusals of bad arguments,
+the lazy exports, and what importing the CLI loads."""
 
 import ast
 import dataclasses
@@ -16,11 +16,25 @@ import pytest
 
 import skewseries
 from skewseries.errors import SpecFormatError
+from skewseries.monoids import OrderedMonoid
 from skewseries.properties import ClassVerdict
-from skewseries.rings import Caps, FrozenRecord, PropertyCertificate, RingEndomorphism, ring_zn
+from skewseries.rings import (
+    Caps,
+    FiniteRing,
+    FrozenRecord,
+    PropertyCertificate,
+    RingEndomorphism,
+    identity_endomorphism,
+    ring_matrix,
+    ring_upper_triangular,
+    ring_zn,
+)
+from skewseries.series import SkewContext, normalize_box, parse_series_literal
+from skewseries.specfile import builtin_ring
 from skewseries.verify import ConclusionEntry, SearchOutcome, TheoremReport
 
-Z2 = ring_zn(2)
+Z2, Z4 = ring_zn(2), ring_zn(4)
+NAT = OrderedMonoid("nat", "natural")
 
 # (class, a full set of field values, the defaults of its trailing fields)
 RECORDS = [
@@ -122,6 +136,41 @@ def test_endomorphism_validation_is_unchanged():
     with pytest.raises(ValueError, match="one ring element per element"):
         RingEndomorphism(Z2, (False, True))
     assert RingEndomorphism(Z2, [0, 1]).image == (0, 1)
+
+
+XOR, AND = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+
+# (id, call, exception class, message)
+REFUSALS = [
+    ("monoid-kind", lambda: OrderedMonoid("bad", "natural"), ValueError,
+     "unknown monoid kind 'bad'"),
+    ("negative-box", lambda: NAT.box(-1), ValueError, "bound must be >= 0"),
+    ("label-count", lambda: FiniteRing(2, XOR, AND, 0, 1, element_labels=("0",)), ValueError,
+     "element_labels length must equal order"),
+    ("short-table", lambda: FiniteRing(2, [[0, 1]], AND, 0, 1), ValueError,
+     "add table must be 2x2"),
+    ("zn-1", lambda: ring_zn(1), ValueError, "zn needs n >= 2, got 1"),
+    ("matrix-4", lambda: ring_matrix(Z2, 4), ValueError, "matrix size must be 2 or 3, got 4"),
+    ("triangular-1", lambda: ring_upper_triangular(Z2, 1), ValueError,
+     "matrix size must be 2 or 3, got 1"),
+    ("compose-rings", lambda: identity_endomorphism(Z2).compose(identity_endomorphism(Z4)),
+     ValueError, "cannot compose endomorphisms of different rings"),
+    ("inverse", lambda: RingEndomorphism(builtin_ring("prod:zn:2,zn:2"), (0, 0, 3, 3)).inverse(),
+     ValueError, "only bijective endomorphisms have inverses"),
+    ("twist-ring", lambda: SkewContext(Z2, NAT, identity_endomorphism(Z4)), ValueError,
+     "the twist must be one endomorphism of the context's ring"),
+    ("empty-box", lambda: normalize_box(NAT, []), ValueError, "support box must be nonempty"),
+    ("series-term", lambda: parse_series_literal(SkewContext(Z4, NAT), "x@0"), SpecFormatError,
+     "cannot parse series term 'x@0'"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_a_bad_argument_is_refused_with_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("kwargs", [{"subset": -1}, {"order": -3}])
