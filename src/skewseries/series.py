@@ -349,30 +349,26 @@ def _walk(ring, layout, rows, fits, allowed, budget):
             j, entering = j + 1, True
 
 
-# 2^14400 has 4335 digits, more than int-to-str conversion allows by default.
-_DECIMAL_POWER_LIMIT = 14_400
+# Counts from here on have more digits than int-to-str allows by default.
+_EXACT_COUNT = 10 ** 4300
 
 
 def armendariz_pair_count(ring, points, budget):
     """Pairs (f, g) an exhaustive Armendariz scan over a box of that many
     points covers, n^(2*points); BudgetExceeded when that is more than budget.
 
-    Past the budget's bit length and _DECIMAL_POWER_LIMIT the exponent alone
-    shows the count is over budget and too long to print, so it is named as
-    a power and never built.
+    An over-budget count below _EXACT_COUNT is named in full, any other as
+    the power n^p.  As n^p >= 2^(p*(bit length of n - 1)), the exponent
+    alone may show the count over budget and at least _EXACT_COUNT; then
+    it is never built.
     """
     n, power = ring.order, 2 * points
-    if n > 1 and power > max(budget.bit_length(), _DECIMAL_POWER_LIMIT):
-        count = f"{n}^{_decimal(power)}"
-    else:
+    total = _EXACT_COUNT  # an unbuilt count is at least this
+    if power <= budget.bit_length() or power * (n.bit_length() - 1) < _EXACT_COUNT.bit_length():
         total = n ** power
         if total <= budget:
             return total
-        try:
-            count = str(total)
-        except ValueError:
-            # Too many digits for int-to-str conversion: print the power.
-            count = f"{n}^{_decimal(power)}"
+    count = _decimal(total) if total < _EXACT_COUNT else f"{n}^{_decimal(power)}"
     raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {budget}")
 
 

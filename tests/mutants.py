@@ -84,10 +84,15 @@ MUTANTS = [
      ["tests/test_series.py", "-k", "pair_count_at_the_budget"],
      "a scan whose pair count equals the budget is refused"),
     ("series.py",
-     "    if n > 1 and power > max(",
-     "    if n >= 1 and power > max(",
+     "(n.bit_length() - 1)",
+     "n.bit_length()",
      ["tests/test_series.py", "-k", "pair_count_at_the_budget"],
-     "a one-element ring past the power printing limit reads as over budget"),
+     "a one-element ring's count is left unbuilt and reads as over budget"),
+    ("series.py",
+     "total < _EXACT_COUNT",
+     "total <= _EXACT_COUNT",
+     ["tests/test_cli.py", "-k", "pair_count_prints_in_full"],
+     "a count of 10^4300, with 4301 digits, prints in full"),
     ("properties.py",
      "            if ann == ann_prev:\n                break",
      "            if ann == ann_prev:\n                depth += 7\n                break",

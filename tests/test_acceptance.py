@@ -184,25 +184,32 @@ def test_criterion_09_determinism():
         ["search"],
         ["ring", "check", "--ring", "zn:8", "--class", "all", "--side", "both"],
     )
+    # over-budget pair counts of 1,205 and 4,305 digits
+    refused = (
+        ["verify", "thm37-baer", "--ring", "zn:2", "--box", "2000", "--budget", "100"],
+        ["verify", "thm37-baer", "--ring", "zn:2", "--box", "7150", "--budget", "100"],
+    )
 
     # the children import the package under test, installed or not
     package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
 
-    def one_pass(hash_seed):
+    def one_pass(hash_seed, max_str_digits):
         chunks = []
-        for cmd in commands:
+        for cmd, exit_code in [(c, 0) for c in commands] + [(c, 3) for c in refused]:
             proc = subprocess.run(
                 [sys.executable, "-m", "skewseries", *cmd, "--output", "jsonl"],
                 capture_output=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": package_root},
+                env={"PYTHONHASHSEED": hash_seed, "PYTHONINTMAXSTRDIGITS": max_str_digits,
+                     "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
             )
-            assert proc.returncode == 0, (cmd, proc.stderr.decode())
+            assert proc.returncode == exit_code, (cmd, proc.stderr.decode())
             chunks.append(proc.stdout)
         return b"".join(chunks)
 
-    # different hash seeds so any set-order leak into the output shows up
-    assert one_pass("1") == one_pass("2")
+    # different hash seeds so any set-order leak into the output shows up, and
+    # no int-to-str digit limit (0) against the lowest one, so neither does
+    # a str() of a long int
+    assert one_pass("1", "0") == one_pass("2", "640")
 
 
 @criterion(10, "class inclusions and the reduced-ring collapse over the catalog")

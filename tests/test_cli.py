@@ -294,6 +294,20 @@ def test_negative_counts_are_spec_errors(argv, message):
     assert summary_of(recs)["exit"] == 2
 
 
+@pytest.mark.parametrize("argv,exit_code,kind,message", [
+    (("verify", "prop34", "--ring", "zn:4", "--box", "0"), 2, "spec",
+     "--box must be >= 1, got 0"),
+    (("search", "--box", "0"), 2, "spec", "--box must be >= 1, got 0"),
+    (("series", "--ring", "zn:32", "--sigma", "0", "1@0"), 3, "cap-exceeded",
+     "endomorphism search capped at order 16, ring has 32"),
+])
+def test_refusals_before_any_work(argv, exit_code, kind, message):
+    code, recs = invoke_jsonl(*argv)
+    assert code == exit_code
+    assert recs[-2] == {"record": "error", "kind": kind, "message": message}
+    assert summary_of(recs)["exit"] == exit_code
+
+
 @pytest.mark.parametrize("argv,exit_code", [
     # A zero cap or budget is a valid value that stops the run at once.
     (("ring", "check", "--ring", "zn:4", "--caps", "subset=0"), 3),
@@ -517,6 +531,22 @@ def test_pair_count_past_the_digit_limit_prints_as_a_power(statement):
     assert code == 3
     assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
                         "message": "exhaustive search needs 2^16000 pairs, budget is 100"}
+
+
+@pytest.mark.parametrize("ring,box,count", [
+    # A count of up to 4300 digits prints in full; from 10^4300 on, as n^p.
+    ("zn:2", "7142", 2 ** 14284),
+    ("zn:2", "7143", "2^14286"),
+    ("zn:10", "2149", 10 ** 4298),
+    ("zn:10", "2150", "10^4300"),
+    ("zn:3", "5000", "3^10000"),
+])
+def test_pair_count_prints_in_full_below_4301_digits(ring, box, count):
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", ring, "--box", box,
+                              "--budget", "100")
+    assert code == 3
+    assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
+                        "message": f"exhaustive search needs {count} pairs, budget is 100"}
 
 
 @pytest.mark.parametrize("statement", ["thm37-baer", "prop34", "corollaries"])

@@ -90,19 +90,37 @@ def test_ring_file_tables_with_detected_identities(tmp_path):
 
 
 def test_ring_file_rejections(tmp_path):
+    # Each refusal names the file; FILE stands for its path.
+    kinds = "['matrix', 'product', 'tables', 'upper_triangular', 'zn']"
     cases = {
-        "nokind.ini": "[ring]\nn = 4\n",
-        "extra.ini": "[ring]\nkind = zn\nn = 4\nbase = zn:2\n",
-        "shortrow.ini": "[ring]\nkind = tables\norder = 2\nadd = 0 1; 1\nmul = 0 0; 0 1\n",
-        "alpha.ini": "[ring]\nkind = tables\norder = 2\nadd = 0 x; 1 0\nmul = 0 0; 0 1\n",
-        "nosection.ini": "[monoid]\nkind = nat\n",
-        "noidentity.ini": "[ring]\nkind = tables\norder = 2\nadd = 0 1; 1 0\nmul = 0 0; 0 0\n",
+        "nokind.ini": ("[ring]\nn = 4\n", f"FILE: ring kind must be one of {kinds}, got None"),
+        "extra.ini": ("[ring]\nkind = zn\nn = 4\nbase = zn:2\n",
+                      "FILE: unknown keys for kind zn: ['base']"),
+        "noN.ini": ("[ring]\nkind = zn\n", "FILE: missing key 'n' for kind zn"),
+        "alphaN.ini": ("[ring]\nkind = zn\nn = x\n",
+                       "FILE: invalid literal for int() with base 10: 'x'"),
+        "onerow.ini": ("[ring]\nkind = tables\norder = 2\nadd = 0 1\nmul = 0 0; 0 1\n",
+                       "FILE: add: expected 2 rows, got 1"),
+        "shortrow.ini": ("[ring]\nkind = tables\norder = 2\nadd = 0 1; 1\nmul = 0 0; 0 1\n",
+                         "FILE: add: row ' 1' has 1 entries, need 2"),
+        "alpha.ini": ("[ring]\nkind = tables\norder = 2\nadd = 0 x; 1 0\nmul = 0 0; 0 1\n",
+                      "FILE: add: non-integer entry in row '0 x'"),
+        "nosection.ini": ("[monoid]\nkind = nat\n", "spec file FILE lacks a [ring] section"),
+        "noidentity.ini": ("[ring]\nkind = tables\norder = 2\nadd = 0 1; 1 0\nmul = 0 0; 0 0\n",
+                           "FILE: multiplicative identity: no identity element in the table"),
     }
-    for name, body in cases.items():
+    for name, (body, message) in cases.items():
         p = tmp_path / name
         p.write_text(body)
-        with pytest.raises(SpecFormatError):
+        with pytest.raises(SpecFormatError) as err:
             parse_ring_file(str(p))
+        assert str(err.value) == message.replace("FILE", str(p))
+    # Past this prefix the text is configparser's own, which varies by version.
+    p = tmp_path / "noheader.ini"
+    p.write_text("kind = zn\nn = 4\n")
+    with pytest.raises(SpecFormatError) as err:
+        parse_ring_file(str(p))
+    assert str(err.value).startswith(f"cannot read spec file {p}: ")
 
 
 def test_ring_file_tables_that_are_not_a_ring(tmp_path):
