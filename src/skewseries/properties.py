@@ -88,10 +88,10 @@ class InstanceBlocks:
     blocks holds (lows, high, es, depths) entries: a block's i-th instance
     has members lows[i] + high, depth depths[i] (1 throughout when depths is
     None) and generator es[i].  The blocks of one walk share one lows list,
-    so a triple is built only when it is read, and its trivial blocks of
-    one length share one generator list.  Readers take the triples in walk
-    order: it iterates them, has their count as its length, and equals, and
-    hashes like, the tuple of its triples.
+    so a triple is built only when it is read, and blocks of one length and
+    high annihilator share one generator list.  Readers take the triples in
+    walk order: it iterates them, has their count as its length, and equals,
+    and hashes like, the tuple of its triples.
     """
 
     __slots__ = ("blocks", "_count")
@@ -177,10 +177,11 @@ def _decide(ring, cls, side, caps):
     The subset walk goes by blocks.  A mask is its low c = min(n, 8) bits
     plus its high bits; the annihilators and member tuples of the 2^c low
     parts and of the high parts are built once, so a block (the masks with
-    one high part) costs one AND and one generator lookup per mask.  A block
-    whose high part has annihilator {0} costs neither: every mask in it has
-    annihilator {0} = 0R, generated by 0.  Only the masks whose annihilator
-    is not idempotent-generated go one by one.
+    one high part) costs one AND and one generator lookup per mask.  A
+    mask's annihilator is h & (its low part's), h being the high part's, so
+    a block whose h and length were met reuses that block's generator list,
+    but one where a mask climbs keeps its own.  Only the masks whose
+    annihilator is not idempotent-generated go one by one.
     The ideals form one block.  per_instance is an InstanceBlocks holding
     each block as it was walked.
 
@@ -225,7 +226,7 @@ def _decide(ring, cls, side, caps):
             e = genmap.get(ann)
         return depth, e, ann
 
-    per_instance, flat, trivial, trivial_es = [], None, 1 << zero, {}
+    per_instance, flat, shared = [], None, {}
     if cls == "baer":
         c = min(n, 8)
         low_anns, low_members = _subset_table(singles, full, 0, c)
@@ -238,12 +239,9 @@ def _decide(ring, cls, side, caps):
         ideals = [tuple(sorted(ideal)) for ideal in enumerate_ideals(ring, side, caps)]
         blocks = [(full, [ann_of(m) for m in ideals], ideals, ())]
     for h, anns, lows, high in blocks:
-        if h == trivial:
-            # Every mask of the block has annihilator {0} = 0R.  Blocks of
-            # one length share one generator list.
-            if len(lows) not in trivial_es:
-                trivial_es[len(lows)] = [genmap[trivial]] * len(lows)
-            per_instance.append((lows, high, trivial_es[len(lows)], None))
+        key = h, len(lows)
+        if key in shared:
+            per_instance.append((lows, high, shared[key], None))
             continue
         anns = [h & a for a in anns]
         es, depths = list(map(genmap.get, anns)), None
@@ -255,6 +253,8 @@ def _decide(ring, cls, side, caps):
                 depths[i], es[i], ann = chain_end(members, anns[i])
                 if es[i] is None:
                     return InstanceBlocks(), (members, depths[i], _mask_members(ann)), flat
+        else:
+            shared[key] = es
         per_instance.append((lows, high, es, depths))
     return InstanceBlocks(per_instance), None, flat
 

@@ -303,16 +303,19 @@ def ring_product(left, right, caps=DEFAULT_CAPS):
     order = left.order * right.order
     _check_construction(order, caps)
     m = right.order
-    pairs = [(a, b) for a in range(left.order) for b in range(m)]
-
-    def table(lt, rt):
-        return [[lt[a1][a2] * m + rt[b1][b2] for a2, b2 in pairs] for a1, b1 in pairs]
-
     return FiniteRing(
-        order, table(left.add_table, right.add_table), table(left.mul_table, right.mul_table),
+        order, _pair_table(left.add_table, right.add_table),
+        _pair_table(left.mul_table, right.mul_table),
         left.zero * m + right.zero, left.one * m + right.one, label=f"{left.label}x{right.label}",
-        element_labels=[f"({left.element_labels[a]},{right.element_labels[b]})" for a, b in pairs],
+        element_labels=[f"({a},{b})" for a in left.element_labels for b in right.element_labels],
     )
+
+
+def _pair_table(lt, rt):
+    """The table on pairs read entrywise off lt and rt, (a, b) at index
+    a*len(rt) + b."""
+    m = len(rt)
+    return [[x * m + y for x in lrow for y in rrow] for lrow in lt for rrow in rt]
 
 
 def ring_matrix(base, k, caps=DEFAULT_CAPS):
@@ -360,13 +363,9 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
         return out
 
     # Addition is entrywise: widen the table by one digit position at a time.
-    base_add = base.add_table
-    add = [list(row) for row in base_add]
-    width = m
+    add = base.add_table
     for _ in positions[1:]:
-        add = [[v + width * base_add[i][j] for j in range(m) for v in add[a]]
-               for i in range(m) for a in range(width)]
-        width *= m
+        add = _pair_table(base.add_table, add)
 
     # A matrix is the sum of its entries at their positions, and
     # multiplication is bi-additive.  So once the digits of x after position

@@ -369,7 +369,7 @@ def armendariz_pair_count(ring, points, budget):
         if total <= budget:
             return total
     count = _decimal(total) if total < _EXACT_COUNT else f"{n}^{_decimal(power)}"
-    raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {budget}")
+    raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {_decimal(budget)}")
 
 
 def armendariz_search(ctx, support_box, budget=ARMENDARIZ_BUDGET):

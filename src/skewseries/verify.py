@@ -205,7 +205,7 @@ def _order_hypothesis(monoid, slots, budget):
     points = monoid.box_size(bound)
     if points ** 3 > budget:
         raise BudgetExceeded(
-            f"order check needs {_decimal(points)}^3 point triples, budget is {budget}")
+            f"order check needs {_decimal(points)}^3 point triples, budget is {_decimal(budget)}")
     order = check_refinement(monoid, bound)
     if order.verdict != "yes":
         raise HypothesisNotMet("quasitotal_order", order)

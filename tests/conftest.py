@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -85,6 +86,16 @@ def series_over(ctx, points, max_terms=3):
     the public constructor."""
     return st.dictionaries(st.sampled_from(points), st.integers(0, ctx.ring.order - 1),
                            max_size=max_terms).map(lambda terms: SkewSeries(ctx, terms))
+
+
+def full_decimal(c):
+    """str(c) with int-to-str's digit limit lifted for the one call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(c)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def literal_product(f, g):

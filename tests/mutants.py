@@ -129,15 +129,17 @@ MUTANTS = [
      ["tests/test_properties.py", "-k", "empty_member_tuple"],
      "an empty member tuple passes as a triple, and the ideal recheck raises EmptySubset"),
     ("properties.py",
-     "        if h == trivial:",
-     "        if h & trivial:",
+     "        key = h, len(lows)",
+     "        key = h",
      ["tests/test_properties.py"],
-     "every block takes the trivial-annihilator shortcut, since 0 annihilates everything"),
+     "blocks share generator lists by high annihilator alone, so a full-length block"
+     " reuses the first block's list, one short"),
     ("properties.py",
-     "[genmap[trivial]] * len(lows)",
-     "[genmap[1]] * len(lows)",
+     "        else:\n            shared[key] = es\n",
+     "        shared[key] = es\n",
      ["tests/test_properties.py"],
-     "the shortcut reads the generator of {element 0}, not of {zero}"),
+     "a block where a mask climbs shares its list, so a later block reads its climbed"
+     " generators at depth 1"),
     ("rings.py",
      "                below = _ideal_sum(add, below, q)",
      "                below = _ideal_sum(add, below, p)",

@@ -199,6 +199,27 @@ def test_subset_walk_matches_a_literal_reference(name, deepest, side):
 
 
 @pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name,lists,climbing", [
+    ("mat2:z2", 4, 0),
+    ("zn:16", 17, 16),
+    ("prod:zn:4,zn:4", 29, 28),
+])
+def test_blocks_of_one_high_annihilator_and_length_share_a_generator_list(
+        name, lists, climbing, side):
+    # A block's generators are read off its high part's annihilator and its
+    # low annihilators, so blocks alike in both share one list, but a block
+    # where some mask climbs keeps its own.  The literal walk test above
+    # checks every triple.
+    blocks = _decide(builtin_ring(name), "baer", side, DEFAULT_CAPS)[0].blocks
+    holders = {}
+    for _, _, es, depths in blocks:
+        holders.setdefault(id(es), []).append(depths)
+    assert len(holders) == lists
+    assert sum(depths is not None for _, _, _, depths in blocks) == climbing
+    assert all(depths is None for held in holders.values() if len(held) > 1 for depths in held)
+
+
+@pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("name,deepest", WALK_CASES)
 def test_flat_failing_is_the_literal_walk_without_a_climb(name, deepest, side):
     # flat_failing is what the walk without a climb rejects first.

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     KERNEL_MONOIDS,
+    full_decimal,
     literal_product,
     relabelled,
     series_over,
@@ -249,6 +250,16 @@ def test_armendariz_pair_count_at_the_budget_and_on_a_one_element_ring():
     # printing limit, where 1^(2*points) must not be read as over budget.
     zero_ring = build_ring_from_tables(1, [[0]], [[0]], 0, 0)
     assert armendariz_pair_count(zero_ring, 7201, 1) == 1
+
+
+def test_armendariz_pair_count_names_a_budget_past_the_digit_limit():
+    # A budget of 4,301 digits is printed in full, where str() would raise
+    # ValueError under the default int-to-str limit.
+    budget = 2 ** 14285
+    want = f"exhaustive search needs 2^14286 pairs, budget is {full_decimal(budget)}"
+    with pytest.raises(BudgetExceeded) as caught:
+        armendariz_pair_count(ring_zn(2), 7143, budget)
+    assert str(caught.value) == want
 
 
 def test_compatibility_check_identity_twists():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     KERNEL_MONOIDS,
+    full_decimal,
     galois_ring_4_2,
     gf4_dual_numbers,
     gf4_ring,
@@ -1046,6 +1047,17 @@ def test_order_check_is_held_to_the_budget_before_it_runs(monkeypatch):
         verify.verify_thm37(ctx, "baer", [(0, 0), (1, 1)], budget=63)
     with pytest.raises(OrderCheckReached):
         verify.verify_thm37(ctx, "baer", [(0, 0), (1, 1)], budget=64)
+
+
+def test_order_check_names_a_budget_past_the_digit_limit():
+    # Both numbers are printed in full past the default int-to-str limit,
+    # where str() would raise ValueError.
+    points, budget = 10 ** 1500 + 1, 10 ** 4400
+    want = (f"order check needs {full_decimal(points)}^3 point triples, "
+            f"budget is {full_decimal(budget)}")
+    with pytest.raises(BudgetExceeded) as caught:
+        verify_thm37(SkewContext(ring_zn(2), NAT), "baer", [(10 ** 1500,)], budget=budget)
+    assert str(caught.value) == want
 
 
 class _Meter:
