@@ -35,13 +35,8 @@ from .monoids import OrderedMonoid
 from .properties import SEARCH_KINDS, SIDES, class_profile
 from .rings import (ARMENDARIZ_BUDGET, DEFAULT_CAPS, SEARCH_BUDGET, PropertyCertificate,
                     check_counts, idempotents)
-from .specfile import (
-    CATALOG_NAMES,
-    builtin_ring,
-    resolve_monoid,
-    resolve_ring,
-    resolve_sigma,
-)
+from .specfile import (CATALOG_NAMES, builtin_ring, resolve_monoid, resolve_ring, resolve_sigma,
+                       split_catalog)
 
 EXIT_OK, EXIT_SPEC, EXIT_CAP, EXIT_HYPOTHESIS, EXIT_FAIL, EXIT_INTERNAL = 0, 2, 3, 4, 5, 6
 EXIT_BROKEN_PIPE = 1
@@ -292,22 +287,11 @@ def cmd_verify(args, records, caps):
     return EXIT_OK if _report_records(records, report) else EXIT_FAIL
 
 
-def _split_catalog(text):
-    # prod:zn:A,zn:B carries a comma of its own, so it eats the next token.
-    names = []
-    for tok in filter(None, map(str.strip, text.split(","))):
-        if names and names[-1].startswith("prod:") and "," not in names[-1]:
-            names[-1] += "," + tok
-        else:
-            names.append(tok)
-    return names
-
-
 def cmd_search(args, records, caps):
     from .verify import counterexample_search
 
     check_counts(SpecFormatError, "--", budget=args.budget)
-    names = _split_catalog(args.catalog)
+    names = split_catalog(args.catalog)
     catalog = [(n, resolve_ring(n, caps)) for n in names]
     props = None if args.properties == "all" else tuple(
         p.strip() for p in args.properties.split(",") if p.strip())

@@ -1,13 +1,12 @@
 """Resolution of ring, monoid, and twist selectors used by the CLI.
 
-Builtin ring names follow fixed patterns (zn:N, prod:zn:A,zn:B and
-(mat|ut)(2|3):zN, with N, A, B >= 2); a path to an INI spec file overrides
-the builtin namespace.  All format problems raise SpecFormatError so the
-front end can map them to one exit code.
+Builtin ring names follow fixed forms (zn:N, prod:zn:A,zn:B and
+(mat|ut)(2|3):zN, with N, A, B >= 2 in ASCII digits); a path to an INI spec
+file overrides the builtin namespace.  All format problems raise
+SpecFormatError so the front end can map them to one exit code.
 """
 
 import os
-import re
 
 from .errors import IllegalPairing, SpecFormatError
 from .monoids import OrderedMonoid
@@ -36,26 +35,28 @@ _RING_KEYS = {
     "tables": {"kind", "order", "add", "mul", "label"},
 }
 
-_ZN_RE = re.compile(r"^zn:(\d+)$")
-_PROD_RE = re.compile(r"^prod:(zn:\d+),(zn:\d+)$")
-_MAT_RE = re.compile(r"^(mat|ut)([23]):z(\d+)$")
-_MONOID_RE = re.compile(r"^(nat|int)(\d*)$")
+
+def _digits(text):
+    # str.isdigit alone also takes other scripts' digits and superscripts.
+    return text.isascii() and text.isdigit()
+
+
+def _is_zn(name):
+    return name.startswith("zn:") and _digits(name[3:])
 
 
 def builtin_ring(name, caps=DEFAULT_CAPS):
-    """A catalog ring by name; SpecFormatError names the valid patterns."""
-    m = _ZN_RE.match(name)
-    if m:
-        return ring_zn(_modulus(m.group(1), name), caps)
-    m = _PROD_RE.match(name)
-    if m:
-        return ring_product(builtin_ring(m.group(1), caps), builtin_ring(m.group(2), caps), caps)
-    m = _MAT_RE.match(name)
-    if m:
-        base = ring_zn(_modulus(m.group(3), name), caps)
-        k = int(m.group(2))
-        maker = ring_matrix if m.group(1) == "mat" else ring_upper_triangular
-        return maker(base, k, caps)
+    """A catalog ring by name; SpecFormatError names the valid forms."""
+    if _is_zn(name):
+        return ring_zn(_modulus(name[3:], name), caps)
+    kind, _, rest = name.partition(":")
+    left, _, right = rest.partition(",")
+    if kind == "prod" and _is_zn(left) and _is_zn(right):
+        return ring_product(builtin_ring(left, caps), builtin_ring(right, caps), caps)
+    if kind in ("mat2", "mat3", "ut2", "ut3") and rest.startswith("z") and _digits(rest[1:]):
+        base = ring_zn(_modulus(rest[1:], name), caps)
+        maker = ring_matrix if kind.startswith("mat") else ring_upper_triangular
+        return maker(base, int(kind[-1]), caps)
     raise SpecFormatError(
         f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B and "
         f"(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them")
@@ -66,6 +67,18 @@ def _modulus(text, context):
     if n < 2:
         raise SpecFormatError(f"number {n} too small in ring spec {context!r}")
     return n
+
+
+def split_catalog(text):
+    """A comma-separated list of ring names or paths, blanks dropped."""
+    # prod:zn:A,zn:B carries a comma of its own, so it eats the next token.
+    names = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        if names and names[-1].startswith("prod:") and "," not in names[-1]:
+            names[-1] += "," + tok
+        else:
+            names.append(tok)
+    return names
 
 
 def resolve_ring(spec, caps=DEFAULT_CAPS, *, _chain=()):
@@ -146,7 +159,7 @@ def _ring_from_table_text(path, items, caps):
 
 def _parse_table(text, order, what):
     # Rows separated by ';' or newlines, entries by whitespace or commas.
-    rows = [r for r in re.split(r"[;\n]", text) if r.strip()]
+    rows = [r for r in text.replace(";", "\n").split("\n") if r.strip()]
     if len(rows) != order:
         raise SpecFormatError(f"{what}: expected {order} rows, got {len(rows)}")
     table = []
@@ -175,12 +188,12 @@ def parse_monoid_spec(text):
     head, sep, mode = text.partition(":")
     if not sep:
         mode = "natural"
-    m = _MONOID_RE.match(head.strip())
-    if not m:
+    head = head.strip()
+    base, digits = head[:3], head[3:]
+    if base not in ("nat", "int") or digits and not _digits(digits):
         raise SpecFormatError(
             f"monoid spec {text!r} not understood; use nat, int, or natK "
             "with an optional :order suffix")
-    base, digits = m.groups()
     k = int(digits) if digits else 1
     if base == "int" and digits:
         raise SpecFormatError("int exponents are one-dimensional; drop the arity")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from skewseries.errors import AxiomViolation
 from skewseries.monoids import OrderedMonoid
-from skewseries.properties import oracle_decide_generalized
+from skewseries.properties import ClassVerdict, oracle_decide_generalized
 from skewseries.rings import (
     FiniteRing,
     PropertyCertificate,
@@ -296,6 +297,24 @@ def relabelled(ring, perm):
     add = [[perm[ring.add(back[a], back[b])] for b in range(n)] for a in range(n)]
     mul = [[perm[ring.mul(back[a], back[b])] for b in range(n)] for a in range(n)]
     return FiniteRing(n, add, mul, perm[ring.zero], perm[ring.one], label=f"{ring.label}'")
+
+
+def verdicts_from_jsonl(text):
+    """(record, ClassVerdict) for each verdict record of a `ring check`
+    jsonl run.  Each ClassVerdict is rebuilt from the record's bytes alone:
+    the config record's ring, the class and side, and the emitted triples or
+    failing instance."""
+    recs = [json.loads(line) for line in text.splitlines()]
+    ring = builtin_ring(recs[0]["ring"])
+    out = []
+    for r in recs:
+        if r["record"] == "verdict":
+            name = r["class"].replace("-", "_") + (f"_{r['side']}" if r["side"] else "")
+            failing = r["failing"] and (tuple(r["failing"]["members"]), r["failing"]["n_reached"],
+                                        tuple(r["failing"]["stable_annihilator"]))
+            triples = tuple((tuple(m), n, e) for m, n, e in r["instances"] or ())
+            out.append((r, ClassVerdict(ring, name, triples, failing)))
+    return out
 
 
 # ---------------------------------------------------------------------------

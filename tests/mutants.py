@@ -140,6 +140,12 @@ MUTANTS = [
      ["tests/test_properties.py"],
      "a block where a mask climbs shares its list, so a later block reads its climbed"
      " generators at depth 1"),
+    ("properties.py",
+     'tails = [f"],{d},{e}]" for d, e in zip(depths or repeat(1), es)]',
+     'tails = [f"],{d},{e}]" for d, e in zip(depths or repeat(1), [*es[1::-1], *es[2:]])]',
+     ["tests/test_cli.py", "-k", "recheck_from_their_bytes"],
+     "the certificate text swaps a block's first two generators, so the jsonl states"
+     " what the walk did not"),
     ("rings.py",
      "                below = _ideal_sum(add, below, q)",
      "                below = _ideal_sum(add, below, p)",
@@ -190,6 +196,11 @@ MUTANTS = [
      "        for a in ():\n            row = mul[a]",
      ["tests/test_rings.py", "-k", "associativity_on_the_generators"],
      "the proof skips (ab)c == a(bc) on the generator triples"),
+    ("specfile.py",
+     "return text.isascii() and text.isdigit()",
+     "return text.isdigit()",
+     ["tests/test_cli.py", "-k", "ascii_digits"],
+     "a builtin name or monoid arity reads any script's decimal digits, so zn:\u0663 is Z/3"),
     ("cli.py",
      "    # Flush here so a closed pipe raises inside main's try.\n    sys.stdout.flush()\n"
      "    raise SystemExit(EXIT_OK)",

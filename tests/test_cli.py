@@ -10,12 +10,12 @@ import tracemalloc
 import pytest
 
 import skewseries
-from conftest import tables_ini, triangular
+from conftest import tables_ini, triangular, verdicts_from_jsonl
 from skewseries import cli, monoids, properties, verify
-from skewseries.cli import _split_catalog, main, run
+from skewseries.cli import main, run
 from skewseries.errors import InvariantViolation
 from skewseries.monoids import OrderedMonoid
-from skewseries.properties import InstanceBlocks
+from skewseries.properties import InstanceBlocks, recheck_class_verdict
 from skewseries.series import SkewContext, format_series, parse_series_literal
 from skewseries.specfile import CATALOG_NAMES, builtin_ring
 
@@ -134,21 +134,6 @@ def test_search_empty_catalog_finds_nothing():
     assert s["findings"] == 0 and s["exhausted"] is False
 
 
-def test_catalog_splitting_keeps_product_names_whole():
-    assert _split_catalog(",".join(CATALOG_NAMES)) == list(CATALOG_NAMES)
-    assert _split_catalog(" zn:4 , prod:zn:2,zn:3 ,ut2:z2") == [
-        "zn:4", "prod:zn:2,zn:3", "ut2:z2"]
-    # A product name takes the next token whole, whatever it holds.
-    assert _split_catalog("prod:zn:2, zn:3,zn:4") == ["prod:zn:2,zn:3", "zn:4"]
-    assert _split_catalog("prod:zn:2,prod:zn:3,zn:5") == ["prod:zn:2,prod:zn:3", "zn:5"]
-    assert _split_catalog("zn:2,prod:zn:2,zn:2,prod:zn:3") == [
-        "zn:2", "prod:zn:2,zn:2", "prod:zn:3"]
-    assert _split_catalog("zn:4,prod:") == ["zn:4", "prod:"]
-    # Empty tokens drop out before any gluing.
-    assert _split_catalog(",, prod:zn:2,, ,zn:3,,") == ["prod:zn:2,zn:3"]
-    assert _split_catalog("") == _split_catalog(" , ,") == []
-
-
 def test_armendariz_budget_is_inclusive_on_the_command_line():
     # zn:8 at box 2 has 8^4 = 4096 pairs: a budget of exactly that runs.
     argv = ("verify", "thm37-baer", "--ring", "zn:8", "--box", "2", "--budget")
@@ -241,6 +226,58 @@ def test_unknown_ring_is_a_spec_error():
         "record": "error", "kind": "spec",
         "message": "unknown ring 'zn:banana'; builtins match zn:N, prod:zn:A,zn:B and "
                    "(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them"}
+
+
+# Each of these built a ring while builtin names were read by regular
+# expressions, whose \d took any script's decimal digits and whose $ matched
+# before a final newline.  They stay apart from the test above, whose literal
+# argv is a case of test_command_line.py's parser-parity corpus.
+@pytest.mark.parametrize("name", ["zn:\u0663", "ut2:z\u0662", "prod:zn:2,zn:\u0663", "ut2:z2\n"])
+def test_a_ring_name_is_read_in_ascii_digits_to_its_end(name):
+    code, recs = invoke_jsonl("ring", "show", "--ring", name)
+    assert code == 2
+    assert recs[-2] == {
+        "record": "error", "kind": "spec",
+        "message": f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B and "
+                   "(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them"}
+
+
+def test_a_monoid_arity_is_read_in_ascii_digits():
+    code, recs = invoke_jsonl("verify", "thm37-baer", "--ring", "zn:2", "--monoid", "nat\u0662:lex")
+    assert code == 2
+    assert recs[-2] == {
+        "record": "error", "kind": "spec",
+        "message": "monoid spec 'nat\u0662:lex' not understood; use nat, int, or natK "
+                   "with an optional :order suffix"}
+
+
+def check_all_jsonl(name):
+    code, out = invoke("ring", "check", "--ring", name, "--class", "all", "--side", "both",
+                       "--output", "jsonl")
+    assert code == 0
+    return out
+
+
+# mat2:z2's certificates, of up to 65,535 triples each, are rechecked in CI.
+@pytest.mark.parametrize("name", [*(n for n in CATALOG_NAMES if n != "mat2:z2"),
+                                  "zn:12", "prod:zn:2,zn:6"])
+def test_accepting_verdict_records_recheck_from_their_bytes(name):
+    verdicts = verdicts_from_jsonl(check_all_jsonl(name))
+    assert len(verdicts) == 6
+    for rec, cv in verdicts:
+        assert cv.instance_kind == rec["instance_kind"]
+        # A rejecting record rechecks False until rejections have a recheck.
+        assert recheck_class_verdict(cv) is rec["verdict"]
+
+
+def test_a_corrupted_triple_fails_the_recheck_from_bytes():
+    out = check_all_jsonl("zn:6")
+    # Each certificate ends with r(R) = 0R; claim 1R there instead.
+    last, wrong = "[[0,1,2,3,4,5],1,0]]", "[[0,1,2,3,4,5],1,1]]"
+    assert out.count(last) == 6
+    verdicts = verdicts_from_jsonl(out.replace(last, wrong))
+    assert [rec["verdict"] for rec, _ in verdicts] == [True] * 6
+    assert not any(recheck_class_verdict(cv) for _, cv in verdicts)
 
 
 def test_caps_flag_trips_the_subset_cap():

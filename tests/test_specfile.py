@@ -1,7 +1,11 @@
-import pytest
+import re
 
-from skewseries import rings
-from skewseries.errors import SpecFormatError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewseries import rings, specfile
+from skewseries.errors import IllegalPairing, SpecFormatError
+from skewseries.monoids import OrderedMonoid
 from skewseries.specfile import (
     CATALOG_NAMES,
     builtin_ring,
@@ -10,6 +14,7 @@ from skewseries.specfile import (
     resolve_monoid,
     resolve_ring,
     resolve_sigma,
+    split_catalog,
 )
 
 
@@ -38,6 +43,112 @@ def test_default_catalog_is_stable():
     assert list(orders) == ["zn:2", "zn:3", "zn:4", "zn:5", "zn:6", "zn:7", "zn:8",
                             "prod:zn:2,zn:2", "ut2:z2", "mat2:z2"]
     assert orders["mat2:z2"] == 16 and orders["prod:zn:2,zn:2"] == 4
+
+
+# The regular expressions that read builtin names and monoid specs before the
+# str-method parser, kept as its reference.  \d took any script's decimal
+# digits, and $ matched before a final newline.
+_ZN_RE = re.compile(r"^zn:(\d+)$")
+_PROD_RE = re.compile(r"^prod:(zn:\d+),(zn:\d+)$")
+_MAT_RE = re.compile(r"^(mat|ut)([23]):z(\d+)$")
+_MONOID_RE = re.compile(r"^(nat|int)(\d*)$")
+
+
+def unknown_ring(name):
+    return (f"unknown ring {name!r}; builtins match zn:N, prod:zn:A,zn:B and "
+            f"(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them")
+
+
+def not_understood(text):
+    return (f"monoid spec {text!r} not understood; use nat, int, or natK "
+            "with an optional :order suffix")
+
+
+def regex_builtin_ring(name):
+    m = _ZN_RE.match(name)
+    if m:
+        return rings.ring_zn(specfile._modulus(m.group(1), name))
+    m = _PROD_RE.match(name)
+    if m:
+        return rings.ring_product(regex_builtin_ring(m.group(1)), regex_builtin_ring(m.group(2)))
+    m = _MAT_RE.match(name)
+    if m:
+        base = rings.ring_zn(specfile._modulus(m.group(3), name))
+        maker = rings.ring_matrix if m.group(1) == "mat" else rings.ring_upper_triangular
+        return maker(base, int(m.group(2)))
+    raise SpecFormatError(unknown_ring(name))
+
+
+def regex_monoid_spec(text):
+    head, sep, mode = text.partition(":")
+    if not sep:
+        mode = "natural"
+    m = _MONOID_RE.match(head.strip())
+    if not m:
+        raise SpecFormatError(not_understood(text))
+    base, digits = m.groups()
+    k = int(digits) if digits else 1
+    if base == "int" and digits:
+        raise SpecFormatError("int exponents are one-dimensional; drop the arity")
+    if k < 1:
+        raise SpecFormatError(f"monoid arity must be positive, got {k}")
+    try:
+        return OrderedMonoid(base if k == 1 else "nat_k", mode.strip(), k=k)
+    except (ValueError, IllegalPairing) as exc:
+        raise SpecFormatError(f"monoid spec {text!r}: {exc}")
+
+
+def outcome(parse, text):
+    """What parse makes of text: a ring's label, order and tables, a
+    monoid, or the type and message of what it raised."""
+    try:
+        made = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(made, rings.FiniteRing):
+        return made.label, made.order, made.add_table, made.mul_table
+    return made
+
+
+# A start that is, or nearly is, a builtin form's head and a number after it,
+# with no tail half the time, make the builtin forms and near misses common.
+_STARTS = ["", "zn:", "zn", "prod:zn:", "prod:zn:2,zn:", "prod:", "prod2:zn:2,zn:", "mat2:z",
+           "mat3:z", "ut3:z", "ut4:z", "ut3:", "nat", " nat", "int"]
+_NUMBERS = ["", "0", "1", "2", "3", "06", "8", "64", "65", " ", "2 ", "\u0663", "\u00b2"]
+_TOKENS = ["zn:", "prod:", "mat", "ut", "nat", "int", ",", ",zn:", ":z", ":", "lex", "\u0663",
+           "\u00b2", "\n", " ", *"0123456789"]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.sampled_from(_STARTS), st.sampled_from(_NUMBERS),
+       st.just(()) | st.lists(st.sampled_from(_TOKENS), max_size=5))
+def test_names_and_monoid_specs_read_as_the_regular_expressions_did(start, number, tail):
+    # Every ring is built under DEFAULT_CAPS, so none is above order 64.
+    text = start + number + "".join(tail)
+    ring, monoid = outcome(builtin_ring, text), outcome(parse_monoid_spec, text)
+    if text.isascii() and "\n" not in text:
+        assert ring == outcome(regex_builtin_ring, text)
+        assert monoid == outcome(regex_monoid_spec, text)
+    else:
+        # Elsewhere only a refusal may differ: \d and $ no longer reach it.
+        assert ring in (outcome(regex_builtin_ring, text), (SpecFormatError, unknown_ring(text)))
+        assert monoid in (outcome(regex_monoid_spec, text),
+                          (SpecFormatError, not_understood(text)))
+
+
+def test_catalog_splitting_keeps_product_names_whole():
+    assert split_catalog(",".join(CATALOG_NAMES)) == list(CATALOG_NAMES)
+    assert split_catalog(" zn:4 , prod:zn:2,zn:3 ,ut2:z2") == [
+        "zn:4", "prod:zn:2,zn:3", "ut2:z2"]
+    # A product name takes the next token whole, whatever it holds.
+    assert split_catalog("prod:zn:2, zn:3,zn:4") == ["prod:zn:2,zn:3", "zn:4"]
+    assert split_catalog("prod:zn:2,prod:zn:3,zn:5") == ["prod:zn:2,prod:zn:3", "zn:5"]
+    assert split_catalog("zn:2,prod:zn:2,zn:2,prod:zn:3") == [
+        "zn:2", "prod:zn:2,zn:2", "prod:zn:3"]
+    assert split_catalog("zn:4,prod:") == ["zn:4", "prod:"]
+    # Empty tokens drop out before any gluing.
+    assert split_catalog(",, prod:zn:2,, ,zn:3,,") == ["prod:zn:2,zn:3"]
+    assert split_catalog("") == split_catalog(" , ,") == []
 
 
 def test_ring_file_zn(tmp_path):
