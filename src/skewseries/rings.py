@@ -161,6 +161,9 @@ class FiniteRing:
         self.element_labels = tuple(element_labels)
         if len(self.element_labels) != order:
             raise ValueError("element_labels length must equal order")
+        # Built once for the axiom proof, side_table and the endomorphism checks.
+        self._opposite = tuple(zip(*self.mul_table))
+        self._generators = additive_generators(self, range(order))
         self._check_axioms()
         self.neg_table = tuple(self.add_table[a].index(self.zero) for a in range(order))
 
@@ -221,15 +224,14 @@ class FiniteRing:
         A False leaves the tables to the literal scan of _check_axioms.
         """
         from operator import itemgetter
-        add, mul = self.add_table, self.mul_table
-        gens = additive_generators(self, range(self.order))
+        add, mul, gens = self.add_table, self.mul_table, self._generators
         for g in gens:
             # pick(row) lists x + (g + y) over y, for the row of x.
             pick = itemgetter(*add[g])
             for row in add:
                 if pick(row) != add[row[g]]:
                     return False
-        for table in (mul, tuple(zip(*mul))):
+        for table in (mul, self._opposite):
             # Rows of the transposed table turn the right law into the left.
             times = [itemgetter(*row) for row in table]
             for g in gens:
@@ -400,7 +402,27 @@ def _matrix_like(base, k, positions, label, caps=DEFAULT_CAPS):
 
 def _check_construction(order, caps):
     if order > caps.order:
-        raise SizeCapExceeded(f"constructed order {order} exceeds cap {caps.order}")
+        raise SizeCapExceeded(
+            f"constructed order {_decimal(order)} exceeds cap {_decimal(caps.order)}")
+
+
+# 640 digits is the lowest int-to-str limit the interpreter accepts, so an int
+# of at most that many digits converts both ways under any limit.
+_SAFE_DIGITS = 640
+_DECIMAL_CHUNK = 10 ** _SAFE_DIGITS
+
+
+def _decimal(c):
+    """Exact decimal text of an int of any length, converted _SAFE_DIGITS
+    digits at a time so that no int-to-str digit limit applies."""
+    if -_DECIMAL_CHUNK < c < _DECIMAL_CHUNK:
+        return str(c)
+    digits, rest = [], abs(c)
+    while rest >= _DECIMAL_CHUNK:
+        rest, low = divmod(rest, _DECIMAL_CHUNK)
+        digits.append(f"{low:0{_SAFE_DIGITS}d}")
+    digits.append(str(rest))
+    return ("-" if c < 0 else "") + "".join(reversed(digits))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +457,7 @@ def side_table(ring, side):
     annihilators, left ideals and Re of the ring.
     """
     check_side(side)
-    return ring.mul_table if side == "right" else tuple(zip(*ring.mul_table))
+    return ring.mul_table if side == "right" else ring._opposite
 
 
 def idempotents(ring):
@@ -450,19 +472,16 @@ def annihilator(ring, subset, side="right"):
     ring multiplication on the matching side, i.e. to be a one-sided ideal.
     """
     xs = _check_subset(ring, subset)
-    check_side(side)
-    zero = ring.zero
-    # On the left, the product of the opposite ring (see side_table).
-    mul = ring.mul if side == "right" else (lambda x, a: ring.mul(a, x))
-    res = frozenset(a for a in range(ring.order) if all(mul(x, a) == zero for x in xs))
+    table, add, zero = side_table(ring, side), ring.add_table, ring.zero
+    rows = [table[x] for x in xs]
+    res = frozenset(a for a in range(ring.order) if all(row[a] == zero for row in rows))
     for a in res:
         for b in res:
-            if ring.add(a, b) not in res:
+            if add[a][b] not in res:
                 raise InvariantViolation("annihilator not additively closed")
     for a in res:
-        for r in range(ring.order):
-            if mul(a, r) not in res:
-                raise InvariantViolation("annihilator not an ideal on its side")
+        if not res.issuperset(table[a]):
+            raise InvariantViolation("annihilator not an ideal on its side")
     return res
 
 
@@ -602,7 +621,7 @@ class RingEndomorphism(FrozenRecord):
         # image(a + b) == image(a) + image(b) for all a are closed under +
         # and hold G, so they are all of R.  Then image(ab) - image(a)image(b)
         # is bi-additive, so it vanishes once it vanishes on G x G.
-        add, mul, gens = ring.add_table, ring.mul_table, additive_generators(ring, range(n))
+        add, mul, gens = ring.add_table, ring.mul_table, ring._generators
         for a in range(n):
             for g in gens:
                 if image[add[a][g]] != add[image[a]][image[g]]:
@@ -651,8 +670,7 @@ def enumerate_endomorphisms(ring, caps=DEFAULT_CAPS):
     """
     if ring.order > caps.endo:
         raise SizeCapExceeded(f"endomorphism search capped at order {caps.endo}, ring has {ring.order}")
-    n, add, mul = ring.order, ring.add_table, ring.mul_table
-    gens = additive_generators(ring, range(n))
+    n, add, mul, gens = ring.order, ring.add_table, ring.mul_table, ring._generators
 
     def fits(img, chosen):
         return all(img[mul[g][h]] in (None, mul[img[g]][img[h]]) for g in chosen for h in chosen)

@@ -28,6 +28,7 @@ from .rings import (
     FiniteRing,
     PropertyCertificate,
     RingEndomorphism,
+    _decimal,
     _is_index,
     endo_property,
     identity_endomorphism,
@@ -355,7 +356,9 @@ _EXACT_COUNT = 10 ** 4300
 
 def armendariz_pair_count(ring, points, budget):
     """Pairs (f, g) an exhaustive Armendariz scan over a box of that many
-    points covers, n^(2*points); BudgetExceeded when that is more than budget.
+    points covers, n^(2*points); BudgetExceeded when that is more than budget,
+    or when the points are, which only a one-element ring's count allows
+    (for n >= 2, n^(2p) >= 4^p > p).
 
     An over-budget count below _EXACT_COUNT is named in full, any other as
     the power n^p.  As n^p >= 2^(p*(bit length of n - 1)), the exponent
@@ -367,7 +370,10 @@ def armendariz_pair_count(ring, points, budget):
     if power <= budget.bit_length() or power * (n.bit_length() - 1) < _EXACT_COUNT.bit_length():
         total = n ** power
         if total <= budget:
-            return total
+            if points <= budget:
+                return total
+            raise BudgetExceeded(f"exhaustive search needs a box of {_decimal(points)} points, "
+                                 f"budget is {_decimal(budget)}")
     count = _decimal(total) if total < _EXACT_COUNT else f"{n}^{_decimal(power)}"
     raise BudgetExceeded(f"exhaustive search needs {count} pairs, budget is {_decimal(budget)}")
 
@@ -479,23 +485,6 @@ def s_compatibility_check(ctx):
         notes="all generator maps compatible; compatibility is closed under "
               "composition, so the twist at every exponent is compatible",
     )
-
-
-# 640 digits is the lowest int-to-str limit the interpreter accepts.
-_DECIMAL_CHUNK = 10 ** 640
-
-
-def _decimal(c):
-    """Exact decimal text of an int of any length, converted 640 digits at a
-    time so that no int-to-str digit limit applies."""
-    if -_DECIMAL_CHUNK < c < _DECIMAL_CHUNK:
-        return str(c)
-    digits, rest = [], abs(c)
-    while rest >= _DECIMAL_CHUNK:
-        rest, low = divmod(rest, _DECIMAL_CHUNK)
-        digits.append(f"{low:0640d}")
-    digits.append(str(rest))
-    return ("-" if c < 0 else "") + "".join(reversed(digits))
 
 
 def _fmt_exp(e):

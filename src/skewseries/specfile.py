@@ -1,8 +1,8 @@
 """Resolution of ring, monoid, and twist selectors used by the CLI.
 
 Builtin ring names follow fixed forms (zn:N, prod:zn:A,zn:B and
-(mat|ut)(2|3):zN, with N, A, B >= 2 in ASCII digits); a path to an INI spec
-file overrides the builtin namespace.  All format problems raise
+(mat|ut)(2|3):zN, with N, A, B >= 2 in at most 640 ASCII digits); a path to
+an INI spec file overrides the builtin namespace.  All format problems raise
 SpecFormatError so the front end can map them to one exit code.
 """
 
@@ -13,6 +13,7 @@ from .monoids import OrderedMonoid
 from .rings import (
     DEFAULT_CAPS,
     FiniteRing,
+    _SAFE_DIGITS,
     _check_construction,
     enumerate_endomorphisms,
     identity_endomorphism,
@@ -62,8 +63,17 @@ def builtin_ring(name, caps=DEFAULT_CAPS):
         f"(mat|ut)(2|3):zN with N, A, B >= 2; a file path overrides them")
 
 
+def _number(text, context):
+    """int(text) of ASCII digits, refused past _SAFE_DIGITS digits, so that
+    every accepted number converts both ways under any int-to-str limit."""
+    if len(text) > _SAFE_DIGITS:
+        raise SpecFormatError(
+            f"number of {len(text)} digits in {context} is longer than {_SAFE_DIGITS} digits")
+    return int(text)
+
+
 def _modulus(text, context):
-    n = int(text)
+    n = _number(text, f"ring spec {context!r}")
     if n < 2:
         raise SpecFormatError(f"number {n} too small in ring spec {context!r}")
     return n
@@ -194,9 +204,9 @@ def parse_monoid_spec(text):
         raise SpecFormatError(
             f"monoid spec {text!r} not understood; use nat, int, or natK "
             "with an optional :order suffix")
-    k = int(digits) if digits else 1
     if base == "int" and digits:
         raise SpecFormatError("int exponents are one-dimensional; drop the arity")
+    k = _number(digits, f"monoid spec {text!r}") if digits else 1
     if k < 1:
         raise SpecFormatError(f"monoid arity must be positive, got {k}")
     kind = base if k == 1 else "nat_k"

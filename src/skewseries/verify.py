@@ -18,6 +18,7 @@ from .rings import (
     SEARCH_BUDGET,
     FrozenRecord,
     PropertyCertificate,
+    _decimal,
     additive_generators,
     annihilator,
     check_counts,
@@ -32,7 +33,6 @@ from .series import (
     SkewSeries,
     _annihilating_vectors,
     _box_series,
-    _decimal,
     _repr_exp,
     all_series,
     armendariz_pair_count,

@@ -89,6 +89,11 @@ MUTANTS = [
      ["tests/test_series.py", "-k", "pair_count_at_the_budget"],
      "a one-element ring's count is left unbuilt and reads as over budget"),
     ("series.py",
+     "            if points <= budget:",
+     "            if True:",
+     ["tests/test_series.py", "-k", "pair_count_at_the_budget"],
+     "a one-element ring's box is not held to the budget, so any box is built"),
+    ("series.py",
      "total < _EXACT_COUNT",
      "total <= _EXACT_COUNT",
      ["tests/test_cli.py", "-k", "pair_count_prints_in_full"],
@@ -187,7 +192,7 @@ MUTANTS = [
      ["tests/test_rings.py", "-k", "equals_the_literal_scan"],
      "the endomorphism search keeps additive unital maps that are not multiplicative"),
     ("rings.py",
-     "        for table in (mul, tuple(zip(*mul))):",
+     "        for table in (mul, self._opposite):",
      "        for table in (mul,):",
      ["tests/test_rings.py", "-k", "one_sided_distributivity"],
      "the proof checks left distributivity only, so (b + g)a == ba + ga goes unchecked"),
@@ -196,6 +201,11 @@ MUTANTS = [
      "        for a in ():\n            row = mul[a]",
      ["tests/test_rings.py", "-k", "associativity_on_the_generators"],
      "the proof skips (ab)c == a(bc) on the generator triples"),
+    ("rings.py",
+     "    table, add, zero = side_table(ring, side), ring.add_table, ring.zero",
+     "    check_side(side)\n    table, add, zero = ring.mul_table, ring.add_table, ring.zero",
+     ["tests/test_rings.py", "-k", "literal_ones"],
+     "annihilator reads the ring's own table on both sides, so a left annihilator is a right one"),
     ("specfile.py",
      "return text.isascii() and text.isdigit()",
      "return text.isdigit()",

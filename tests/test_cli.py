@@ -251,6 +251,26 @@ def test_a_monoid_arity_is_read_in_ascii_digits():
                    "with an optional :order suffix"}
 
 
+@pytest.mark.parametrize("digits", [1000, 5000])
+def test_a_long_ring_number_gives_one_answer_under_every_digit_limit(digits):
+    # A number past 640 digits is refused before int() reads it, so neither
+    # the exit code nor a byte depends on int-to-str's digit limit.
+    name = "zn:" + "7" * digits
+    package_root = os.path.dirname(os.path.dirname(skewseries.__file__))
+    runs = set()
+    for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"}):
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewseries", "ring", "show", "--ring", name,
+             "--output", "jsonl"],
+            capture_output=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, **limit})
+        runs.add((proc.returncode, proc.stdout, proc.stderr))
+    [(code, out, err)] = runs
+    assert code == 2 and err == b""
+    assert json.loads(out.splitlines()[-2]) == {
+        "record": "error", "kind": "spec",
+        "message": f"number of {digits} digits in ring spec {name!r} is longer than 640 digits"}
+
+
 def check_all_jsonl(name):
     code, out = invoke("ring", "check", "--ring", name, "--class", "all", "--side", "both",
                        "--output", "jsonl")
@@ -615,6 +635,29 @@ def test_over_budget_box_stops_before_its_points_are_built(monkeypatch, statemen
     assert code == 3
     assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
                         "message": f"exhaustive search needs {count} pairs, budget is 100"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm37-baer"), ("verify", "prop34"), ("verify", "corollaries"),
+    ("search", "--properties", "armendariz"),
+])
+def test_a_one_element_ring_holds_its_box_points_to_the_budget(tmp_path, monkeypatch, argv):
+    # One element has one pair at any box, so only the point count can stop
+    # a box too large to build.
+    def refuse(self, bound):
+        pytest.fail(f"built the bound-{bound} box of an over-budget run")
+
+    (tmp_path / "one.ini").write_text("[ring]\nkind = tables\norder = 1\nadd = 0\nmul = 0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(OrderedMonoid, "box", refuse)
+    ring = ("--catalog" if argv[0] == "search" else "--ring", "one.ini")
+    code, recs = invoke_jsonl(*argv, *ring, "--box", "101", "--budget", "100")
+    assert code == 3
+    if argv[0] == "search":
+        assert recs[-2]["work"] == 0 and recs[-2]["exhausted"] is True
+    else:
+        assert recs[-2] == {"record": "error", "kind": "cap-exceeded",
+                            "message": "exhaustive search needs a box of 101 points, budget is 100"}
 
 
 def test_over_budget_search_stops_before_its_box_is_built(monkeypatch):

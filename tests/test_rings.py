@@ -361,6 +361,13 @@ def test_product_tables_match_the_nested_loop_reference(case):
     assert ring.label == f"{left.label}x{right.label}"
 
 
+def test_the_left_side_table_is_the_transpose_the_ring_stores():
+    ut3 = builtin_ring("ut3:z2")
+    left = side_table(ut3, "left")
+    assert left == tuple(zip(*ut3.mul_table)) != ut3.mul_table
+    assert side_table(ut3, "left") is left
+
+
 def test_every_side_argument_is_checked_by_one_rule():
     ut2 = builtin_ring("ut2:z2")
     calls = (lambda: side_table(ut2, "up"), lambda: annihilator(ut2, {1}, "up"),
@@ -439,6 +446,17 @@ def test_annihilator_equals_annihilator_of_span():
         span = additive_closure(Z6, subset)
         for side in ("right", "left"):
             assert annihilator(Z6, subset, side) == annihilator(Z6, span, side)
+
+
+def test_left_annihilators_are_the_literal_ones():
+    # ut2:z2 is not commutative, so the two sides differ on some x.
+    ut2 = builtin_ring("ut2:z2")
+    for x in range(ut2.order):
+        right = {a for a in range(ut2.order) if ut2.mul(x, a) == ut2.zero}
+        left = {a for a in range(ut2.order) if ut2.mul(a, x) == ut2.zero}
+        assert annihilator(ut2, {x}, "right") == right
+        assert annihilator(ut2, {x}, "left") == left
+    assert annihilator(ut2, {1}, "left") != annihilator(ut2, {1}, "right")
 
 
 def test_annihilator_is_one_sided_ideal():
@@ -739,12 +757,8 @@ def test_annihilator_closure_is_checked_without_assert():
     class Broken:
         """x*a == 0 exactly for a in {0, 1}, but 1 + 1 == 2 lies outside."""
         order, zero = 4, 0
-
-        def mul(self, x, a):
-            return 0 if a < 2 else 1
-
-        def add(self, a, b):
-            return (a + b) % 4
+        mul_table = ((0, 0, 1, 1),) * 4
+        add_table = tuple(tuple((a + b) % 4 for b in range(4)) for a in range(4))
 
     with pytest.raises(InvariantViolation, match="additively closed"):
         annihilator(Broken(), {1}, "right")

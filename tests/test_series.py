@@ -249,7 +249,11 @@ def test_armendariz_pair_count_at_the_budget_and_on_a_one_element_ring():
     # A one-element ring has one pair at any box, also past the power
     # printing limit, where 1^(2*points) must not be read as over budget.
     zero_ring = build_ring_from_tables(1, [[0]], [[0]], 0, 0)
-    assert armendariz_pair_count(zero_ring, 7201, 1) == 1
+    assert armendariz_pair_count(zero_ring, 7201, 7201) == 1
+    # Its pair count never exceeds a budget, so its box points are held to it.
+    with pytest.raises(BudgetExceeded) as caught:
+        armendariz_pair_count(zero_ring, 7201, 7200)
+    assert str(caught.value) == "exhaustive search needs a box of 7201 points, budget is 7200"
 
 
 def test_armendariz_pair_count_names_a_budget_past_the_digit_limit():

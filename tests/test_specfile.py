@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewseries import rings, specfile
-from skewseries.errors import IllegalPairing, SpecFormatError
+from skewseries.errors import IllegalPairing, SizeCapExceeded, SpecFormatError
 from skewseries.monoids import OrderedMonoid
 from skewseries.specfile import (
     CATALOG_NAMES,
@@ -27,9 +27,31 @@ def test_builtin_patterns():
 
 
 def test_builtin_over_the_construction_cap():
-    from skewseries.errors import SizeCapExceeded
     with pytest.raises(SizeCapExceeded):
         builtin_ring("mat2:z3")  # order 81
+
+
+def test_a_builtin_number_has_at_most_640_digits():
+    # 640 digits is the lowest int-to-str limit the interpreter accepts, so a
+    # number that long converts both ways under any limit, and a longer one is
+    # refused before int() meets it.
+    with pytest.raises(SizeCapExceeded, match=f"^constructed order {'7' * 640} exceeds cap 64$"):
+        builtin_ring("zn:" + "7" * 640)
+    long = "7" * 641
+    # A product names the factor whose number is too long.
+    for name, spec in (("zn:" + "0" * 639 + "22", "zn:" + "0" * 639 + "22"),
+                       ("prod:zn:2,zn:" + long, "zn:" + long), ("ut2:z" + long, "ut2:z" + long)):
+        with pytest.raises(SpecFormatError) as caught:
+            builtin_ring(name)
+        assert str(caught.value) == (
+            f"number of 641 digits in ring spec {spec!r} is longer than 640 digits")
+    arity = "0" * 640 + "2"
+    with pytest.raises(SpecFormatError, match="^number of 641 digits in monoid spec"):
+        parse_monoid_spec(f"nat{arity}:lex")
+    assert parse_monoid_spec(f"nat{arity[1:]}:lex") == OrderedMonoid("nat_k", "lex", k=2)
+    # An int arity is refused for being there, at any length.
+    with pytest.raises(SpecFormatError, match="^int exponents are one-dimensional"):
+        parse_monoid_spec(f"int{arity}")
 
 
 def test_unknown_builtin_names_fail_with_the_pattern_list():
